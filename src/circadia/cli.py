@@ -26,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import __version__
 from .constants import get_constants
 from .dynamics import _slow_period, integrate, shadow_reduced_dynamics, \
     slow_manifold_residual
@@ -43,7 +44,6 @@ from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
 from .svgplot import line_plot
 
 TWO_PI = 2.0 * math.pi
-VERSION = "0.1.0"
 
 
 class CliParser(argparse.ArgumentParser):
@@ -100,7 +100,8 @@ def _new_manifest(command: str, args, parameters: dict) -> RunManifest:
     k = get_constants()
     parameters = dict(parameters)
     parameters["constants"] = {"hbar_Js": k.hbar, "e_C": k.e}
-    m = RunManifest(command=command, version=VERSION, parameters=parameters)
+    m = RunManifest(command=command, version=__version__,
+                    parameters=parameters)
     if getattr(args, "circuit", None):
         m.add_input(args.circuit)
     if getattr(args, "input", None):
@@ -606,7 +607,7 @@ def cmd_foster(args) -> int:
 def build_parser() -> CliParser:
     parser = CliParser(prog="circadia",
                        description="nearly singular circuit laboratory")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
     def add_common(sp, circuit=True):

@@ -31,9 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, eig_banded, eigh, eigh_tridiagonal, \
     solve_banded
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import (ConvergenceError, PhysicalRegimeError, ValidationError)
+from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
+                     ValidationError)
 from .potentials import Cosine, PotentialModel
 from .reduction import EffectivePotential
 from .sweeps import SweepTable
@@ -234,18 +235,32 @@ def _inverse_iteration(band_lower: np.ndarray, w: float,
     return v
 
 
-def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int):
-    """k lowest eigenpairs of the FD4 operator: full banded eigenvalue
-    solve (no vectors), then one inverse iteration per wanted vector.
-    The selecting LAPACK drivers cost O(n^3) here; this path is O(n^2)."""
+def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
+                  window: tuple[float, float] | None = None):
+    """Lowest k, or all in the closed window (lo, hi), FD4 eigenpairs of
+    c_kin*p^2 + diag(v): eigenvalues, unit vectors, residual norms.
+
+    LAPACK ?sbevx (select='i' or 'v') bisects for the wanted eigenvalues
+    only; inverse iteration gives the vectors. The Gershgorin bound
+    s >= max|lambda| scales the shift offset and widens the window by the
+    bisection accuracy 8*eps*s, so an edge level stays in on a re-solve."""
     n = v.size
     band = _fd4_bands(n, h, c_kin)
     band[0, :] += v
-    w_all = eig_banded(band, lower=True, eigvals_only=True)
-    w = np.array(w_all[:k])
-    scale = float(np.max(np.abs(w_all)))
-    vec = np.empty((n, k))
-    for j in range(k):
+    # Gershgorin row sums; the FD4 off-diagonals are constant
+    scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
+    if window is None:
+        w = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                       select_range=(0, k - 1))
+    else:
+        tol = 8.0 * np.finfo(float).eps * scale
+        lo, hi = window[0] - tol, window[1] + tol
+        # ?sbevx keeps (vl, vu]: the float below lo closes the interval
+        w = eig_banded(band, lower=True, eigvals_only=True, select="v",
+                       select_range=(np.nextafter(lo, -np.inf), max(hi, lo)))
+        w = w[(w >= lo) & (w <= hi)]
+    vec = np.empty((n, w.size))
+    for j in range(w.size):
         vec[:, j] = _inverse_iteration(band, float(w[j]), scale)
     H = _fd4_sparse(n, h, c_kin) + sp.diags(v)
     res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
@@ -264,27 +279,16 @@ def _lowest_extended1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 
 def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
                           e_hi: float) -> SpectrumResult:
-    """All Extended1D eigenvalues inside [e_lo, e_hi] (banded select='v')."""
+    """All Extended1D eigenvalues in the closed window [e_lo, e_hi], and
+    only those (banded select='v', LAPACK ?sbevx). Levels within 8*eps*s of
+    an edge count as inside, s the Gershgorin bound on max|lambda|."""
     if spec.variant != "Extended1D":
         raise ValidationError("energy-window solve is Extended1D only")
     coords, v, h = _extended1d_arrays(spec)
-    n = coords.size
-    band = _fd4_bands(n, h, spec.c_kin)
-    band[0, :] += v
-    w_all = eig_banded(band, lower=True, eigvals_only=True)
-    w = np.array(w_all[(w_all >= e_lo) & (w_all <= e_hi)])
-    scale = float(np.max(np.abs(w_all)))
-    vec = np.empty((n, w.size))
-    for j in range(w.size):
-        vec[:, j] = _inverse_iteration(band, float(w[j]), scale)
-    H = _fd4_sparse(n, h, spec.c_kin) + sp.diags(v)
-    if w.size:
-        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
-    else:
-        res = np.zeros(0)
+    w, _, res = _solve_banded(v, h, spec.c_kin, window=(e_lo, e_hi))
     return SpectrumResult(
         eigenvalues=w, k=int(w.size), residual_norms=res, units="E_C units",
-        meta={"spec": spec.describe(), "h": h, "n": int(n),
+        meta={"spec": spec.describe(), "h": h, "n": int(coords.size),
               "window": [float(e_lo), float(e_hi)]})
 
 
@@ -543,7 +547,10 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     v0 = np.ones(dim) / math.sqrt(dim)
     try:
         w, vec = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
-    except Exception as exc:  # ARPACK failure surfaces with context
+    except (ArpackError, LinAlgError, RuntimeError) as exc:
+        if not isinstance(exc, (ArpackError, LinAlgError)) and \
+                "exactly singular" not in str(exc):
+            raise  # a RuntimeError from neither ARPACK nor splu is a bug
         raise ConvergenceError("sparse eigensolver failed",
                                detail=str(exc)) from exc
     order = np.argsort(w)
@@ -559,9 +566,10 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     """k lowest eigenpairs of the discretized operator.
 
-    1D variants use dense banded or tridiagonal solves; 2D uses
-    shift-inverted Lanczos with a deterministic start vector. Residual norms
-    ||Hv - Ev|| (unit-norm v) ride along in the result.
+    Extended1D/FastAtX: banded select='i' (LAPACK ?sbevx), then inverse
+    iteration with a Gershgorin-scaled shift; Compact1D: tridiagonal or
+    dense; 2D: shift-inverted Lanczos from a deterministic start vector.
+    Residual norms ||Hv - Ev|| (unit-norm v) ride along in the result.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -758,7 +766,7 @@ def spectrum_vs_kappa(p: PotentialModel, xi: float, lambdaJ: float,
                 charge_half_factor=charge_half_factor, grid=grid)
             try:
                 result = lowest_eigenvalues(spec, k)
-            except Exception as exc:
+            except CircadiaError as exc:
                 rows.append((float(kap), basis, -1, math.nan, math.nan,
                              math.nan, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -33,6 +33,7 @@ def check_manifest(path, command):
     doc = read_json(path)
     assert set(doc) == MANIFEST_KEYS
     assert doc["command"] == command
+    assert doc["version"] == "0.1.0"
     assert doc["wall_time_s"] is None
     assert isinstance(doc["identity"], str) and doc["identity"]
     return doc

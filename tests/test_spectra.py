@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, eig_banded
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import circadia.spectra
 from circadia import (
+    ConvergenceError,
     Cosine,
     HamiltonianSpec,
     PhysicalRegimeError,
@@ -75,6 +81,20 @@ def test_energy_window_solve_matches_the_harmonic_ladder():
     assert np.max(r.residual_norms) < 1e-8 * r.spectral_scale
     with pytest.raises(ValidationError):
         eigenvalues_in_window(compact_spec(1.0), 0.0, 1.0)
+
+
+def test_window_edges_returned_by_a_solve_stay_inside():
+    for amp in (3.0, 12.0, 36.0):
+        for n in (256, 1001):
+            spec = HamiltonianSpec(
+                variant="Extended1D", c_kin=1.0,
+                v_func=lambda q, a=amp: a * (1.0 - np.cos(q)) + 0.05 * q**2,
+                grid={"half_width": 10.0, "n": n})
+            first = eigenvalues_in_window(spec, 1.0, 30.0).eigenvalues
+            again = eigenvalues_in_window(spec, float(first[0]),
+                                          float(first[-1]))
+            assert again.k == first.size
+            assert np.max(np.abs(again.eigenvalues - first)) < 1e-12 * 30.0
 
 
 def test_discretization_contracts_are_enforced():
@@ -235,3 +255,109 @@ def test_free_extended_box_levels_collapse_with_box_size():
     spacings = box_level_spacings(0.5, [8.0, 16.0, 32.0], k=8)
     assert np.all(np.diff(spacings) < 0)
     assert spacings[0] / spacings[1] > 2.0
+
+
+def _fd4_band_oracle(v, h, c):
+    """Lower band of c*p^2 + diag(v), written out from the FD4 stencil."""
+    band = np.zeros((3, v.size))
+    band[0] = c * 2.5 / h**2 + v
+    band[1, :-1] = -c * (4.0 / 3.0) / h**2
+    band[2, :-2] = c / 12.0 / h**2
+    return band
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(128, 512),
+    half_width=st.floats(5.0, 12.0),
+    c_kin=st.floats(0.25, 2.0),
+    quad=st.floats(0.0, 2.0),
+    quart=st.floats(0.0, 0.5),
+    amp=st.floats(-20.0, 20.0),
+    omega=st.floats(0.2, 3.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    k=st.integers(1, 8),
+    first=st.integers(0, 12),
+    count=st.integers(1, 8),
+)
+def test_select_solves_match_the_full_banded_spectrum(
+        n, half_width, c_kin, quad, quart, amp, omega, phase, k, first,
+        count):
+    def v_func(q):
+        return quad * q**2 + quart * q**4 / half_width**2 \
+            + amp * np.cos(omega * q + phase)
+
+    spec = HamiltonianSpec(variant="Extended1D", v_func=v_func, c_kin=c_kin,
+                           grid={"half_width": half_width, "n": n})
+    q = np.linspace(-half_width, half_width, n)
+    full = eig_banded(_fd4_band_oracle(v_func(q), q[1] - q[0], c_kin),
+                      lower=True, eigvals_only=True)
+
+    def tol(w):
+        return 1e-10 * np.maximum(1.0, np.abs(w))
+
+    low = lowest_eigenvalues(spec, k)
+    assert low.eigenvalues.size == k
+    assert np.all(np.abs(low.eigenvalues - full[:k]) <= tol(full[:k]))
+    assert np.max(low.residual_norms) < 1e-8 * low.spectral_scale
+
+    # window edges halfway between neighbours, never on a level
+    last = first + count - 1
+    lo = full[0] - 1.0 if first == 0 else 0.5 * (full[first - 1] + full[first])
+    hi = 0.5 * (full[last] + full[last + 1])
+    win = eigenvalues_in_window(spec, float(lo), float(hi))
+    expect = full[first:last + 1]
+    assert win.k == count
+    assert np.all(np.abs(win.eigenvalues - expect) <= tol(expect))
+    assert np.max(win.residual_norms) < 1e-8 * win.spectral_scale
+
+
+@settings(max_examples=25)
+@given(
+    kappa=st.floats(0.2, 0.9),
+    xi=st.floats(0.5, 20.0),
+    lambdaJ=st.floats(0.0, 20.0),
+    x=st.floats(-3.0, 3.0),
+)
+def test_fast_at_x_ground_level_equals_bo_fast_ground(kappa, xi, lambdaJ, x):
+    e0 = bo_fast_ground(kappa, xi, lambdaJ, Cosine(), x)
+    spec = HamiltonianSpec(variant="FastAtX", potential=Cosine(),
+                           kappa=kappa, xi=xi, lambdaJ=lambdaJ, frozen_x=x)
+    r = lowest_eigenvalues(spec, 1)
+    assert abs(r.eigenvalues[0] - e0) <= 1e-12 * max(1.0, abs(e0))
+    assert r.residual_norms[0] < 1e-8 * r.spectral_scale
+
+
+class _BrokenPotential(Cosine):
+    def _eval(self, phi, order):
+        raise TypeError("broken potential")
+
+
+def test_programming_errors_propagate_out_of_the_sweep():
+    with pytest.raises(TypeError, match="broken potential"):
+        spectrum_vs_kappa(_BrokenPotential(), 1.0, 0.5, [0.5], k=2,
+                          bases=("extended",))
+
+
+@pytest.mark.parametrize("exc, reported", [
+    (ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+     True),
+    (LinAlgError("singular"), True),
+    (RuntimeError("Factor is exactly singular"), True),
+    (RuntimeError("unexpected"), False),
+    (TypeError("bad operand"), False),
+])
+def test_only_solver_failures_become_convergence_errors(monkeypatch, exc,
+                                                        reported):
+    def failing_eigsh(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(circadia.spectra, "eigsh", failing_eigsh)
+    spec = HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                           kappa=0.5, xi=1.0, lambdaJ=0.5,
+                           grid={"nx": 64, "ny": 64})
+    expected = ConvergenceError if reported else type(exc)
+    with pytest.raises(expected) as info:
+        lowest_eigenvalues(spec, 2)
+    if reported:
+        assert info.value.__cause__ is exc
