@@ -19,6 +19,14 @@ The compact fast axis represents the angle phi_c on the [-pi, pi) window;
 its matrix elements in the charge basis are exact:
 <m|phi_c|m'> = i(-1)^(m-m')/(m-m'), <m|phi_c^2|m> = pi^2/3,
 <m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal.
+
+Both Regularized2D bases are solved by shift-inverted Lanczos from a
+certified Weyl shift: H = (slow FD4 kinetic) x I + B, the first term is
+positive semidefinite and B is block diagonal with the fast operator frozen
+at each slow grid point, so lambda_min(H) >= min_i lambda_min(B_i). Each
+block minimum is one select-only eigensolve (banded for the extended fast
+axis, dense Hermitian for the compact one); sigma is their minimum less a
+margin for rounding, a proven lower bound close to lambda_0.
 """
 
 from __future__ import annotations
@@ -458,6 +466,24 @@ def _angle_window_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
+def _weyl_shift(block_minima: np.ndarray, block_dim: int,
+                block_norm: float) -> float:
+    """Shift-invert sigma certified below the spectrum of H = A + B.
+
+    A, the slow FD4 kinetic term times the identity, is positive
+    semidefinite: the FD4 symbol (c-1)(c-7)/3 is >= 0 for c = cos(theta),
+    and a finite Toeplitz section keeps its eigenvalues inside the range of
+    its symbol. B is block diagonal, one block per slow grid point, so
+    Weyl's inequality gives lambda_min(H) >= min_i lambda_min(B_i). The
+    margin covers the rounding of the block eigensolves
+    (block_dim*eps*||B_i||) plus 1e-6 relative to the bound.
+    """
+    bound = float(np.min(block_minima))
+    margin = 1e-6 * max(1.0, abs(bound)) \
+        + block_dim * np.finfo(float).eps * block_norm
+    return bound - margin
+
+
 def _regularized2d_extended(spec: HamiltonianSpec, k: int):
     kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
     p = spec.potential if spec.potential is not None else Cosine()
@@ -467,6 +493,8 @@ def _regularized2d_extended(spec: HamiltonianSpec, k: int):
     ny = int(spec.grid.get("ny", 96))
     if nx < 64 or ny < 64:
         raise ValidationError("2D grids need >= 64 points per axis")
+    if not (k <= nx * ny / 4):
+        raise ValidationError("k must be <= dimension/4")
     x = np.linspace(-Lx, Lx, nx)
     y = np.linspace(-Ly, Ly, ny)
     hx, hy = x[1] - x[0], y[1] - y[0]
@@ -482,7 +510,16 @@ def _regularized2d_extended(spec: HamiltonianSpec, k: int):
         + sp.kron(sp.identity(nx), _fd4_sparse(ny, hy, 0.5)) \
         + sp.diags(V.ravel())
     H = H.tocsc()
-    sigma = float(V.min()) - 1.0
+    # B_i: the FastAtX operator frozen at x_i (fast FD4 kinetic plus V[i])
+    band = _fd4_bands(ny, hy, 0.5)
+    kin = band[0].copy()
+    minima = np.empty(nx)
+    for i in range(nx):
+        band[0] = kin + V[i]
+        minima[i] = eig_banded(band, lower=True, eigvals_only=True,
+                               select="i", select_range=(0, 0))[0]
+    norm = float(np.max(np.abs(kin + V)) + 2.0 * np.sum(np.abs(band[1:, 0])))
+    sigma = _weyl_shift(minima, ny, norm)
     meta = {"nx": nx, "ny": ny, "hx": float(hx), "hy": float(hy),
             "sigma": sigma}
     return H, sigma, meta, "kappa^2*H/(hbar*omega_C) units (extended pair)"
@@ -508,27 +545,35 @@ def _regularized2d_compact(spec: HamiltonianSpec, k: int):
         "n_max_fast", _auto_fast_cutoff(kappa, xi, lam, coef, u2max)))
     L_phi = float(spec.grid.get("L_phi", 0.5 * math.pi))
     n_phi = int(spec.grid.get("n_phi", 128))
-    if n_phi < 64 or (2 * n_fast + 1) < 64:
+    dim_fast = 2 * n_fast + 1
+    if n_phi < 64 or dim_fast < 64:
         raise ValidationError("2D grids need >= 64 points per axis")
+    if not (k <= n_phi * dim_fast / 4):
+        raise ValidationError("k must be <= dimension/4")
     phi = np.linspace(-L_phi, L_phi, n_phi)
     h = phi[1] - phi[0]
     mc = np.arange(-n_fast, n_fast + 1)
     phi1, phi2 = _angle_window_ops(n_fast)
     U = _charge_basis_potential(p, n_fast)
+    c2 = kappa**4 * xi**2
     h_fast = coef * np.diag((mc + spec.ng)**2).astype(complex) \
-        + 0.5 * kappa**4 * xi**2 * phi2 \
-        + kappa**4 * lam * U
-    dim_fast = 2 * n_fast + 1
+        + 0.5 * c2 * phi2 + kappa**4 * lam * U
     H = sp.kron(_fd4_sparse(n_phi, h, kappa**4),
                 sp.identity(dim_fast, dtype=complex)) \
-        + sp.kron(sp.diags(0.5 * kappa**4 * xi**2 * phi**2),
+        + sp.kron(sp.diags(0.5 * c2 * phi**2),
                   sp.identity(dim_fast, dtype=complex)) \
         + sp.kron(sp.identity(n_phi), sp.csr_matrix(h_fast)) \
-        + sp.kron(sp.diags(-kappa**4 * xi**2 * phi), sp.csr_matrix(phi1))
+        + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
     H = H.tocsc()
-    diag = H.diagonal().real
-    row_abs = np.asarray(np.abs(H).sum(axis=1)).ravel()
-    sigma = float(np.min(diag - (row_abs - np.abs(H.diagonal())))) - 1.0
+    # B_i = h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c at each slow point
+    eye = np.eye(dim_fast)
+    minima = np.array([
+        eigh(h_fast + 0.5 * c2 * f**2 * eye - c2 * f * phi1,
+             eigvals_only=True, subset_by_index=(0, 0))[0] for f in phi])
+    norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
+                 + 0.5 * c2 * L_phi**2
+                 + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
+    sigma = _weyl_shift(minima, dim_fast, norm)
     meta = {"n_phi": n_phi, "L_phi": L_phi, "n_max_fast": n_fast,
             "h": float(h), "sigma": sigma}
     return H, sigma, meta, "E'_C units (primed charging energy)"
@@ -542,8 +587,6 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     else:
         H, sigma, meta, units = _regularized2d_compact(spec, k)
     dim = H.shape[0]
-    if not (k <= dim / 4):
-        raise ValidationError("k must be <= dimension/4")
     v0 = np.ones(dim) / math.sqrt(dim)
     try:
         w, vec = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
@@ -557,6 +600,7 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     w, vec = w[order], vec[:, order]
     res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
     meta = dict(meta)
+    meta["shift_gap"] = float(w[0] - sigma)
     meta["spec"] = spec.describe()
     meta["dim"] = int(dim)
     return SpectrumResult(eigenvalues=w, k=k, residual_norms=res,
@@ -568,8 +612,11 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 
     Extended1D/FastAtX: banded select='i' (LAPACK ?sbevx), then inverse
     iteration with a Gershgorin-scaled shift; Compact1D: tridiagonal or
-    dense; 2D: shift-inverted Lanczos from a deterministic start vector.
-    Residual norms ||Hv - Ev|| (unit-norm v) ride along in the result.
+    dense; 2D: shift-inverted Lanczos from a deterministic start vector,
+    with sigma the certified Weyl bound min_i lambda_min(B_i) less a
+    rounding margin (see the module docstring); meta records sigma and
+    shift_gap = lambda_0 - sigma. Residual norms ||Hv - Ev|| (unit-norm v)
+    ride along in the result.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")

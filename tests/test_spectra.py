@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eig_banded
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import circadia.spectra
 from circadia import (
@@ -361,3 +361,84 @@ def test_only_solver_failures_become_convergence_errors(monkeypatch, exc,
         lowest_eigenvalues(spec, 2)
     if reported:
         assert info.value.__cause__ is exc
+
+
+def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64):
+    grid = {"nx": n, "ny": n} if basis == "extended" else {"n_phi": n}
+    return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                           kappa=kappa, xi=xi, lambdaJ=lambdaJ,
+                           basis_y=basis, grid=grid)
+
+
+def _assembled(spec, k):
+    build = (circadia.spectra._regularized2d_extended
+             if spec.basis_y == "extended"
+             else circadia.spectra._regularized2d_compact)
+    return build(spec, k)
+
+
+def _loose_shift(spec, H):
+    """The shifts the 2D builders took before the Weyl bound: V.min() - 1
+    (extended) and the Gershgorin row-sum bound of H less 1 (compact)."""
+    if spec.basis_y == "extended":
+        kap, xi, lam = spec.kappa, spec.xi, spec.lambdaJ
+        x = np.linspace(-10.0, 10.0, spec.grid["nx"])
+        y = np.linspace(-10.0, 10.0, spec.grid["ny"])
+        u = Cosine().u(y / (kap * math.sqrt(xi)))
+        V = 0.5 * (y[None, :] - kap * x[:, None])**2 \
+            + kap**2 * (lam / xi) * u[None, :]
+        return float(V.min()) - 1.0
+    off = np.asarray(abs(H).sum(axis=1)).ravel() - abs(H.diagonal())
+    return float(np.min(H.diagonal().real - off)) - 1.0
+
+
+@settings(max_examples=20)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_weyl_shift_bounds_the_spectrum_and_beats_the_loose_shifts(
+        basis, kappa, xi, frac):
+    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
+    r = lowest_eigenvalues(spec, 2)
+    sigma = r.meta["sigma"]
+    assert sigma <= r.eigenvalues[0]
+    assert r.meta["shift_gap"] == r.eigenvalues[0] - sigma
+    H, built_sigma, _, _ = _assembled(spec, 2)
+    assert built_sigma == sigma
+    assert sigma >= _loose_shift(spec, H)
+    assert np.max(r.residual_norms) < 1e-8 * r.spectral_scale
+
+
+@pytest.mark.parametrize("basis, kappa, xi, lambdaJ", [
+    ("extended", 0.5, 1.0, 0.5),
+    ("compact", 0.6, 40.0, 400.0),
+])
+def test_weyl_shift_returns_the_levels_of_the_loose_shift(basis, kappa, xi,
+                                                          lambdaJ):
+    spec = _two_mode_spec(basis, kappa, xi, lambdaJ)
+    k = 4
+    r = lowest_eigenvalues(spec, k)
+    H, _, _, _ = _assembled(spec, k)
+    v0 = np.ones(H.shape[0]) / math.sqrt(H.shape[0])
+    oracle = np.sort(eigsh(
+        H, k=k, sigma=_loose_shift(spec, H), which="LM", v0=v0,
+        return_eigenvectors=False))
+    assert r.meta["sigma"] > _loose_shift(spec, H)
+    assert np.all(np.abs(r.eigenvalues - oracle)
+                  <= 1e-10 * np.maximum(1.0, np.abs(oracle)))
+
+
+@pytest.mark.parametrize("basis, k", [("extended", 64 * 64 // 4 + 1),
+                                      ("compact", 64 * 65 // 4 + 1)])
+def test_oversized_k_is_refused_before_the_2d_assembly(monkeypatch, basis,
+                                                       k):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("2D operator assembled for an invalid k")
+
+    monkeypatch.setattr(circadia.spectra, "_fd4_sparse", no_assembly)
+    spec = _two_mode_spec(basis, 0.6, 40.0, 400.0)
+    with pytest.raises(ValidationError, match="dimension/4"):
+        lowest_eigenvalues(spec, k)
