@@ -28,17 +28,15 @@ from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .constants import get_constants
-from .dynamics import _slow_period, integrate, shadow_reduced_dynamics, \
-    slow_manifold_residual
+from .dynamics import _slow_period, integrate, manifold_eta, \
+    shadow_reduced_dynamics, slow_manifold_residual
 from .errors import CircadiaError, ConvergenceError, PhysicalRegimeError, \
     StructureMismatchError, ValidationError
 from .foster import eval_admittance, fit_foster, read_admittance_csv, \
     reactance_slope, write_model_json, FosterModel
 from .manifest import RunManifest
-from .params import load_circuit, reduce as reduce_circuit
-from .potentials import BiasedCosine, Cosine, Custom, PolynomialEven, \
-    PotentialModel
-from .reduction import branch_table, effective_potential
+from .params import read_circuit
+from .reduction import branch_table, effective_potential, write_potential_csv
 from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
     eigenvalues_in_window, lowest_eigenvalues, naive_compact_adiabatic
 from .svgplot import line_plot
@@ -59,38 +57,6 @@ class CliParser(argparse.ArgumentParser):
 # shared loading helpers
 
 
-def _potential_from_doc(spec) -> PotentialModel:
-    if spec is None:
-        return Cosine()
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict):
-        raise ValidationError("circuit 'potential' must be a string or object")
-    kind = str(spec.get("kind", "cosine")).lower()
-    if kind == "cosine":
-        return Cosine()
-    if kind == "biased_cosine":
-        return BiasedCosine(float(spec.get("phi_ext", 0.0)))
-    if kind == "quadratic":
-        return PolynomialEven([0.0, 0.5 * float(spec.get("curvature", 1.0))])
-    if kind == "polynomial_even":
-        return PolynomialEven(spec.get("coeffs", [0.0, 0.5]))
-    if kind == "custom_csv":
-        if "path" not in spec:
-            raise ValidationError("custom_csv potential needs a 'path'")
-        return Custom.from_csv(str(spec["path"]))
-    raise ValidationError(f"unknown potential kind {kind!r}")
-
-
-def _load_circuit_bundle(path: str):
-    si = load_circuit(path)
-    rc, scales = reduce_circuit(si)
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    p = _potential_from_doc(doc.get("potential"))
-    return si, rc, scales, p
-
-
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -102,12 +68,9 @@ def _new_manifest(command: str, args, parameters: dict) -> RunManifest:
     parameters["constants"] = {"hbar_Js": k.hbar, "e_C": k.e}
     m = RunManifest(command=command, version=__version__,
                     parameters=parameters)
-    if getattr(args, "circuit", None):
-        m.add_input(args.circuit)
-    if getattr(args, "input", None):
-        m.add_input(args.input)
-    if getattr(args, "model", None):
-        m.add_input(args.model)
+    for name in ("circuit", "input", "model"):
+        if getattr(args, name, None):
+            m.add_input(getattr(args, name))
     return m
 
 
@@ -127,7 +90,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_reduce(args) -> int:
-    si, rc, scales, p = _load_circuit_bundle(args.circuit)
+    rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     basis = "ExtendedX" if args.basis == "extended" else "CompactPhi"
     manifest = _new_manifest("reduce", args, {
@@ -140,13 +103,9 @@ def cmd_reduce(args) -> int:
         beta_crit = exc.context.get("beta_crit", float("nan"))
         coords, rows = branch_table(p, rc, basis, args.grid)
         branch_path = os.path.join(out, "branches.csv")
-        name = "x" if basis == "ExtendedX" else "phi"
-        with open(branch_path, "w", encoding="utf-8") as f:
-            f.write(f"# units: coordinate={name} (dimensionless), V,Vp,Vpp in "
-                    "E_C units; one row per branch\n")
-            f.write("coordinate,V,Vp,Vpp,branch_count\n")
-            for c, V, Vp, Vpp, count in rows:
-                f.write(f"{c!r},{V!r},{Vp!r},{Vpp!r},{count}\n")
+        columns = ([row[i] for row in rows] for i in range(5))
+        write_potential_csv(branch_path, basis, *columns,
+                            note="; one row per branch")
         report = {
             "verdict": "multivalued",
             "beta": rc.beta, "beta_crit": beta_crit,
@@ -193,7 +152,7 @@ def _parse_ladder(text: str) -> np.ndarray:
 
 
 def cmd_bo_sweep(args) -> int:
-    si, rc, scales, p = _load_circuit_bundle(args.circuit)
+    rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     kappas = _parse_ladder(args.kappa_ladder)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
@@ -269,15 +228,12 @@ def _bo_column_potential(rc, p, n_samples: int = 41):
     periodic = p.is_periodic and abs(p.period - TWO_PI) < 1e-12
     if periodic:
         u[-1] = u[0]
-        spline = CubicSpline(phis, u, bc_type="periodic")
+    spline = CubicSpline(phis, u,
+                         bc_type="periodic" if periodic else "not-a-knot")
 
-        def v(q):
-            return rc.xi * spline(_wrap_pi(np.asarray(q, dtype=float)))
-    else:
-        spline = CubicSpline(phis, u)
-
-        def v(q):
-            return rc.xi * spline(np.asarray(q, dtype=float))
+    def v(q):
+        q = np.asarray(q, dtype=float)
+        return rc.xi * spline(_wrap_pi(q) if periodic else q)
     return v, periodic
 
 
@@ -312,7 +268,7 @@ def _box_proxy(make_spec, vmax: float) -> dict:
 
 
 def cmd_compare(args) -> int:
-    si, rc, scales, p = _load_circuit_bundle(args.circuit)
+    rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     nphi = args.grid
     k = 3
@@ -452,12 +408,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    si, rc, scales, p = _load_circuit_bundle(args.circuit)
+    rc, p = read_circuit(args.circuit)
     out = _outdir(args)
-    if args.t_end is not None:
-        t_end = args.t_end
-    else:
-        t_end = 2.0 * _slow_period(rc)
+    t_end = args.t_end if args.t_end is not None else 2.0 * _slow_period(rc)
     manifest = _new_manifest("dynamics", args, {
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
@@ -465,7 +418,6 @@ def cmd_dynamics(args) -> int:
     if args.y0 is not None:
         y0 = args.y0
     else:
-        from .dynamics import manifold_eta
         y0 = rc.kappa * float(manifold_eta(rc, p, np.array([args.x0]))[0])
     py0 = args.py0 if args.py0 is not None else 0.0
 

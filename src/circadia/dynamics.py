@@ -25,20 +25,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
-from .potentials import BiasedCosine, Cosine, PolynomialEven, PotentialModel
+from .potentials import BiasedCosine, Cosine, PotentialModel
 from .reduction import (effective_potential, invertibility_threshold,
                         solve_branch_extended)
-
-try:
-    from numba import njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
 
 TWO_PI = 2.0 * math.pi
 _RECORD_CAP = 16384
@@ -73,62 +62,8 @@ class TrajectoryRecord:
                         f"{float(s[2])!r},{float(s[3])!r},{float(e)!r}\n")
 
 
-@njit(cache=False)
-def _run_sine(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
-              inv_scale, shift):
-    idx = 1
-    for s in range(nsteps):
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        py += 0.5 * dt * (kappa * x - y
-                          - cgrad * math.sin(y * inv_scale - shift))
-        x += dt * kappa * kappa * px
-        y += dt * py
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        py += 0.5 * dt * (kappa * x - y
-                          - cgrad * math.sin(y * inv_scale - shift))
-        if (s + 1) % stride == 0:
-            rec[idx, 0] = x
-            rec[idx, 1] = px
-            rec[idx, 2] = y
-            rec[idx, 3] = py
-            idx += 1
-    return x, px, y, py
-
-
-@njit(cache=False)
-def _run_poly(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
-              inv_scale, dcoefs):
-    idx = 1
-    for s in range(nsteps):
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        phi = y * inv_scale
-        phi2 = phi * phi
-        du = 0.0
-        for j in range(dcoefs.size - 1, -1, -1):
-            du = du * phi2 + dcoefs[j]
-        du *= phi
-        py += 0.5 * dt * (kappa * x - y - cgrad * du)
-        x += dt * kappa * kappa * px
-        y += dt * py
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        phi = y * inv_scale
-        phi2 = phi * phi
-        du = 0.0
-        for j in range(dcoefs.size - 1, -1, -1):
-            du = du * phi2 + dcoefs[j]
-        du *= phi
-        py += 0.5 * dt * (kappa * x - y - cgrad * du)
-        if (s + 1) % stride == 0:
-            rec[idx, 0] = x
-            rec[idx, 1] = px
-            rec[idx, 2] = y
-            rec[idx, 3] = py
-            idx += 1
-    return x, px, y, py
-
-
-def _run_generic(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
-                 inv_scale, du):
+def _leapfrog(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
+              inv_scale, du):
     idx = 1
     for s in range(nsteps):
         px += 0.5 * dt * kappa * (y - kappa * x)
@@ -138,33 +73,20 @@ def _run_generic(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
         px += 0.5 * dt * kappa * (y - kappa * x)
         py += 0.5 * dt * (kappa * x - y - cgrad * float(du(y * inv_scale)))
         if (s + 1) % stride == 0:
-            rec[idx, 0] = x
-            rec[idx, 1] = px
-            rec[idx, 2] = y
-            rec[idx, 3] = py
+            rec[idx] = (x, px, y, py)
             idx += 1
     return x, px, y, py
 
 
-def _dispatch_kernel(p: PotentialModel, rc: ReducedCircuit):
-    """Pick the compiled force kernel; fall back to a generic python loop."""
-    kappa = rc.kappa
-    # kappa=0 only reaches here with lambdaJ=0 (integrate rejects the rest),
-    # where the junction force vanishes and the argument scale is unused.
-    inv_scale = 1.0 / (kappa * math.sqrt(rc.xi)) if kappa > 0 else 0.0
-    cgrad = kappa * rc.lambdaJ / rc.xi**1.5
+def _scalar_force(p: PotentialModel, rc: ReducedCircuit):
+    """u' for the kernel: math.sin for the cosine family (p.du would run a
+    numpy ufunc per scalar), and never p.du at lambdaJ=0, where the force is
+    zero and a tabulated u' would refuse arguments outside its table."""
     if rc.lambdaJ == 0.0 or isinstance(p, Cosine):
-        return ("sine", cgrad, inv_scale, 0.0)
+        return math.sin
     if isinstance(p, BiasedCosine):
-        return ("sine", cgrad, inv_scale, float(p.phi_ext))
-    if isinstance(p, PolynomialEven):
-        c = np.asarray(p.coeffs, dtype=float)
-        dcoefs = np.array([2.0 * (j + 1) * c[j + 1]
-                           for j in range(c.size - 1)], dtype=float)
-        if dcoefs.size == 0:
-            dcoefs = np.zeros(1)
-        return ("poly", cgrad, inv_scale, dcoefs)
-    return ("generic", cgrad, inv_scale, p.du)
+        return lambda q, s=p.phi_ext: math.sin(q - s)
+    return p.du
 
 
 def _energy(states: np.ndarray, rc: ReducedCircuit,
@@ -201,22 +123,13 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
     x0, px0, y0, py0 = (float(v) for v in initial_state)
     rec[0] = (x0, px0, y0, py0)
 
-    kind, cgrad, inv_scale, extra = _dispatch_kernel(p, rc)
-    if rc.kappa == 0.0:
-        inv_scale = 0.0  # frozen x; u never enters (lambdaJ forced 0 above)
-    if kind == "sine" and _HAVE_NUMBA:
-        xf, pxf, yf, pyf = _run_sine(x0, px0, y0, py0, dt_eff, nsteps, stride,
-                                     rec, rc.kappa, cgrad, inv_scale, extra)
-    elif kind == "poly" and _HAVE_NUMBA:
-        xf, pxf, yf, pyf = _run_poly(x0, px0, y0, py0, dt_eff, nsteps, stride,
-                                     rec, rc.kappa, cgrad, inv_scale, extra)
-    else:
-        du = extra if kind == "generic" else (
-            (lambda q, s=extra: math.sin(q - s)) if kind == "sine"
-            else p.du)
-        xf, pxf, yf, pyf = _run_generic(x0, px0, y0, py0, dt_eff, nsteps,
-                                        stride, rec, rc.kappa, cgrad,
-                                        inv_scale, du)
+    # kappa=0 only gets here with lambdaJ=0, where the junction force
+    # vanishes and the argument scale is unused.
+    inv_scale = 1.0 / (rc.kappa * math.sqrt(rc.xi)) if rc.kappa > 0 else 0.0
+    cgrad = rc.kappa * rc.lambdaJ / rc.xi**1.5
+    xf, pxf, yf, pyf = _leapfrog(x0, px0, y0, py0, dt_eff, nsteps, stride,
+                                 rec, rc.kappa, cgrad, inv_scale,
+                                 _scalar_force(p, rc))
 
     times = dt_eff * stride * np.arange(nrec)
     states = rec
@@ -252,6 +165,18 @@ def manifold_eta(rc: ReducedCircuit, p: PotentialModel,
     return solve_branch_extended(p, rc, np.atleast_1d(np.asarray(x, float)))
 
 
+def _manifold_y0(rc: ReducedCircuit, p: PotentialModel, x0: float,
+                 what: str) -> float:
+    """y = kappa*eta1(x0) on the slow manifold, refused where undefined."""
+    threshold = invertibility_threshold(p)
+    if rc.beta >= threshold:
+        raise PhysicalRegimeError(f"{what} undefined at supercritical beta",
+                                  beta_crit=threshold)
+    if rc.kappa <= 0:
+        raise ValidationError("kappa must be > 0")
+    return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0])
+
+
 def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
                            t_end: float | None = None, dt: float = 2e-4,
                            drift_tol: float = 1e-8) -> tuple[float, float]:
@@ -261,16 +186,10 @@ def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
     manifold's own order, and that initialization ringing is not the slaved
     signal being measured.
     """
-    if rc.beta >= invertibility_threshold(p):
-        raise PhysicalRegimeError(
-            "slow manifold undefined at supercritical beta",
-            beta_crit=invertibility_threshold(p))
-    if rc.kappa <= 0:
-        raise ValidationError("kappa must be > 0")
+    y0 = _manifold_y0(rc, p, x0, "slow manifold")
     if t_end is None:
         t_end = 5.0 * TWO_PI + 0.5 * _slow_period(rc)
-    eta0 = float(manifold_eta(rc, p, np.array([x0]))[0])
-    record = integrate(rc, p, (x0, 0.0, rc.kappa * eta0, 0.0), t_end, dt,
+    record = integrate(rc, p, (x0, 0.0, y0, 0.0), t_end, dt,
                        drift_tol=drift_tol)
     keep = record.times >= 5.0 * TWO_PI
     if not np.any(keep):
@@ -301,19 +220,11 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     """Integrates the reduced Hamiltonian 1/2 kappa^2 p_x^2
     + (kappa^2/xi) V(x) alongside the full system from the same slow initial
     data and reports the worst x deviation on matched sample times."""
-    threshold = invertibility_threshold(p)
-    if rc.beta >= threshold:
-        raise PhysicalRegimeError(
-            "reduced dynamics undefined at supercritical beta",
-            beta_crit=threshold)
-    if rc.kappa <= 0:
-        raise ValidationError("kappa must be > 0")
+    y0 = _manifold_y0(rc, p, x0, "reduced dynamics")
     slow_period = _slow_period(rc)
     if t_end is None:
         t_end = 2.0 * slow_period
-
-    eta0 = float(manifold_eta(rc, p, np.array([x0]))[0])
-    full = integrate(rc, p, (x0, px0, rc.kappa * eta0, 0.0), t_end, dt)
+    full = integrate(rc, p, (x0, px0, y0, 0.0), t_end, dt)
 
     # Force table for the reduced flow: V'(x) sampled once on a span the
     # trajectory cannot leave (energy bound), then interpolated.

@@ -1,11 +1,11 @@
 """Reproducibility manifests for CLI runs.
 
 A manifest records what a command was asked to do (command name, hashes of
-every input file, the parameter grid, output paths, tool version) plus the
-run's wall time. The identity hash covers everything except the wall time,
-and the serialized file stores wall_time as null, so rerunning a command
-with identical inputs produces byte-identical outputs including the
-manifest itself.
+every input file, the parameter grid, output paths, tool version) and no
+wall-clock data, so rerunning a command with identical inputs produces
+byte-identical outputs including the manifest itself. The identity hash
+covers all of it. The serialized "wall_time_s" key is always null; it stays
+in the file schema for readers that expect it.
 """
 
 from __future__ import annotations
@@ -40,33 +40,28 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)    # path -> sha256
     parameters: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
-    wall_time_s: float | None = None
 
     def add_input(self, path: str) -> None:
         self.inputs[path] = sha256_file(path)
 
-    def identity_hash(self) -> str:
-        payload = {
+    def _identity_payload(self) -> dict:
+        return {
             "command": self.command,
             "version": self.version,
             "inputs": self.inputs,
             "parameters": self.parameters,
             "outputs": sorted(self.outputs),
         }
-        return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+
+    def identity_hash(self) -> str:
+        payload = _canonical(self._identity_payload())
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json(self) -> str:
-        # wall_time is serialized as null: data files carry no wall-clock
-        # values, which keeps reruns byte-identical.
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "outputs": sorted(self.outputs),
-            "identity": self.identity_hash(),
-            "wall_time_s": None,
-        }
+        # "wall_time_s" is a schema key with no value: data files carry no
+        # wall-clock values, which keeps reruns byte-identical.
+        payload = dict(self._identity_payload(),
+                       identity=self.identity_hash(), wall_time_s=None)
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
     def write(self, path: str) -> None:

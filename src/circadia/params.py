@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 from .constants import PhysicalConstants, get_constants
 from .errors import ValidationError
+from .potentials import (BiasedCosine, Cosine, Custom, PolynomialEven,
+                         PotentialModel)
 
 # Relative slack for the defining identities (beta dual formula, E_C = kappa^4 E_C').
 IDENTITY_RTOL = 1e-12
@@ -177,13 +179,17 @@ def reduce(si: SICircuit,
     return rc, scales
 
 
-def load_circuit(path: str,
-                 constants: PhysicalConstants | None = None) -> SICircuit:
-    """Read a JSON circuit descriptor.
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"circuit field {key!r} must be a number, got {value!r}") from None
 
-    Keys: C_F, Cp_F, L_H, and either EJ_J or EJ_GHz (converted via E = h*f),
-    plus optional ng (default 0).
-    """
+
+def _read(path: str, constants: PhysicalConstants | None,
+          ) -> tuple[SICircuit, dict]:
+    """The SI circuit of a descriptor and the decoded document."""
     k = constants or get_constants()
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -196,15 +202,67 @@ def load_circuit(path: str,
         if key not in obj:
             raise ValidationError(f"circuit descriptor missing '{key}' in {path}")
     if "EJ_J" in obj:
-        ej = float(obj["EJ_J"])
+        ej = _number("EJ_J", obj["EJ_J"])
     elif "EJ_GHz" in obj:
-        ej = k.h * float(obj["EJ_GHz"]) * 1e9
+        ej = k.h * _number("EJ_GHz", obj["EJ_GHz"]) * 1e9
     else:
         raise ValidationError(f"circuit descriptor needs 'EJ_J' or 'EJ_GHz' in {path}")
     return SICircuit(
-        capacitance_C=float(obj["C_F"]),
-        capacitance_Cp=float(obj["Cp_F"]),
-        inductance_L=float(obj["L_H"]),
+        capacitance_C=_number("C_F", obj["C_F"]),
+        capacitance_Cp=_number("Cp_F", obj["Cp_F"]),
+        inductance_L=_number("L_H", obj["L_H"]),
         josephson_energy_EJ=ej,
-        gate_charge_ng=float(obj.get("ng", 0.0)),
-    )
+        gate_charge_ng=_number("ng", obj.get("ng", 0.0)),
+    ), obj
+
+
+def _potential(spec) -> PotentialModel:
+    if spec is None:
+        return Cosine()
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ValidationError("circuit 'potential' must be a string or object")
+    kind = str(spec.get("kind", "cosine")).lower()
+    if kind == "cosine":
+        return Cosine()
+    if kind == "biased_cosine":
+        return BiasedCosine(_number("phi_ext", spec.get("phi_ext", 0.0)))
+    if kind == "quadratic":
+        curvature = _number("curvature", spec.get("curvature", 1.0))
+        return PolynomialEven([0.0, 0.5 * curvature])
+    if kind == "polynomial_even":
+        coeffs = spec.get("coeffs", [0.0, 0.5])
+        if not isinstance(coeffs, list):
+            raise ValidationError(f"circuit field 'coeffs' must be a list, got {coeffs!r}")
+        return PolynomialEven([_number("coeffs", c) for c in coeffs])
+    if kind == "custom_csv":
+        if "path" not in spec:
+            raise ValidationError("custom_csv potential needs a 'path'")
+        return Custom.from_csv(str(spec["path"]))
+    raise ValidationError(f"unknown potential kind {kind!r}")
+
+
+def load_circuit(path: str,
+                 constants: PhysicalConstants | None = None) -> SICircuit:
+    """Read a JSON circuit descriptor.
+
+    Keys: C_F, Cp_F, L_H, and either EJ_J or EJ_GHz (converted via E = h*f),
+    plus optional ng (default 0). A value that is not a number raises
+    ValidationError naming its key.
+    """
+    return _read(path, constants)[0]
+
+
+def read_circuit(path: str, constants: PhysicalConstants | None = None,
+                 ) -> tuple[ReducedCircuit, PotentialModel]:
+    """Reduced circuit and potential from one parse of a circuit descriptor.
+
+    The SI keys are those of :func:`load_circuit`. The optional 'potential'
+    is a kind name or an object: cosine (the default), biased_cosine
+    (phi_ext), quadratic (curvature), polynomial_even (coeffs) or custom_csv
+    (path of a (phi, u) table).
+    """
+    si, obj = _read(path, constants)
+    rc, _ = reduce(si, constants)
+    return rc, _potential(obj.get("potential"))

@@ -73,12 +73,14 @@ class EffectivePotential:
                             self.Vp, self.Vpp, self.branch_count)
 
 
-def write_potential_csv(path, basis, coordinates, V, Vp, Vpp, branch_count):
-    """Fixed schema: coordinate, V, Vp, Vpp, branch_count (V columns in E_C units)."""
+def write_potential_csv(path, basis, coordinates, V, Vp, Vpp, branch_count,
+                        note: str = ""):
+    """Fixed schema: coordinate, V, Vp, Vpp, branch_count (V columns in E_C
+    units); note is appended to the units line."""
     name = "x" if basis == "ExtendedX" else "phi"
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# units: coordinate={name} (dimensionless), "
-                "V,Vp,Vpp in E_C units\n")
+                f"V,Vp,Vpp in E_C units{note}\n")
         f.write("coordinate,V,Vp,Vpp,branch_count\n")
         for c, v, vp, vpp, bc in zip(coordinates, V, Vp, Vpp, branch_count):
             f.write(f"{float(c)!r},{float(v)!r},{float(vp)!r},"

@@ -162,9 +162,9 @@ def _fd4_bands(n: int, h: float, c: float) -> np.ndarray:
 
 
 def _fd4_sparse(n: int, h: float, c: float) -> sp.csr_matrix:
-    d0 = np.full(n, c * 2.5 / h**2)
-    d1 = np.full(n - 1, -c * (4.0 / 3.0) / h**2)
-    d2 = np.full(n - 2, c * (1.0 / 12.0) / h**2)
+    """The same operator as _fd4_bands, as a symmetric CSR matrix."""
+    band = _fd4_bands(n, h, c)
+    d0, d1, d2 = band[0], band[1, :-1], band[2, :-2]
     return sp.diags([d2, d1, d0, d1, d2], [-2, -1, 0, 1, 2], format="csr")
 
 

@@ -98,7 +98,8 @@ def test_reduce_supercritical_exits_2_with_branch_table(write_circuit,
     assert report["beta_crit"] == pytest.approx(1.0, rel=1e-9)
     assert report["max_branches"] == 3
     header = (out / "branches.csv").read_text().splitlines()
-    assert header[0].startswith("# units:")
+    assert header[0] == ("# units: coordinate=phi (dimensionless), V,Vp,Vpp "
+                         "in E_C units; one row per branch")
     assert header[1] == "coordinate,V,Vp,Vpp,branch_count"
 
 
@@ -107,6 +108,16 @@ def test_reduce_missing_circuit_exits_1(tmp_path):
                   "--out", tmp_path)
     assert res.returncode == 1
     assert "error" in res.stderr.lower()
+
+
+def test_reduce_malformed_field_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"C_F": "abc", "Cp_F": 1e-14, "L_H": 1e-8,
+                                "EJ_J": 1e-24}))
+    res = run_cli("reduce", "--circuit", path, "--out", tmp_path / "out")
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error:") and "'C_F'" in res.stderr
 
 
 def test_bo_sweep_cosine_verdict_decreasing(write_circuit, tmp_path):

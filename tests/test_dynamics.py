@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from circadia import (
+    BiasedCosine,
     ConvergenceError,
     Cosine,
+    Custom,
     PhysicalRegimeError,
+    PolynomialEven,
     ReducedCircuit,
     ValidationError,
     integrate,
@@ -31,14 +34,37 @@ def test_removed_parasitic_branch_freezes_the_slow_pair():
     assert rec.energy_drift < 1e-8
 
 
-def test_leapfrog_is_time_reversible():
-    fwd = integrate(RC, Cosine(), (0.7, 0.3, 0.4, -0.1), 5.0, dt=1e-3,
+def _cosine_table(lo: float, hi: float) -> Custom:
+    phis = np.linspace(lo, hi, 401)
+    return Custom(phis, -np.cos(phis))
+
+
+@pytest.mark.parametrize("p", [
+    Cosine(),
+    BiasedCosine(0.3),
+    PolynomialEven([0.0, 0.5, 0.01]),
+    _cosine_table(-8.0, 8.0),
+], ids=lambda p: p.kind)
+def test_leapfrog_is_time_reversible(p):
+    fwd = integrate(RC, p, (0.7, 0.3, 0.4, -0.1), 5.0, dt=1e-3,
                     drift_tol=1e-6)
     x, px, y, py = fwd.states[-1]
-    back = integrate(RC, Cosine(), (x, -px, y, -py), 5.0, dt=1e-3,
-                     drift_tol=1e-6)
+    back = integrate(RC, p, (x, -px, y, -py), 5.0, dt=1e-3, drift_tol=1e-6)
     recovered = back.states[-1]
     assert np.max(np.abs(recovered - [0.7, -0.3, 0.4, 0.1])) < 1e-12
+
+
+def test_zero_coupling_never_evaluates_the_potential():
+    # lambdaJ=0: the junction force is zero, so a table the trajectory
+    # leaves must not be consulted (it refuses to extrapolate).
+    rc = ReducedCircuit.from_ratios(0.5, 1.0, 0.0)
+    narrow = _cosine_table(-0.5, 0.5)
+    state = (0.7, 0.3, 0.4, -0.1)
+    rec = integrate(rc, narrow, state, 5.0, dt=1e-3, drift_tol=1e-6)
+    phi = rec.states[:, 2] / (rc.kappa * math.sqrt(rc.xi))
+    assert np.max(np.abs(phi)) > narrow.support[1]
+    ref = integrate(rc, Cosine(), state, 5.0, dt=1e-3, drift_tol=1e-6)
+    assert np.array_equal(rec.states, ref.states)
 
 
 def test_global_error_scales_at_second_order():

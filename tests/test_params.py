@@ -6,6 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circadia import (
+    BiasedCosine,
+    Cosine,
+    Custom,
+    PolynomialEven,
     ReducedCircuit,
     SICircuit,
     ValidationError,
@@ -14,6 +18,7 @@ from circadia import (
     load_circuit,
     reduce,
 )
+from circadia.params import read_circuit
 
 from conftest import circuit_payload
 
@@ -170,3 +175,73 @@ def test_load_circuit_rejects_missing_keys_and_bad_json(tmp_path):
     path.write_text('[1, 2, 3]')
     with pytest.raises(ValidationError, match="JSON object"):
         load_circuit(str(path))
+
+
+MALFORMED = [
+    ({"C_F": "abc"}, "C_F"),
+    ({"Cp_F": [1e-14]}, "Cp_F"),
+    ({"L_H": None}, "L_H"),
+    ({"EJ_J": "x"}, "EJ_J"),
+    ({"EJ_GHz": {"f": 1.0}}, "EJ_GHz"),
+    ({"ng": "x"}, "ng"),
+    ({"potential": {"kind": "biased_cosine", "phi_ext": "abc"}}, "phi_ext"),
+    ({"potential": {"kind": "quadratic", "curvature": [1.0]}}, "curvature"),
+    ({"potential": {"kind": "polynomial_even", "coeffs": 5}}, "coeffs"),
+    ({"potential": {"kind": "polynomial_even", "coeffs": [0.0, "b"]}},
+     "coeffs"),
+]
+
+
+@pytest.mark.parametrize("patch,key", MALFORMED, ids=[k for _, k in MALFORMED])
+def test_malformed_numeric_field_names_its_key(tmp_path, patch, key):
+    payload = circuit_payload(0.5, 1.0, 0.5)
+    if "EJ_GHz" in patch:
+        del payload["EJ_J"]
+    payload.update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        read_circuit(str(path))
+
+
+def _cosine_table(path):
+    phis = [-8.0 + 0.04 * i for i in range(401)]
+    path.write_text("# phi,u\n" + "".join(f"{q!r},{-math.cos(q)!r}\n"
+                                          for q in phis))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec,kind,attrs", [
+    ({"kind": "cosine"}, Cosine, {}),
+    ("cosine", Cosine, {}),
+    ({"kind": "biased_cosine", "phi_ext": 0.3}, BiasedCosine,
+     {"phi_ext": 0.3}),
+    ({"kind": "quadratic", "curvature": 2.0}, PolynomialEven,
+     {"coeffs": (0.0, 1.0)}),
+    ({"kind": "polynomial_even", "coeffs": [0.0, 0.5, 0.01]}, PolynomialEven,
+     {"coeffs": (0.0, 0.5, 0.01)}),
+    ({"kind": "custom_csv"}, Custom, {"support": (-8.0, 8.0)}),
+    (None, Cosine, {}),
+], ids=["cosine", "shorthand", "biased_cosine", "quadratic",
+        "polynomial_even", "custom_csv", "absent"])
+def test_reader_builds_each_potential_kind(write_circuit, tmp_path, spec,
+                                           kind, attrs):
+    if kind is Custom:
+        spec = dict(spec, path=_cosine_table(tmp_path / "u.csv"))
+    path = write_circuit("c.json", 0.5, 1.0, 0.5, potential=spec)
+    rc, p = read_circuit(path)
+    assert rc == reduce(load_circuit(path))[0]
+    assert type(p) is kind
+    for name, value in attrs.items():
+        assert getattr(p, name) == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,match", [
+    ({"kind": "sawtooth"}, "unknown potential kind"),
+    (["cosine"], "string or object"),
+    ({"kind": "custom_csv"}, "needs a 'path'"),
+])
+def test_reader_rejects_bad_potential_specs(write_circuit, spec, match):
+    path = write_circuit("c.json", 0.5, 1.0, 0.5, potential=spec)
+    with pytest.raises(ValidationError, match=match):
+        read_circuit(path)
