@@ -36,6 +36,7 @@ from .foster import eval_admittance, fit_foster, read_admittance_csv, \
     reactance_slope, write_model_json, FosterModel
 from .manifest import RunManifest
 from .params import read_circuit
+from .potentials import PotentialModel
 from .reduction import branch_table, effective_potential, write_potential_csv
 from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
     eigenvalues_in_window, lowest_eigenvalues, naive_compact_adiabatic
@@ -62,7 +63,10 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _new_manifest(command: str, args, parameters: dict) -> RunManifest:
+def _new_manifest(command: str, args, parameters: dict,
+                  p: PotentialModel | None = None) -> RunManifest:
+    """Manifest with every input file hashed: the files named by the
+    arguments and the table a potential was read from."""
     k = get_constants()
     parameters = dict(parameters)
     parameters["constants"] = {"hbar_Js": k.hbar, "e_C": k.e}
@@ -71,6 +75,8 @@ def _new_manifest(command: str, args, parameters: dict) -> RunManifest:
     for name in ("circuit", "input", "model"):
         if getattr(args, name, None):
             m.add_input(getattr(args, name))
+    if p is not None and p.source:
+        m.add_input(p.source)
     return m
 
 
@@ -96,7 +102,7 @@ def cmd_reduce(args) -> int:
     manifest = _new_manifest("reduce", args, {
         "basis": basis, "grid": args.grid,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ,
-        "beta": rc.beta, "ng": rc.ng})
+        "beta": rc.beta, "ng": rc.ng}, p)
     try:
         pot = effective_potential(p, rc, basis, args.grid)
     except PhysicalRegimeError as exc:
@@ -160,7 +166,7 @@ def cmd_bo_sweep(args) -> int:
         "kappa_ladder": [float(v) for v in kappas],
         "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
         "grid": args.grid, "jobs": args.jobs,
-        "xi": rc.xi, "lambdaJ": rc.lambdaJ})
+        "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
     kw = dict(n=args.grid) if args.grid else {}
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -275,7 +281,7 @@ def cmd_compare(args) -> int:
     manifest = _new_manifest("compare", args, {
         "grid": nphi, "charge_half_factor": args.charge_half_factor,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ,
-        "beta": rc.beta, "ng": rc.ng})
+        "beta": rc.beta, "ng": rc.ng}, p)
     columns: dict = {}
 
     # Column A: quantize the classically reduced single branch,
@@ -414,7 +420,7 @@ def cmd_dynamics(args) -> int:
     manifest = _new_manifest("dynamics", args, {
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
-        "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ})
+        "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
     if args.y0 is not None:
         y0 = args.y0
     else:

@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
 from .potentials import BiasedCosine, Cosine, PotentialModel
-from .reduction import (effective_potential, invertibility_threshold,
+from .reduction import (_reduced_values, invertibility_threshold,
                         solve_branch_extended)
 
 TWO_PI = 2.0 * math.pi
@@ -228,19 +228,20 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
 
     # Force table for the reduced flow: V'(x) sampled once on a span the
     # trajectory cannot leave (energy bound), then interpolated.
+    sqxi = math.sqrt(rc.xi)
+
+    def reduced(x):  # (V, V', V'') on the slow manifold, ExtendedX basis
+        return _reduced_values(p, rc, manifold_eta(rc, p, x) / sqxi, 1.0 / sqxi)
+
     e_red = 0.5 * rc.kappa**2 * px0**2
-    grid_probe = effective_potential(p, rc, "ExtendedX",
-                                     np.linspace(x0 - TWO_PI * math.sqrt(rc.xi),
-                                                 x0 + TWO_PI * math.sqrt(rc.xi),
-                                                 512))
-    vmin = float(np.min(grid_probe.V)) * rc.kappa**2 / rc.xi
-    e_red += rc.kappa**2 / rc.xi * float(
-        np.interp(x0, grid_probe.coordinates, grid_probe.V))
+    probe = np.linspace(x0 - TWO_PI * sqxi, x0 + TWO_PI * sqxi, 512)
+    v_probe = reduced(probe)[0]
+    vmin = float(np.min(v_probe)) * rc.kappa**2 / rc.xi
+    e_red += rc.kappa**2 / rc.xi * float(np.interp(x0, probe, v_probe))
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
-    span = vmax_speed * t_end + 2.0 * TWO_PI * math.sqrt(rc.xi)
+    span = vmax_speed * t_end + 2.0 * TWO_PI * sqxi
     xs = np.linspace(x0 - span, x0 + span, 8192)
-    ep = effective_potential(p, rc, "ExtendedX", xs)
-    vp = CubicSpline(xs, ep.Vp)
+    vp = CubicSpline(xs, reduced(xs)[1])
 
     times = full.times
     n = times.size

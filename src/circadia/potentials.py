@@ -36,6 +36,7 @@ class PotentialModel:
 
     kind = "abstract"
     period: float | None = None  # 2*pi for the cosine kinds, None otherwise
+    source: str | None = None    # path of the file the model was read from
 
     def __init__(self, class_tag: str = "Unclassified"):
         if class_tag not in TAGS:
@@ -195,7 +196,9 @@ class Custom(PotentialModel):
             raise ValidationError(f"cannot parse potential CSV {path}: {exc}") from exc
         if table.shape[1] != 2:
             raise ValidationError(f"potential CSV {path} must have 2 columns")
-        return cls(table[:, 0], table[:, 1], class_tag=class_tag)
+        model = cls(table[:, 0], table[:, 1], class_tag=class_tag)
+        model.source = path
+        return model
 
     def _eval(self, phi, order: int):
         arr = np.asarray(phi, dtype=float)

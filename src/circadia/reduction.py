@@ -39,6 +39,7 @@ GRID_MIN = 4096           # sign-change scan density
 RESIDUAL_TOL = 1e-13      # bisection stop; contract is 1e-12
 ZERO_TOL = 1e-12          # a sample with |f| below this counts as a root
 _REFINE_FACTOR = 128      # subdivision of a suspicious cell
+_MAX_DEPTH = 4            # refinement levels below the top grid
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,9 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
 
     Sign-change bracketing on a grid of >= 4096 points, bisection to residual
     below 1e-12. Cells that could hide an unresolved root pair (|f| dipping
-    under the local Lipschitz reach without a sign change) get one refinement
-    pass; a still-ambiguous cell raises UnresolvedClusterError.
+    under the local Lipschitz reach without a sign change) are subdivided
+    128-fold, up to four levels deep; a cell still ambiguous at the deepest
+    level raises UnresolvedClusterError.
     """
     if beta < 0:
         raise ValidationError("beta must be >= 0")
@@ -128,85 +130,66 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
             f"window length {b - a} below one period {p.period} of a periodic kind")
 
     grid = np.linspace(a, b, GRID_MIN + 1)
-    fvals = grid + beta * np.asarray(p.du(grid), dtype=float) - phi
-    d2 = np.asarray(p.d2u(grid), dtype=float)
-    jac = 1.0 + beta * d2
+    jac = 1.0 + beta * np.asarray(p.d2u(grid), dtype=float)
     jacobian_min = float(np.min(jac))
+
+    def F(c: np.ndarray) -> np.ndarray:
+        return c + beta * np.asarray(p.du(c), dtype=float) - phi
 
     def f(c: float) -> float:
         return c + beta * float(p.du(c)) - phi
 
-    roots: list[float] = []
-    h = grid[1] - grid[0]
-    for i in range(GRID_MIN):
-        flo, fhi = float(fvals[i]), float(fvals[i + 1])
-        # The residual contract (|f| < 1e-12) accepts a near-zero sample as a
-        # root outright; requiring an exact 0.0 would leave the same-sign
-        # neighbor cell of such a sample suspicious at every depth.
-        if abs(flo) < ZERO_TOL:
-            roots.append(float(grid[i]))
-            continue
-        if flo * fhi < 0.0:
-            roots.append(_bisect_scalar(f, float(grid[i]), float(grid[i + 1]),
-                                        flo, fhi))
-            continue
-        # Same-sign cell: a root pair can hide only if |f| dips below the
-        # cell's Lipschitz reach.
-        lip = max(abs(jac[i]), abs(jac[i + 1])) + 1.0
-        if min(abs(flo), abs(fhi)) < h * lip:
-            roots.extend(_refine_cell(f, float(grid[i]), float(grid[i + 1]),
-                                      lip, depth=0))
-    if abs(float(fvals[-1])) < ZERO_TOL:
-        roots.append(float(grid[-1]))
-
-    roots = _dedupe(roots, h * 1e-6)
+    lip = np.maximum(np.abs(jac[:-1]), np.abs(jac[1:])) + 1.0
+    roots = _dedupe(_scan(F, f, grid, lip, 0), (grid[1] - grid[0]) * 1e-6)
     ordered = _order_roots(roots, phi, p.period if p.is_periodic else None)
     invertible = jacobian_min > 0.0
     return BranchSolution(drive_phi=float(phi), roots=tuple(ordered),
                           invertible=invertible, jacobian_min=jacobian_min)
 
 
-def _refine_cell(f, lo: float, hi: float, lip: float,
-                 depth: int) -> list[float]:
-    """Subdivide a suspicious same-sign cell until a sign change appears or
-    |f| > 0 is certified by the Lipschitz bound; give up after a few levels."""
-    sub = np.linspace(lo, hi, _REFINE_FACTOR + 1)
-    fs = np.array([f(c) for c in sub])
-    found: list[float] = []
-    suspicious: list[int] = []
-    h = sub[1] - sub[0]
-    for j in range(_REFINE_FACTOR):
-        if abs(fs[j]) < ZERO_TOL:
-            found.append(float(sub[j]))
-        elif fs[j] * fs[j + 1] < 0.0:
-            found.append(_bisect_scalar(f, float(sub[j]), float(sub[j + 1]),
-                                        float(fs[j]), float(fs[j + 1])))
-        elif min(abs(fs[j]), abs(fs[j + 1])) < h * lip:
-            suspicious.append(j)
-    if abs(fs[-1]) < ZERO_TOL:
-        found.append(float(sub[-1]))
-    if found:
-        return found
-    if not suspicious:
-        return []
-    if depth >= 3:
-        jmin = int(np.argmin(np.abs(fs)))
+def _scan(F, f, x: np.ndarray, lip, depth: int) -> list[float]:
+    """Roots of f on the sample points x, refining suspicious cells.
+
+    F evaluates f on an array, f on one point (for bisection). lip is the
+    Lipschitz reach per cell of x, or one value for all of them. The top grid
+    (depth 0) refines every suspicious cell; a refinement level returns as
+    soon as it finds a root, and one left with only suspicious cells at depth
+    _MAX_DEPTH raises UnresolvedClusterError.
+    """
+    fx = F(x)
+    flo, fhi = fx[:-1], fx[1:]
+    # The residual contract (|f| < 1e-12) accepts a near-zero sample as a
+    # root outright; requiring an exact 0.0 would leave the same-sign
+    # neighbor cell of such a sample suspicious at every depth.
+    near = np.abs(fx) < ZERO_TOL
+    change = ~near[:-1] & (flo * fhi < 0.0)
+    # Same-sign cell: a root pair can hide only if |f| dips below the
+    # cell's Lipschitz reach.
+    lip = np.broadcast_to(lip, flo.shape)
+    suspicious = ~near[:-1] & ~change & (
+        np.minimum(np.abs(flo), np.abs(fhi)) < (x[1] - x[0]) * lip)
+    roots = x[near].tolist() + [
+        _bisect_scalar(f, float(x[i]), float(x[i + 1]),
+                       float(fx[i]), float(fx[i + 1]))
+        for i in np.flatnonzero(change)]
+    cells = np.flatnonzero(suspicious)
+    if depth and (roots or not cells.size):
+        return roots
+    if depth == _MAX_DEPTH:
         raise UnresolvedClusterError(
             "unresolved cluster: |residual| stays at "
-            f"{abs(float(fs[jmin]))!r} without a sign change", bracket=(lo, hi))
-    for j in suspicious:
-        found.extend(_refine_cell(f, float(sub[j]), float(sub[j + 1]),
-                                  lip, depth + 1))
-    return found
+            f"{float(np.min(np.abs(fx)))!r} without a sign change",
+            bracket=(float(x[0]), float(x[-1])))
+    for i in cells:
+        roots += _scan(F, f, np.linspace(x[i], x[i + 1], _REFINE_FACTOR + 1),
+                       lip[i], depth + 1)
+    return roots
 
 
 def _dedupe(roots: list[float], tol: float) -> list[float]:
-    if not roots:
-        return []
-    roots = sorted(roots)
-    out = [roots[0]]
-    for r in roots[1:]:
-        if r - out[-1] > tol:
+    out: list[float] = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > tol:
             out.append(r)
     return out
 
@@ -258,21 +241,25 @@ def invertibility_threshold(p: PotentialModel,
 # vectorized single-branch solves (subcritical regime)
 
 
-def _solve_branch_vec(residual, jac_floor: float, drives: np.ndarray,
-                      reach: float) -> np.ndarray:
-    """Roots of a strictly increasing residual(c, drive) for many drives.
+def _solve_branch(du, coef: float, du_reach: float,
+                  drives: np.ndarray) -> np.ndarray:
+    """Roots of the strictly increasing c + coef*du(c) - drive for many drives.
 
-    residual(c_array, drive_array) -> array. The initial bracket
-    [drive-reach, drive+reach] is widened by doubling until it straddles the
-    root, then fixed-count bisection takes over.
+    du is the force u' in the solve variable. The initial bracket
+    drive -/+ (coef*du_reach + 1) is widened by doubling until it straddles
+    the root, then fixed-count bisection takes over.
     """
     drives = np.asarray(drives, dtype=float)
-    w = np.full_like(drives, max(reach, 1.0))
+
+    def residual(c):
+        return c + coef * np.asarray(du(c), dtype=float) - drives
+
+    w = np.full_like(drives, max(coef * du_reach + 1.0, 1.0))
     lo = drives - w
     hi = drives + w
     for _ in range(80):
-        bad_lo = residual(lo, drives) > 0.0
-        bad_hi = residual(hi, drives) < 0.0
+        bad_lo = residual(lo) > 0.0
+        bad_hi = residual(hi) < 0.0
         if not (np.any(bad_lo) or np.any(bad_hi)):
             break
         w = np.where(bad_lo | bad_hi, 2.0 * w, w)
@@ -282,40 +269,28 @@ def _solve_branch_vec(residual, jac_floor: float, drives: np.ndarray,
         raise ConvergenceError("bracket expansion failed for a monotone branch")
     for _ in range(110):
         mid = 0.5 * (lo + hi)
-        fm = residual(mid, drives)
-        neg = fm < 0.0
+        neg = residual(mid) < 0.0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     root = 0.5 * (lo + hi)
-    res = np.abs(residual(root, drives))
-    if float(np.max(res)) > 1e-12:
-        raise ConvergenceError("branch solve residual above 1e-12",
-                               detail=float(np.max(res)))
+    res = float(np.max(np.abs(residual(root))))
+    if res > 1e-12:
+        raise ConvergenceError("branch solve residual above 1e-12", detail=res)
     return root
 
 
 def solve_branch_compact(p: PotentialModel, beta: float,
                          drives: np.ndarray) -> np.ndarray:
     """Single-valued phi_c(phi) for an array of drives (requires beta < beta_crit)."""
-
-    def residual(c, d):
-        return c + beta * np.asarray(p.du(c), dtype=float) - d
-
-    reach = beta * _du_reach(p) + 1.0
-    return _solve_branch_vec(residual, 0.0, drives, reach)
+    return _solve_branch(p.du, beta, _du_reach(p), drives)
 
 
 def solve_branch_extended(p: PotentialModel, rc: ReducedCircuit,
                           drives: np.ndarray) -> np.ndarray:
     """Single-valued eta1(x): x = eta1 + (lambda_J/xi^(3/2)) u'(eta1/sqrt(xi))."""
-    coef = rc.lambdaJ / rc.xi**1.5
     sqxi = math.sqrt(rc.xi)
-
-    def residual(c, d):
-        return c + coef * np.asarray(p.du(c / sqxi), dtype=float) - d
-
-    reach = coef * _du_reach(p) + 1.0
-    return _solve_branch_vec(residual, 0.0, drives, reach)
+    return _solve_branch(lambda c: p.du(c / sqxi), rc.lambdaJ / rc.xi**1.5,
+                         _du_reach(p), drives)
 
 
 def _du_reach(p: PotentialModel) -> float:
@@ -335,20 +310,22 @@ def _du_reach(p: PotentialModel) -> float:
 # effective potentials
 
 
-def _default_grid(p: PotentialModel, rc: ReducedCircuit, basis: str,
-                  grid) -> np.ndarray:
+def _coordinates(rc: ReducedCircuit, basis: str,
+                 grid) -> tuple[np.ndarray, float]:
+    """(grid, s) of a basis: s = d(phi)/d(coordinate) is the module's scale."""
+    if basis not in ("ExtendedX", "CompactPhi"):
+        raise ValidationError(f"unknown basis {basis!r}")
+    scale = 1.0 if basis == "CompactPhi" else 1.0 / math.sqrt(rc.xi)
     if isinstance(grid, (int, np.integer)):
         n = int(grid)
         if n < 16:
             raise ValidationError("grid point count must be >= 16")
-        if basis == "CompactPhi":
-            return np.linspace(0.0, TWO_PI, n, endpoint=False)
-        span = math.sqrt(rc.xi) * TWO_PI
-        return np.linspace(0.0, span, n, endpoint=False)
+        span = TWO_PI if basis == "CompactPhi" else math.sqrt(rc.xi) * TWO_PI
+        return np.linspace(0.0, span, n, endpoint=False), scale
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 1 or arr.size < 2 or not np.all(np.diff(arr) > 0):
         raise ValidationError("grid must be a strictly increasing 1D array")
-    return arr
+    return arr, scale
 
 
 def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
@@ -360,30 +337,14 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
     through the extended consistency equation. Refuses at or beyond the
     invertibility threshold, where the branch is multivalued.
     """
-    if basis not in ("ExtendedX", "CompactPhi"):
-        raise ValidationError(f"unknown basis {basis!r}")
+    coords, scale = _coordinates(rc, basis, grid)
     beta_crit = invertibility_threshold(p)
     if rc.beta >= beta_crit:
         raise PhysicalRegimeError(
             f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",
             beta_crit=beta_crit)
-    coords = _default_grid(p, rc, basis, grid)
-
-    if basis == "CompactPhi":
-        phi_c = solve_branch_compact(p, rc.beta, coords)
-        scale = 1.0
-    else:
-        eta1 = solve_branch_extended(p, rc, coords)
-        phi_c = eta1 / math.sqrt(rc.xi)
-        scale = 1.0 / math.sqrt(rc.xi)
-
-    u0 = np.asarray(p.u(phi_c), dtype=float)
-    u1 = np.asarray(p.du(phi_c), dtype=float)
-    u2 = np.asarray(p.d2u(phi_c), dtype=float)
-    V = rc.lambdaJ * (u0 + 0.5 * rc.beta * u1**2)
-    Vp = rc.lambdaJ * u1 * scale
-    Vpp = rc.lambdaJ * u2 / (1.0 + rc.beta * u2) * scale**2
-
+    phi_c = _branch_phase(p, rc, basis, coords)
+    V, Vp, Vpp = _reduced_values(p, rc, phi_c, scale)
     minima = _locate_minima(p, rc, basis, coords, Vp, Vpp, scale)
     return EffectivePotential(
         basis=basis, coordinates=coords, V=V, Vp=Vp, Vpp=Vpp, phi_c=phi_c,
@@ -392,38 +353,46 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
         meta={"beta_crit": beta_crit})
 
 
+def _branch_phase(p: PotentialModel, rc: ReducedCircuit, basis: str,
+                  coords: np.ndarray) -> np.ndarray:
+    """Junction phase phi_c on the single-valued branch at each coordinate."""
+    if basis == "CompactPhi":
+        return solve_branch_compact(p, rc.beta, coords)
+    return solve_branch_extended(p, rc, coords) / math.sqrt(rc.xi)
+
+
+def _reduced_values(p: PotentialModel, rc: ReducedCircuit, phi_c: np.ndarray,
+                    scale: float):
+    """(V, V', V'') at branch phases phi_c, coordinate scale s (module
+    docstring); V'' is +inf where 1 + beta*u'' = 0."""
+    u0 = np.asarray(p.u(phi_c), dtype=float)
+    u1 = np.asarray(p.du(phi_c), dtype=float)
+    u2 = np.asarray(p.d2u(phi_c), dtype=float)
+    V = rc.lambdaJ * (u0 + 0.5 * rc.beta * u1**2)
+    Vp = rc.lambdaJ * u1 * scale
+    den = 1.0 + rc.beta * u2
+    Vpp = np.divide(rc.lambdaJ * u2, den, out=np.full_like(den, np.inf),
+                    where=den != 0.0) * scale**2
+    return V, Vp, Vpp
+
+
 def _locate_minima(p, rc, basis, coords, Vp, Vpp, scale):
     """Minima via sign changes (or exact zeros) of V' along the grid."""
 
-    def vprime(c: float) -> float:
-        arr = np.array([c])
-        if basis == "CompactPhi":
-            pc = solve_branch_compact(p, rc.beta, arr)[0]
-        else:
-            pc = solve_branch_extended(p, rc, arr)[0] / math.sqrt(rc.xi)
+    def slope(c: float) -> float:  # V' from u' alone, once per bisection step
+        pc = _branch_phase(p, rc, basis, np.array([c]))[0]
         return rc.lambdaJ * float(p.du(pc)) * scale
 
-    def vsecond(c: float) -> float:
-        arr = np.array([c])
-        if basis == "CompactPhi":
-            pc = solve_branch_compact(p, rc.beta, arr)[0]
-        else:
-            pc = solve_branch_extended(p, rc, arr)[0] / math.sqrt(rc.xi)
-        d2 = float(p.d2u(pc))
-        return rc.lambdaJ * d2 / (1.0 + rc.beta * d2) * scale**2
-
     minima: list[tuple[float, float]] = []
-    n = coords.size
-    for i in range(n - 1):
+    for i in range(coords.size):
         if Vp[i] == 0.0:
             if Vpp[i] > 0.0:
                 minima.append((float(coords[i]), float(Vpp[i])))
-        elif Vp[i] < 0.0 < Vp[i + 1]:
-            loc = _bisect_scalar(vprime, float(coords[i]), float(coords[i + 1]),
+        elif i + 1 < coords.size and Vp[i] < 0.0 < Vp[i + 1]:
+            loc = _bisect_scalar(slope, float(coords[i]), float(coords[i + 1]),
                                  float(Vp[i]), float(Vp[i + 1]))
-            minima.append((loc, vsecond(loc)))
-    if n and Vp[-1] == 0.0 and Vpp[-1] > 0.0:
-        minima.append((float(coords[-1]), float(Vpp[-1])))
+            pc = _branch_phase(p, rc, basis, np.array([loc]))
+            minima.append((loc, float(_reduced_values(p, rc, pc, scale)[2][0])))
     return minima
 
 
@@ -449,23 +418,14 @@ def branch_table(p: PotentialModel, rc: ReducedCircuit, basis: str,
     (coordinate, V, Vp, Vpp, branch_count) evaluated per root; multivalued
     drives contribute several rows. Exported raw: no branch is selected.
     """
-    if basis not in ("ExtendedX", "CompactPhi"):
-        raise ValidationError(f"unknown basis {basis!r}")
-    coords = _default_grid(p, rc, basis, grid)
-    sqxi = math.sqrt(rc.xi)
-    scale = 1.0 if basis == "CompactPhi" else 1.0 / sqxi
+    coords, scale = _coordinates(rc, basis, grid)
     window = (0.0, TWO_PI) if p.is_periodic else (float(coords[0]) - 1.0,
                                                   float(coords[-1]) + 1.0)
-    rows = []
+    at, counts, roots = [], [], []
     for c in coords:
-        drive = float(c) * (1.0 if basis == "CompactPhi" else 1.0 / sqxi)
-        sol = solve_consistency(p, rc.beta, drive, window)
-        count = len(sol.roots)
-        for r in sol.roots:
-            u0, u1, u2 = float(p.u(r)), float(p.du(r)), float(p.d2u(r))
-            V = rc.lambdaJ * (u0 + 0.5 * rc.beta * u1**2)
-            Vp = rc.lambdaJ * u1 * scale
-            den = 1.0 + rc.beta * u2
-            Vpp = math.inf if den == 0.0 else rc.lambdaJ * u2 / den * scale**2
-            rows.append((float(c), V, Vp, Vpp, count))
-    return coords, rows
+        sol = solve_consistency(p, rc.beta, float(c) * scale, window)
+        at += [float(c)] * len(sol.roots)
+        counts += [len(sol.roots)] * len(sol.roots)
+        roots += sol.roots
+    V, Vp, Vpp = _reduced_values(p, rc, np.array(roots, dtype=float), scale)
+    return coords, list(zip(at, V.tolist(), Vp.tolist(), Vpp.tolist(), counts))

@@ -103,6 +103,27 @@ def test_reduce_supercritical_exits_2_with_branch_table(write_circuit,
     assert header[1] == "coordinate,V,Vp,Vpp,branch_count"
 
 
+def test_custom_potential_table_is_hashed_into_the_manifest(write_circuit,
+                                                           tmp_path):
+    table = tmp_path / "table.csv"
+    circuit = write_circuit("custom.json", kappa=0.5, xi=1.0, lambdaJ=0.5,
+                            potential={"kind": "custom_csv",
+                                       "path": str(table)})
+    phis = np.linspace(-30.0, 30.0, 601).tolist()
+    identities = []
+    for tag, scale in (("a", 1.0), ("b", 1.0), ("c", 1.01)):
+        table.write_text("".join(f"{x!r},{scale * (1.0 - math.cos(x))!r}\n"
+                                 for x in phis))
+        out = tmp_path / tag
+        res = run_cli("reduce", "--circuit", circuit, "--grid", 64,
+                      "--out", out)
+        assert res.returncode == 0, res.stderr
+        doc = check_manifest(out / "manifest.json", "reduce")
+        assert set(doc["inputs"]) == {circuit, str(table)}
+        identities.append(doc["identity"])
+    assert identities[0] == identities[1] != identities[2]
+
+
 def test_reduce_missing_circuit_exits_1(tmp_path):
     res = run_cli("reduce", "--circuit", tmp_path / "nope.json",
                   "--out", tmp_path)

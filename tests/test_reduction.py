@@ -11,6 +11,7 @@ from circadia import (
     PhysicalRegimeError,
     PolynomialEven,
     ReducedCircuit,
+    UnresolvedClusterError,
     ValidationError,
     branch_table,
     crosscheck_bases,
@@ -176,3 +177,68 @@ def test_potential_csv_schema(tmp_path):
     assert lines[0].startswith("# units:")
     assert lines[1] == "coordinate,V,Vp,Vpp,branch_count"
     assert len(lines) == 2 + 256
+
+
+# A drive just below the fold value 2pi/3 + sqrt(3) of beta = 2: the root pair
+# at 2pi/3 -/+ 1.1e-4 sits inside one cell of the 4096-point grid.
+FOLD = 2.0 * math.pi / 3.0 + math.sqrt(3.0)
+
+
+def test_refinement_finds_a_root_pair_inside_one_grid_cell():
+    sol = solve_consistency(Cosine(), 2.0, FOLD - 1e-8, WINDOW)
+    assert len(sol.roots) == 3
+    h = TWO_PI / 4096
+    pair = sorted(r for r in sol.roots if abs(r - 2.0 * math.pi / 3.0) < 2e-4)
+    assert len(pair) == 2
+    assert int(pair[0] // h) == int(pair[1] // h)
+    assert pair[1] - pair[0] > 1e-4
+    for r in sol.roots:
+        assert abs(r + 2.0 * math.sin(r) - (FOLD - 1e-8)) < 1e-10
+
+
+def test_refinement_gives_up_on_a_tangency_it_cannot_resolve():
+    # max f = -3e-12 at 2pi/3: |f| stays under the Lipschitz reach of the
+    # cells around the tangency at every refinement level
+    with pytest.raises(UnresolvedClusterError) as err:
+        solve_consistency(Cosine(), 2.0, FOLD + 3e-12, WINDOW)
+    lo, hi = err.value.bracket
+    h = TWO_PI / 4096
+    assert hi - lo == pytest.approx(h / 128**3, rel=1e-6)
+    cell = math.floor(2.0 * math.pi / 3.0 / h)
+    assert cell * h <= lo < hi <= (cell + 1) * h
+    assert "without a sign change" in str(err.value)
+
+
+def _closed_form_rows(rc, phi, scale):
+    """(V, V', V'', count) at each root for u = -cos, in solver order."""
+    roots = solve_consistency(Cosine(), rc.beta, phi, WINDOW).roots
+    out = []
+    for r in roots:
+        u, du, d2u = -math.cos(r), math.sin(r), math.cos(r)
+        out.append((rc.lambdaJ * (u + 0.5 * rc.beta * du**2),
+                    rc.lambdaJ * du * scale,
+                    rc.lambdaJ * d2u / (1.0 + rc.beta * d2u) * scale**2,
+                    len(roots)))
+    return out
+
+
+def test_branch_table_rows_match_the_closed_form_in_both_bases():
+    rc = ReducedCircuit.from_ratios(0.3, 4.0, 32.0)  # beta = 2
+    sqxi = math.sqrt(rc.xi)
+    phis = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    _, compact = branch_table(Cosine(), rc, "CompactPhi", phis)
+    _, extended = branch_table(Cosine(), rc, "ExtendedX", sqxi * phis)
+    assert len(compact) == len(extended) > phis.size
+    expected = [(float(phi),) + row for phi in phis
+                for row in _closed_form_rows(rc, float(phi), 1.0)]
+    assert len(compact) == len(expected)
+    for got, want in zip(compact, expected):
+        assert got[0] == want[0] and got[4] == want[4]
+        assert got[1:4] == pytest.approx(want[1:4], rel=1e-12, abs=1e-12)
+    for (phi, V, Vp, Vpp, n), (x, Vx, Vpx, Vppx, nx) in zip(compact,
+                                                            extended):
+        assert x == pytest.approx(sqxi * phi, rel=1e-15)
+        assert nx == n
+        assert Vx == pytest.approx(V, rel=1e-12, abs=1e-12)
+        assert Vpx == pytest.approx(Vp / sqxi, rel=1e-12, abs=1e-12)
+        assert Vppx == pytest.approx(Vpp / rc.xi, rel=1e-12, abs=1e-12)
