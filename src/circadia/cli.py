@@ -446,7 +446,9 @@ def cmd_dynamics(args) -> int:
         report["y_residual"] = y_res
         report["py_residual"] = py_res
     elif args.report == "shadow":
-        cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0, dt=args.dt)
+        # the shadow reuses this trajectory when it is the one it needs
+        cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0, dt=args.dt,
+                                       full=record)
         report["max_x_deviation"] = cmp_.max_deviation
         report["slow_period"] = cmp_.slow_period
     report_path = os.path.join(out, "dynamics_report.json")

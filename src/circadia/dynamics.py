@@ -99,6 +99,14 @@ def _energy(states: np.ndarray, rc: ReducedCircuit,
     return e
 
 
+def _steps(t_end: float, dt: float) -> tuple[int, float]:
+    """Step count and the step <= dt that lands exactly on t_end."""
+    if dt <= 0 or dt > 0.05:
+        raise ValidationError("dt must lie in (0, 0.05]")
+    nsteps = max(1, int(math.ceil(t_end / dt - 1e-9)))
+    return nsteps, t_end / nsteps
+
+
 def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
               t_end: float, dt: float = 2e-4,
               drift_tol: float = 1e-8) -> TrajectoryRecord:
@@ -109,14 +117,11 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
     relative drift bound checked after the run. A drift above drift_tol
     raises with a suggested step.
     """
-    if dt <= 0 or dt > 0.05:
-        raise ValidationError("dt must lie in (0, 0.05]")
+    nsteps, dt_eff = _steps(t_end, dt)
     if t_end <= 0:
         raise ValidationError("t_end must be > 0")
     if rc.kappa <= 0 and rc.lambdaJ != 0.0:
         raise ValidationError("kappa=0 with lambdaJ>0 is singular")
-    nsteps = max(1, int(math.ceil(t_end / dt - 1e-9)))
-    dt_eff = t_end / nsteps
     stride = max(1, nsteps // _RECORD_CAP)
     nrec = nsteps // stride + 1
     rec = np.empty((nrec, 4))
@@ -216,15 +221,29 @@ class ShadowComparison:
 
 def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
                             px0: float, t_end: float | None = None,
-                            dt: float = 2e-4) -> ShadowComparison:
+                            dt: float = 2e-4,
+                            full: TrajectoryRecord | None = None,
+                            ) -> ShadowComparison:
     """Integrates the reduced Hamiltonian 1/2 kappa^2 p_x^2
     + (kappa^2/xi) V(x) alongside the full system from the same slow initial
-    data and reports the worst x deviation on matched sample times."""
+    data and reports the worst x deviation on matched sample times.
+
+    full, when given, is a full-system trajectory already integrated in
+    the same potential; it stands in for the comparison's own integration
+    when it is that trajectory: same circuit ratios, start
+    (x0, px0, kappa*eta1(x0), 0), t_end and step. Any other record is
+    ignored and the trajectory integrated here."""
     y0 = _manifold_y0(rc, p, x0, "reduced dynamics")
     slow_period = _slow_period(rc)
     if t_end is None:
         t_end = 2.0 * slow_period
-    full = integrate(rc, p, (x0, px0, y0, 0.0), t_end, dt)
+    start = (x0, px0, y0, 0.0)
+    if full is None or tuple(full.states[0]) != start \
+            or (full.kappa, full.xi, full.lambdaJ) \
+            != (rc.kappa, rc.xi, rc.lambdaJ) \
+            or full.dt != _steps(t_end, dt)[1] \
+            or not math.isclose(full.times[-1], t_end, rel_tol=1e-12):
+        full = integrate(rc, p, start, t_end, dt)
 
     # Force table for the reduced flow: V'(x) sampled once on a span the
     # trajectory cannot leave (energy bound), then interpolated.

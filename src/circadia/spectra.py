@@ -20,13 +20,21 @@ its matrix elements in the charge basis are exact:
 <m|phi_c|m'> = i(-1)^(m-m')/(m-m'), <m|phi_c^2|m> = pi^2/3,
 <m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal.
 
-Both Regularized2D bases are solved by shift-inverted Lanczos from a
-certified Weyl shift: H = (slow FD4 kinetic) x I + B, the first term is
-positive semidefinite and B is block diagonal with the fast operator frozen
-at each slow grid point, so lambda_min(H) >= min_i lambda_min(B_i). Each
-block minimum is one select-only eigensolve (banded for the extended fast
-axis, dense Hermitian for the compact one); sigma is their minimum less a
-margin for rounding, a proven lower bound close to lambda_0.
+Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
+diagonal: B_i is the fast operator frozen at slow grid point i. They are
+solved in a contracted adiabatic basis (sequential diagonalization-
+truncation): H is projected onto the m lowest eigenvectors chi_i of every
+B_i, which gives a Hermitian band of width 3m-1 (m = 1 is Born-Oppenheimer
+with its diagonal correction, m = dim_fast the full grid operator).
+Shift-inverted Lanczos on that band uses a banded Cholesky factor and the
+certified Weyl shift sigma = min_i lambda_min(B_i) less a rounding margin,
+a proven lower bound on both spectra since the kinetic term is positive
+semidefinite. Each Ritz vector is lifted to the grid and its residual taken
+with one sparse product of H. m doubles from 4 until every kept level has a
+grid residual <= 1e-8 of the spectral scale (the residual bound of every
+variant) and a Kato-Temple bracket <= 1e-10 relative, and the next Ritz
+value lies below every discarded block level. The full-grid operator is
+never factorized.
 """
 
 from __future__ import annotations
@@ -37,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eig_banded, eigh, eigh_tridiagonal, \
-    solve_banded
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, \
+    eig_banded, eigh, eigh_tridiagonal, solve_banded
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
                      ValidationError)
@@ -474,17 +482,20 @@ def _weyl_shift(block_minima: np.ndarray, block_dim: int,
     semidefinite: the FD4 symbol (c-1)(c-7)/3 is >= 0 for c = cos(theta),
     and a finite Toeplitz section keeps its eigenvalues inside the range of
     its symbol. B is block diagonal, one block per slow grid point, so
-    Weyl's inequality gives lambda_min(H) >= min_i lambda_min(B_i). The
+    Weyl's inequality gives lambda_min(H) >= min_i lambda_min(B_i); by
+    Cauchy interlacing the bound holds for every projection of H too. The
     margin covers the rounding of the block eigensolves
     (block_dim*eps*||B_i||) plus 1e-6 relative to the bound.
     """
     bound = float(np.min(block_minima))
     margin = 1e-6 * max(1.0, abs(bound)) \
         + block_dim * np.finfo(float).eps * block_norm
-    return bound - margin
+    return float(bound - margin)
 
 
-def _regularized2d_extended(spec: HamiltonianSpec, k: int):
+def _extended_parts(spec: HamiltonianSpec, k: int):
+    """Slow grid x, fast grid y and the potential V[i, j] of the extended
+    pair; the grid must hold k <= dimension/4 pairs."""
     kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
     p = spec.potential if spec.potential is not None else Cosine()
     Lx = float(spec.grid.get("Lx", 10.0))
@@ -497,7 +508,6 @@ def _regularized2d_extended(spec: HamiltonianSpec, k: int):
         raise ValidationError("k must be <= dimension/4")
     x = np.linspace(-Lx, Lx, nx)
     y = np.linspace(-Ly, Ly, ny)
-    hx, hy = x[1] - x[0], y[1] - y[0]
     if kappa > 0:
         uy = np.asarray(p.u(y / (kappa * math.sqrt(xi))), dtype=float)
     else:
@@ -506,23 +516,7 @@ def _regularized2d_extended(spec: HamiltonianSpec, k: int):
             raise ValidationError("kappa=0 with lambdaJ>0 is singular here")
     V = 0.5 * (y[None, :] - kappa * x[:, None])**2 \
         + kappa**2 * (lam / xi) * uy[None, :]
-    H = sp.kron(_fd4_sparse(nx, hx, 0.5 * kappa**2), sp.identity(ny)) \
-        + sp.kron(sp.identity(nx), _fd4_sparse(ny, hy, 0.5)) \
-        + sp.diags(V.ravel())
-    H = H.tocsc()
-    # B_i: the FastAtX operator frozen at x_i (fast FD4 kinetic plus V[i])
-    band = _fd4_bands(ny, hy, 0.5)
-    kin = band[0].copy()
-    minima = np.empty(nx)
-    for i in range(nx):
-        band[0] = kin + V[i]
-        minima[i] = eig_banded(band, lower=True, eigvals_only=True,
-                               select="i", select_range=(0, 0))[0]
-    norm = float(np.max(np.abs(kin + V)) + 2.0 * np.sum(np.abs(band[1:, 0])))
-    sigma = _weyl_shift(minima, ny, norm)
-    meta = {"nx": nx, "ny": ny, "hx": float(hx), "hy": float(hy),
-            "sigma": sigma}
-    return H, sigma, meta, "kappa^2*H/(hbar*omega_C) units (extended pair)"
+    return x, y, V
 
 
 def _auto_fast_cutoff(kappa: float, xi: float, lam: float, coef: float,
@@ -533,7 +527,11 @@ def _auto_fast_cutoff(kappa: float, xi: float, lam: float, coef: float,
     return max(32, int(math.ceil(4.0 * sigma_n + 10.0)))
 
 
-def _regularized2d_compact(spec: HamiltonianSpec, k: int):
+def _compact_parts(spec: HamiltonianSpec, k: int):
+    """Slow grid phi, the phi-independent fast operator h_fast in the charge
+    basis, the angle matrix phi1 and c2 = kappa^4 xi^2 of the compact pair;
+    the grid must hold k <= dimension/4 pairs.
+    """
     kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
     p = spec.potential if spec.potential is not None else Cosine()
     if not p.is_periodic or abs(p.period - TWO_PI) > 1e-12:
@@ -545,65 +543,201 @@ def _regularized2d_compact(spec: HamiltonianSpec, k: int):
         "n_max_fast", _auto_fast_cutoff(kappa, xi, lam, coef, u2max)))
     L_phi = float(spec.grid.get("L_phi", 0.5 * math.pi))
     n_phi = int(spec.grid.get("n_phi", 128))
-    dim_fast = 2 * n_fast + 1
-    if n_phi < 64 or dim_fast < 64:
+    if n_phi < 64 or 2 * n_fast + 1 < 64:
         raise ValidationError("2D grids need >= 64 points per axis")
-    if not (k <= n_phi * dim_fast / 4):
+    if not (k <= n_phi * (2 * n_fast + 1) / 4):
         raise ValidationError("k must be <= dimension/4")
     phi = np.linspace(-L_phi, L_phi, n_phi)
-    h = phi[1] - phi[0]
     mc = np.arange(-n_fast, n_fast + 1)
     phi1, phi2 = _angle_window_ops(n_fast)
-    U = _charge_basis_potential(p, n_fast)
     c2 = kappa**4 * xi**2
     h_fast = coef * np.diag((mc + spec.ng)**2).astype(complex) \
-        + 0.5 * c2 * phi2 + kappa**4 * lam * U
-    H = sp.kron(_fd4_sparse(n_phi, h, kappa**4),
-                sp.identity(dim_fast, dtype=complex)) \
-        + sp.kron(sp.diags(0.5 * c2 * phi**2),
-                  sp.identity(dim_fast, dtype=complex)) \
+        + 0.5 * c2 * phi2 + kappa**4 * lam * _charge_basis_potential(p, n_fast)
+    return phi, h_fast, phi1, c2
+
+
+def _frozen_fast_blocks(spec: HamiltonianSpec, m: int | None, k: int = 1):
+    """The m lowest eigenpairs (all of them for m None; m is capped at
+    dim_fast) of each frozen fast block B_i of
+    H = (slow FD4 kinetic) x I + blockdiag(B_i), for a solve of k pairs.
+
+    Returns eps (n_slow, m) ascending, chi (n_slow, dim_fast, m) with
+    orthonormal columns, the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2) and a
+    bound on max_i ||B_i||_inf for the Weyl margin. Extended blocks are
+    banded (select='i', LAPACK ?sbevx). Compact blocks are dense Hermitian
+    and diagonalized whole, since a full eigh costs about as much as its 32
+    lowest pairs; eps[:, 0] is then the same for every m.
+    """
+    if spec.basis_y == "extended":
+        x, y, V = _extended_parts(spec, k)
+        n_slow, dim_fast = x.size, y.size
+        m = dim_fast if m is None else min(m, dim_fast)
+        band = _fd4_bands(dim_fast, y[1] - y[0], 0.5)
+        kin = band[0].copy()
+        eps = np.empty((n_slow, m))
+        chi = np.empty((n_slow, dim_fast, m))
+        for i in range(n_slow):
+            band[0] = kin + V[i]
+            eps[i], chi[i] = eig_banded(band, lower=True, select="i",
+                                        select_range=(0, m - 1))
+        norm = float(np.max(np.abs(kin + V))
+                     + 2.0 * np.sum(np.abs(band[1:, 0])))
+        slow = _fd4_bands(n_slow, x[1] - x[0], 0.5 * float(spec.kappa)**2)
+    else:
+        phi, h_fast, phi1, c2 = _compact_parts(spec, k)
+        n_slow, dim_fast = phi.size, h_fast.shape[0]
+        m = dim_fast if m is None else min(m, dim_fast)
+        eye = np.eye(dim_fast)
+        eps = np.empty((n_slow, m))
+        chi = np.empty((n_slow, dim_fast, m), dtype=complex)
+        for i in range(n_slow):
+            # B_i = h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c
+            w, v = eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
+                        - c2 * phi[i] * phi1)
+            eps[i], chi[i] = w[:m], v[:, :m]
+        L_phi = float(phi[-1])
+        norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
+                     + 0.5 * c2 * L_phi**2
+                     + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
+        slow = _fd4_bands(n_slow, phi[1] - phi[0], float(spec.kappa)**4)
+    return eps, chi, slow[:, 0], norm
+
+
+# the contracted solve starts at m = _FIRST_RUNG fast levels per slow point
+_FIRST_RUNG = 4
+
+
+def _regularized2d_extended(spec: HamiltonianSpec, k: int, blocks=None):
+    """Grid operator H, Weyl shift, meta and units of the extended pair.
+    The shift comes from the lowest level of every frozen fast block:
+    `blocks` from _frozen_fast_blocks, or the first rung swept here."""
+    x, y, V = _extended_parts(spec, k)
+    nx, ny = x.size, y.size
+    hx, hy = x[1] - x[0], y[1] - y[0]
+    H = sp.kron(_fd4_sparse(nx, hx, 0.5 * float(spec.kappa)**2),
+                sp.identity(ny)) \
+        + sp.kron(sp.identity(nx), _fd4_sparse(ny, hy, 0.5)) \
+        + sp.diags(V.ravel())
+    if blocks is None:
+        blocks = _frozen_fast_blocks(spec, _FIRST_RUNG + 1, k)
+    sigma = _weyl_shift(blocks[0][:, 0], ny, blocks[3])
+    meta = {"nx": nx, "ny": ny, "hx": float(hx), "hy": float(hy),
+            "sigma": sigma}
+    return H, sigma, meta, "kappa^2*H/(hbar*omega_C) units (extended pair)"
+
+
+def _regularized2d_compact(spec: HamiltonianSpec, k: int, blocks=None):
+    """As _regularized2d_extended, for the compact pair."""
+    phi, h_fast, phi1, c2 = _compact_parts(spec, k)
+    n_phi, dim_fast = phi.size, h_fast.shape[0]
+    h = phi[1] - phi[0]
+    eye = sp.identity(dim_fast, dtype=complex)
+    H = sp.kron(_fd4_sparse(n_phi, h, float(spec.kappa)**4), eye) \
+        + sp.kron(sp.diags(0.5 * c2 * phi**2), eye) \
         + sp.kron(sp.identity(n_phi), sp.csr_matrix(h_fast)) \
         + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
-    H = H.tocsc()
-    # B_i = h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c at each slow point
-    eye = np.eye(dim_fast)
-    minima = np.array([
-        eigh(h_fast + 0.5 * c2 * f**2 * eye - c2 * f * phi1,
-             eigvals_only=True, subset_by_index=(0, 0))[0] for f in phi])
-    norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
-                 + 0.5 * c2 * L_phi**2
-                 + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
-    sigma = _weyl_shift(minima, dim_fast, norm)
-    meta = {"n_phi": n_phi, "L_phi": L_phi, "n_max_fast": n_fast,
-            "h": float(h), "sigma": sigma}
+    if blocks is None:
+        blocks = _frozen_fast_blocks(spec, _FIRST_RUNG + 1, k)
+    sigma = _weyl_shift(blocks[0][:, 0], dim_fast, blocks[3])
+    meta = {"n_phi": n_phi, "L_phi": float(phi[-1]),
+            "n_max_fast": dim_fast // 2, "h": float(h), "sigma": sigma}
     return H, sigma, meta, "E'_C units (primed charging energy)"
+
+
+def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
+                      sigma: float, npairs: int):
+    """npairs lowest eigenpairs of H projected onto span{e_i x chi[i, :, a]}.
+
+    The projection is block pentadiagonal: diag(eps[i]) + K_ii*I on the
+    diagonal, K_ij*chi_i^H chi_j off it, a Hermitian band of width 3m-1 in
+    the (slow point, fast level) order. Shift-invert Lanczos runs on it with
+    a banded Cholesky of P - sigma*I, which exists because sigma lies below
+    the spectrum of P; a failed factorization therefore refutes the shift.
+    Returns ascending Ritz values and their unit coefficient vectors.
+    """
+    n_slow, _, m = chi.shape
+    n = n_slow * m
+    ab = np.zeros((3 * m, n), dtype=chi.dtype)
+    ab[0] = eps.ravel() + slow[0] - sigma
+    a = np.arange(m)
+    for s in (1, 2):
+        # S[i] = chi_{i+s}^H chi_i, the block at (slow point i+s, i)
+        S = np.matmul(chi[s:].conj().transpose(0, 2, 1), chi[:-s])
+        ab[s * m + a[:, None] - a[None, :],
+           m * np.arange(n_slow - s)[:, None, None] + a] = slow[s] * S
+    try:
+        chol = cholesky_banded(ab, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(
+            f"shift sigma={sigma!r} is not below the contracted spectrum",
+            detail=str(exc)) from exc
+
+    def solve(v):
+        return cho_solve_banded((chol, True), v, check_finite=False)
+
+    def unused(v):  # shift-invert mode applies only OPinv
+        raise NotImplementedError
+
+    op = LinearOperator((n, n), matvec=unused, dtype=ab.dtype)
+    try:
+        w, c = eigsh(op, k=npairs, sigma=sigma, which="LM",
+                     v0=np.ones(n) / math.sqrt(n),
+                     OPinv=LinearOperator((n, n), matvec=solve,
+                                          dtype=ab.dtype))
+    except (ArpackError, LinAlgError) as exc:
+        raise ConvergenceError("sparse eigensolver failed",
+                               detail=str(exc)) from exc
+    order = np.argsort(w)
+    return w[order], c[:, order]
+
+
+_LEVEL_RTOL = 1e-10
+_RESIDUAL_RTOL = 1e-8
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
         raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
-    if spec.basis_y == "extended":
-        H, sigma, meta, units = _regularized2d_extended(spec, k)
-    else:
-        H, sigma, meta, units = _regularized2d_compact(spec, k)
-    dim = H.shape[0]
-    v0 = np.ones(dim) / math.sqrt(dim)
-    try:
-        w, vec = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0)
-    except (ArpackError, LinAlgError, RuntimeError) as exc:
-        if not isinstance(exc, (ArpackError, LinAlgError)) and \
-                "exactly singular" not in str(exc):
-            raise  # a RuntimeError from neither ARPACK nor splu is a bug
-        raise ConvergenceError("sparse eigensolver failed",
-                               detail=str(exc)) from exc
-    order = np.argsort(w)
-    w, vec = w[order], vec[:, order]
-    res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
-    meta = dict(meta)
-    meta["shift_gap"] = float(w[0] - sigma)
-    meta["spec"] = spec.describe()
-    meta["dim"] = int(dim)
-    return SpectrumResult(eigenvalues=w, k=k, residual_norms=res,
+    extended = spec.basis_y == "extended"
+    m = _FIRST_RUNG
+    # extended blocks are swept per rung, with one level above the rung for
+    # the guard below; compact blocks come whole from one sweep
+    blocks = _frozen_fast_blocks(spec, m + 1 if extended else None, k)
+    build = _regularized2d_extended if extended else _regularized2d_compact
+    H, sigma, meta, units = build(spec, k, blocks)
+    n_slow, dim_fast = blocks[1].shape[:2]
+    dim = n_slow * dim_fast
+    m = min(m, dim_fast)
+    while True:
+        # ARPACK needs a contracted space well above the k+1 wanted pairs
+        if m == dim_fast or n_slow * m >= 4 * (k + 1):
+            eps, chi = blocks[0][:, :m], blocks[1][:, :, :m]
+            w, c = _contracted_pairs(eps, chi, blocks[2], sigma, k + 1)
+            psi = np.matmul(chi, c.reshape(n_slow, m, -1)).reshape(dim, -1)
+            lifted = np.linalg.norm(H @ psi - psi * w[None, :], axis=0)
+            # Kato-Temple: lambda_j >= w_j - |r_j|^2 / (w_j+1 - |r_j+1| - w_j)
+            gap = w[1:] - lifted[1:] - w[:-1]
+            bracket = np.divide(lifted[:-1]**2, gap, out=np.full(k, np.inf),
+                                where=gap > 0)
+            if m == dim_fast:
+                break
+            # guard: without non-adiabatic coupling no state built on a
+            # discarded fast level lies below the lowest discarded block level
+            scale = max(1.0, float(np.max(np.abs(w[:k]))))
+            if w[k] < np.min(blocks[0][:, m]) and np.all(
+                    bracket <= _LEVEL_RTOL * np.maximum(1.0, np.abs(w[:k]))) \
+                    and np.all(lifted[:k] <= _RESIDUAL_RTOL * scale):
+                break
+        # a doubled m above half the fast axis becomes the whole axis, which
+        # is exact and ends the ladder one solve sooner
+        m = dim_fast if 4 * m > dim_fast else 2 * m
+        if extended:
+            blocks = _frozen_fast_blocks(spec, m + 1, k)
+    meta.update(shift_gap=float(w[0] - sigma), spec=spec.describe(),
+                dim=int(dim), m=int(m), contracted_dim=int(n_slow * m),
+                bracket=[float(b) for b in bracket],
+                lifted_residuals=[float(v) for v in lifted[:k]])
+    return SpectrumResult(eigenvalues=w[:k], k=k, residual_norms=lifted[:k],
                           units=units, meta=meta)
 
 
@@ -612,11 +746,21 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 
     Extended1D/FastAtX: banded select='i' (LAPACK ?sbevx), then inverse
     iteration with a Gershgorin-scaled shift; Compact1D: tridiagonal or
-    dense; 2D: shift-inverted Lanczos from a deterministic start vector,
-    with sigma the certified Weyl bound min_i lambda_min(B_i) less a
-    rounding margin (see the module docstring); meta records sigma and
-    shift_gap = lambda_0 - sigma. Residual norms ||Hv - Ev|| (unit-norm v)
-    ride along in the result.
+    dense. Residual norms ||Hv - Ev|| (unit-norm v) ride along in the
+    result.
+
+    2D: contracted adiabatic basis (see the module docstring). The levels
+    are Ritz values, upper bounds on the grid levels, and residual_norms
+    are grid residuals of the lifted vectors, as for the other variants.
+    meta['bracket'][j] = ||r_j||^2 / (E_j+1 - ||r_j+1|| - E_j) is the
+    Kato-Temple width: the grid level lies in [E_j - bracket_j, E_j]
+    provided no grid level between E_j and E_j+1 is missing from the
+    contracted space. That is assumed, not checked; the stop only refuses a
+    rung whose next Ritz value E_k is not below every discarded fast block
+    level, so a level built on a discarded fast state can hide there only
+    through non-adiabatic coupling. meta also records m, contracted_dim =
+    n_slow*m, lifted_residuals (= residual_norms), the grid dimension dim,
+    the Weyl shift sigma and shift_gap = lambda_0 - sigma.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -150,3 +151,55 @@ def test_shadow_refuses_supercritical_screening():
     with pytest.raises(PhysicalRegimeError):
         shadow_reduced_dynamics(ReducedCircuit.from_ratios(0.2, 1.0, 1.5),
                                 Cosine(), 1.0, 0.0, t_end=1.0)
+
+
+def test_shadow_reuses_only_the_matching_trajectory(monkeypatch):
+    import circadia.dynamics
+
+    rc = ReducedCircuit.from_ratios(0.2, 1.0, 0.5)
+    y0 = rc.kappa * float(manifold_eta(rc, Cosine(), np.array([1.0]))[0])
+    full = integrate(rc, Cosine(), (1.0, 0.0, y0, 0.0), 20.0, 1e-3)
+    others = [integrate(rc, Cosine(), (1.0, 0.1, y0, 0.0), 20.0, 1e-3),
+              integrate(rc, Cosine(), (1.0, 0.0, y0, 0.0), 10.0, 1e-3),
+              integrate(rc, Cosine(), (1.0, 0.0, y0, 0.0), 20.0, 2e-3)]
+    fresh = shadow_reduced_dynamics(rc, Cosine(), 1.0, 0.0, t_end=20.0,
+                                    dt=1e-3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    for record in [full] + others:
+        cmp_ = shadow_reduced_dynamics(rc, Cosine(), 1.0, 0.0, t_end=20.0,
+                                       dt=1e-3, full=record)
+        assert np.array_equal(cmp_.x_full, fresh.x_full)
+        assert np.array_equal(cmp_.x_reduced, fresh.x_reduced)
+        assert cmp_.max_deviation == fresh.max_deviation
+    # the matching record is used, every other one integrated again
+    assert len(calls) == len(others)
+
+
+def test_shadow_report_integrates_the_trajectory_once(monkeypatch,
+                                                      write_circuit,
+                                                      tmp_path):
+    import circadia.cli
+    import circadia.dynamics
+
+    def second_integration(*args, **kwargs):
+        raise AssertionError("shadow integrated the trajectory again")
+
+    # the command's own integration goes through circadia.cli.integrate
+    monkeypatch.setattr(circadia.dynamics, "integrate", second_integration)
+    circuit = write_circuit("dyn.json", 0.2, 1.0, 0.5)
+    argv = ["dynamics", "--circuit", circuit, "--report", "shadow",
+            "--dt", "0.01", "--out", str(tmp_path / "default")]
+    assert circadia.cli.main(argv) == 0
+    report = json.loads((tmp_path / "default" / "dynamics_report.json")
+                        .read_text())
+    assert report["max_x_deviation"] < 0.05
+    # another t_end is another trajectory: the shadow integrates its own
+    with pytest.raises(AssertionError, match="again"):
+        circadia.cli.main(argv[:-1] + [str(tmp_path / "short"),
+                                       "--t-end", "5"])

@@ -343,7 +343,7 @@ def test_programming_errors_propagate_out_of_the_sweep():
     (ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
      True),
     (LinAlgError("singular"), True),
-    (RuntimeError("Factor is exactly singular"), True),
+    (RuntimeError("Factor is exactly singular"), False),
     (RuntimeError("unexpected"), False),
     (TypeError("bad operand"), False),
 ])
@@ -410,6 +410,16 @@ def test_weyl_shift_bounds_the_spectrum_and_beats_the_loose_shifts(
     assert built_sigma == sigma
     assert sigma >= _loose_shift(spec, H)
     assert np.max(r.residual_norms) < 1e-8 * r.spectral_scale
+    assert r.meta["dim"] == H.shape[0]
+    n_slow = spec.grid["nx"] if basis == "extended" else spec.grid["n_phi"]
+    m = r.meta["m"]
+    assert 4 <= m <= H.shape[0] // n_slow
+    assert r.meta["contracted_dim"] == n_slow * m
+    assert len(r.meta["bracket"]) == 2
+    assert r.meta["lifted_residuals"] == [float(v) for v in r.residual_norms]
+    if m < H.shape[0] // n_slow:
+        assert np.all(np.asarray(r.meta["bracket"])
+                      <= 1e-10 * np.maximum(1.0, np.abs(r.eigenvalues)))
 
 
 @pytest.mark.parametrize("basis, kappa, xi, lambdaJ", [
@@ -442,3 +452,96 @@ def test_oversized_k_is_refused_before_the_2d_assembly(monkeypatch, basis,
     spec = _two_mode_spec(basis, 0.6, 40.0, 400.0)
     with pytest.raises(ValidationError, match="dimension/4"):
         lowest_eigenvalues(spec, k)
+
+
+def _oracle_levels(spec, k):
+    """The full-grid shift-invert solve the contracted basis replaced."""
+    H, sigma, _, _ = _assembled(spec, k)
+    v0 = np.ones(H.shape[0]) / math.sqrt(H.shape[0])
+    return np.sort(eigsh(H, k=k, sigma=sigma, which="LM", v0=v0,
+                         return_eigenvectors=False))
+
+
+@settings(max_examples=20)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+    k=st.integers(1, 6),
+)
+def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
+                                                      k):
+    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
+    r = lowest_eigenvalues(spec, k)
+    w = r.eigenvalues
+    oracle = _oracle_levels(spec, k)
+    scale = np.maximum(1.0, np.abs(oracle))
+    assert np.all(np.abs(w - oracle) <= 1e-10 * scale)
+
+    # each level lies in its Kato-Temple bracket [w - delta, w]
+    delta = np.asarray(r.meta["bracket"])
+    res = np.asarray(r.meta["lifted_residuals"])
+    assert np.all(oracle <= w + 1e-13 * scale)
+    assert np.all(oracle >= w - delta - 1e-13 * scale)
+    gap = w[1:] - res[1:] - w[:-1]
+    ok = gap > 0
+    assert np.allclose(delta[:-1][ok], res[:-1][ok]**2 / gap[ok],
+                       rtol=1e-12, atol=0.0)
+
+    # nested subspaces: no Ritz value rises as m doubles
+    sigma = r.meta["sigma"]
+    assert sigma <= oracle[0]
+    previous = None
+    m = 1
+    while m <= r.meta["m"]:
+        eps, chi, slow, _ = circadia.spectra._frozen_fast_blocks(spec, m)
+        theta = circadia.spectra._contracted_pairs(eps, chi, slow, sigma,
+                                                   k)[0]
+        if previous is not None:
+            assert np.all(theta <= previous + 1e-12 * scale)
+        previous = theta
+        m *= 2
+
+
+def test_a_shift_above_the_contracted_spectrum_is_reported():
+    spec = _two_mode_spec("compact", 0.6, 40.0, 400.0)
+    eps, chi, slow, _ = circadia.spectra._frozen_fast_blocks(spec, 4)
+    lowest = circadia.spectra._contracted_pairs(
+        eps, chi, slow, _assembled(spec, 2)[1], 1)[0][0]
+    sigma = float(lowest) + 1.0
+    with pytest.raises(ConvergenceError, match=f"sigma={sigma!r}") as info:
+        circadia.spectra._contracted_pairs(eps, chi, slow, sigma, 2)
+    assert isinstance(info.value.__cause__, LinAlgError)
+
+
+def test_a_fast_excited_level_stays_in_the_contracted_space(monkeypatch):
+    # quadratic pair: exact levels (a+1/2)wp + (b+1/2)wm; the 31st is the
+    # fourth fast excitation (a=4, b=0), built on a block level that the
+    # first rung (m=4) discards
+    kap, xi, lam = 0.9, 1.0, 1.0
+    beta = lam / xi**2
+    k4 = kap**4
+    disc = math.sqrt((k4 + 1.0 + beta) ** 2 - 4.0 * k4 * beta)
+    wm = math.sqrt(0.5 * ((k4 + 1.0 + beta) - disc))
+    wp = math.sqrt(0.5 * ((k4 + 1.0 + beta) + disc))
+    k = 31
+    exact = sorted(((a + 0.5) * wp + (b + 0.5) * wm, a)
+                   for a in range(6) for b in range(40))[:k]
+    assert exact[-1][1] == 4 and all(a < 4 for _, a in exact[:-1])
+    exact = np.array([e for e, _ in exact])
+    spec = HamiltonianSpec(
+        variant="Regularized2D", potential=PolynomialEven([0.0, 0.5]),
+        kappa=kap, xi=xi, lambdaJ=lam, basis_y="extended",
+        grid={"Lx": 8.0, "nx": 64, "Ly": 10.0, "ny": 64})
+    oracle = _oracle_levels(spec, k)
+    assert np.max(np.abs(oracle - exact) / exact) < 1e-2
+    r = lowest_eigenvalues(spec, k)
+    assert np.all(np.abs(r.eigenvalues - oracle) <= 1e-10 * oracle)
+    # with the accuracy stops switched off only the guard decides: m=4
+    # would return the next a<4 level in place of the a=4 one
+    monkeypatch.setattr(circadia.spectra, "_LEVEL_RTOL", math.inf)
+    monkeypatch.setattr(circadia.spectra, "_RESIDUAL_RTOL", math.inf)
+    r = lowest_eigenvalues(spec, k)
+    assert r.meta["m"] > 4
+    assert np.all(np.abs(r.eigenvalues - oracle) <= 1e-3 * oracle)
