@@ -20,21 +20,25 @@ its matrix elements in the charge basis are exact:
 <m|phi_c|m'> = i(-1)^(m-m')/(m-m'), <m|phi_c^2|m> = pi^2/3,
 <m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal.
 
+Every lowest-k solve of a band (1D, and the contracted 2D band below) is
+shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
+shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
+blocks left when the positive semidefinite FD4 kinetic term is dropped, the
+potential values in 1D. In 1D a second Cholesky just below the ground Ritz
+value certifies that no level lies under it. An energy window takes LAPACK
+?sbevx bisection, which counts its levels, and inverse iteration.
+
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
-diagonal: B_i is the fast operator frozen at slow grid point i. They are
-solved in a contracted adiabatic basis (sequential diagonalization-
-truncation): H is projected onto the m lowest eigenvectors chi_i of every
-B_i, which gives a Hermitian band of width 3m-1 (m = 1 is Born-Oppenheimer
-with its diagonal correction, m = dim_fast the full grid operator).
-Shift-inverted Lanczos on that band uses a banded Cholesky factor and the
-certified Weyl shift sigma = min_i lambda_min(B_i) less a rounding margin,
-a proven lower bound on both spectra since the kinetic term is positive
-semidefinite. Each Ritz vector is lifted to the grid and its residual taken
-with one sparse product of H. m doubles from 4 until every kept level has a
-grid residual <= 1e-8 of the spectral scale (the residual bound of every
-variant) and a Kato-Temple bracket <= 1e-10 relative, and the next Ritz
-value lies below every discarded block level. The full-grid operator is
-never factorized.
+diagonal: B_i is the fast operator frozen at slow grid point i. H is
+projected onto the m lowest eigenvectors chi_i of every B_i (a contracted
+adiabatic basis, sequential diagonalization-truncation), a Hermitian band
+of width 3m-1 (m = 1 is Born-Oppenheimer with its diagonal correction,
+m = dim_fast the full grid operator, which is never factorized). Each Ritz
+vector is lifted to the grid and its residual taken with one sparse product
+of H. m doubles from 4 until every kept level has a grid residual <= 1e-8
+of the spectral scale (the residual bound of every variant) and a
+Kato-Temple bracket <= 1e-10 relative, and the next Ritz value lies below
+every discarded block level.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, \
-    eig_banded, eigh, eigh_tridiagonal, solve_banded
+    eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
@@ -212,41 +217,93 @@ def _extended1d_arrays(spec: HamiltonianSpec):
     return coords, v, h
 
 
-def _band_to_ab(band_lower: np.ndarray) -> np.ndarray:
-    """Lower symmetric band storage -> general (l=2, u=2) ab storage."""
-    n = band_lower.shape[1]
-    ab = np.zeros((5, n))
-    ab[0, 2:] = band_lower[2, :-2]
-    ab[1, 1:] = band_lower[1, :-1]
-    ab[2, :] = band_lower[0, :]
-    ab[3, :-1] = band_lower[1, :-1]
-    ab[4, :-2] = band_lower[2, :-2]
-    return ab
+def _weyl_shift(block_minima: np.ndarray, block_dim: int,
+                block_norm: float) -> float:
+    """Shift-invert sigma certified below the spectrum of H = A + B.
+
+    A, the FD4 kinetic term (times the identity on the fast axis in 2D), is
+    positive semidefinite: the FD4 symbol (c-1)(c-7)/3 is >= 0 for
+    c = cos(theta), and a finite Toeplitz section keeps its eigenvalues
+    inside the range of its symbol. B is block diagonal (1x1 blocks v_i in
+    1D, one frozen fast block per slow grid point in 2D), so Weyl's
+    inequality gives lambda_min(H) >= min_i lambda_min(B_i); by Cauchy
+    interlacing the bound holds for every projection of H too. The margin
+    covers the rounding of the block eigensolves (block_dim*eps*||B_i||)
+    plus 1e-6 relative to the bound.
+    """
+    bound = float(np.min(block_minima))
+    margin = 1e-6 * max(1.0, abs(bound)) \
+        + block_dim * np.finfo(float).eps * block_norm
+    return float(bound - margin)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed-seed normal unit vector: O(1/sqrt(n)) overlap with every
+    eigenvector, unlike a smooth one (orthogonal to one parity)."""
+    v = np.random.default_rng(8675309).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _cholesky_below(ab: np.ndarray, shift: float, claim: str) -> np.ndarray:
+    """Banded Cholesky factor of A - shift*I (A Hermitian, lower storage ab,
+    ab[0] the diagonal). It exists only if shift lies below the spectrum of
+    A, so a refused factorization is a ConvergenceError stating `claim`."""
+    shifted = ab.copy()
+    shifted[0] -= shift
+    try:
+        return cholesky_banded(shifted, lower=True, overwrite_ab=True,
+                               check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(claim, detail=str(exc)) from exc
+
+
+def _shift_invert_pairs(ab: np.ndarray, sigma: float, npairs: int):
+    """npairs lowest eigenpairs of the Hermitian band A in lower storage ab,
+    by shift-invert Lanczos with OPinv a banded Cholesky of A - sigma*I,
+    sigma proven below the spectrum of A. Returns ascending Ritz values and
+    their unit vectors."""
+    n = ab.shape[1]
+    chol = _cholesky_below(
+        ab, sigma, f"shift sigma={sigma!r} is not below the banded spectrum")
+    opinv = LinearOperator((n, n), dtype=ab.dtype, matvec=lambda v:
+                           cho_solve_banded((chol, True), v,
+                                            check_finite=False))
+    try:
+        # shift-invert mode applies only OPinv, never A itself
+        w, c = eigsh(opinv, k=npairs, sigma=sigma, which="LM",
+                     v0=_start_vector(n), OPinv=opinv)
+    except (ArpackError, LinAlgError) as exc:
+        raise ConvergenceError("sparse eigensolver failed",
+                               detail=str(exc)) from exc
+    order = np.argsort(w)
+    return w[order], c[:, order]
 
 
 def _inverse_iteration(band_lower: np.ndarray, w: float,
                        scale: float) -> np.ndarray:
     """Eigenvector for a known eigenvalue via shifted banded solves.
 
-    The shift offset keeps the factorization nonsingular; with the
-    eigenvalue known to machine precision two solves converge, and for a
-    cluster tighter than the offset any vector in its span already meets
-    the residual contract.
+    One banded LU (LAPACK ?gbtrf) serves four solves. The shift offset
+    keeps the factorization nonsingular; with the eigenvalue known to
+    machine precision two solves converge, and for a cluster tighter than
+    the offset any vector in its span already meets the residual contract.
     """
-    ab = _band_to_ab(band_lower)
-    delta = 1e-13 * max(scale, 1.0)
-    ab[2, :] -= w + delta
     n = band_lower.shape[1]
-    # fixed-seed random start: O(1/sqrt(n)) overlap with every eigenvector,
-    # unlike any smooth deterministic choice (near-orthogonal to one parity)
-    v = np.random.default_rng(8675309).standard_normal(n)
-    v /= np.linalg.norm(v)
+    # ?gbtrf storage: two rows of fill space, the diagonal in row 4
+    ab = np.zeros((7, n))
+    ab[4:] = band_lower
+    ab[3, 1:], ab[2, 2:] = band_lower[1, :-1], band_lower[2, :-2]
+    delta = 1e-13 * max(scale, 1.0)
+    ab[4, :] -= w + delta
+    lu, piv, info = dgbtrf(ab, 2, 2)
+    if info > 0:
+        ab[4, :] -= 99.0 * delta
+        lu, piv, info = dgbtrf(ab, 2, 2)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+    v = _start_vector(n)
     for _ in range(4):
-        try:
-            v = solve_banded((2, 2), ab, v)
-        except LinAlgError:
-            ab[2, :] -= 99.0 * delta
-            v = solve_banded((2, 2), ab, v)
+        v = dgbtrs(lu, 2, 2, v, piv)[0]
         v /= np.linalg.norm(v)
     return v
 
@@ -254,54 +311,66 @@ def _inverse_iteration(band_lower: np.ndarray, w: float,
 def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
                   window: tuple[float, float] | None = None):
     """Lowest k, or all in the closed window (lo, hi), FD4 eigenpairs of
-    c_kin*p^2 + diag(v): eigenvalues, unit vectors, residual norms.
+    c_kin*p^2 + diag(v): eigenvalues, unit vectors, residual norms and the
+    shift-invert sigma (None for a window).
 
-    LAPACK ?sbevx (select='i' or 'v') bisects for the wanted eigenvalues
-    only; inverse iteration gives the vectors. The Gershgorin bound
-    s >= max|lambda| scales the shift offset and widens the window by the
-    bisection accuracy 8*eps*s, so an edge level stays in on a re-solve."""
+    s is the Gershgorin bound on max|lambda|. Lowest k: shift-invert
+    Lanczos from the Weyl shift sigma = min v less its margin; a banded
+    Cholesky of H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no
+    level lies below the ground Ritz value E_0. Above E_0 the levels rest
+    on Lanczos from a proven lower bound, as in 2D. Window: ?sbevx bisects
+    for its levels in the window widened by the bisection accuracy 8*eps*s,
+    so an edge level stays in on a re-solve; inverse iteration gives the
+    vectors."""
     n = v.size
     band = _fd4_bands(n, h, c_kin)
     band[0, :] += v
     # Gershgorin row sums; the FD4 off-diagonals are constant
     scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
+    tol = 8.0 * np.finfo(float).eps * scale
+    sigma = None
     if window is None:
-        w = eig_banded(band, lower=True, eigvals_only=True, select="i",
-                       select_range=(0, k - 1))
+        sigma = _weyl_shift(v, 1, scale)
+        w, vec = _shift_invert_pairs(band, sigma, k)
     else:
-        tol = 8.0 * np.finfo(float).eps * scale
         lo, hi = window[0] - tol, window[1] + tol
         # ?sbevx keeps (vl, vu]: the float below lo closes the interval
         w = eig_banded(band, lower=True, eigvals_only=True, select="v",
                        select_range=(np.nextafter(lo, -np.inf), max(hi, lo)))
         w = w[(w >= lo) & (w <= hi)]
-    vec = np.empty((n, w.size))
-    for j in range(w.size):
-        vec[:, j] = _inverse_iteration(band, float(w[j]), scale)
+        vec = np.empty((n, w.size))
+        for j in range(w.size):
+            vec[:, j] = _inverse_iteration(band, float(w[j]), scale)
     H = _fd4_sparse(n, h, c_kin) + sp.diags(v)
     res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
-    return w, vec, res
+    if sigma is not None:
+        _cholesky_below(band, float(w[0] - res[0] - tol), "a level lies "
+                        f"below the ground Ritz value {float(w[0])!r}")
+    return w, vec, res, sigma
 
 
 def _lowest_extended1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     coords, v, h = _extended1d_arrays(spec)
     if not (k <= coords.size / 4):
         raise ValidationError("k must be <= dimension/4")
-    w, _, res = _solve_banded(v, h, spec.c_kin, k)
+    w, _, res, sigma = _solve_banded(v, h, spec.c_kin, k)
     return SpectrumResult(
         eigenvalues=w, k=k, residual_norms=res, units="E_C units",
-        meta={"spec": spec.describe(), "h": h, "n": int(coords.size)})
+        meta={"spec": spec.describe(), "h": h, "n": int(coords.size),
+              "sigma": sigma, "shift_gap": float(w[0] - sigma)})
 
 
 def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
                           e_hi: float) -> SpectrumResult:
     """All Extended1D eigenvalues in the closed window [e_lo, e_hi], and
-    only those (banded select='v', LAPACK ?sbevx). Levels within 8*eps*s of
-    an edge count as inside, s the Gershgorin bound on max|lambda|."""
+    only those: LAPACK ?sbevx bisection (banded select='v'), which counts
+    the levels in the window, then inverse iteration on one banded LU per
+    level for the vectors. Levels within 8*eps*s of an edge count as
+    inside, s the Gershgorin bound on max|lambda|."""
     if spec.variant != "Extended1D":
         raise ValidationError("energy-window solve is Extended1D only")
     coords, v, h = _extended1d_arrays(spec)
-    w, _, res = _solve_banded(v, h, spec.c_kin, window=(e_lo, e_hi))
+    w, _, res, _ = _solve_banded(v, h, spec.c_kin, window=(e_lo, e_hi))
     return SpectrumResult(
         eigenvalues=w, k=int(w.size), residual_norms=res, units="E_C units",
         meta={"spec": spec.describe(), "h": h, "n": int(coords.size),
@@ -410,9 +479,11 @@ def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator, hbar*omega_C units.
 
-    The y-grid must hold the ground state: if the wavefunction mass on the
-    outermost grid cells exceeds 1e-12 the grid is widened once, then the
-    solve fails loudly.
+    Shift-invert Lanczos from the Weyl shift, with a Cholesky certificate
+    that the level is the ground level (_solve_banded). The y-grid must
+    hold the ground state: if the wavefunction mass on the outermost grid
+    cells exceeds 1e-12 the grid is widened once, then the solve fails
+    loudly.
     """
     if kappa <= 0:
         raise ValidationError("kappa must be > 0")
@@ -423,7 +494,7 @@ def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
         y = np.linspace(-L, L, npts)
         h = y[1] - y[0]
         v = _fast_potential(kappa, xi, lambdaJ, p, x, y)
-        w, vec, _ = _solve_banded(v, h, 0.5, 1)
+        w, vec, _, _ = _solve_banded(v, h, 0.5, 1)
         psi2 = np.abs(vec[:, 0])**2
         edge = float(psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
         if edge / float(np.sum(psi2)) < 1e-12:
@@ -449,12 +520,13 @@ def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     h = y[1] - y[0]
     v = _fast_potential(spec.kappa, spec.xi, spec.lambdaJ, p,
                         spec.frozen_x, y)
-    w, _, res = _solve_banded(v, h, 0.5, k)
+    w, _, res, sigma = _solve_banded(v, h, 0.5, k)
     return SpectrumResult(
         eigenvalues=w, k=k, residual_norms=res,
         units="hbar*omega_C units",
         meta={"spec": spec.describe(), "h": float(h), "n": int(npts),
-              "half_width": float(L)})
+              "half_width": float(L), "sigma": sigma,
+              "shift_gap": float(w[0] - sigma)})
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +544,6 @@ def _angle_window_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(phi1, 0.0)
     np.fill_diagonal(phi2, math.pi**2 / 3.0)
     return phi1, phi2
-
-
-def _weyl_shift(block_minima: np.ndarray, block_dim: int,
-                block_norm: float) -> float:
-    """Shift-invert sigma certified below the spectrum of H = A + B.
-
-    A, the slow FD4 kinetic term times the identity, is positive
-    semidefinite: the FD4 symbol (c-1)(c-7)/3 is >= 0 for c = cos(theta),
-    and a finite Toeplitz section keeps its eigenvalues inside the range of
-    its symbol. B is block diagonal, one block per slow grid point, so
-    Weyl's inequality gives lambda_min(H) >= min_i lambda_min(B_i); by
-    Cauchy interlacing the bound holds for every projection of H too. The
-    margin covers the rounding of the block eigensolves
-    (block_dim*eps*||B_i||) plus 1e-6 relative to the bound.
-    """
-    bound = float(np.min(block_minima))
-    margin = 1e-6 * max(1.0, abs(bound)) \
-        + block_dim * np.finfo(float).eps * block_norm
-    return float(bound - margin)
 
 
 def _extended_parts(spec: HamiltonianSpec, k: int):
@@ -648,47 +701,23 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
                       sigma: float, npairs: int):
     """npairs lowest eigenpairs of H projected onto span{e_i x chi[i, :, a]}.
 
-    The projection is block pentadiagonal: diag(eps[i]) + K_ii*I on the
+    The projection P is block pentadiagonal: diag(eps[i]) + K_ii*I on the
     diagonal, K_ij*chi_i^H chi_j off it, a Hermitian band of width 3m-1 in
-    the (slow point, fast level) order. Shift-invert Lanczos runs on it with
-    a banded Cholesky of P - sigma*I, which exists because sigma lies below
-    the spectrum of P; a failed factorization therefore refutes the shift.
-    Returns ascending Ritz values and their unit coefficient vectors.
+    the (slow point, fast level) order, solved by the shared shift-invert
+    core; sigma lies below the spectrum of P (Cauchy interlacing). Returns
+    ascending Ritz values and their unit coefficient vectors.
     """
     n_slow, _, m = chi.shape
     n = n_slow * m
     ab = np.zeros((3 * m, n), dtype=chi.dtype)
-    ab[0] = eps.ravel() + slow[0] - sigma
+    ab[0] = eps.ravel() + slow[0]
     a = np.arange(m)
     for s in (1, 2):
         # S[i] = chi_{i+s}^H chi_i, the block at (slow point i+s, i)
         S = np.matmul(chi[s:].conj().transpose(0, 2, 1), chi[:-s])
         ab[s * m + a[:, None] - a[None, :],
            m * np.arange(n_slow - s)[:, None, None] + a] = slow[s] * S
-    try:
-        chol = cholesky_banded(ab, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceError(
-            f"shift sigma={sigma!r} is not below the contracted spectrum",
-            detail=str(exc)) from exc
-
-    def solve(v):
-        return cho_solve_banded((chol, True), v, check_finite=False)
-
-    def unused(v):  # shift-invert mode applies only OPinv
-        raise NotImplementedError
-
-    op = LinearOperator((n, n), matvec=unused, dtype=ab.dtype)
-    try:
-        w, c = eigsh(op, k=npairs, sigma=sigma, which="LM",
-                     v0=np.ones(n) / math.sqrt(n),
-                     OPinv=LinearOperator((n, n), matvec=solve,
-                                          dtype=ab.dtype))
-    except (ArpackError, LinAlgError) as exc:
-        raise ConvergenceError("sparse eigensolver failed",
-                               detail=str(exc)) from exc
-    order = np.argsort(w)
-    return w[order], c[:, order]
+    return _shift_invert_pairs(ab, sigma, npairs)
 
 
 _LEVEL_RTOL = 1e-10
@@ -744,10 +773,11 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     """k lowest eigenpairs of the discretized operator.
 
-    Extended1D/FastAtX: banded select='i' (LAPACK ?sbevx), then inverse
-    iteration with a Gershgorin-scaled shift; Compact1D: tridiagonal or
-    dense. Residual norms ||Hv - Ev|| (unit-norm v) ride along in the
-    result.
+    Extended1D/FastAtX: shift-invert Lanczos on a banded Cholesky from the
+    certified Weyl shift, with a Cholesky certificate for the ground level
+    (see _solve_banded); meta records sigma and shift_gap = lambda_0 -
+    sigma. Compact1D: tridiagonal or dense. Residual norms ||Hv - Ev||
+    (unit-norm v) ride along in the result.
 
     2D: contracted adiabatic basis (see the module docstring). The levels
     are Ritz values, upper bounds on the grid levels, and residual_norms
@@ -903,7 +933,7 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
     q = np.linspace(-L, L, n)
     h = q[1] - q[0]
     v = 0.5 * kappa**4 * xi**2 * q**2
-    w, _, _ = _solve_banded(v, h, ckin, k)
+    w, _, _, _ = _solve_banded(v, h, ckin, k)
     return NaiveAdiabaticSpectrum(formula=formula, numerical=w,
                                   kappa=float(kappa), xi=float(xi),
                                   ng=float(ng))

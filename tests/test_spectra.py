@@ -353,14 +353,112 @@ def test_only_solver_failures_become_convergence_errors(monkeypatch, exc,
         raise exc
 
     monkeypatch.setattr(circadia.spectra, "eigsh", failing_eigsh)
-    spec = HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
-                           kappa=0.5, xi=1.0, lambdaJ=0.5,
-                           grid={"nx": 64, "ny": 64})
+    two_mode = HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                               kappa=0.5, xi=1.0, lambdaJ=0.5,
+                               grid={"nx": 64, "ny": 64})
     expected = ConvergenceError if reported else type(exc)
-    with pytest.raises(expected) as info:
+    # every route through the shared shift-invert core: 2D, 1D lowest-k, BO
+    for solve in (lambda: lowest_eigenvalues(two_mode, 2),
+                  lambda: lowest_eigenvalues(_harmonic_1d(), 2),
+                  lambda: bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 1.0)):
+        with pytest.raises(expected) as info:
+            solve()
+        if reported:
+            assert info.value.__cause__ is exc
+
+
+def _harmonic_1d():
+    return HamiltonianSpec(variant="Extended1D", v_func=lambda q: q**2,
+                           c_kin=1.0, grid={"half_width": 8.0, "n": 256})
+
+
+def test_a_1d_shift_above_the_ground_level_is_reported(monkeypatch):
+    spec = _harmonic_1d()
+    lam0 = lowest_eigenvalues(spec, 1).eigenvalues[0]
+    sigma = float(lam0) + 1.0
+    monkeypatch.setattr(circadia.spectra, "_weyl_shift",
+                        lambda *args: sigma)
+    with pytest.raises(ConvergenceError, match=f"sigma={sigma!r}") as info:
         lowest_eigenvalues(spec, 2)
-    if reported:
-        assert info.value.__cause__ is exc
+    assert isinstance(info.value.__cause__, LinAlgError)
+
+
+def test_a_refused_ground_certificate_returns_no_level(monkeypatch):
+    spec = _harmonic_1d()
+    factor = circadia.spectra.cholesky_banded
+    calls = []
+
+    def refuse_second(*args, **kwargs):
+        # each solve factors twice: first the shift-invert OPinv, then the
+        # ground certificate
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise LinAlgError("not positive definite")
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.spectra, "cholesky_banded", refuse_second)
+    with pytest.raises(ConvergenceError, match="ground Ritz value"):
+        lowest_eigenvalues(spec, 1)
+    with pytest.raises(ConvergenceError, match="ground Ritz value"):
+        bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 1.0, n=256)
+
+
+def test_a_missed_ground_level_fails_the_certificate(monkeypatch):
+    # Lanczos that skips the ground level: the Cholesky just below the
+    # returned first level must refuse, since lambda_0 lies under it
+    pairs = circadia.spectra._shift_invert_pairs
+
+    def skip_ground(ab, sigma, npairs):
+        w, c = pairs(ab, sigma, npairs + 1)
+        return w[1:], c[:, 1:]
+
+    monkeypatch.setattr(circadia.spectra, "_shift_invert_pairs", skip_ground)
+    with pytest.raises(ConvergenceError, match="ground Ritz value") as info:
+        lowest_eigenvalues(_harmonic_1d(), 2)
+    assert isinstance(info.value.__cause__, LinAlgError)
+
+
+def test_mirror_symmetric_double_well_returns_both_doublet_members():
+    # exact parity: v(q) = v(-q) on the grid, so a parity-even start vector
+    # would be orthogonal to every odd level
+    def v_func(q):
+        v = 2.0 * (q**2 - 4.0)**2
+        return 0.5 * (v + v[::-1])
+
+    spec = HamiltonianSpec(variant="Extended1D", v_func=v_func, c_kin=0.5,
+                           grid={"half_width": 5.0, "n": 600})
+    q = np.linspace(-5.0, 5.0, 600)
+    full = eig_banded(_fd4_band_oracle(v_func(q), q[1] - q[0], 0.5),
+                      lower=True, eigvals_only=True)[:4]
+    # two tunnelling doublets, each split far below its distance to the next
+    assert full[1] - full[0] < 1e-3 * (full[2] - full[1])
+    assert full[3] - full[2] < 1e-3 * (full[2] - full[1])
+    r = lowest_eigenvalues(spec, 4)
+    assert np.all(np.abs(r.eigenvalues - full)
+                  <= 1e-10 * np.maximum(1.0, np.abs(full)))
+    assert np.max(r.residual_norms) < 1e-8 * r.spectral_scale
+
+
+@pytest.mark.parametrize("kappa", [0.6, 0.45, 0.3])
+def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
+    # the bench's bo_ladder points at production grid size (2400-2800 fast
+    # grid points), where the lowest-k solves of bo-sweep run
+    xi, lambdaJ = 10.0, 5.0
+    for x in np.linspace(-3.0, 3.0, 7):
+        e0 = bo_fast_ground(kappa, xi, lambdaJ, Cosine(), float(x))
+        r = lowest_eigenvalues(HamiltonianSpec(
+            variant="FastAtX", potential=Cosine(), kappa=kappa, xi=xi,
+            lambdaJ=lambdaJ, frozen_x=float(x)), 1)
+        n, L = r.meta["n"], r.meta["half_width"]
+        assert n >= 2400
+        y = np.linspace(-L, L, n)
+        v = 0.5 * (y - kappa * x)**2 \
+            - kappa**2 * (lambdaJ / xi) * np.cos(y / (kappa * math.sqrt(xi)))
+        lam0 = eig_banded(_fd4_band_oracle(v, y[1] - y[0], 0.5), lower=True,
+                          eigvals_only=True)[0]
+        assert abs(e0 - lam0) <= 1e-10 * max(1.0, abs(lam0))
+        assert r.meta["sigma"] <= lam0
+        assert r.meta["shift_gap"] == r.eigenvalues[0] - r.meta["sigma"]
 
 
 def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64):
