@@ -41,6 +41,7 @@ from .reduction import branch_table, effective_potential, write_potential_csv
 from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
     eigenvalues_in_window, lowest_eigenvalues, naive_compact_adiabatic
 from .svgplot import line_plot
+from .sweeps import write_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,12 +86,6 @@ def _finish(manifest: RunManifest, out: str, outputs: list[str]) -> None:
     manifest.write(os.path.join(out, "manifest.json"))
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -118,7 +113,7 @@ def cmd_reduce(args) -> int:
             "max_branches": max((r[4] for r in rows), default=0),
         }
         report_path = os.path.join(out, "reduce_report.json")
-        _write_json(report_path, report)
+        write_json(report_path, report)
         _finish(manifest, out, [branch_path, report_path])
         print(f"multivalued: beta={rc.beta:.6g} >= beta_crit={beta_crit:.6g}; "
               "branch table written")
@@ -138,7 +133,7 @@ def cmd_reduce(args) -> int:
         "basis": basis,
     }
     report_path = os.path.join(out, "reduce_report.json")
-    _write_json(report_path, report)
+    write_json(report_path, report)
     _finish(manifest, out, [pot_path, svg_path, report_path])
     print(f"single-valued: beta={rc.beta:.6g} < "
           f"beta_crit={pot.meta['beta_crit']:.6g}; {len(pot.minima)} minima")
@@ -208,7 +203,7 @@ def cmd_bo_sweep(args) -> int:
         "kappas": [float(v) for v in table.kappas],
     }
     report_path = os.path.join(out, "bo_report.json")
-    _write_json(report_path, report)
+    write_json(report_path, report)
     _finish(manifest, out, [csv_path, svg_path, report_path])
     print(f"verdict: {verdict}{qualifier}")
     for kap, s, a in zip(table.kappas, table.sup_abs, fits):
@@ -371,7 +366,7 @@ def cmd_compare(args) -> int:
         ],
     }
     report_path = os.path.join(out, "compare.json")
-    _write_json(report_path, report)
+    write_json(report_path, report)
 
     csv_path = os.path.join(out, "compare.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
@@ -452,7 +447,7 @@ def cmd_dynamics(args) -> int:
         report["max_x_deviation"] = cmp_.max_deviation
         report["slow_period"] = cmp_.slow_period
     report_path = os.path.join(out, "dynamics_report.json")
-    _write_json(report_path, report)
+    write_json(report_path, report)
     outputs.append(report_path)
     _finish(manifest, out, outputs)
     print(f"energy drift {record.energy_drift:.3e} over t_end={t_end:.6g}")
@@ -552,7 +547,7 @@ def cmd_foster(args) -> int:
         "reactance_slope_positive": slope_ok,
     }
     summary_path = os.path.join(out, "foster_report.json")
-    _write_json(summary_path, summary)
+    write_json(summary_path, summary)
     _finish(manifest, out, [model_path, svg_path, summary_path])
     print(f"fit rms residual {report.rms_residual:.3e}; "
           f"{len(model.resonances)} resonance(s); "

@@ -14,7 +14,6 @@ never a zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import StructureMismatchError, ValidationError
+from .sweeps import write_json
 
 POLE_MARGIN = 1e-9
 
@@ -185,20 +185,21 @@ def fit_foster(samples, n_resonances: int):
     with_l_zero = bool(imy[0] < 0.0)
 
     poles = np.array([0.5 * (a + b) for a, b in brackets])
+
+    def objective(om, j):
+        """Fit rms with pole j moved to om and the others held."""
+        trial = poles.copy()
+        trial[j] = om
+        return _linear_residual(omega, imy, trial, with_l_zero)[0]
+
     best_rms = math.inf
     sweeps = 0
     for sweep in range(12):
         sweeps = sweep + 1
         for j, (a, b) in enumerate(brackets):
             pad = POLE_MARGIN * 0.5 * (a + b)
-
-            def objective(om, j=j):
-                trial = poles.copy()
-                trial[j] = om
-                return _linear_residual(omega, imy, trial, with_l_zero)[0]
-
             res = minimize_scalar(objective, bounds=(a + pad, b - pad),
-                                  method="bounded",
+                                  args=(j,), method="bounded",
                                   options={"xatol": 1e-13 * (a + b)})
             poles[j] = float(res.x)
         rms, coef, A = _linear_residual(omega, imy, poles, with_l_zero)
@@ -216,15 +217,10 @@ def fit_foster(samples, n_resonances: int):
         hi = min(b - POLE_MARGIN * poles[j], poles[j] + w)
         if lo >= hi:
             continue
-
-        def objective(om, j=j):
-            trial = poles.copy()
-            trial[j] = om
-            return _linear_residual(omega, imy, trial, with_l_zero)[0]
-
-        res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+        res = minimize_scalar(objective, bounds=(lo, hi), args=(j,),
+                              method="bounded",
                               options={"xatol": 1e-15 * poles[j]})
-        if float(res.fun) <= objective(poles[j]):
+        if float(res.fun) <= objective(poles[j], j):
             poles[j] = float(res.x)
 
     rms, coef, A = _linear_residual(omega, imy, poles, with_l_zero)
@@ -294,6 +290,4 @@ def write_model_json(path: str, model: FosterModel,
             "sweeps": int(report.sweeps),
             "covariance_proxy": report.covariance_proxy,
         }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(path, payload)

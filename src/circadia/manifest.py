@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .sweeps import write_json
 
 
 def sha256_file(path: str) -> str:
@@ -57,13 +58,8 @@ class RunManifest:
         payload = _canonical(self._identity_payload())
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def to_json(self) -> str:
+    def write(self, path: str) -> None:
         # "wall_time_s" is a schema key with no value: data files carry no
         # wall-clock values, which keeps reruns byte-identical.
-        payload = dict(self._identity_payload(),
-                       identity=self.identity_hash(), wall_time_s=None)
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        write_json(path, dict(self._identity_payload(),
+                              identity=self.identity_hash(), wall_time_s=None))

@@ -29,16 +29,18 @@ value certifies that no level lies under it. An energy window takes LAPACK
 ?sbevx bisection, which counts its levels, and inverse iteration.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
-diagonal: B_i is the fast operator frozen at slow grid point i. H is
-projected onto the m lowest eigenvectors chi_i of every B_i (a contracted
-adiabatic basis, sequential diagonalization-truncation), a Hermitian band
-of width 3m-1 (m = 1 is Born-Oppenheimer with its diagonal correction,
-m = dim_fast the full grid operator, which is never factorized). Each Ritz
-vector is lifted to the grid and its residual taken with one sparse product
-of H. m doubles from 4 until every kept level has a grid residual <= 1e-8
-of the spectral scale (the residual bound of every variant) and a
-Kato-Temple bracket <= 1e-10 relative, and the next Ritz value lies below
-every discarded block level.
+diagonal: B_i is the fast operator frozen at slow grid point i. One
+assembly (_two_mode) builds the grids, H and a sweep of the blocks once per
+solve. H is projected onto the m lowest eigenvectors chi_i of every B_i (a
+contracted adiabatic basis, sequential diagonalization-truncation), a
+Hermitian band of width 3m-1 (m = 1 is Born-Oppenheimer with its diagonal
+correction, m = dim_fast the full grid operator, which is never
+factorized). Each Ritz vector is lifted to the grid; one sparse product of
+H gives its Rayleigh quotient, the reported level, and its residual. m
+doubles from 4 until every kept level has a grid residual <= 1e-8 of the
+spectral scale (the residual bound of every variant) and a Kato-Temple
+bracket <= 1e-10 relative, and the next level lies below every discarded
+block level.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, \
-    eig_banded, eigh, eigh_tridiagonal
+    eig_banded, eigh
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -58,7 +60,7 @@ from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
                      ValidationError)
 from .potentials import Cosine, PotentialModel
 from .reduction import EffectivePotential
-from .sweeps import SweepTable
+from .sweeps import SweepTable, write_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,9 +148,7 @@ class SpectrumResult:
             "units": self.units,
             "meta": self.meta,
         }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_json(path, payload)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -417,24 +417,13 @@ def _lowest_compact1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     dim = H.shape[0]
     if not (k <= dim / 4):
         raise ValidationError("k must be <= dimension/4")
-    off = H[np.triu_indices(dim, 2)]
-    tridiagonal = (np.max(np.abs(off)) < 1e-13 if off.size else True) and \
-        np.max(np.abs(H.imag)) < 1e-13
-    if tridiagonal:
-        w, vec = eigh_tridiagonal(H.real.diagonal().copy(),
-                                  np.diag(H.real, 1).copy(),
-                                  select="i", select_range=(0, k - 1))
-        res = np.linalg.norm(H.real @ vec - vec * w[None, :], axis=0)
-    else:
-        w_all, vec_all = eigh(H)
-        w, vec = w_all[:k], vec_all[:, :k]
-        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
+    w, vec = eigh(H, subset_by_index=(0, k - 1))
+    res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
     return SpectrumResult(
         eigenvalues=w, k=k, residual_norms=res,
         units=("E_C units, charge coefficient "
                f"{'1/2' if spec.charge_half_factor else '1 (printed form)'}"),
-        meta={"spec": spec.describe(), "dim": int(dim),
-              "solver": "tridiagonal" if tridiagonal else "dense"})
+        meta={"spec": spec.describe(), "dim": int(dim)})
 
 
 def phase_grid_spectrum(p: PotentialModel, lambdaJ: float, ng: float = 0.0,
@@ -609,92 +598,76 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     return phi, h_fast, phi1, c2
 
 
-def _frozen_fast_blocks(spec: HamiltonianSpec, m: int | None, k: int = 1):
-    """The m lowest eigenpairs (all of them for m None; m is capped at
-    dim_fast) of each frozen fast block B_i of
-    H = (slow FD4 kinetic) x I + blockdiag(B_i), for a solve of k pairs.
+def _two_mode(spec: HamiltonianSpec, k: int):
+    """The two-mode operator of either basis, assembled once per solve.
 
-    Returns eps (n_slow, m) ascending, chi (n_slow, dim_fast, m) with
-    orthonormal columns, the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2) and a
-    bound on max_i ||B_i||_inf for the Weyl margin. Extended blocks are
-    banded (select='i', LAPACK ?sbevx). Compact blocks are dense Hermitian
-    and diagonalized whole, since a full eigh costs about as much as its 32
-    lowest pairs; eps[:, 0] is then the same for every m.
+    H = (slow FD4 kinetic) x I + blockdiag(B_i), B_i the fast operator
+    frozen at slow grid point i. Returns the sparse grid operator H, sweep,
+    the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2), a bound on
+    max_i ||B_i||_inf for the Weyl margin, meta and units. sweep(m) gives
+    the m lowest eigenpairs of every B_i (m capped at dim_fast): eps
+    (n_slow, m) ascending and chi (n_slow, dim_fast, m) with orthonormal
+    columns. Extended blocks are banded and solved per call (select='i',
+    LAPACK ?sbevx). Compact blocks are dense Hermitian and diagonalized
+    whole here, since a full eigh costs about as much as its 32 lowest
+    pairs; sweep slices them, so eps[:, 0] is the same for every m.
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
         n_slow, dim_fast = x.size, y.size
-        m = dim_fast if m is None else min(m, dim_fast)
-        band = _fd4_bands(dim_fast, y[1] - y[0], 0.5)
+        h_slow, hy = x[1] - x[0], y[1] - y[0]
+        c_slow = 0.5 * float(spec.kappa)**2
+        H = sp.kron(_fd4_sparse(n_slow, h_slow, c_slow),
+                    sp.identity(dim_fast)) \
+            + sp.kron(sp.identity(n_slow), _fd4_sparse(dim_fast, hy, 0.5)) \
+            + sp.diags(V.ravel())
+        band = _fd4_bands(dim_fast, hy, 0.5)
         kin = band[0].copy()
-        eps = np.empty((n_slow, m))
-        chi = np.empty((n_slow, dim_fast, m))
-        for i in range(n_slow):
-            band[0] = kin + V[i]
-            eps[i], chi[i] = eig_banded(band, lower=True, select="i",
-                                        select_range=(0, m - 1))
         norm = float(np.max(np.abs(kin + V))
                      + 2.0 * np.sum(np.abs(band[1:, 0])))
-        slow = _fd4_bands(n_slow, x[1] - x[0], 0.5 * float(spec.kappa)**2)
+
+        def sweep(m):
+            m = min(m, dim_fast)
+            eps = np.empty((n_slow, m))
+            chi = np.empty((n_slow, dim_fast, m))
+            for i in range(n_slow):
+                band[0] = kin + V[i]
+                eps[i], chi[i] = eig_banded(band, lower=True, select="i",
+                                            select_range=(0, m - 1))
+            return eps, chi
+
+        meta = {"nx": n_slow, "ny": dim_fast, "hx": float(h_slow),
+                "hy": float(hy)}
+        units = "kappa^2*H/(hbar*omega_C) units (extended pair)"
     else:
         phi, h_fast, phi1, c2 = _compact_parts(spec, k)
         n_slow, dim_fast = phi.size, h_fast.shape[0]
-        m = dim_fast if m is None else min(m, dim_fast)
+        h_slow, c_slow = phi[1] - phi[0], float(spec.kappa)**4
+        sp_eye = sp.identity(dim_fast, dtype=complex)
+        H = sp.kron(_fd4_sparse(n_slow, h_slow, c_slow), sp_eye) \
+            + sp.kron(sp.diags(0.5 * c2 * phi**2), sp_eye) \
+            + sp.kron(sp.identity(n_slow), sp.csr_matrix(h_fast)) \
+            + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
         eye = np.eye(dim_fast)
-        eps = np.empty((n_slow, m))
-        chi = np.empty((n_slow, dim_fast, m), dtype=complex)
+        eps = np.empty((n_slow, dim_fast))
+        chi = np.empty((n_slow, dim_fast, dim_fast), dtype=complex)
         for i in range(n_slow):
             # B_i = h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c
-            w, v = eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
-                        - c2 * phi[i] * phi1)
-            eps[i], chi[i] = w[:m], v[:, :m]
+            eps[i], chi[i] = eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
+                                  - c2 * phi[i] * phi1)
         L_phi = float(phi[-1])
         norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
                      + 0.5 * c2 * L_phi**2
                      + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
-        slow = _fd4_bands(n_slow, phi[1] - phi[0], float(spec.kappa)**4)
-    return eps, chi, slow[:, 0], norm
 
+        def sweep(m):
+            return eps[:, :m], chi[:, :, :m]
 
-# the contracted solve starts at m = _FIRST_RUNG fast levels per slow point
-_FIRST_RUNG = 4
-
-
-def _regularized2d_extended(spec: HamiltonianSpec, k: int, blocks=None):
-    """Grid operator H, Weyl shift, meta and units of the extended pair.
-    The shift comes from the lowest level of every frozen fast block:
-    `blocks` from _frozen_fast_blocks, or the first rung swept here."""
-    x, y, V = _extended_parts(spec, k)
-    nx, ny = x.size, y.size
-    hx, hy = x[1] - x[0], y[1] - y[0]
-    H = sp.kron(_fd4_sparse(nx, hx, 0.5 * float(spec.kappa)**2),
-                sp.identity(ny)) \
-        + sp.kron(sp.identity(nx), _fd4_sparse(ny, hy, 0.5)) \
-        + sp.diags(V.ravel())
-    if blocks is None:
-        blocks = _frozen_fast_blocks(spec, _FIRST_RUNG + 1, k)
-    sigma = _weyl_shift(blocks[0][:, 0], ny, blocks[3])
-    meta = {"nx": nx, "ny": ny, "hx": float(hx), "hy": float(hy),
-            "sigma": sigma}
-    return H, sigma, meta, "kappa^2*H/(hbar*omega_C) units (extended pair)"
-
-
-def _regularized2d_compact(spec: HamiltonianSpec, k: int, blocks=None):
-    """As _regularized2d_extended, for the compact pair."""
-    phi, h_fast, phi1, c2 = _compact_parts(spec, k)
-    n_phi, dim_fast = phi.size, h_fast.shape[0]
-    h = phi[1] - phi[0]
-    eye = sp.identity(dim_fast, dtype=complex)
-    H = sp.kron(_fd4_sparse(n_phi, h, float(spec.kappa)**4), eye) \
-        + sp.kron(sp.diags(0.5 * c2 * phi**2), eye) \
-        + sp.kron(sp.identity(n_phi), sp.csr_matrix(h_fast)) \
-        + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
-    if blocks is None:
-        blocks = _frozen_fast_blocks(spec, _FIRST_RUNG + 1, k)
-    sigma = _weyl_shift(blocks[0][:, 0], dim_fast, blocks[3])
-    meta = {"n_phi": n_phi, "L_phi": float(phi[-1]),
-            "n_max_fast": dim_fast // 2, "h": float(h), "sigma": sigma}
-    return H, sigma, meta, "E'_C units (primed charging energy)"
+        meta = {"n_phi": n_slow, "L_phi": L_phi,
+                "n_max_fast": dim_fast // 2, "h": float(h_slow)}
+        units = "E'_C units (primed charging energy)"
+    slow = _fd4_bands(n_slow, h_slow, c_slow)[:, 0]
+    return H, sweep, slow, norm, meta, units
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -720,6 +693,8 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
     return _shift_invert_pairs(ab, sigma, npairs)
 
 
+# the contracted solve starts at m = _FIRST_RUNG fast levels per slow point
+_FIRST_RUNG = 4
 _LEVEL_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-8
 
@@ -727,23 +702,26 @@ _RESIDUAL_RTOL = 1e-8
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
         raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
-    extended = spec.basis_y == "extended"
+    H, sweep, slow, norm, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
-    # extended blocks are swept per rung, with one level above the rung for
-    # the guard below; compact blocks come whole from one sweep
-    blocks = _frozen_fast_blocks(spec, m + 1 if extended else None, k)
-    build = _regularized2d_extended if extended else _regularized2d_compact
-    H, sigma, meta, units = build(spec, k, blocks)
-    n_slow, dim_fast = blocks[1].shape[:2]
+    # every rung sweeps one block level above itself for the guard below
+    eps, chi = sweep(m + 1)
+    n_slow, dim_fast = chi.shape[:2]
     dim = n_slow * dim_fast
-    m = min(m, dim_fast)
+    sigma = _weyl_shift(eps[:, 0], dim_fast, norm)
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
         if m == dim_fast or n_slow * m >= 4 * (k + 1):
-            eps, chi = blocks[0][:, :m], blocks[1][:, :, :m]
-            w, c = _contracted_pairs(eps, chi, blocks[2], sigma, k + 1)
-            psi = np.matmul(chi, c.reshape(n_slow, m, -1)).reshape(dim, -1)
-            lifted = np.linalg.norm(H @ psi - psi * w[None, :], axis=0)
+            w, c = _contracted_pairs(eps[:, :m], chi[:, :, :m], slow, sigma,
+                                     k + 1)
+            psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
+                .reshape(dim, -1)
+            Hpsi = H @ psi
+            # the level is the Rayleigh quotient of the lifted vector, which
+            # rounds at eps*|w|; the banded Ritz value rounds at eps*||H||
+            w = np.sum(psi.conj() * Hpsi, axis=0).real \
+                / np.sum(psi.conj() * psi, axis=0).real
+            lifted = np.linalg.norm(Hpsi - psi * w[None, :], axis=0)
             # Kato-Temple: lambda_j >= w_j - |r_j|^2 / (w_j+1 - |r_j+1| - w_j)
             gap = w[1:] - lifted[1:] - w[:-1]
             bracket = np.divide(lifted[:-1]**2, gap, out=np.full(k, np.inf),
@@ -753,17 +731,17 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
             # guard: without non-adiabatic coupling no state built on a
             # discarded fast level lies below the lowest discarded block level
             scale = max(1.0, float(np.max(np.abs(w[:k]))))
-            if w[k] < np.min(blocks[0][:, m]) and np.all(
+            if w[k] < np.min(eps[:, m]) and np.all(
                     bracket <= _LEVEL_RTOL * np.maximum(1.0, np.abs(w[:k]))) \
                     and np.all(lifted[:k] <= _RESIDUAL_RTOL * scale):
                 break
         # a doubled m above half the fast axis becomes the whole axis, which
         # is exact and ends the ladder one solve sooner
         m = dim_fast if 4 * m > dim_fast else 2 * m
-        if extended:
-            blocks = _frozen_fast_blocks(spec, m + 1, k)
-    meta.update(shift_gap=float(w[0] - sigma), spec=spec.describe(),
-                dim=int(dim), m=int(m), contracted_dim=int(n_slow * m),
+        eps, chi = sweep(m + 1)
+    meta.update(sigma=sigma, shift_gap=float(w[0] - sigma),
+                spec=spec.describe(), dim=int(dim), m=int(m),
+                contracted_dim=int(n_slow * m),
                 bracket=[float(b) for b in bracket],
                 lifted_residuals=[float(v) for v in lifted[:k]])
     return SpectrumResult(eigenvalues=w[:k], k=k, residual_norms=lifted[:k],
@@ -776,12 +754,15 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     Extended1D/FastAtX: shift-invert Lanczos on a banded Cholesky from the
     certified Weyl shift, with a Cholesky certificate for the ground level
     (see _solve_banded); meta records sigma and shift_gap = lambda_0 -
-    sigma. Compact1D: tridiagonal or dense. Residual norms ||Hv - Ev||
-    (unit-norm v) ride along in the result.
+    sigma. Compact1D: dense Hermitian eigh of the k lowest levels.
+    Residual norms ||Hv - Ev|| (unit-norm v) ride along in the result.
 
     2D: contracted adiabatic basis (see the module docstring). The levels
-    are Ritz values, upper bounds on the grid levels, and residual_norms
-    are grid residuals of the lifted vectors, as for the other variants.
+    are the Rayleigh quotients of the lifted Ritz vectors: in exact
+    arithmetic the Ritz values, upper bounds on the grid levels, but
+    rounded at eps*|E| where the banded Ritz values round at eps*||H||.
+    residual_norms are grid residuals of the lifted vectors, as for the
+    other variants.
     meta['bracket'][j] = ||r_j||^2 / (E_j+1 - ||r_j+1|| - E_j) is the
     Kato-Temple width: the grid level lies in [E_j - bracket_j, E_j]
     provided no grid level between E_j and E_j+1 is missing from the
@@ -943,8 +924,8 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
 # kappa sweeps and convention contrasts
 
 
-def _default_2d_grids(basis: str, kappa: float, xi: float, lam: float,
-                      coef: float) -> dict:
+def _default_2d_grids(basis: str, kappa: float, xi: float,
+                      lam: float) -> dict:
     beta = lam / xi**2
     if basis == "extended":
         sigma_x = ((1.0 + beta) / max(beta, 1e-6))**0.25 / math.sqrt(2.0)
@@ -973,12 +954,10 @@ def spectrum_vs_kappa(p: PotentialModel, xi: float, lambdaJ: float,
     kappas = np.asarray(kappas, dtype=float)
     if np.any(kappas <= 0):
         raise ValidationError("kappas must be > 0")
-    coef = 0.5 if charge_half_factor else 1.0
     rows = []
     for kap in kappas:
         for basis in bases:
-            grid = dict(_default_2d_grids(basis, float(kap), xi, lambdaJ,
-                                          coef))
+            grid = _default_2d_grids(basis, float(kap), xi, lambdaJ)
             if grids and basis in grids:
                 grid.update(grids[basis])
             spec = HamiltonianSpec(

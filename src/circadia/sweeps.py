@@ -8,6 +8,14 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 
 
+def write_json(path: str, payload: dict) -> None:
+    """The one JSON file format of the package: sorted keys, indent 1 and a
+    final newline, so reruns are byte-identical."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, sort_keys=True, indent=1)
+        f.write("\n")
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value)
@@ -59,6 +67,4 @@ class SweepTable:
             "units": self.units,
             "meta": self.meta,
         }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_json(path, payload)
