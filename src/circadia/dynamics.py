@@ -25,7 +25,8 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
-from .potentials import BiasedCosine, Cosine, PotentialModel
+from .potentials import (BiasedCosine, Cosine, PotentialModel,
+                         _piecewise_cubic)
 from .reduction import (_reduced_values, invertibility_threshold,
                         solve_branch_extended)
 
@@ -232,7 +233,16 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     the same potential; it stands in for the comparison's own integration
     when it is that trajectory: same circuit ratios, start
     (x0, px0, kappa*eta1(x0), 0), t_end and step. Any other record is
-    ignored and the trajectory integrated here."""
+    ignored and the trajectory integrated here.
+
+    The reduced flow is its own one-degree-of-freedom kick-drift-kick, not
+    _leapfrog, since the reduced system has no y mode. It takes substeps
+    of at most 0.01 between the record's sample times. Its force V'(x) is
+    a cubic spline of V' on 8192 points over a span the energy bound keeps
+    the trajectory inside, read one point at a time by the scalar
+    evaluator of the potentials module (equal to the spline's own call bit
+    for bit), once per substep: the force that closes a substep opens the
+    next one."""
     y0 = _manifold_y0(rc, p, x0, "reduced dynamics")
     slow_period = _slow_period(rc)
     if t_end is None:
@@ -260,7 +270,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
     span = vmax_speed * t_end + 2.0 * TWO_PI * sqxi
     xs = np.linspace(x0 - span, x0 + span, 8192)
-    vp = CubicSpline(xs, reduced(xs)[1])
+    vp = _piecewise_cubic(CubicSpline(xs, reduced(xs)[1]), 0)
 
     times = full.times
     n = times.size
@@ -268,14 +278,16 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     x_red[0] = x0
     coef_force = rc.kappa**2 / rc.xi
     x, px = x0, px0
+    force = vp(x)
     for i in range(1, n):
         seg = float(times[i] - times[i - 1])
         m = max(1, int(math.ceil(seg / 0.01)))
         h = seg / m
         for _ in range(m):
-            px -= 0.5 * h * coef_force * float(vp(x))
+            px -= 0.5 * h * coef_force * force
             x += h * rc.kappa**2 * px
-            px -= 0.5 * h * coef_force * float(vp(x))
+            force = vp(x)  # closes this substep and opens the next
+            px -= 0.5 * h * coef_force * force
         x_red[i] = x
     dev = float(np.max(np.abs(full.states[:, 0] - x_red)))
     return ShadowComparison(times=times, x_full=full.states[:, 0].copy(),

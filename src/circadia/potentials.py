@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -185,7 +186,16 @@ class Custom(PotentialModel):
             raise ValidationError("phi samples must be strictly increasing")
         self.support = (float(phi_samples[0]), float(phi_samples[-1]))
         self._spline = CubicSpline(phi_samples, u_samples, bc_type="natural")
+        self._scalar = _scalar_evaluators(self._spline)
         super().__init__(class_tag)
+
+    def __getstate__(self):
+        # the scalar evaluators are closures, which do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_scalar"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._scalar = _scalar_evaluators(self._spline)
 
     @classmethod
     def from_csv(cls, path: str, class_tag: str = "Unclassified") -> "Custom":
@@ -201,13 +211,56 @@ class Custom(PotentialModel):
         return model
 
     def _eval(self, phi, order: int):
-        arr = np.asarray(phi, dtype=float)
         lo, hi = self.support
+        if isinstance(phi, (float, np.floating)):
+            # one point: no numpy call; a NaN passes both tests, as below
+            q = float(phi)
+            if q < lo or q > hi:
+                raise self._extrapolation()
+            return self._scalar[order](q)
+        arr = np.asarray(phi, dtype=float)
         if np.any(arr < lo) or np.any(arr > hi):
-            raise ValidationError(
-                f"extrapolation: argument outside tabulated range [{lo}, {hi}]")
+            raise self._extrapolation()
         out = self._spline(arr, nu=order)
         return out if out.ndim else float(out)
+
+    def _extrapolation(self) -> ValidationError:
+        lo, hi = self.support
+        return ValidationError(
+            f"extrapolation: argument outside tabulated range [{lo}, {hi}]")
+
+
+def _piecewise_cubic(spline: CubicSpline, nu: int):
+    """float(spline(q, nu)) for one float q, bit for bit, without numpy.
+
+    Interval search as scipy's with extrapolate=True (the end pieces
+    continue outside the table); the power terms are summed in the order of
+    scipy's PPoly evaluation (lowest power first, not Horner's rule), so the
+    rounding is the same.
+    """
+    x = spline.x.tolist()
+    last = len(x) - 2
+    k = spline.c.shape[0]
+    terms = [(spline.c[k - 1 - kp].tolist(), float(math.perm(kp, nu)))
+             for kp in range(nu, k)]
+
+    def evaluate(q: float) -> float:
+        i = bisect_right(x, q) - 1
+        i = 0 if i < 0 else last if i > last else i
+        s = q - x[i]
+        res = 0.0
+        z = 1.0
+        for row, prefactor in terms:
+            res = res + row[i] * z * prefactor
+            z *= s
+        return res
+
+    return evaluate
+
+
+def _scalar_evaluators(spline: CubicSpline):
+    """(u, u', u'') of a spline as scalar evaluators, indexed by order."""
+    return tuple(_piecewise_cubic(spline, nu) for nu in (0, 1, 2))
 
 
 class ClassificationReport:

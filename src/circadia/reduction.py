@@ -110,6 +110,34 @@ def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
     raise ConvergenceError("bisection stalled", detail=(lo, hi))
 
 
+def _bisect_lanes(fun, lo: np.ndarray, hi: np.ndarray,
+                  flo: np.ndarray) -> np.ndarray:
+    """_bisect_scalar on many brackets at once, with its stop rule per lane.
+
+    fun maps an array of points to f; f(lo) and f(hi) have opposite signs
+    and neither is zero. Each step evaluates fun once, on the midpoints of
+    the lanes still open, so every lane ends where _bisect_scalar would.
+    """
+    out = np.empty_like(lo)
+    lane = np.arange(lo.size)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fun(mid)
+        done = (np.abs(fm) < RESIDUAL_TOL) \
+            | ((hi - lo) < 1e-16 * np.maximum(1.0, np.abs(mid)))
+        out[lane[done]] = mid[done]
+        keep = ~done
+        if not np.any(keep):
+            return out
+        up = (flo < 0.0) == (fm < 0.0)
+        lo = np.where(up, mid, lo)[keep]
+        flo = np.where(up, fm, flo)[keep]
+        hi = np.where(up, hi, mid)[keep]
+        lane = lane[keep]
+    raise ConvergenceError("bisection stalled",
+                           detail=(float(lo[0]), float(hi[0])))
+
+
 def solve_consistency(p: PotentialModel, beta: float, phi: float,
                       window: tuple[float, float]) -> BranchSolution:
     """All real roots of phi = phi_c + beta*u'(phi_c) inside the window.
@@ -118,7 +146,9 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
     below 1e-12. Cells that could hide an unresolved root pair (|f| dipping
     under the local Lipschitz reach without a sign change) are subdivided
     128-fold, up to four levels deep; a cell still ambiguous at the deepest
-    level raises UnresolvedClusterError.
+    level raises UnresolvedClusterError. A run of samples with |f| < 1e-12
+    is one candidate: one root when f changes sign across it, and
+    UnresolvedClusterError (a tangent double root) when it does not.
     """
     if beta < 0:
         raise ValidationError("beta must be >= 0")
@@ -140,58 +170,91 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
         return c + beta * float(p.du(c)) - phi
 
     lip = np.maximum(np.abs(jac[:-1]), np.abs(jac[1:])) + 1.0
-    roots = _dedupe(_scan(F, f, grid, lip, 0), (grid[1] - grid[0]) * 1e-6)
+    roots = _scan(F, f, grid[None, :], lip, 0)
     ordered = _order_roots(roots, phi, p.period if p.is_periodic else None)
     invertible = jacobian_min > 0.0
     return BranchSolution(drive_phi=float(phi), roots=tuple(ordered),
                           invertible=invertible, jacobian_min=jacobian_min)
 
 
-def _scan(F, f, x: np.ndarray, lip, depth: int) -> list[float]:
-    """Roots of f on the sample points x, refining suspicious cells.
+def _scan(F, f, X: np.ndarray, lip, depth: int) -> list[float]:
+    """Roots of f on the rows of sample points X, refining suspicious cells.
 
-    F evaluates f on an array, f on one point (for bisection). lip is the
-    Lipschitz reach per cell of x, or one value for all of them. The top grid
-    (depth 0) refines every suspicious cell; a refinement level returns as
-    soon as it finds a root, and one left with only suspicious cells at depth
-    _MAX_DEPTH raises UnresolvedClusterError.
+    F evaluates f on an array, f on one point (for bisection). X holds one
+    row, the top grid, at depth 0, and below it the refinements of one
+    row's suspicious cells, evaluated together. lip is the Lipschitz reach
+    per cell. The top grid refines every suspicious cell; a refined row
+    stops as soon as it finds a root, and one left with only suspicious
+    cells at depth _MAX_DEPTH raises UnresolvedClusterError. The rows are
+    searched in order, depth first, so the first error met is the one a
+    row-by-row search would meet.
     """
-    fx = F(x)
-    flo, fhi = fx[:-1], fx[1:]
+    FX = F(X)
+    flo, fhi = FX[:, :-1], FX[:, 1:]
     # The residual contract (|f| < 1e-12) accepts a near-zero sample as a
-    # root outright; requiring an exact 0.0 would leave the same-sign
-    # neighbor cell of such a sample suspicious at every depth.
-    near = np.abs(fx) < ZERO_TOL
-    change = ~near[:-1] & (flo * fhi < 0.0)
+    # root outright, but a tangency leaves a band of them (about 2e-6 wide
+    # for u = -cos at beta = 2): each run of near-zero samples is one
+    # candidate, and the cells that touch it are the run's.
+    near = np.abs(FX) < ZERO_TOL
+    clear = ~near[:, :-1] & ~near[:, 1:]
+    change = clear & (flo * fhi < 0.0)
     # Same-sign cell: a root pair can hide only if |f| dips below the
     # cell's Lipschitz reach.
     lip = np.broadcast_to(lip, flo.shape)
-    suspicious = ~near[:-1] & ~change & (
-        np.minimum(np.abs(flo), np.abs(fhi)) < (x[1] - x[0]) * lip)
-    roots = x[near].tolist() + [
-        _bisect_scalar(f, float(x[i]), float(x[i + 1]),
-                       float(fx[i]), float(fx[i + 1]))
-        for i in np.flatnonzero(change)]
-    cells = np.flatnonzero(suspicious)
-    if depth and (roots or not cells.size):
-        return roots
-    if depth == _MAX_DEPTH:
-        raise UnresolvedClusterError(
-            "unresolved cluster: |residual| stays at "
-            f"{float(np.min(np.abs(fx)))!r} without a sign change",
-            bracket=(float(x[0]), float(x[-1])))
-    for i in cells:
-        roots += _scan(F, f, np.linspace(x[i], x[i + 1], _REFINE_FACTOR + 1),
-                       lip[i], depth + 1)
+    suspicious = clear & ~change & (np.minimum(np.abs(flo), np.abs(fhi))
+                                    < (X[:, 1:2] - X[:, :1]) * lip)
+    busy = near.any(axis=1) | change.any(axis=1)
+    roots: list[float] = []
+    for r in np.flatnonzero(busy | suspicious.any(axis=1)):
+        x, fx = X[r], FX[r]
+        if busy[r]:
+            edges = np.diff(near[r].astype(np.int8), prepend=0, append=0)
+            roots += [_run_root(f, x, fx, a, b) for a, b in
+                      zip(np.flatnonzero(edges == 1),
+                          np.flatnonzero(edges == -1) - 1)]
+            roots += [_bisect_scalar(f, float(x[i]), float(x[i + 1]),
+                                     float(fx[i]), float(fx[i + 1]))
+                      for i in np.flatnonzero(change[r])]
+            if depth:
+                continue
+        cells = np.flatnonzero(suspicious[r])
+        if not cells.size:
+            continue
+        if depth == _MAX_DEPTH:
+            raise UnresolvedClusterError(
+                "unresolved cluster: |residual| stays at "
+                f"{float(np.min(np.abs(fx)))!r} without a sign change",
+                bracket=(float(x[0]), float(x[-1])))
+        # np.linspace(lo, hi, _REFINE_FACTOR + 1) per cell, bit for bit
+        lo, hi = x[cells, None], x[cells + 1, None]
+        sub = np.arange(_REFINE_FACTOR + 1.0) * ((hi - lo) / _REFINE_FACTOR)
+        sub += lo
+        sub[:, -1] = hi[:, 0]
+        roots += _scan(F, f, sub, lip[r, cells, None], depth + 1)
     return roots
 
 
-def _dedupe(roots: list[float], tol: float) -> list[float]:
-    out: list[float] = []
-    for r in sorted(roots):
-        if not out or r - out[-1] > tol:
-            out.append(r)
-    return out
+def _run_root(f, x: np.ndarray, fx: np.ndarray, a: int, b: int) -> float:
+    """The one root of the run x[a..b] of near-zero samples of f.
+
+    Inside the samples, f must change sign between the run's neighbours:
+    a run of one is its own sample, a longer run is bisected between the
+    neighbours. Without a sign change the run is a tangent double root (or
+    a pair too close to split), refused as UnresolvedClusterError. A run at
+    the window's edge has no neighbour on that side; its sample of least
+    |f| is the root.
+    """
+    if a == 0 or b == x.size - 1:
+        return float(x[a + int(np.argmin(np.abs(fx[a:b + 1])))])
+    if (fx[a - 1] < 0.0) == (fx[b + 1] < 0.0):
+        raise UnresolvedClusterError(
+            f"tangent root: |residual| < {ZERO_TOL!r} on "
+            f"[{float(x[a])!r}, {float(x[b])!r}] without a sign change "
+            "across it", bracket=(float(x[a]), float(x[b])))
+    if a == b:
+        return float(x[a])
+    return _bisect_scalar(f, float(x[a - 1]), float(x[b + 1]),
+                          float(fx[a - 1]), float(fx[b + 1]))
 
 
 def _order_roots(roots: list[float], drive: float,
@@ -377,23 +440,26 @@ def _reduced_values(p: PotentialModel, rc: ReducedCircuit, phi_c: np.ndarray,
 
 
 def _locate_minima(p, rc, basis, coords, Vp, Vpp, scale):
-    """Minima via sign changes (or exact zeros) of V' along the grid."""
+    """Minima via sign changes (or exact zeros) of V' along the grid.
 
-    def slope(c: float) -> float:  # V' from u' alone, once per bisection step
-        pc = _branch_phase(p, rc, basis, np.array([c]))[0]
-        return rc.lambdaJ * float(p.du(pc)) * scale
+    The sign-change cells are bisected together: each step makes one
+    branch solve over the midpoints of the cells still open.
+    """
 
-    minima: list[tuple[float, float]] = []
-    for i in range(coords.size):
-        if Vp[i] == 0.0:
-            if Vpp[i] > 0.0:
-                minima.append((float(coords[i]), float(Vpp[i])))
-        elif i + 1 < coords.size and Vp[i] < 0.0 < Vp[i + 1]:
-            loc = _bisect_scalar(slope, float(coords[i]), float(coords[i + 1]),
-                                 float(Vp[i]), float(Vp[i + 1]))
-            pc = _branch_phase(p, rc, basis, np.array([loc]))
-            minima.append((loc, float(_reduced_values(p, rc, pc, scale)[2][0])))
-    return minima
+    def slope(c: np.ndarray) -> np.ndarray:  # V' from u' alone
+        pc = _branch_phase(p, rc, basis, c)
+        return rc.lambdaJ * np.asarray(p.du(pc), dtype=float) * scale
+
+    found = {int(i): (float(coords[i]), float(Vpp[i]))
+             for i in np.flatnonzero((Vp == 0.0) & (Vpp > 0.0))}
+    cells = np.flatnonzero((Vp[:-1] < 0.0) & (0.0 < Vp[1:]))
+    if cells.size:
+        locs = _bisect_lanes(slope, coords[cells], coords[cells + 1],
+                             Vp[cells])
+        pc = _branch_phase(p, rc, basis, locs)
+        curv = _reduced_values(p, rc, pc, scale)[2]
+        found.update(zip(cells.tolist(), zip(locs.tolist(), curv.tolist())))
+    return [found[i] for i in sorted(found)]
 
 
 def crosscheck_bases(p: PotentialModel, rc: ReducedCircuit,

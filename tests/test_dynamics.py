@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from circadia import (
     BiasedCosine,
@@ -19,6 +20,7 @@ from circadia import (
     slow_manifold_residual,
 )
 from circadia.dynamics import _slow_period
+from circadia.potentials import _piecewise_cubic
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
 
@@ -203,3 +205,60 @@ def test_shadow_report_integrates_the_trajectory_once(monkeypatch,
     with pytest.raises(AssertionError, match="again"):
         circadia.cli.main(argv[:-1] + [str(tmp_path / "short"),
                                        "--t-end", "5"])
+
+
+def _traced_reduced_flow(monkeypatch, p):
+    """A shadow run whose force spline is kept and whose force calls are
+    counted; dt=0.008 over t=400 records every third step, so segments
+    take three substeps and the last one two."""
+    import circadia.dynamics
+
+    splines, calls = [], []
+
+    def tracing(spline, nu):
+        evaluate = _piecewise_cubic(spline, nu)
+        splines.append(spline)
+
+        def counted(q):
+            calls.append(q)
+            return evaluate(q)
+        return counted
+
+    monkeypatch.setattr(circadia.dynamics, "_piecewise_cubic", tracing)
+    rc = ReducedCircuit.from_ratios(0.2, 1.0, 0.5)
+    cmp_ = shadow_reduced_dynamics(rc, p, 1.0, 0.0, t_end=400.0, dt=0.008)
+    (spline,) = splines
+    return rc, cmp_, spline, calls
+
+
+def _substeps(times):
+    return [max(1, int(math.ceil(float(seg) / 0.01)))
+            for seg in np.diff(times)]
+
+
+@pytest.mark.parametrize("p", [Cosine(), BiasedCosine(0.4)],
+                         ids=lambda p: p.kind)
+def test_reduced_flow_matches_the_spline_called_per_half_kick(monkeypatch,
+                                                              p):
+    rc, cmp_, spline, _ = _traced_reduced_flow(monkeypatch, p)
+    assert isinstance(spline, CubicSpline)
+    # oracle: the spline's own call, twice per kick-drift-kick substep
+    coef_force = rc.kappa**2 / rc.xi
+    x, px = 1.0, 0.0
+    oracle = [x]
+    for seg, m in zip(np.diff(cmp_.times), _substeps(cmp_.times)):
+        h = float(seg) / m
+        for _ in range(m):
+            px -= 0.5 * h * coef_force * float(spline(x))
+            x += h * rc.kappa**2 * px
+            px -= 0.5 * h * coef_force * float(spline(x))
+        oracle.append(x)
+    assert np.array_equal(cmp_.x_reduced, np.array(oracle))
+    assert cmp_.max_deviation < 0.05
+
+
+def test_reduced_flow_evaluates_the_force_once_per_substep(monkeypatch):
+    _, cmp_, _, calls = _traced_reduced_flow(monkeypatch, Cosine())
+    substeps = _substeps(cmp_.times)
+    assert set(substeps) == {2, 3}
+    assert len(calls) == sum(substeps) + 1

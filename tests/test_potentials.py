@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from circadia import (
     BiasedCosine,
@@ -13,6 +15,7 @@ from circadia import (
     ValidationError,
     classify_asymptotics,
 )
+from circadia.potentials import _piecewise_cubic
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +92,60 @@ def test_custom_refuses_extrapolation_and_unsorted_grids(tmp_path):
     q = Custom.from_csv(str(csv))
     probe = np.linspace(0.5, 5.5, 200)
     assert np.max(np.abs(q.u(probe) - p.u(probe))) < 1e-12
+
+
+@given(gaps=st.lists(st.floats(0.01, 2.0), min_size=3, max_size=40),
+       seed=st.integers(0, 2**32 - 1),
+       bc_type=st.sampled_from(["natural", "not-a-knot"]))
+def test_scalar_spline_evaluator_matches_scipy_bit_for_bit(gaps, seed,
+                                                          bc_type):
+    knots = np.concatenate([[-1.0], -1.0 + np.cumsum(gaps)])
+    rng = np.random.default_rng(seed)
+    spline = CubicSpline(knots, rng.normal(size=knots.size) * 10.0**rng
+                         .uniform(-3.0, 3.0), bc_type=bc_type)
+    lo, hi = float(knots[0]), float(knots[-1])
+    probes = np.concatenate([
+        knots,                                   # every knot, both ends
+        0.5 * (knots[:-1] + knots[1:]),
+        np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        rng.uniform(lo, hi, 32),
+        [lo - 2.5, lo - 1e-3, hi + 1e-3, hi + 2.5],  # outside the table
+    ]).tolist()
+    for nu in (0, 1, 2):
+        evaluate = _piecewise_cubic(spline, nu)
+        got = np.array([evaluate(q) for q in probes])
+        want = np.array([float(spline(q, nu)) for q in probes])
+        assert got.tobytes() == want.tobytes(), nu
+
+
+def test_custom_scalar_path_matches_the_array_path():
+    phi = np.linspace(-2.0, 2.0, 41)**3   # non-uniform knots
+    p = Custom(phi, np.cos(phi) + 0.1 * phi)
+    lo, hi = p.support
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([phi, rng.uniform(lo, hi, 64)])
+    for order in (0, 1, 2):
+        whole = p.eval(pts, order)
+        one = [p.eval(q, order) for q in pts.tolist()]
+        assert all(type(v) is float for v in one)
+        assert np.array(one).tobytes() == whole.tobytes()
+        assert p.eval(np.float64(pts[5]), order) == whole[5]
+        assert p.eval(np.float32(0.5), order) == p.eval(np.array(
+            np.float32(0.5)), order)
+    for bad in (lo - 1e-12, hi + 1e-12, np.float64(hi + 1.0)):
+        with pytest.raises(ValidationError) as scalar:
+            p.du(bad)
+        with pytest.raises(ValidationError) as array:
+            p.du(np.array([bad]))
+        assert str(scalar.value) == str(array.value)
+    # a NaN is evaluated, not refused, on both paths
+    assert math.isnan(p.du(float("nan")))
+    assert math.isnan(p.du(np.float64("nan")))
+    assert np.isnan(p.du(np.array([float("nan")]))[0])
+    # the scalar evaluators are rebuilt after pickling (bo-sweep --jobs)
+    restored = pickle.loads(pickle.dumps(p))
+    assert [restored.du(q) for q in pts.tolist()] == [p.du(q) for q in
+                                                       pts.tolist()]
 
 
 def test_eval_rejects_unknown_order():

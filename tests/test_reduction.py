@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from circadia import (
     solve_branch_compact,
     solve_consistency,
 )
+from circadia.reduction import (_bisect_scalar, _branch_phase, _coordinates,
+                                _locate_minima, _reduced_values)
 
 TWO_PI = 2.0 * math.pi
 WINDOW = (0.0, TWO_PI)
@@ -242,3 +245,82 @@ def test_branch_table_rows_match_the_closed_form_in_both_bases():
         assert Vx == pytest.approx(V, rel=1e-12, abs=1e-12)
         assert Vpx == pytest.approx(Vp / sqxi, rel=1e-12, abs=1e-12)
         assert Vppx == pytest.approx(Vpp / rc.xi, rel=1e-12, abs=1e-12)
+
+
+def _minima_per_cell(p, rc, basis, coords, Vp, Vpp, scale):
+    """Reference: one _bisect_scalar per sign-change cell of V'."""
+
+    def slope(c):
+        pc = _branch_phase(p, rc, basis, np.array([c]))[0]
+        return rc.lambdaJ * float(p.du(pc)) * scale
+
+    minima = []
+    for i in range(coords.size):
+        if Vp[i] == 0.0:
+            if Vpp[i] > 0.0:
+                minima.append((float(coords[i]), float(Vpp[i])))
+        elif i + 1 < coords.size and Vp[i] < 0.0 < Vp[i + 1]:
+            loc = _bisect_scalar(slope, float(coords[i]),
+                                 float(coords[i + 1]), float(Vp[i]),
+                                 float(Vp[i + 1]))
+            pc = _branch_phase(p, rc, basis, np.array([loc]))
+            minima.append((loc, float(_reduced_values(p, rc, pc,
+                                                      scale)[2][0])))
+    return minima
+
+
+@pytest.mark.parametrize("basis", ["CompactPhi", "ExtendedX"])
+def test_batched_minima_match_the_per_cell_bisection(basis):
+    rc = ReducedCircuit.from_ratios(0.3, 4.0, 9.6)  # beta = 0.6
+    p = BiasedCosine(0.7)
+    phis = np.linspace(-7.0 * math.pi, 7.0 * math.pi, 2049)
+    coords, scale = _coordinates(
+        rc, basis, phis if basis == "CompactPhi" else math.sqrt(rc.xi) * phis)
+    pot = effective_potential(p, rc, basis, coords)
+    assert len(pot.minima) == 7
+    assert pot.minima == _minima_per_cell(p, rc, basis, coords, pot.Vp,
+                                          pot.Vpp, scale)
+    # an exact zero of V' at the left end of the third well's cell
+    cell = np.flatnonzero((pot.Vp[:-1] < 0.0) & (pot.Vp[1:] > 0.0))[2]
+    Vp = pot.Vp.copy()
+    Vp[cell] = 0.0
+    got = _locate_minima(p, rc, basis, coords, Vp, pot.Vpp, scale)
+    assert got == _minima_per_cell(p, rc, basis, coords, Vp, pot.Vpp, scale)
+    assert got[2] == (float(coords[cell]), float(pot.Vpp[cell]))
+    assert got[:2] + got[3:] == pot.minima[:2] + pot.minima[3:]
+
+
+def test_fold_sweeps_give_the_branch_count_or_refuse():
+    # f(c) = c + beta*sin(c) - drive has a maximum at c* = acos(-1/beta)
+    # and a minimum at 2pi - c*; the drive that puts either on zero is a
+    # fold, with 3 roots on one side of it and 1 on the other.
+    beta = 2.0
+    c_star = math.acos(-1.0 / beta)
+    lift = beta * math.sin(c_star)
+    folds = [(c_star + lift, c_star, -1.0),
+             (TWO_PI - c_star - lift, TWO_PI - c_star, 1.0)]
+    offsets = [0.0, 5e-13, -5e-13] + [
+        sign * 10.0**-e for e in range(6, 14) for sign in (1.0, -1.0)]
+    rc = ReducedCircuit.from_ratios(0.3, 1.0, beta)
+    for fold, tangency, three_side in folds:
+        resolved = {}
+        for offset in offsets:
+            try:
+                sol = solve_consistency(Cosine(), beta, fold + offset, WINDOW)
+            except UnresolvedClusterError as err:
+                lo, hi = err.bracket
+                assert abs(0.5 * (lo + hi) - tangency) < 1e-5
+                continue
+            assert offset != 0.0
+            assert len(sol.roots) == (3 if offset * three_side > 0 else 1)
+            resolved[fold + offset] = len(sol.roots)
+        assert {3, 1} <= set(resolved.values())
+        drives = np.array(sorted(resolved))
+        coords, rows = branch_table(Cosine(), rc, "CompactPhi", drives)
+        per_drive = Counter(row[0] for row in rows)
+        assert [per_drive[c] for c in coords.tolist()] == [
+            resolved[c] for c in drives.tolist()]
+        assert all(row[4] == per_drive[row[0]] for row in rows)
+        with pytest.raises(UnresolvedClusterError):
+            branch_table(Cosine(), rc, "CompactPhi",
+                         np.array([fold - 1e-3, fold]))
