@@ -409,6 +409,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    for flag in ("x0", "px0", "y0", "py0", "t_end", "dt"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be finite, got {value}")
     rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     t_end = args.t_end if args.t_end is not None else 2.0 * _slow_period(rc)

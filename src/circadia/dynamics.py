@@ -9,7 +9,9 @@ Equations of motion of the separable dimensionless Hamiltonian
     y' = p_y                  p_y' = kappa x - y
                                      - kappa (lambda_J/xi^(3/2)) u'(y/(kappa sqrt(xi)))
 
-integrated with leapfrog (kick-drift-kick). The fast mode has period
+integrated with leapfrog (kick-drift-kick) at one force evaluation per
+step: the half-kick that closes a step is the one that opens the next
+(first same as last). The fast mode has period
 close to 2*pi in this time unit; the slow mode moves at O(kappa^2). Time is
 in 1/omega_C units and energies in kappa^2*H/(hbar*omega_C) units,
 matching the extended-basis 2D quantum operator.
@@ -29,6 +31,7 @@ from .potentials import (BiasedCosine, Cosine, PotentialModel,
                          _piecewise_cubic)
 from .reduction import (_reduced_values, invertibility_threshold,
                         solve_branch_extended)
+from .sweeps import float_rows
 
 TWO_PI = 2.0 * math.pi
 _RECORD_CAP = 16384
@@ -58,36 +61,54 @@ class TrajectoryRecord:
                     "(regularized coordinates); E in kappa^2*H/(hbar*omega_C) "
                     "units\n")
             f.write("t,x,p_x,y,p_y,E\n")
-            for t, s, e in zip(self.times, self.states, self.energy):
-                f.write(f"{float(t)!r},{float(s[0])!r},{float(s[1])!r},"
-                        f"{float(s[2])!r},{float(s[3])!r},{float(e)!r}\n")
+            for t, x, px, y, py, e in float_rows(self.times, *self.states.T,
+                                                 self.energy):
+                f.write(f"{t!r},{x!r},{px!r},{y!r},{py!r},{e!r}\n")
 
 
 def _leapfrog(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
               inv_scale, du):
-    idx = 1
-    for s in range(nsteps):
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        py += 0.5 * dt * (kappa * x - y - cgrad * float(du(y * inv_scale)))
-        x += dt * kappa * kappa * px
-        y += dt * py
-        px += 0.5 * dt * kappa * (y - kappa * x)
-        py += 0.5 * dt * (kappa * x - y - cgrad * float(du(y * inv_scale)))
-        if (s + 1) % stride == 0:
-            rec[idx] = (x, px, y, py)
-            idx += 1
-    return x, px, y, py
+    """nsteps kick-drift-kick steps of dt from (x, px, y, py), writing the
+    state after every stride-th step to rec[1], rec[2], ... and, when
+    stride does not divide nsteps, the final state to the row after them.
+    du is u' as a callable returning a Python float (_scalar_force).
+
+    Each half-kick increment is computed once: the kick that closes a step
+    acts at the (x, y) where the next step opens, so it opens that step
+    too (first same as last), and a run takes nsteps + 1 force calls. The
+    step constants are grouped as the inline products 0.5*dt*kappa*(...),
+    0.5*dt*(...) and dt*kappa*kappa*px are, left to right, so trajectories
+    equal those of evaluating the force at both half-kicks bit for bit.
+    """
+    hk = 0.5 * dt * kappa
+    h = 0.5 * dt
+    dkk = dt * kappa * kappa
+    kx = hk * (y - kappa * x)
+    ky = h * (kappa * x - y - cgrad * du(y * inv_scale))
+    full, rem = divmod(nsteps, stride)
+    for idx, n in enumerate([stride] * full + ([rem] if rem else []), 1):
+        for _ in range(n):
+            px += kx
+            py += ky
+            x += dkk * px
+            y += dt * py
+            kx = hk * (y - kappa * x)
+            ky = h * (kappa * x - y - cgrad * du(y * inv_scale))
+            px += kx
+            py += ky
+        rec[idx] = (x, px, y, py)
 
 
 def _scalar_force(p: PotentialModel, rc: ReducedCircuit):
-    """u' for the kernel: math.sin for the cosine family (p.du would run a
-    numpy ufunc per scalar), and never p.du at lambdaJ=0, where the force is
-    zero and a tabulated u' would refuse arguments outside its table."""
+    """u' for the kernel as a callable that returns a Python float: math.sin
+    for the cosine family (p.du would run a numpy ufunc per scalar), and
+    never p.du at lambdaJ=0, where the force is zero and a tabulated u'
+    would refuse arguments outside its table."""
     if rc.lambdaJ == 0.0 or isinstance(p, Cosine):
         return math.sin
     if isinstance(p, BiasedCosine):
         return lambda q, s=p.phi_ext: math.sin(q - s)
-    return p.du
+    return lambda q: float(p.du(q))
 
 
 def _energy(states: np.ndarray, rc: ReducedCircuit,
@@ -113,45 +134,56 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
               drift_tol: float = 1e-8) -> TrajectoryRecord:
     """Leapfrog trajectory of the regularized system.
 
-    dt must resolve the O(1)-period fast oscillation (dt <= 0.05 enforced);
-    the default 2e-4 keeps the leapfrog energy oscillation below the 1e-8
-    relative drift bound checked after the run. A drift above drift_tol
-    raises with a suggested step.
+    One force evaluation per step: the kick-drift-kick kernel reuses the
+    half-kick that closes a step as the one that opens the next (first
+    same as last), with trajectories equal bit for bit to evaluating it
+    twice. dt must resolve the O(1)-period fast oscillation (dt <= 0.05
+    enforced); the default 2e-4 keeps the leapfrog energy oscillation below
+    the 1e-8 relative drift bound checked after the run. A drift above
+    drift_tol, or one that is not a number, raises with a suggested step
+    where one can be given. A non-finite t_end, dt or initial state, and a
+    drift_tol that is not > 0, are refused before any step.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValidationError("t_end and dt must be finite")
+    x0, px0, y0, py0 = (float(v) for v in initial_state)
+    if not all(map(math.isfinite, (x0, px0, y0, py0))):
+        raise ValidationError("initial state must be finite")
+    if not drift_tol > 0:
+        raise ValidationError("drift_tol must be > 0")
     nsteps, dt_eff = _steps(t_end, dt)
     if t_end <= 0:
         raise ValidationError("t_end must be > 0")
     if rc.kappa <= 0 and rc.lambdaJ != 0.0:
         raise ValidationError("kappa=0 with lambdaJ>0 is singular")
     stride = max(1, nsteps // _RECORD_CAP)
-    nrec = nsteps // stride + 1
-    rec = np.empty((nrec, 4))
-    x0, px0, y0, py0 = (float(v) for v in initial_state)
-    rec[0] = (x0, px0, y0, py0)
+    full, rem = divmod(nsteps, stride)
+    states = np.empty((full + (2 if rem else 1), 4))
+    states[0] = (x0, px0, y0, py0)
 
     # kappa=0 only gets here with lambdaJ=0, where the junction force
     # vanishes and the argument scale is unused.
     inv_scale = 1.0 / (rc.kappa * math.sqrt(rc.xi)) if rc.kappa > 0 else 0.0
     cgrad = rc.kappa * rc.lambdaJ / rc.xi**1.5
-    xf, pxf, yf, pyf = _leapfrog(x0, px0, y0, py0, dt_eff, nsteps, stride,
-                                 rec, rc.kappa, cgrad, inv_scale,
-                                 _scalar_force(p, rc))
+    _leapfrog(x0, px0, y0, py0, dt_eff, nsteps, stride, states, rc.kappa,
+              cgrad, inv_scale, _scalar_force(p, rc))
 
-    times = dt_eff * stride * np.arange(nrec)
-    states = rec
-    if nsteps % stride != 0:
-        states = np.vstack([rec, [xf, pxf, yf, pyf]])
+    times = dt_eff * stride * np.arange(full + 1)
+    if rem:
         times = np.append(times, t_end)
     energy = _energy(states, rc, p)
     record = TrajectoryRecord(times=times, states=states, energy=energy,
                               kappa=rc.kappa, xi=rc.xi, lambdaJ=rc.lambdaJ,
                               dt=dt_eff)
-    if record.energy_drift > drift_tol:
-        suggested = dt_eff * math.sqrt(drift_tol / record.energy_drift) * 0.7
+    drift = record.energy_drift
+    if not drift <= drift_tol:
+        hint = ""
+        if math.isfinite(drift):
+            hint = (f"; try dt <= "
+                    f"{dt_eff * math.sqrt(drift_tol / drift) * 0.7:.2e}")
         raise ConvergenceError(
-            f"energy drift {record.energy_drift:.3e} exceeds {drift_tol:.1e}; "
-            f"try dt <= {suggested:.2e}",
-            detail=record.energy_drift)
+            f"energy drift {drift:.3e} exceeds {drift_tol:.1e}{hint}",
+            detail=drift)
     return record
 
 
@@ -276,18 +308,23 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     n = times.size
     x_red = np.empty(n)
     x_red[0] = x0
-    coef_force = rc.kappa**2 / rc.xi
+    kappa2 = rc.kappa**2
+    coef_force = kappa2 / rc.xi
     x, px = x0, px0
     force = vp(x)
     for i in range(1, n):
         seg = float(times[i] - times[i - 1])
         m = max(1, int(math.ceil(seg / 0.01)))
         h = seg / m
+        # grouped as the inline products 0.5*h*coef_force*force and
+        # h*kappa**2*px, left to right
+        kick = 0.5 * h * coef_force
+        drift = h * kappa2
         for _ in range(m):
-            px -= 0.5 * h * coef_force * force
-            x += h * rc.kappa**2 * px
+            px -= kick * force
+            x += drift * px
             force = vp(x)  # closes this substep and opens the next
-            px -= 0.5 * h * coef_force * force
+            px -= kick * force
         x_red[i] = x
     dev = float(np.max(np.abs(full.states[:, 0] - x_red)))
     return ShadowComparison(times=times, x_full=full.states[:, 0].copy(),

@@ -7,9 +7,9 @@ format), so rerunning a command reproduces the SVG exactly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .sweeps import float_rows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -50,10 +50,10 @@ def line_plot(path: str, series, xlabel: str = "", ylabel: str = "",
               for n, x, y in series]
     x0, x1, y0, y1 = _finite_limits(series)
 
-    def sx(v: float) -> float:
+    def sx(v):
         return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     out = []
@@ -103,9 +103,11 @@ def line_plot(path: str, series, xlabel: str = "", ylabel: str = "",
         color = PALETTE[i % len(PALETTE)]
         pts = []
         runs = []
-        for xv, yv in zip(xs, ys):
-            if math.isfinite(xv) and math.isfinite(yv):
-                pts.append(f"{sx(xv):.2f},{sy(yv):.2f}")
+        # sx, sy map whole arrays with the scalar operation order
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        for xv, yv, ok in float_rows(sx(xs), sy(ys), finite):
+            if ok:
+                pts.append(f"{xv:.2f},{yv:.2f}")
             elif pts:
                 runs.append(pts)
                 pts = []

@@ -16,6 +16,19 @@ def write_json(path: str, payload: dict) -> None:
         f.write("\n")
 
 
+_ROW_CHUNK = 1024
+
+
+def float_rows(*columns):
+    """Rows of equal-length numpy columns as tuples of Python floats.
+
+    The columns are converted _ROW_CHUNK rows at a time with .tolist():
+    much faster than iterating numpy scalars, and only one chunk's Python
+    floats are alive at once, not those of whole columns."""
+    for a in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(c[a:a + _ROW_CHUNK].tolist() for c in columns))
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value)

@@ -250,6 +250,22 @@ def test_dynamics_coarse_step_exits_3(write_circuit, tmp_path):
     assert "did not converge" in res.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-end", "nan"), ("--t-end", "inf"), ("--dt", "nan"),
+    ("--x0", "nan"), ("--px0", "inf"), ("--y0", "-inf"), ("--py0", "nan"),
+])
+def test_dynamics_refuses_non_finite_arguments(write_circuit, tmp_path, flag,
+                                               value):
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    out = tmp_path / "dyn_out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--t-end", 5.0, f"{flag}={value}")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(f"error: {flag} must be finite")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_foster_eval_then_fit_round_trip(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(

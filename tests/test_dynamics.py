@@ -19,7 +19,7 @@ from circadia import (
     shadow_reduced_dynamics,
     slow_manifold_residual,
 )
-from circadia.dynamics import _slow_period
+from circadia.dynamics import _scalar_force, _slow_period, _steps
 from circadia.potentials import _piecewise_cubic
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
@@ -55,6 +55,79 @@ def test_leapfrog_is_time_reversible(p):
     back = integrate(RC, p, (x, -px, y, -py), 5.0, dt=1e-3, drift_tol=1e-6)
     recovered = back.states[-1]
     assert np.max(np.abs(recovered - [0.7, -0.3, 0.4, 0.1])) < 1e-12
+
+
+def _two_force_trajectory(rc, p, state, t_end, dt):
+    """Oracle: the kick-drift-kick loop that evaluates the force at both
+    half-kicks of every step, strided as integrate records it."""
+    if rc.lambdaJ == 0.0 or isinstance(p, Cosine):
+        du = math.sin
+    elif isinstance(p, BiasedCosine):
+        du = lambda q, s=p.phi_ext: math.sin(q - s)  # noqa: E731
+    else:
+        du = p.du
+    nsteps, dt = _steps(t_end, dt)
+    stride = max(1, nsteps // 16384)
+    kappa = rc.kappa
+    inv_scale = 1.0 / (kappa * math.sqrt(rc.xi))
+    cgrad = kappa * rc.lambdaJ / rc.xi**1.5
+    x, px, y, py = state
+    rec = [state]
+    for s in range(nsteps):
+        px += 0.5 * dt * kappa * (y - kappa * x)
+        py += 0.5 * dt * (kappa * x - y - cgrad * float(du(y * inv_scale)))
+        x += dt * kappa * kappa * px
+        y += dt * py
+        px += 0.5 * dt * kappa * (y - kappa * x)
+        py += 0.5 * dt * (kappa * x - y - cgrad * float(du(y * inv_scale)))
+        if (s + 1) % stride == 0:
+            rec.append((x, px, y, py))
+    return nsteps, stride, np.array(rec), np.array([x, px, y, py])
+
+
+# t_end 5 takes 5000 steps at stride 1; t_end 32.771 takes 32771 steps at
+# stride 2, so the last step ends a partial record
+@pytest.mark.parametrize("t_end", [5.0, 32.771])
+@pytest.mark.parametrize("p, lambdaJ", [
+    (Cosine(), 0.5),
+    (BiasedCosine(0.3), 0.5),
+    (PolynomialEven([0.0, 0.5, 0.01]), 0.5),
+    (_cosine_table(-8.0, 8.0), 0.5),
+    (Cosine(), 0.0),
+], ids=["cosine", "biased", "polynomial", "custom", "uncoupled"])
+def test_leapfrog_matches_the_two_force_kernel(p, lambdaJ, t_end):
+    rc = ReducedCircuit.from_ratios(0.2, 1.0, lambdaJ)
+    state = (0.7, 0.3, 0.4, -0.1)
+    nsteps, stride, records, final = _two_force_trajectory(
+        rc, p, state, t_end, 1e-3)
+    assert (nsteps % stride != 0) == (t_end != 5.0)
+    rec = integrate(rc, p, state, t_end, dt=1e-3, drift_tol=1e-4)
+    assert np.array_equal(rec.states[:records.shape[0]], records)
+    assert np.array_equal(rec.states[-1], final)
+    assert rec.states.shape[0] == records.shape[0] + (nsteps % stride != 0)
+    assert rec.times[-1] == t_end
+
+
+@pytest.mark.parametrize("p", [Cosine(), _cosine_table(-8.0, 8.0)],
+                         ids=lambda p: p.kind)
+def test_leapfrog_evaluates_the_force_once_per_step(monkeypatch, p):
+    import circadia.dynamics
+
+    calls = []
+
+    def tracing(p_, rc_):
+        force = _scalar_force(p_, rc_)
+
+        def counted(q):
+            calls.append(q)
+            return force(q)
+        return counted
+
+    monkeypatch.setattr(circadia.dynamics, "_scalar_force", tracing)
+    nsteps, _ = _steps(32.771, 1e-3)
+    integrate(RC, p, (0.7, 0.3, 0.4, -0.1), 32.771, dt=1e-3, drift_tol=1e-4)
+    assert len(calls) == nsteps + 1
+    assert all(type(v) is float for v in map(_scalar_force(p, RC), calls[:3]))
 
 
 def test_zero_coupling_never_evaluates_the_potential():
@@ -104,6 +177,35 @@ def test_integrate_validates_inputs():
     rc_bad = ReducedCircuit.from_ratios(0.0, 1.0, 0.5)
     with pytest.raises(ValidationError, match="singular"):
         integrate(rc_bad, Cosine(), (0, 0, 0, 0), 1.0)
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValidationError, match="drift_tol"):
+            integrate(RC, Cosine(), (0, 0, 0, 0), 1.0, drift_tol=tol)
+
+
+@pytest.mark.parametrize("t_end, dt, state", [
+    (math.nan, 2e-4, (0, 0, 0, 0)),
+    (math.inf, 2e-4, (0, 0, 0, 0)),
+    (-math.inf, 2e-4, (0, 0, 0, 0)),
+    (1.0, math.nan, (0, 0, 0, 0)),
+    (1.0, 2e-4, (math.nan, 0, 0, 0)),
+    (1.0, 2e-4, (0, math.inf, 0, 0)),
+    (1.0, 2e-4, (0, 0, -math.inf, 0)),
+    (1.0, 2e-4, (0, 0, 0, math.nan)),
+])
+def test_integrate_refuses_non_finite_inputs(t_end, dt, state):
+    with pytest.raises(ValidationError, match="finite"):
+        integrate(RC, Cosine(), state, t_end, dt=dt)
+
+
+def test_a_drift_that_is_not_a_number_does_not_pass():
+    # u(y0/(kappa sqrt(xi))) overflows at the start, so E(0) is inf and the
+    # drift inf - inf is NaN; NaN > drift_tol is False, NaN <= it too
+    steep = PolynomialEven([0.0, 0.0, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ConvergenceError, match="nan") as info:
+        integrate(RC, steep, (0.0, 0.0, 2.0, 0.0), 0.01, dt=1e-3)
+    assert math.isnan(info.value.detail)
+    assert "try dt" not in str(info.value)
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -114,6 +216,10 @@ def test_trajectory_csv_schema(tmp_path):
     assert lines[0].startswith("# units:")
     assert lines[1] == "t,x,p_x,y,p_y,E"
     assert len(lines) == 2 + rec.times.size
+    # repr round-trips: the file holds every value exactly
+    table = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.array_equal(table, np.column_stack([rec.times, rec.states,
+                                                  rec.energy]))
 
 
 def test_zero_coupling_manifold_is_the_identity():
