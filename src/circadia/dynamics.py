@@ -29,7 +29,7 @@ from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
 from .potentials import (BiasedCosine, Cosine, PotentialModel,
                          _piecewise_cubic)
-from .reduction import (_reduced_values, invertibility_threshold,
+from .reduction import (_du_reach, _reduced_values, invertibility_threshold,
                         solve_branch_extended)
 from .sweeps import float_rows
 
@@ -204,8 +204,11 @@ def manifold_eta(rc: ReducedCircuit, p: PotentialModel,
 
 
 def _manifold_y0(rc: ReducedCircuit, p: PotentialModel, x0: float,
-                 what: str) -> float:
-    """y = kappa*eta1(x0) on the slow manifold, refused where undefined."""
+                 what: str, px0: float = 0.0) -> float:
+    """y = kappa*eta1(x0) on the slow manifold, refused where undefined;
+    a non-finite slow start (x0, px0) is refused before any solve."""
+    if not (math.isfinite(x0) and math.isfinite(px0)):
+        raise ValidationError("initial state must be finite")
     threshold = invertibility_threshold(p)
     if rc.beta >= threshold:
         raise PhysicalRegimeError(f"{what} undefined at supercritical beta",
@@ -275,7 +278,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     evaluator of the potentials module (equal to the spline's own call bit
     for bit), once per substep: the force that closes a substep opens the
     next one."""
-    y0 = _manifold_y0(rc, p, x0, "reduced dynamics")
+    y0 = _manifold_y0(rc, p, x0, "reduced dynamics", px0)
     slow_period = _slow_period(rc)
     if t_end is None:
         t_end = 2.0 * slow_period
@@ -301,7 +304,14 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     e_red += rc.kappa**2 / rc.xi * float(np.interp(x0, probe, v_probe))
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
     span = vmax_speed * t_end + 2.0 * TWO_PI * sqxi
-    xs = np.linspace(x0 - span, x0 + span, 8192)
+    lo, hi = x0 - span, x0 + span
+    if hasattr(p, "support"):
+        # a table: keep the drives whose branch bracket (half-width as in
+        # solve_branch_extended) stays on the support
+        reach = max(rc.lambdaJ / rc.xi**1.5 * _du_reach(p) + 1.0, 1.0)
+        lo = max(lo, p.support[0] * sqxi + reach)
+        hi = min(hi, p.support[1] * sqxi - reach)
+    xs = np.linspace(lo, hi, 8192)
     vp = _piecewise_cubic(CubicSpline(xs, reduced(xs)[1]), 0)
 
     times = full.times
@@ -326,6 +336,9 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
             force = vp(x)  # closes this substep and opens the next
             px -= kick * force
         x_red[i] = x
+    if not xs[0] <= np.min(x_red) <= np.max(x_red) <= xs[-1]:
+        raise ValidationError("the reduced trajectory leaves its force "
+                              f"table [{xs[0]}, {xs[-1]}]")
     dev = float(np.max(np.abs(full.states[:, 0] - x_red)))
     return ShadowComparison(times=times, x_full=full.states[:, 0].copy(),
                             x_reduced=x_red, max_deviation=dev,

@@ -274,15 +274,24 @@ def _order_roots(roots: list[float], drive: float,
     return [closest] + rest
 
 
+def _scan_window(p: PotentialModel, half_width: float) -> tuple[float, float]:
+    """Where u is scanned: one period, a tabulated potential's support, or
+    else (-half_width, half_width)."""
+    if p.is_periodic:
+        return 0.0, p.period
+    return getattr(p, "support", (-half_width, half_width))
+
+
 def invertibility_threshold(p: PotentialModel,
                             window: tuple[float, float] | None = None) -> float:
     """sup{beta : 1 + beta*u''(phi_c) > 0 for all phi_c} = 1/max(-u'').
 
     Grid scan plus a bounded local refinement of the maximizer; infinite when
-    u'' is nonnegative everywhere on the window.
+    u'' is nonnegative everywhere on the window. The default window is one
+    period, a tabulated potential's support, or else (-8pi, 8pi).
     """
     if window is None:
-        window = (0.0, p.period) if p.is_periodic else (-4.0 * TWO_PI, 4.0 * TWO_PI)
+        window = _scan_window(p, 4.0 * TWO_PI)
     a, b = float(window[0]), float(window[1])
     grid = np.linspace(a, b, GRID_MIN + 1)
     neg_d2 = -np.asarray(p.d2u(grid), dtype=float)
@@ -358,10 +367,7 @@ def solve_branch_extended(p: PotentialModel, rc: ReducedCircuit,
 
 def _du_reach(p: PotentialModel) -> float:
     """Cheap bound estimate of |u'| near the working region."""
-    if p.is_periodic:
-        grid = np.linspace(0.0, p.period, 512)
-    else:
-        grid = np.linspace(-8.0 * TWO_PI, 8.0 * TWO_PI, 512)
+    grid = np.linspace(*_scan_window(p, 8.0 * TWO_PI), 512)
     try:
         vals = np.abs(np.asarray(p.du(grid), dtype=float))
     except ValidationError:

@@ -25,8 +25,8 @@ shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
-value certifies that no level lies under it. An energy window takes LAPACK
-?sbevx bisection, which counts its levels, and inverse iteration.
+value certifies that no level lies under it. Sylvester inertia counts cut
+an energy window into slices of <= 32 levels, each shift-inverted Lanczos.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,7 +107,7 @@ class HamiltonianSpec:
         return 0.5 if self.charge_half_factor else 1.0
 
     def describe(self) -> dict:
-        d = {
+        return {
             "variant": self.variant,
             "c_kin": self.c_kin,
             "lambdaJ": self.lambdaJ,
@@ -123,7 +124,6 @@ class HamiltonianSpec:
             "potential": type(self.potential).__name__ if self.potential else None,
             "effective_basis": self.effective.basis if self.effective else None,
         }
-        return d
 
 
 @dataclass
@@ -141,14 +141,13 @@ class SpectrumResult:
         return max(1.0, float(np.max(np.abs(self.eigenvalues))))
 
     def to_json(self, path: str) -> None:
-        payload = {
+        write_json(path, {
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "k": int(self.k),
             "residual_norms": [float(r) for r in self.residual_norms],
             "units": self.units,
             "meta": self.meta,
-        }
-        write_json(path, payload)
+        })
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -181,21 +180,6 @@ def _fd4_sparse(n: int, h: float, c: float) -> sp.csr_matrix:
     return sp.diags([d2, d1, d0, d1, d2], [-2, -1, 0, 1, 2], format="csr")
 
 
-def _symmetric_uniform_grid(coords: np.ndarray) -> float:
-    """Validate symmetry about 0 and uniform spacing; return the spacing."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.size < 2:
-        raise ValidationError("grid needs at least 2 points")
-    diffs = np.diff(coords)
-    h = float(diffs[0])
-    if not np.allclose(diffs, h, rtol=1e-9, atol=0.0):
-        raise ValidationError("extended grid must be uniform")
-    span = coords[-1] - coords[0]
-    if abs(coords[0] + coords[-1]) > 1e-9 * span:
-        raise ValidationError("extended grid must be symmetric about 0")
-    return h
-
-
 # ---------------------------------------------------------------------------
 # 1D extended
 
@@ -206,15 +190,18 @@ def _extended1d_arrays(spec: HamiltonianSpec):
         v = np.asarray(spec.effective.V, dtype=float)
     elif spec.v_func is not None:
         L = float(spec.grid.get("half_width", 10.0))
-        n = int(spec.grid.get("n", 1024))
-        coords = np.linspace(-L, L, n)
+        coords = np.linspace(-L, L, int(spec.grid.get("n", 1024)))
         v = np.asarray(spec.v_func(coords), dtype=float)
     else:
         raise ValidationError("Extended1D needs `effective` or `v_func`")
     if coords.size < 128:
         raise ValidationError("1D grids need >= 128 points")
-    h = _symmetric_uniform_grid(coords)
-    return coords, v, h
+    h = float(coords[1] - coords[0])
+    if not np.allclose(np.diff(coords), h, rtol=1e-9, atol=0.0):
+        raise ValidationError("extended grid must be uniform")
+    if abs(coords[0] + coords[-1]) > 1e-9 * (coords[-1] - coords[0]):
+        raise ValidationError("extended grid must be symmetric about 0")
+    return v, h
 
 
 def _weyl_shift(block_minima: np.ndarray, block_dim: int,
@@ -257,17 +244,18 @@ def _cholesky_below(ab: np.ndarray, shift: float, claim: str) -> np.ndarray:
         raise ConvergenceError(claim, detail=str(exc)) from exc
 
 
-def _shift_invert_pairs(ab: np.ndarray, sigma: float, npairs: int):
-    """npairs lowest eigenpairs of the Hermitian band A in lower storage ab,
-    by shift-invert Lanczos with OPinv a banded Cholesky of A - sigma*I,
-    sigma proven below the spectrum of A. Returns ascending Ritz values and
-    their unit vectors."""
+def _shift_invert_pairs(ab: np.ndarray, sigma: float, npairs: int,
+                        solve=None):
+    """Ascending Ritz values and unit vectors of the npairs eigenpairs of the
+    Hermitian band A (lower storage ab) nearest sigma, by shift-invert
+    Lanczos; solve(v) applies (A - sigma*I)^-1, by default by a banded
+    Cholesky that proves sigma below A's spectrum (the pairs are lowest)."""
     n = ab.shape[1]
-    chol = _cholesky_below(
-        ab, sigma, f"shift sigma={sigma!r} is not below the banded spectrum")
-    opinv = LinearOperator((n, n), dtype=ab.dtype, matvec=lambda v:
-                           cho_solve_banded((chol, True), v,
-                                            check_finite=False))
+    if solve is None:
+        chol = _cholesky_below(ab, sigma, f"shift sigma={sigma!r} is not "
+                               "below the banded spectrum")
+        solve = partial(cho_solve_banded, (chol, True), check_finite=False)
+    opinv = LinearOperator((n, n), dtype=ab.dtype, matvec=solve)
     try:
         # shift-invert mode applies only OPinv, never A itself
         w, c = eigsh(opinv, k=npairs, sigma=sigma, which="LM",
@@ -279,123 +267,164 @@ def _shift_invert_pairs(ab: np.ndarray, sigma: float, npairs: int):
     return w[order], c[:, order]
 
 
-def _inverse_iteration(band_lower: np.ndarray, w: float,
-                       scale: float) -> np.ndarray:
-    """Eigenvector for a known eigenvalue via shifted banded solves.
-
-    One banded LU (LAPACK ?gbtrf) serves four solves. The shift offset
-    keeps the factorization nonsingular; with the eigenvalue known to
-    machine precision two solves converge, and for a cluster tighter than
-    the offset any vector in its span already meets the residual contract.
-    """
-    n = band_lower.shape[1]
-    # ?gbtrf storage: two rows of fill space, the diagonal in row 4
-    ab = np.zeros((7, n))
-    ab[4:] = band_lower
-    ab[3, 1:], ab[2, 2:] = band_lower[1, :-1], band_lower[2, :-2]
-    delta = 1e-13 * max(scale, 1.0)
-    ab[4, :] -= w + delta
-    lu, piv, info = dgbtrf(ab, 2, 2)
-    if info > 0:
-        ab[4, :] -= 99.0 * delta
-        lu, piv, info = dgbtrf(ab, 2, 2)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-    v = _start_vector(n)
-    for _ in range(4):
-        v = dgbtrs(lu, 2, 2, v, piv)[0]
-        v /= np.linalg.norm(v)
-    return v
+def _count_below(band: np.ndarray, s: float) -> tuple[int, float]:
+    """(count, delta): levels of the pentadiagonal band (lower storage) below
+    s by Sylvester's inertia, the negative pivots of the unpivoted band -
+    s*I + E = L*D*L^T, |E| <= 4*eps*|L||D||L^T| (3 products an entry). By
+    Weyl a level farther than delta = 4*eps*|| |L||D||L^T| ||_1 from s is
+    counted on its own side; two leading unit pivots meet the zero padding."""
+    a0, a1, a2 = (band[0] - s).tolist(), band[1].tolist(), band[2].tolist()
+    d, l1, l2 = [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]
+    try:
+        for i in range(len(a0)):
+            x2 = a2[i - 2] / d[-2]
+            x1 = (a1[i - 1] - x2 * l1[-1] * d[-2]) / d[-1]
+            d.append(a0[i] - x1 * x1 * d[-1] - x2 * x2 * d[-2])
+            l1.append(x1)
+            l2.append(x2)
+    except ZeroDivisionError as exc:
+        raise ConvergenceError(f"zero pivot in the count at s={s!r}") from exc
+    d, l1, l2 = np.array(d[2:]), np.abs(l1[2:]), np.abs(l2[2:])
+    # |d_k| * (column k sum of |L|), then column sums of |L||D||L^T|
+    cd = np.abs(d) * (1.0 + np.append(l1[1:], 0.0) + np.append(l2[2:], [0, 0]))
+    growth = cd + np.append(0.0, cd[:-1] * l1[1:]) \
+        + np.append([0.0, 0.0], cd[:-2] * l2[2:])
+    return (int(np.count_nonzero(d < 0)),
+            float(4.0 * np.finfo(float).eps * np.max(growth)))
 
 
 def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
                   window: tuple[float, float] | None = None):
     """Lowest k, or all in the closed window (lo, hi), FD4 eigenpairs of
-    c_kin*p^2 + diag(v): eigenvalues, unit vectors, residual norms and the
-    shift-invert sigma (None for a window).
+    c_kin*p^2 + diag(v): eigenvalues, unit vectors (None for a window),
+    residual norms and the shift-invert sigma or the window's counts.
 
     s is the Gershgorin bound on max|lambda|. Lowest k: shift-invert
     Lanczos from the Weyl shift sigma = min v less its margin; a banded
     Cholesky of H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no
     level lies below the ground Ritz value E_0. Above E_0 the levels rest
-    on Lanczos from a proven lower bound, as in 2D. Window: ?sbevx bisects
-    for its levels in the window widened by the bisection accuracy 8*eps*s,
-    so an edge level stays in on a re-solve; inverse iteration gives the
-    vectors."""
+    on Lanczos from a proven lower bound, as in 2D. Window: the slicing of
+    eigenvalues_in_window; a Ritz value outside its slice (beyond the edges'
+    delta and its residual) is a ConvergenceError."""
     n = v.size
     band = _fd4_bands(n, h, c_kin)
     band[0, :] += v
     # Gershgorin row sums; the FD4 off-diagonals are constant
     scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
     tol = 8.0 * np.finfo(float).eps * scale
-    sigma = None
     if window is None:
         sigma = _weyl_shift(v, 1, scale)
         w, vec = _shift_invert_pairs(band, sigma, k)
-    else:
-        lo, hi = window[0] - tol, window[1] + tol
-        # ?sbevx keeps (vl, vu]: the float below lo closes the interval
-        w = eig_banded(band, lower=True, eigvals_only=True, select="v",
-                       select_range=(np.nextafter(lo, -np.inf), max(hi, lo)))
-        w = w[(w >= lo) & (w <= hi)]
-        vec = np.empty((n, w.size))
-        for j in range(w.size):
-            vec[:, j] = _inverse_iteration(band, float(w[j]), scale)
     H = _fd4_sparse(n, h, c_kin) + sp.diags(v)
-    res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
-    if sigma is not None:
+    if window is None:
+        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
         _cholesky_below(band, float(w[0] - res[0] - tol), "a level lies "
                         f"below the ground Ritz value {float(w[0])!r}")
-    return w, vec, res, sigma
+        return w, vec, res, sigma
+    points = []
+
+    def point(s):
+        points.append((s, *_count_below(band, s)))
+        return points[-1]
+
+    def cut(a, b):
+        # <= 32 levels a slice bounds ARPACK's O(n*ncv^2) work, keeps k < n
+        mid = 0.5 * (a[0] + b[0])
+        if b[1] - a[1] <= 32 or not a[0] < mid < b[0]:
+            return [(a, b)] if b[1] > a[1] else []
+        return cut(a, m := point(mid)) + cut(m, b)
+
+    edges = []
+    for edge, out in ((window[0], -1.0), (window[1], 1.0)):
+        s = edge + out * tol
+        for _ in range(8):
+            s, c, delta = point(s)
+            if abs(s - edge) - delta >= 0.5 * tol:
+                break
+            # the count is blind within delta of s: move out of its reach
+            s = edge + out * (0.5 * tol + 2.0 * delta)
+        else:
+            raise ConvergenceError("no certified count near the window edge "
+                                   f"{edge!r}", detail=points)
+        edges.append((s, c, delta))
+    slices = cut(*edges)
+    # OPinv: ?gbtrf LU with partial pivoting, two rows of fill space above
+    gb = np.zeros((7, band.shape[1]))
+    gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
+    parts, inside = [(np.empty(0), np.empty(0))], 0
+    for a, b in slices:
+        # the k levels nearest the slice centre are exactly its k levels
+        centre = 0.5 * (a[0] + b[0])
+        gb[4] = band[0] - centre
+        lu, piv, info = dgbtrf(gb, 2, 2)
+        if info > 0:
+            raise ConvergenceError(f"slice centre {centre!r} is a level")
+        w, vec = _shift_invert_pairs(band, centre, b[1] - a[1],
+                                     lambda v: dgbtrs(lu, 2, 2, v, piv)[0])
+        # only the residual norms are kept, so one slice's vectors at a time
+        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
+        inside += np.count_nonzero((w >= a[0] - a[2] - res - tol)
+                                   & (w <= b[0] + b[2] + res + tol))
+        parts.append((w, res))
+    record = {"slices": len(slices), "edge_counts": [edges[0][1], edges[1][1]],
+              "count_delta": max(p[2] for p in points)}
+    w, res = (np.concatenate(p) for p in zip(*parts))
+    if inside != w.size:
+        raise ConvergenceError(f"{inside} levels lie inside their slices, "
+                               f"the edge counts give {w.size}", detail=record)
+    order = np.argsort(w)
+    return w[order], None, res[order], record
 
 
-def _lowest_extended1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    coords, v, h = _extended1d_arrays(spec)
-    if not (k <= coords.size / 4):
+def _banded_result(spec: HamiltonianSpec, v: np.ndarray, h: float,
+                   c_kin: float, units: str, k: int | None = None,
+                   window: tuple | None = None, **grid) -> SpectrumResult:
+    """_solve_banded as a SpectrumResult; meta records the spec, h, n, grid,
+    then sigma and shift_gap (lowest k) or the window and its counts."""
+    if k is not None and not (k <= v.size / 4):
         raise ValidationError("k must be <= dimension/4")
-    w, _, res, sigma = _solve_banded(v, h, spec.c_kin, k)
-    return SpectrumResult(
-        eigenvalues=w, k=k, residual_norms=res, units="E_C units",
-        meta={"spec": spec.describe(), "h": h, "n": int(coords.size),
-              "sigma": sigma, "shift_gap": float(w[0] - sigma)})
+    w, _, res, info = _solve_banded(v, h, c_kin, k, window)
+    meta = {"spec": spec.describe(), "h": h, "n": int(v.size), **grid}
+    if window is None:
+        meta.update(sigma=info, shift_gap=float(w[0] - info))
+    else:
+        meta.update(window=[float(window[0]), float(window[1])], **info)
+    return SpectrumResult(eigenvalues=w, k=int(w.size), residual_norms=res,
+                          units=units, meta=meta)
 
 
 def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
                           e_hi: float) -> SpectrumResult:
-    """All Extended1D eigenvalues in the closed window [e_lo, e_hi], and
-    only those: LAPACK ?sbevx bisection (banded select='v'), which counts
-    the levels in the window, then inverse iteration on one banded LU per
-    level for the vectors. Levels within 8*eps*s of an edge count as
-    inside, s the Gershgorin bound on max|lambda|."""
+    """All Extended1D eigenvalues in the closed window [e_lo, e_hi] by
+    spectrum slicing; s is the Gershgorin bound on max|lambda|. An inertia
+    count (_count_below, blind within its delta) at e_lo - 8*eps*s moves to
+    e_lo - 4*eps*s - 2*delta (up to seven times) while its blind zone
+    reaches within 4*eps*s of e_lo; the same above e_hi. So a level within
+    4*eps*s of an edge counts as inside, none farther out than 8*eps*s +
+    4*delta. Count midpoints cut the window into slices of <= 32 levels,
+    solved by shift-invert Lanczos at their centres and checked against the
+    counts; meta: slices, edge_counts, count_delta (the largest delta)."""
     if spec.variant != "Extended1D":
         raise ValidationError("energy-window solve is Extended1D only")
-    coords, v, h = _extended1d_arrays(spec)
-    w, _, res, _ = _solve_banded(v, h, spec.c_kin, window=(e_lo, e_hi))
-    return SpectrumResult(
-        eigenvalues=w, k=int(w.size), residual_norms=res, units="E_C units",
-        meta={"spec": spec.describe(), "h": h, "n": int(coords.size),
-              "window": [float(e_lo), float(e_hi)]})
+    return _banded_result(spec, *_extended1d_arrays(spec), spec.c_kin,
+                          "E_C units", window=(e_lo, e_hi))
 
 
 # ---------------------------------------------------------------------------
 # 1D compact (charge basis)
 
 
-def _fourier_coefficients(p: PotentialModel, nsamp: int = 4096) -> np.ndarray:
-    phi = np.linspace(0.0, TWO_PI, nsamp, endpoint=False)
-    return np.fft.fft(np.asarray(p.u(phi), dtype=float)) / nsamp
-
-
 def _charge_basis_potential(p: PotentialModel, n_max: int) -> np.ndarray:
     """<m|u(phi)|m'> = c_(m-m') for 2pi-periodic u."""
-    c = _fourier_coefficients(p)
+    phi = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+    c = np.fft.fft(np.asarray(p.u(phi), dtype=float)) / 4096
     m = np.arange(-n_max, n_max + 1)
     d = m[:, None] - m[None, :]
     U = c[np.mod(d, c.size)]
     return 0.5 * (U + U.conj().T)
 
 
-def _compact1d_matrix(spec: HamiltonianSpec) -> np.ndarray:
+def _lowest_compact1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     p = spec.potential if spec.potential is not None else Cosine()
     lam = float(spec.lambdaJ if spec.lambdaJ is not None else 0.0)
     if lam < 0:
@@ -409,11 +438,6 @@ def _compact1d_matrix(spec: HamiltonianSpec) -> np.ndarray:
     m = np.arange(-n_max, n_max + 1)
     H = lam * _charge_basis_potential(p, n_max)
     H[np.diag_indices_from(H)] += spec.charge_coef * (m + spec.ng)**2
-    return H
-
-
-def _lowest_compact1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    H = _compact1d_matrix(spec)
     dim = H.shape[0]
     if not (k <= dim / 4):
         raise ValidationError("k must be <= dimension/4")
@@ -439,9 +463,7 @@ def phase_grid_spectrum(p: PotentialModel, lambdaJ: float, ng: float = 0.0,
     D = coef * (m + ng)**2
     K = np.fft.ifft(D[:, None] * np.fft.fft(np.eye(n_grid), axis=0), axis=0)
     H = K + np.diag(lambdaJ * np.asarray(p.u(phi), dtype=float))
-    H = 0.5 * (H + H.conj().T)
-    w = np.linalg.eigvalsh(H)
-    return w[:k]
+    return np.linalg.eigvalsh(0.5 * (H + H.conj().T))[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +525,11 @@ def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     p = spec.potential if spec.potential is not None else Cosine()
     L, npts = _fast_grid(spec.kappa, spec.frozen_x,
                          spec.grid.get("half_width"), spec.grid.get("n"))
-    if not (k <= npts / 4):
-        raise ValidationError("k must be <= dimension/4")
     y = np.linspace(-L, L, npts)
-    h = y[1] - y[0]
     v = _fast_potential(spec.kappa, spec.xi, spec.lambdaJ, p,
                         spec.frozen_x, y)
-    w, _, res, sigma = _solve_banded(v, h, 0.5, k)
-    return SpectrumResult(
-        eigenvalues=w, k=k, residual_norms=res,
-        units="hbar*omega_C units",
-        meta={"spec": spec.describe(), "h": float(h), "n": int(npts),
-              "half_width": float(L), "sigma": sigma,
-              "shift_gap": float(w[0] - sigma)})
+    return _banded_result(spec, v, float(y[1] - y[0]), 0.5,
+                          "hbar*omega_C units", k, half_width=float(L))
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +790,8 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if k < 1:
         raise ValidationError("k must be >= 1")
     if spec.variant == "Extended1D":
-        return _lowest_extended1d(spec, k)
+        return _banded_result(spec, *_extended1d_arrays(spec), spec.c_kin,
+                              "E_C units", k)
     if spec.variant == "Compact1D":
         return _lowest_compact1d(spec, k)
     if spec.variant == "FastAtX":
@@ -809,11 +824,9 @@ class BOTable:
         return np.array([float(np.sum(u * x2)) / denom for u in self.U])
 
     def to_sweep_table(self) -> SweepTable:
-        rows = []
-        for i, kap in enumerate(self.kappas):
-            for j, x in enumerate(self.xs):
-                rows.append((float(kap), float(x), float(self.delta[i, j]),
-                             float(self.U[i, j])))
+        rows = [(float(kap), float(x), float(d), float(u))
+                for kap, drow, urow in zip(self.kappas, self.delta, self.U)
+                for x, d, u in zip(self.xs, drow, urow)]
         return SweepTable(
             columns=["kappa", "x", "delta_e0", "U_estimate"],
             rows=rows,
@@ -844,20 +857,12 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
         raise ValidationError("kappa ladder needs >= 3 entries")
     if not np.all(np.diff(kappas) < 0):
         raise ValidationError("kappa ladder must be strictly decreasing")
-    tasks = []
-    for kap in kappas:
-        tasks.append((float(kap), xi, lambdaJ, p, 0.0, half_width, n))
-        for x in xs:
-            tasks.append((float(kap), xi, lambdaJ, p, float(x),
-                          half_width, n))
+    # per kappa: e0 at x = 0, then at every x
+    tasks = [(float(kap), xi, lambdaJ, p, float(x), half_width, n)
+             for kap in kappas for x in (0.0, *xs)]
     mapper = map if map_fn is None else map_fn
-    values = list(mapper(_bo_point, tasks))
-    delta = np.zeros((kappas.size, xs.size))
-    stride = 1 + xs.size
-    for i in range(kappas.size):
-        e00 = values[i * stride]
-        for j in range(xs.size):
-            delta[i, j] = values[i * stride + 1 + j] - e00
+    e0 = np.array(list(mapper(_bo_point, tasks))).reshape(kappas.size, -1)
+    delta = e0[:, 1:] - e0[:, :1]
     sup = np.max(np.abs(delta), axis=1)
     decreasing = bool(np.all(np.diff(sup) < 0))
     return BOTable(kappas=kappas, xs=xs, delta=delta, sup_abs=sup,
@@ -901,8 +906,7 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
         raise ValidationError("kappa and xi must be > 0")
     if k < 1:
         raise ValidationError("k must be >= 1")
-    frac = ng % 1.0
-    if abs(frac - 0.5) <= kappa**2:
+    if abs(ng % 1.0 - 0.5) <= kappa**2:
         raise PhysicalRegimeError("degenerate fast ground state",
                                   ng=float(ng), window=float(kappa**2))
     ckin = 0.5 * kappa**4 if charge_half_factor else kappa**4
@@ -971,11 +975,7 @@ def spectrum_vs_kappa(p: PotentialModel, xi: float, lambdaJ: float,
                              math.nan, f"{type(exc).__name__}: {exc}"))
                 continue
             ev = result.eigenvalues
-            if basis == "extended":
-                to_ec = xi / kap**2
-            else:
-                to_ec = 1.0 / kap**4
-            ec = ev * to_ec
+            ec = ev * (xi / kap**2 if basis == "extended" else 1.0 / kap**4)
             for lvl in range(k):
                 spacing = ec[lvl + 1] - ec[lvl] if lvl + 1 < k else math.nan
                 rows.append((float(kap), basis, lvl, float(ev[lvl]),

@@ -242,6 +242,25 @@ def test_dynamics_residual_report(write_circuit, tmp_path):
     check_manifest(out / "manifest.json", "dynamics")
 
 
+@pytest.mark.parametrize("report", ["none", "residual", "shadow"])
+def test_dynamics_reports_on_a_table_narrower_than_the_default_scan(
+        write_circuit, tmp_path, report):
+    # a -cos table on [-12, 12]: the regime checks scan its support, and the
+    # shadow's force table stays on it
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{x!r},{-math.cos(x)!r}\n"
+                             for x in np.linspace(-12.0, 12.0, 3001).tolist()))
+    circuit = write_circuit("custom.json", kappa=0.2, xi=1.0, lambdaJ=0.5,
+                            potential={"kind": "custom_csv",
+                                       "path": str(table)})
+    out = tmp_path / "dyn_out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--dt", 1e-3, "--report", report)
+    assert res.returncode == 0, res.stderr
+    report_doc = read_json(out / "dynamics_report.json")
+    assert all(math.isfinite(v) for v in report_doc.values())
+
+
 def test_dynamics_coarse_step_exits_3(write_circuit, tmp_path):
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     res = run_cli("dynamics", "--circuit", circuit, "--out", tmp_path,

@@ -197,6 +197,21 @@ def test_integrate_refuses_non_finite_inputs(t_end, dt, state):
         integrate(RC, Cosine(), state, t_end, dt=dt)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0, px0", [
+    (math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan),
+    (1.0, math.inf),
+])
+def test_manifold_probes_refuse_a_non_finite_start_before_solving(x0, px0):
+    # refused before the slow-manifold solve, so no numpy warning escapes
+    rc = ReducedCircuit.from_ratios(0.2, 1.0, 0.5)
+    with pytest.raises(ValidationError, match="finite"):
+        shadow_reduced_dynamics(rc, Cosine(), x0, px0, t_end=1.0)
+    if px0 == 0.0:
+        with pytest.raises(ValidationError, match="finite"):
+            slow_manifold_residual(rc, Cosine(), x0)
+
+
 def test_a_drift_that_is_not_a_number_does_not_pass():
     # u(y0/(kappa sqrt(xi))) overflows at the start, so E(0) is inf and the
     # drift inf - inf is NaN; NaN > drift_tol is False, NaN <= it too

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eig_banded
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 import circadia.spectra
 from circadia import (
@@ -77,6 +78,9 @@ def test_energy_window_solve_matches_the_harmonic_ladder():
                            c_kin=0.5, grid={"half_width": 12.0, "n": 1024})
     r = eigenvalues_in_window(spec, 2.0, 6.0)
     assert r.k == 4
+    assert r.meta["slices"] == 1
+    assert r.meta["edge_counts"] == [2, 6]
+    assert 0.0 < r.meta["count_delta"] < 1e-10 * r.spectral_scale
     assert np.max(np.abs(r.eigenvalues - [2.5, 3.5, 4.5, 5.5])) < 1e-5
     assert np.max(r.residual_norms) < 1e-8 * r.spectral_scale
     with pytest.raises(ValidationError):
@@ -95,6 +99,134 @@ def test_window_edges_returned_by_a_solve_stay_inside():
                                           float(first[-1]))
             assert again.k == first.size
             assert np.max(np.abs(again.eigenvalues - first)) < 1e-12 * 30.0
+
+
+def _fd4_dense(v, h, c):
+    band = _fd4_band_oracle(v, h, c)
+    H = np.diag(band[0])
+    for off in (1, 2):
+        H += np.diag(band[off, :-off], off) + np.diag(band[off, :-off], -off)
+    return H
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(128, 400),
+    half_width=st.floats(5.0, 12.0),
+    c_kin=st.floats(0.25, 2.0),
+    quad=st.floats(0.0, 2.0),
+    amp=st.floats(-20.0, 20.0),
+    omega=st.floats(0.2, 3.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    first=st.integers(0, 30),
+    count=st.integers(1, 90),
+)
+@example(n=300, half_width=10.0, c_kin=1.0, quad=0.5, amp=5.0, omega=1.0,
+         phase=0.0, first=3, count=90)
+# a one-level window at the bottom of a box: its upper edge needs 4 counts
+@example(n=128, half_width=6.125, c_kin=0.25, quad=0.625, amp=0.0,
+         omega=1.0, phase=0.0, first=0, count=1)
+def test_window_slices_match_the_dense_spectrum(
+        n, half_width, c_kin, quad, amp, omega, phase, first, count):
+    def v_func(q):
+        return quad * q**2 + amp * np.cos(omega * q + phase)
+
+    spec = HamiltonianSpec(variant="Extended1D", v_func=v_func, c_kin=c_kin,
+                           grid={"half_width": half_width, "n": n})
+    q = np.linspace(-half_width, half_width, n)
+    full = np.linalg.eigvalsh(_fd4_dense(v_func(q), q[1] - q[0], c_kin))
+    last = first + count - 1
+    # window edges halfway between neighbours: counts up to 90 levels, so
+    # up to three 32-level slices
+    lo = full[0] - 1.0 if first == 0 else 0.5 * (full[first - 1] + full[first])
+    hi = 0.5 * (full[last] + full[last + 1])
+    win = eigenvalues_in_window(spec, float(lo), float(hi))
+    expect = full[first:last + 1]
+    assert win.k == count
+    assert np.all(np.abs(win.eigenvalues - expect)
+                  <= 1e-10 * np.maximum(1.0, np.abs(expect)))
+    assert np.max(win.residual_norms) < 1e-8 * win.spectral_scale
+    assert win.meta["slices"] >= math.ceil(count / 32)
+    assert win.meta["edge_counts"] == [first, last + 1]
+    # edges placed on returned levels keep them inside
+    again = eigenvalues_in_window(spec, float(win.eigenvalues[0]),
+                                  float(win.eigenvalues[-1]))
+    assert again.k == count
+    assert np.all(np.abs(again.eigenvalues - expect)
+                  <= 1e-10 * np.maximum(1.0, np.abs(expect)))
+
+
+def test_inertia_count_matches_the_dense_spectrum_and_a_superlu_factor():
+    # the count against dense eigenvalues at shifts between levels; delta
+    # against 4*eps*|| |L||U| ||_1 of SuperLU's unpivoted factor
+    rng = np.random.default_rng(3)
+    n = 80
+    band = np.zeros((3, n))
+    band[0] = rng.uniform(-5.0, 5.0, n)
+    band[1, :-1] = rng.uniform(-2.0, 2.0, n - 1)
+    band[2, :-2] = rng.uniform(-1.0, 1.0, n - 2)
+    H = sp.diags([band[2, :-2], band[1, :-1], band[0], band[1, :-1],
+                  band[2, :-2]], [-2, -1, 0, 1, 2], format="csc")
+    full = np.linalg.eigvalsh(H.toarray())
+    for j in (0, 7, 40, 78):
+        s = 0.5 * (full[j] + full[j + 1])
+        count, delta = circadia.spectra._count_below(band, s)
+        lu = splu((H - s * sp.identity(n)).tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        growth = np.asarray(abs(lu.L).sum(axis=0)).ravel() @ abs(lu.U)
+        assert count == j + 1 == np.count_nonzero(lu.U.diagonal() < 0)
+        assert math.isclose(delta, 4.0 * np.finfo(float).eps
+                            * np.max(growth), rel_tol=1e-9)
+
+
+def test_edge_levels_stay_inside_under_the_worst_count_delta_allows(
+        monkeypatch):
+    # a count may put a level within its delta of s on either side; this
+    # one always errs against the window, yet edges placed on returned
+    # levels must keep them
+    spec = HamiltonianSpec(
+        variant="Extended1D", c_kin=1.0, grid={"half_width": 10.0, "n": 600},
+        v_func=lambda q: 12.0 * (1.0 - np.cos(q)) + 0.05 * q**2)
+    first = eigenvalues_in_window(spec, 1.0, 60.0).eigenvalues
+    lo, hi = float(first[0]), float(first[-1])
+    count = circadia.spectra._count_below
+
+    def against_the_window(H, s):
+        c, delta = count(H, s)
+        if s < lo:
+            c += int(np.count_nonzero((first >= s) & (first < s + delta)))
+        elif s > hi:
+            c -= int(np.count_nonzero((first < s) & (first > s - delta)))
+        return c, delta
+
+    monkeypatch.setattr(circadia.spectra, "_count_below", against_the_window)
+    again = eigenvalues_in_window(spec, lo, hi)
+    assert again.k == first.size
+    assert np.max(np.abs(again.eigenvalues - first)) < 1e-12 * 60.0
+
+
+@pytest.mark.parametrize("where, offset", [
+    ("upper edge", 1), ("lower edge", -1), ("interior", 1), ("interior", -1),
+])
+def test_a_count_the_slices_contradict_is_refused(monkeypatch, where, offset):
+    # a count that puts a level into a slice where Lanczos finds none (or
+    # takes one out of a slice that has it) leaves a Ritz value outside
+    # its slice; the edge counts themselves carry the certificate
+    spec = HamiltonianSpec(variant="Extended1D", v_func=lambda q: 0.5 * q**2,
+                           c_kin=0.5, grid={"half_width": 12.0, "n": 1024})
+    lo, hi = 2.0, 70.0
+    count = circadia.spectra._count_below
+
+    def miscount(H, s):
+        c, delta = count(H, s)
+        hit = {"upper edge": s > hi, "lower edge": s < lo,
+               "interior": lo < s < hi}[where]
+        return c + offset * hit, delta
+
+    assert eigenvalues_in_window(spec, lo, hi).meta["slices"] >= 3
+    monkeypatch.setattr(circadia.spectra, "_count_below", miscount)
+    with pytest.raises(ConvergenceError, match="edge counts give"):
+        eigenvalues_in_window(spec, lo, hi)
 
 
 def test_discretization_contracts_are_enforced():
