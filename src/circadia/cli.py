@@ -429,6 +429,23 @@ def cmd_dynamics(args) -> int:
 
     record = integrate(rc, p, (args.x0, args.px0, y0, py0), t_end,
                        dt=args.dt)
+    report = {"energy_drift": record.energy_drift,
+              "dt": record.dt, "t_end": t_end,
+              "samples": int(record.times.size)}
+    # reports run over the same span and before any file is written, so a
+    # refused report leaves no trajectory behind
+    if args.report == "residual":
+        y_res, py_res = slow_manifold_residual(rc, p, args.x0,
+                                               t_end=args.t_end, dt=args.dt)
+        report["y_residual"] = y_res
+        report["py_residual"] = py_res
+    elif args.report == "shadow":
+        # the shadow reuses this trajectory when it is the one it needs
+        cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0,
+                                       t_end=args.t_end, dt=args.dt,
+                                       full=record)
+        report["max_x_deviation"] = cmp_.max_deviation
+        report["slow_period"] = cmp_.slow_period
     csv_path = os.path.join(out, "trajectory.csv")
     record.to_csv(csv_path)
     svg_path = os.path.join(out, "trajectory.svg")
@@ -437,24 +454,9 @@ def cmd_dynamics(args) -> int:
                ("y", record.times, record.states[:, 2])],
               xlabel="t (1/omega_C)", ylabel="coordinate",
               title="regularized trajectory")
-    report = {"energy_drift": record.energy_drift,
-              "dt": record.dt, "t_end": t_end,
-              "samples": int(record.times.size)}
-    outputs = [csv_path, svg_path]
-    if args.report == "residual":
-        y_res, py_res = slow_manifold_residual(rc, p, args.x0, dt=args.dt)
-        report["y_residual"] = y_res
-        report["py_residual"] = py_res
-    elif args.report == "shadow":
-        # the shadow reuses this trajectory when it is the one it needs
-        cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0, dt=args.dt,
-                                       full=record)
-        report["max_x_deviation"] = cmp_.max_deviation
-        report["slow_period"] = cmp_.slow_period
     report_path = os.path.join(out, "dynamics_report.json")
     write_json(report_path, report)
-    outputs.append(report_path)
-    _finish(manifest, out, outputs)
+    _finish(manifest, out, [csv_path, svg_path, report_path])
     print(f"energy drift {record.energy_drift:.3e} over t_end={t_end:.6g}")
     if "y_residual" in report:
         print(f"slow-manifold residuals: y {report['y_residual']:.3e}, "
@@ -613,7 +615,8 @@ def build_parser() -> CliParser:
                     help="default: on the slow manifold")
     sp.add_argument("--py0", type=float, default=None)
     sp.add_argument("--t-end", type=float, default=None,
-                    help="default: two slow periods")
+                    help="default: two slow periods (the residual report's "
+                    "own run: five fast periods and half a slow one)")
     sp.add_argument("--dt", type=float, default=2e-4)
     sp.add_argument("--report", choices=("none", "residual", "shadow"),
                     default="none")

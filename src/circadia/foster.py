@@ -8,8 +8,9 @@ The model is the partial-fraction form
 a pole at infinity (shunt capacitance), an optional pole at zero (shunt
 inductance), and simple poles at the resonances. Losslessness makes Im Y
 strictly increasing between poles (reactance theorem), which is what the
-fitter exploits: a +/- sign change between adjacent samples brackets a pole,
-never a zero.
+fitter exploits: a decrease between adjacent samples brackets a pole, never
+a zero. The parameters other than the poles enter linearly, so the fit
+refines the poles alone by variable projection on the least-squares rms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import StructureMismatchError, ValidationError
 from .sweeps import write_json
@@ -62,6 +62,14 @@ class FosterModel:
         }
 
 
+def _check_clear_of_poles(m: FosterModel, omega: np.ndarray) -> None:
+    for _, om in m.resonances:
+        if np.any(np.abs(omega - om) <= POLE_MARGIN * om):
+            raise ValidationError(
+                f"evaluation within relative margin {POLE_MARGIN} of the "
+                f"pole at {om!r}")
+
+
 def eval_admittance(m: FosterModel, omega_list) -> np.ndarray:
     """Purely imaginary Y(i*omega) samples.
 
@@ -71,21 +79,22 @@ def eval_admittance(m: FosterModel, omega_list) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega_list, dtype=float))
     if np.any(omega <= 0.0):
         raise ValidationError("omega samples must be > 0")
+    _check_clear_of_poles(m, omega)
     im = m.c_inf * omega
     if m.l_zero is not None:
         im = im - 1.0 / (m.l_zero * omega)
     for L, om in m.resonances:
-        if np.any(np.abs(omega - om) <= POLE_MARGIN * om):
-            raise ValidationError(
-                f"evaluation within relative margin {POLE_MARGIN} of the "
-                f"pole at {om!r}")
         im = im + omega / (L * (om**2 - omega**2))
     return 1j * im
 
 
 def reactance_slope(m: FosterModel, omega) -> np.ndarray:
-    """d(Im Y)/d omega, positive everywhere it is defined (Foster theorem)."""
+    """d(Im Y)/d omega, positive everywhere it is defined (Foster theorem).
+
+    The same pole margin as eval_admittance applies.
+    """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    _check_clear_of_poles(m, omega)
     s = np.full_like(omega, m.c_inf)
     if m.l_zero is not None:
         s = s + 1.0 / (m.l_zero * omega**2)
@@ -126,11 +135,14 @@ def fit_foster(samples, n_resonances: int):
 
     Pole brackets come from decreases of Im Y between adjacent samples (the
     reactance theorem makes Im Y strictly increasing away from poles, so a
-    decrease pins exactly one asymptote); each pole is then refined by
-    bounded scalar minimization of the linear-least-squares residual,
-    alternating over poles until the residual stops improving. Residues,
-    c_inf, and the optional inductive branch come from the final linear
-    solve.
+    decrease pins exactly one asymptote). Residues, c_inf and the optional
+    inductive branch enter linearly and are projected out by a linear
+    least-squares solve; the poles are then refined together by variable
+    projection (Golub & Pereyra 1973, with Kaufman's 1975 Jacobian), a
+    Gauss-Newton iteration on the projected residual. A step is halved until
+    every pole stays inside its bracket and the rms falls; the iteration
+    stops when the step is below 1e-15 relative or no halving lowers the
+    rms. FitReport.sweeps counts the accepted Gauss-Newton steps.
 
     Returns (FosterModel, FitReport). A detected pole count different from
     n_resonances raises StructureMismatchError listing the detected
@@ -173,57 +185,42 @@ def fit_foster(samples, n_resonances: int):
     # decrease between adjacent samples brackets exactly one +inf -> -inf
     # asymptote, even when both samples land on the same sign.
     drop_tol = 1e-12 * float(np.max(np.abs(imy))) if imy.size else 0.0
-    brackets = [(float(omega[i]), float(omega[i + 1]))
-                for i in range(omega.size - 1)
-                if imy[i + 1] < imy[i] - drop_tol]
-    if len(brackets) != n_resonances:
+    drops = np.flatnonzero(imy[1:] < imy[:-1] - drop_tol)
+    a, b = omega[drops], omega[drops + 1]   # the bracket of each pole
+    if drops.size != n_resonances:
         raise StructureMismatchError(
-            f"detected {len(brackets)} asymptotes, expected {n_resonances}",
-            detected=[0.5 * (a + b) for a, b in brackets])
+            f"detected {drops.size} asymptotes, expected {n_resonances}",
+            detected=(0.5 * (a + b)).tolist())
 
     # Below every pole the only negative contribution is the 1/omega branch.
     with_l_zero = bool(imy[0] < 0.0)
 
-    poles = np.array([0.5 * (a + b) for a, b in brackets])
-
-    def objective(om, j):
-        """Fit rms with pole j moved to om and the others held."""
-        trial = poles.copy()
-        trial[j] = om
-        return _linear_residual(omega, imy, trial, with_l_zero)[0]
-
-    best_rms = math.inf
-    sweeps = 0
-    for sweep in range(12):
-        sweeps = sweep + 1
-        for j, (a, b) in enumerate(brackets):
-            pad = POLE_MARGIN * 0.5 * (a + b)
-            res = minimize_scalar(objective, bounds=(a + pad, b - pad),
-                                  args=(j,), method="bounded",
-                                  options={"xatol": 1e-13 * (a + b)})
-            poles[j] = float(res.x)
-        rms, coef, A = _linear_residual(omega, imy, poles, with_l_zero)
-        if best_rms - rms <= 1e-15 * max(1.0, rms):
-            best_rms = min(best_rms, rms)
-            break
-        best_rms = rms
-
-    # Bounded search stalls once the objective sits in the lstsq noise
-    # floor of the wide bracket; a second pass on a narrowed interval
-    # resolves the pole several orders further.
-    for j, (a, b) in enumerate(brackets):
-        w = 1e-6 * poles[j]
-        lo = max(a + POLE_MARGIN * poles[j], poles[j] - w)
-        hi = min(b - POLE_MARGIN * poles[j], poles[j] + w)
-        if lo >= hi:
-            continue
-        res = minimize_scalar(objective, bounds=(lo, hi), args=(j,),
-                              method="bounded",
-                              options={"xatol": 1e-15 * poles[j]})
-        if float(res.fun) <= objective(poles[j], j):
-            poles[j] = float(res.x)
-
+    poles = 0.5 * (a + b)
+    lo, hi = a + POLE_MARGIN * poles, b - POLE_MARGIN * poles
     rms, coef, A = _linear_residual(omega, imy, poles, with_l_zero)
+    sweeps = 0
+    while n_resonances:
+        # Kaufman's Jacobian (I - QQ^T) dA/dOmega_k c_k of the projected
+        # residual, with d/dOmega [w/(Omega^2 - w^2)] = -2 Omega w
+        # / (Omega^2 - w^2)^2.
+        d = poles**2 - omega[:, None]**2
+        dA = -2.0 * poles * omega[:, None] / d**2 * coef[1:1 + n_resonances]
+        Q = np.linalg.qr(A)[0]
+        J = dA - Q @ (Q.T @ dA)
+        step = -np.linalg.lstsq(J, A @ coef - imy, rcond=None)[0]
+        while np.any(np.abs(step) > 1e-15 * poles):
+            trial = poles + step
+            if np.all((trial > lo) & (trial < hi)):
+                fit = _linear_residual(omega, imy, trial, with_l_zero)
+                if fit[0] < rms:
+                    break
+            step = 0.5 * step
+        else:
+            break
+        poles = trial
+        rms, coef, A = fit
+        sweeps += 1
+
     c_inf = float(coef[0])
     residues = coef[1:1 + n_resonances]
     l_zero = None
@@ -239,9 +236,9 @@ def fit_foster(samples, n_resonances: int):
         raise StructureMismatchError(
             "fit produced nonpositive residues: structure mismatch",
             detected=list(map(float, poles)))
-    resonances = tuple(sorted(
-        ((1.0 / float(r), float(om)) for r, om in zip(residues, poles)),
-        key=lambda t: t[1]))
+    # each pole stays inside its own bracket, so they are already ascending
+    resonances = tuple((1.0 / float(r), float(om))
+                       for r, om in zip(residues, poles))
     model = FosterModel(c_inf=max(c_inf, 0.0), resonances=resonances,
                         l_zero=l_zero)
     gram = A.T @ A

@@ -227,8 +227,16 @@ def test_compare_runs_three_routes(write_circuit, tmp_path):
 def test_dynamics_residual_report(write_circuit, tmp_path):
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     out = tmp_path / "dyn_out"
-    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+    # the residual is measured after a 5-fast-period transient (t = 31.4),
+    # over the same span as the trajectory
+    short = tmp_path / "short"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", short,
                   "--x0", 0.3, "--t-end", 10.0, "--report", "residual")
+    assert res.returncode == 1
+    assert "t_end must exceed the 5-fast-period transient" in res.stderr
+    assert list(short.iterdir()) == []
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--x0", 0.3, "--t-end", 40.0, "--report", "residual")
     assert res.returncode == 0, res.stderr
     names = {p.name for p in out.iterdir()}
     assert names == {"dynamics_report.json", "manifest.json",
@@ -317,15 +325,13 @@ def test_foster_eval_then_fit_round_trip(tmp_path):
     assert names == {"foster_fit.svg", "foster_model.json",
                      "foster_report.json", "manifest.json"}
     fitted = read_json(fit_out / "foster_model.json")
-    assert fitted["c_inf"] == pytest.approx(1.0, rel=1e-4)
+    assert fitted["c_inf"] == pytest.approx(1.0, rel=1e-12)
     assert fitted["l_zero"] is None
     (el, om), = fitted["resonances"]
-    assert om == pytest.approx(3.0, rel=1e-6)
-    assert el == pytest.approx(0.5, rel=1e-4)
-    # eval grid runs within 0.011 of the pole, so |Im Y| reaches ~90 and
-    # the absolute rms sits well above the wide-margin fits elsewhere
+    assert om == pytest.approx(3.0, rel=1e-12)
+    assert el == pytest.approx(0.5, rel=1e-12)
     report = read_json(fit_out / "foster_report.json")
-    assert report["rms_residual"] < 1e-4
+    assert report["rms_residual"] < 1e-12
     assert report["reactance_slope_positive"] is True
 
 

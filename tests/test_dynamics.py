@@ -322,10 +322,34 @@ def test_shadow_report_integrates_the_trajectory_once(monkeypatch,
     report = json.loads((tmp_path / "default" / "dynamics_report.json")
                         .read_text())
     assert report["max_x_deviation"] < 0.05
-    # another t_end is another trajectory: the shadow integrates its own
+    # another start is another trajectory: the shadow integrates its own
     with pytest.raises(AssertionError, match="again"):
-        circadia.cli.main(argv[:-1] + [str(tmp_path / "short"),
-                                       "--t-end", "5"])
+        circadia.cli.main(argv[:-1] + [str(tmp_path / "kicked"),
+                                       "--py0", "1e-4"])
+
+
+@pytest.mark.parametrize("report, runs", [("shadow", 1), ("residual", 2)])
+def test_dynamics_reports_follow_t_end(monkeypatch, write_circuit, tmp_path,
+                                       report, runs):
+    import circadia.cli
+    import circadia.dynamics
+
+    ends = []
+
+    def counted(*args, **kwargs):
+        ends.append(args[3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.cli, "integrate", counted)
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    circuit = write_circuit("dyn.json", 0.2, 1.0, 0.5)
+    out = tmp_path / report
+    assert circadia.cli.main(["dynamics", "--circuit", circuit, "--report",
+                              report, "--dt", "0.01", "--t-end", "40",
+                              "--out", str(out)]) == 0
+    # the shadow compares the command's own trajectory; the residual starts
+    # from rest on the manifold, so it integrates its own over the same span
+    assert ends == [40.0] * runs
 
 
 def _traced_reduced_flow(monkeypatch, p):
