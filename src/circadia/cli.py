@@ -24,7 +24,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .constants import get_constants
@@ -36,7 +35,7 @@ from .foster import eval_admittance, fit_foster, read_admittance_csv, \
     reactance_slope, write_model_json, FosterModel
 from .manifest import RunManifest
 from .params import read_circuit
-from .potentials import PotentialModel
+from .potentials import CubicSpline, PotentialModel
 from .reduction import branch_table, effective_potential, write_potential_csv
 from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
     eigenvalues_in_window, lowest_eigenvalues, naive_compact_adiabatic
@@ -229,8 +228,7 @@ def _bo_column_potential(rc, p, n_samples: int = 41):
     periodic = p.is_periodic and abs(p.period - TWO_PI) < 1e-12
     if periodic:
         u[-1] = u[0]
-    spline = CubicSpline(phis, u,
-                         bc_type="periodic" if periodic else "not-a-knot")
+    spline = CubicSpline(phis, u, "periodic" if periodic else "not-a-knot")
 
     def v(q):
         q = np.asarray(q, dtype=float)

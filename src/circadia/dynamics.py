@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
-from .potentials import (BiasedCosine, Cosine, PotentialModel,
+from .potentials import (BiasedCosine, Cosine, CubicSpline, PotentialModel,
                          _piecewise_cubic)
 from .reduction import (_du_reach, _reduced_values, invertibility_threshold,
                         solve_branch_extended)
@@ -230,11 +229,11 @@ def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
     y0 = _manifold_y0(rc, p, x0, "slow manifold")
     if t_end is None:
         t_end = 5.0 * TWO_PI + 0.5 * _slow_period(rc)
+    if not t_end >= 5.0 * TWO_PI:
+        raise ValidationError("t_end must exceed the 5-fast-period transient")
     record = integrate(rc, p, (x0, 0.0, y0, 0.0), t_end, dt,
                        drift_tol=drift_tol)
     keep = record.times >= 5.0 * TWO_PI
-    if not np.any(keep):
-        raise ValidationError("t_end must exceed the 5-fast-period transient")
     x = record.states[keep, 0]
     y = record.states[keep, 2]
     py = record.states[keep, 3]

@@ -3,7 +3,9 @@
 A potential here is the adimensional shape u(phi) of the nonlinear element's
 energy, U_NL = E_U * u; the reduction formulas need the triple (u, u', u'')
 evaluated consistently, which every kind guarantees analytically except
-Custom, which uses a single cubic spline for all three.
+Custom, which uses a single cubic spline for all three. CubicSpline, the
+package's one spline, also serves the dynamics shadow force and the compare
+Born-Oppenheimer column.
 
 Asymptotic class tags (diagnostic only; a user-supplied tag always wins):
     Sublinear1a   symmetric, |u|/|phi|^gamma -> 0 for some gamma in (0,2)
@@ -21,7 +23,7 @@ from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import ValidationError
 
@@ -167,8 +169,9 @@ class PolynomialEven(PotentialModel):
 class Custom(PotentialModel):
     """Tabulated potential on a finite support, cubic-spline derivatives.
 
-    Natural boundary conditions keep (u, u', u'') a consistent triple from
-    one spline; evaluation outside the tabulated range refuses.
+    One natural CubicSpline (the package's own, equal to scipy's bit for
+    bit) keeps (u, u', u'') a consistent triple; evaluation outside the
+    tabulated range refuses.
     """
 
     kind = "Custom"
@@ -185,7 +188,7 @@ class Custom(PotentialModel):
         if not np.all(np.diff(phi_samples) > 0):
             raise ValidationError("phi samples must be strictly increasing")
         self.support = (float(phi_samples[0]), float(phi_samples[-1]))
-        self._spline = CubicSpline(phi_samples, u_samples, bc_type="natural")
+        self._spline = CubicSpline(phi_samples, u_samples, "natural")
         self._scalar = _scalar_evaluators(self._spline)
         super().__init__(class_tag)
 
@@ -230,13 +233,142 @@ class Custom(PotentialModel):
             f"extrapolation: argument outside tabulated range [{lo}, {hi}]")
 
 
+class CubicSpline:
+    """Cubic interpolating spline through (x, y) as power coefficients.
+
+    c[k, i] multiplies (q - x[i])**(3 - k) on [x[i], x[i+1]]. bc_type is
+    "natural" (u'' = 0 at both ends), "not-a-knot" (u''' continuous at x[1]
+    and x[-2]) or "periodic" (y[0] == y[-1]; u' and u'' continue across
+    the ends, and a call maps q into the period first). The knot slopes
+    solve the tridiagonal system of scipy's CubicSpline, built with the
+    same operations and passed to the same LAPACK solve (two of them, with
+    the same bordered elimination, when periodic), so x, c and every value
+    equal scipy's bit for bit.
+    """
+
+    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.size
+        if x.ndim != 1 or y.shape != x.shape or n < 4:
+            raise ValidationError("a spline needs equal-length 1D knots and "
+                                  "values, at least 4 of them")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValidationError("spline knots and values must be finite")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValidationError("spline knots must be strictly increasing")
+        if bc_type not in ("natural", "not-a-knot", "periodic"):
+            raise ValidationError(f"unknown spline bc_type {bc_type!r}")
+        if bc_type == "periodic" and y[0] != y[-1]:
+            raise ValidationError("a periodic spline needs y[0] == y[-1]")
+        slope = np.diff(y) / dx
+
+        # rows 1..n-2: u'' continuous at the inner knots
+        A = np.zeros((3, n))
+        b = np.empty(n)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if bc_type == "periodic":
+            s = _periodic_slopes(A, b, dx, slope)
+        else:
+            if bc_type == "natural":
+                # scipy's rows for a given end u'' (d2), term for term, so
+                # that even a signed zero comes out alike
+                d2 = 0.0
+                A[1, 0] = 2 * dx[0]
+                A[0, 1] = dx[0]
+                b[0] = -0.5 * d2 * dx[0]**2 + 3 * (y[1] - y[0])
+                A[1, -1] = 2 * dx[-1]
+                A[-1, -2] = dx[-1]
+                b[-1] = 0.5 * d2 * dx[-1]**2 + 3 * (y[-1] - y[-2])
+            else:
+                d = x[2] - x[0]
+                A[1, 0] = dx[1]
+                A[0, 1] = d
+                b[0] = ((dx[0] + 2*d) * dx[1] * slope[0]
+                        + dx[0]**2 * slope[1]) / d
+                d = x[-1] - x[-3]
+                A[1, -1] = dx[-2]
+                A[-1, -2] = d
+                b[-1] = (dx[-1]**2 * slope[-2]
+                         + (2*d + dx[-1]) * dx[-2] * slope[-1]) / d
+            s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
+                             overwrite_b=True, check_finite=False)[:, 0]
+
+        # Hermite data (y, s) to power coefficients
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self.x = x
+        self.periodic = bc_type == "periodic"
+
+    def __call__(self, q, nu: int = 0) -> np.ndarray:
+        """The nu-th derivative (nu = 0, 1, 2) at q as scipy's PPoly gives
+        it: last interval closed, end pieces continued past the knots (a
+        periodic spline maps q into [x[0], x[-1]] instead), powers summed
+        lowest first as in _piecewise_cubic, NaN for NaN."""
+        x = self.x
+        q = np.asarray(q, dtype=float)
+        if self.periodic:
+            q = x[0] + (q - x[0]) % (x[-1] - x[0])
+        # searchsorted(x, q, "right") - 1 clipped to the end pieces
+        i = np.searchsorted(x[1:-1], q, side="right")
+        s = q - x[i]
+        c = self.c[:, i]
+        # scipy's res = res + c*z*prefactor from res = 0.0; the products
+        # with z = 1 or a prefactor of 1 are exact and left out
+        res = np.zeros(s.shape)
+        z = None
+        for kp in range(nu, 4):
+            term = c[3 - kp] if z is None else c[3 - kp] * z
+            pref = math.perm(kp, nu)
+            res += term if pref == 1 else term * float(pref)
+            if kp < 3:
+                z = s if z is None else z * s
+        if self.periodic:
+            # rounding can carry a mapped point past an end: NaN, as scipy
+            res = np.where((q >= x[0]) & (q <= x[-1]), res, np.nan)
+        return res
+
+
+def _periodic_slopes(A: np.ndarray, b: np.ndarray, dx: np.ndarray,
+                     slope: np.ndarray) -> np.ndarray:
+    """Knot slopes of a periodic spline. s[-1] = s[0] leaves a cyclic
+    tridiagonal system of n-1 equations; its last unknown is eliminated
+    from two solves with the leading (n-2)-block, as in scipy."""
+    n = b.size
+    A = A[:, :-1]
+    A[1, 0] = 2 * (dx[-1] + dx[0])
+    A[0, 1] = dx[-1]
+    b = b[:-1]
+    b[0] = 3 * (dx[0] * slope[-1] + dx[-1] * slope[0])
+    b[-1] = 3 * (dx[-1] * slope[-2] + dx[-2] * slope[-1])
+    # corner entries of the cyclic system, named by their (row, column)
+    a_m1_0, a_m1_m2, a_m1_m1 = dx[-2], dx[-1], 2 * (dx[-1] + dx[-2])
+    a_m2_m1, a_0_m1 = dx[-3], dx[0]
+    b2 = np.zeros(n - 2)
+    b2[0] = -a_0_m1
+    b2[-1] = -a_m2_m1
+    s1, s2 = (solve_banded((1, 1), A[:, :-1], rhs.reshape(n - 2, 1),
+                           check_finite=False)[:, 0] for rhs in (b[:-1], b2))
+    s_m1 = ((b[-1] - a_m1_0 * s1[0] - a_m1_m2 * s1[-1])
+            / (a_m1_m1 + a_m1_0 * s2[0] + a_m1_m2 * s2[-1]))
+    s = np.empty(n)
+    s[:-2] = s1 + s_m1 * s2
+    s[-2] = s_m1
+    s[-1] = s[0]
+    return s
+
+
 def _piecewise_cubic(spline: CubicSpline, nu: int):
     """float(spline(q, nu)) for one float q, bit for bit, without numpy.
 
-    Interval search as scipy's with extrapolate=True (the end pieces
-    continue outside the table); the power terms are summed in the order of
-    scipy's PPoly evaluation (lowest power first, not Horner's rule), so the
-    rounding is the same.
+    Interval search as CubicSpline's (the end pieces continue outside the
+    table). The power terms are summed in the order of scipy's PPoly
+    evaluation, which CubicSpline keeps (lowest power first, not Horner's
+    rule), so the rounding is the same.
     """
     x = spline.x.tolist()
     last = len(x) - 2

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (ConvergenceError, PhysicalRegimeError,
                      UnresolvedClusterError, ValidationError)
@@ -40,6 +39,7 @@ RESIDUAL_TOL = 1e-13      # bisection stop; contract is 1e-12
 ZERO_TOL = 1e-12          # a sample with |f| below this counts as a root
 _REFINE_FACTOR = 128      # subdivision of a suspicious cell
 _MAX_DEPTH = 4            # refinement levels below the top grid
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink per step
 
 
 @dataclass(frozen=True)
@@ -286,9 +286,12 @@ def invertibility_threshold(p: PotentialModel,
                             window: tuple[float, float] | None = None) -> float:
     """sup{beta : 1 + beta*u''(phi_c) > 0 for all phi_c} = 1/max(-u'').
 
-    Grid scan plus a bounded local refinement of the maximizer; infinite when
-    u'' is nonnegative everywhere on the window. The default window is one
-    period, a tabulated potential's support, or else (-8pi, 8pi).
+    Grid scan, then a golden-section search for the maximizer between the
+    grid points two either side of the scan's best, narrowed to 1e-9; the
+    larger of the two peaks is kept, so the refinement can only lower the
+    threshold. Infinite when u'' is nonnegative everywhere on the window.
+    The default window is one period, a tabulated potential's support, or
+    else (-8pi, 8pi).
     """
     if window is None:
         window = _scan_window(p, 4.0 * TWO_PI)
@@ -299,11 +302,22 @@ def invertibility_threshold(p: PotentialModel,
         raise ValidationError("u'' must be bounded on the window")
     i = int(np.argmax(neg_d2))
     peak = float(neg_d2[i])
-    lo = grid[max(i - 2, 0)]
-    hi = grid[min(i + 2, len(grid) - 1)]
-    res = minimize_scalar(lambda c: float(p.d2u(c)), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-9})
-    peak = max(peak, -float(res.fun))
+    lo = float(grid[max(i - 2, 0)])
+    hi = float(grid[min(i + 2, len(grid) - 1)])
+    # golden section on u'': the better inner point is always kept, so the
+    # final pair holds the least u'' seen; a fixed count ends the loop
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = float(p.d2u(c)), float(p.d2u(d))
+    for _ in range(math.ceil(math.log(1e-9 / max(hi - lo, 1e-9), _INVPHI))):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = float(p.d2u(c))
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = float(p.d2u(d))
+    peak = max(peak, -min(fc, fd))
     if peak <= 0.0:
         return math.inf
     return 1.0 / peak

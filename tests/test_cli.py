@@ -360,3 +360,49 @@ def test_foster_wrong_resonance_count_exits_1(tmp_path):
                   "--resonances", 2)
     assert res.returncode == 1
     assert "error" in res.stderr.lower()
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+import circadia.cli
+
+circuit, custom, samples, out = sys.argv[1:]
+runs = [
+    ["reduce", "--circuit", circuit, "--grid", "256"],
+    ["bo-sweep", "--circuit", circuit, "--kappa-ladder", "0.6,0.45,0.3",
+     "--x-min", "-1", "--x-max", "1", "--x-points", "3"],
+    ["compare", "--circuit", circuit],
+    ["dynamics", "--circuit", custom, "--t-end", "2", "--dt", "1e-3",
+     "--report", "shadow"],
+    ["foster", "--input", samples, "--resonances", "1"],
+]
+for k, argv in enumerate(runs):
+    code = circadia.cli.main(argv + ["--out", out + str(k)])
+    assert code == 0, (argv, code)
+print("loaded:", *(name for name in ("scipy.interpolate", "scipy.optimize",
+                                    "scipy.special") if name in sys.modules))
+"""
+
+
+def test_cli_routes_never_import_interpolate_optimize_or_special(
+        write_circuit, tmp_path):
+    # start-up cost: each command pays for every module it imports
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{x!r},{-math.cos(x)!r}\n"
+                             for x in np.linspace(-12.0, 12.0, 601).tolist()))
+    custom = write_circuit("custom.json", kappa=0.2, xi=1.0, lambdaJ=0.5,
+                           potential={"kind": "custom_csv",
+                                      "path": str(table)})
+    samples = tmp_path / "samples.csv"
+    omega = np.linspace(0.5, 6.0, 60)
+    omega = omega[np.abs(omega - 3.0) > 0.1]
+    samples.write_text("omega,ImY\n" + "".join(
+        f"{w!r},{w + w / (0.5 * (9.0 - w * w))!r}\n"
+        for w in omega.tolist()))
+    res = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, circuit, custom,
+         str(samples), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "loaded:"

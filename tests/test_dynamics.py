@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy import interpolate  # the oracle for CubicSpline
 
 from circadia import (
     BiasedCosine,
@@ -20,7 +20,7 @@ from circadia import (
     slow_manifold_residual,
 )
 from circadia.dynamics import _scalar_force, _slow_period, _steps
-from circadia.potentials import _piecewise_cubic
+from circadia.potentials import CubicSpline, _piecewise_cubic
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
 
@@ -259,6 +259,25 @@ def test_residual_probe_refuses_bad_regimes():
                                Cosine(), 1.0)
 
 
+@pytest.mark.parametrize("t_end", [10.0, 5.0 * 2.0 * math.pi - 1e-9,
+                                   math.nan, -math.inf])
+def test_residual_probe_refuses_a_short_span_before_integrating(
+        monkeypatch, t_end):
+    import circadia.dynamics
+
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    rc = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
+    with pytest.raises(ValidationError, match="5-fast-period transient"):
+        slow_manifold_residual(rc, Cosine(), 0.3, t_end=t_end)
+    assert runs == []
+
+
 def test_reduced_flow_shadows_the_full_system():
     rc = ReducedCircuit.from_ratios(0.2, 1.0, 0.5)
     period = _slow_period(rc)
@@ -353,12 +372,17 @@ def test_dynamics_reports_follow_t_end(monkeypatch, write_circuit, tmp_path,
 
 
 def _traced_reduced_flow(monkeypatch, p):
-    """A shadow run whose force spline is kept and whose force calls are
-    counted; dt=0.008 over t=400 records every third step, so segments
-    take three substeps and the last one two."""
+    """A shadow run whose force spline is kept, beside scipy's spline on
+    the same data, and whose force calls are counted; dt=0.008 over t=400
+    records every third step, so segments take three substeps and the last
+    one two."""
     import circadia.dynamics
 
-    splines, calls = [], []
+    splines, data, calls = [], [], []
+
+    def recording(x, y, *args):
+        data.append((x, y))
+        return CubicSpline(x, y, *args)
 
     def tracing(spline, nu):
         evaluate = _piecewise_cubic(spline, nu)
@@ -369,11 +393,13 @@ def _traced_reduced_flow(monkeypatch, p):
             return evaluate(q)
         return counted
 
+    monkeypatch.setattr(circadia.dynamics, "CubicSpline", recording)
     monkeypatch.setattr(circadia.dynamics, "_piecewise_cubic", tracing)
     rc = ReducedCircuit.from_ratios(0.2, 1.0, 0.5)
     cmp_ = shadow_reduced_dynamics(rc, p, 1.0, 0.0, t_end=400.0, dt=0.008)
     (spline,) = splines
-    return rc, cmp_, spline, calls
+    ((x, y),) = data
+    return rc, cmp_, spline, calls, interpolate.CubicSpline(x, y)
 
 
 def _substeps(times):
@@ -385,8 +411,10 @@ def _substeps(times):
                          ids=lambda p: p.kind)
 def test_reduced_flow_matches_the_spline_called_per_half_kick(monkeypatch,
                                                               p):
-    rc, cmp_, spline, _ = _traced_reduced_flow(monkeypatch, p)
-    assert isinstance(spline, CubicSpline)
+    rc, cmp_, spline, _, oracle = _traced_reduced_flow(monkeypatch, p)
+    # the force table is scipy's not-a-knot spline on the same data
+    assert spline.x.tobytes() == oracle.x.tobytes()
+    assert spline.c.tobytes() == oracle.c.tobytes()
     # oracle: the spline's own call, twice per kick-drift-kick substep
     coef_force = rc.kappa**2 / rc.xi
     x, px = 1.0, 0.0
@@ -403,7 +431,7 @@ def test_reduced_flow_matches_the_spline_called_per_half_kick(monkeypatch,
 
 
 def test_reduced_flow_evaluates_the_force_once_per_substep(monkeypatch):
-    _, cmp_, _, calls = _traced_reduced_flow(monkeypatch, Cosine())
+    _, cmp_, _, calls, _ = _traced_reduced_flow(monkeypatch, Cosine())
     substeps = _substeps(cmp_.times)
     assert set(substeps) == {2, 3}
     assert len(calls) == sum(substeps) + 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy import interpolate  # the oracle for CubicSpline
 
 from circadia import (
     BiasedCosine,
@@ -15,7 +15,7 @@ from circadia import (
     ValidationError,
     classify_asymptotics,
 )
-from circadia.potentials import _piecewise_cubic
+from circadia.potentials import CubicSpline, _piecewise_cubic
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,27 +94,89 @@ def test_custom_refuses_extrapolation_and_unsorted_grids(tmp_path):
     assert np.max(np.abs(q.u(probe) - p.u(probe))) < 1e-12
 
 
-@given(gaps=st.lists(st.floats(0.01, 2.0), min_size=3, max_size=40),
-       seed=st.integers(0, 2**32 - 1),
-       bc_type=st.sampled_from(["natural", "not-a-knot"]))
-def test_scalar_spline_evaluator_matches_scipy_bit_for_bit(gaps, seed,
-                                                          bc_type):
-    knots = np.concatenate([[-1.0], -1.0 + np.cumsum(gaps)])
+BC_TYPES = ("natural", "not-a-knot", "periodic")
+
+
+def _spline_data(gaps, seed, bc_type):
+    """Knots from -1 with the given gaps (times a random scale), random
+    values of a random magnitude; periodic data close on y[0]."""
     rng = np.random.default_rng(seed)
-    spline = CubicSpline(knots, rng.normal(size=knots.size) * 10.0**rng
-                         .uniform(-3.0, 3.0), bc_type=bc_type)
+    knots = -1.0 + np.concatenate([[0.0], np.cumsum(gaps)]) \
+        * 10.0**rng.uniform(-2.0, 2.0)
+    values = rng.normal(size=knots.size) * 10.0**rng.uniform(-3.0, 3.0)
+    if bc_type == "periodic":
+        values[-1] = values[0]
+    return knots, values, rng
+
+
+def _probes(knots, rng):
     lo, hi = float(knots[0]), float(knots[-1])
-    probes = np.concatenate([
+    width = hi - lo
+    return np.concatenate([
         knots,                                   # every knot, both ends
         0.5 * (knots[:-1] + knots[1:]),
         np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
         rng.uniform(lo, hi, 32),
-        [lo - 2.5, lo - 1e-3, hi + 1e-3, hi + 2.5],  # outside the table
-    ]).tolist()
+        [lo - 2.5 * width, lo - 1e-3 * width,    # outside the table
+         hi + 1e-3 * width, hi + 2.5 * width],
+    ])
+
+
+@given(gaps=st.lists(st.floats(0.01, 2.0), min_size=3, max_size=40),
+       seed=st.integers(0, 2**32 - 1), bc_type=st.sampled_from(BC_TYPES))
+def test_cubic_spline_equals_scipy_bit_for_bit(gaps, seed, bc_type):
+    knots, values, rng = _spline_data(gaps, seed, bc_type)
+    ours = CubicSpline(knots, values, bc_type)
+    oracle = interpolate.CubicSpline(knots, values, bc_type=bc_type)
+    assert ours.x.tobytes() == oracle.x.tobytes()
+    assert ours.c.shape == oracle.c.shape
+    assert ours.c.tobytes() == oracle.c.tobytes()
+    probes = np.append(_probes(knots, rng), np.nan)
+    for nu in (0, 1, 2):
+        got = ours(probes, nu)
+        assert got.shape == probes.shape
+        assert got.tobytes() == oracle(probes, nu).tobytes(), nu
+        assert float(ours(float(probes[3]), nu)) == float(
+            oracle(float(probes[3]), nu))
+
+
+def test_periodic_spline_gives_nan_where_the_period_map_overshoots():
+    # (q - x0) % P rounds up to P for the float just below x0, and
+    # x0 + P lands past x[-1], where scipy's PPoly answers NaN
+    x = np.array([-1.0, 0.0, 1.0, 2.0, 1023.2616121342493])
+    y = np.array([1.0, 2.0, -1.0, 0.5, 1.0])
+    q = np.array([np.nextafter(-1.0, -np.inf), 0.5])
+    oracle = interpolate.CubicSpline(x, y, bc_type="periodic")
+    for nu in (0, 1, 2):
+        got = CubicSpline(x, y, "periodic")(q, nu)
+        assert math.isnan(got[0]) and math.isfinite(got[1])
+        assert got.tobytes() == oracle(q, nu).tobytes()
+
+
+def test_cubic_spline_refuses_what_it_cannot_build():
+    x = np.linspace(0.0, 1.0, 6)
+    y = np.sin(x)
+    for args in ((x[:3], y[:3]), (x, y[:-1]), (x[::-1], y),
+                 (x, np.where(x > 0.5, np.nan, y)), (x, y, "clamped"),
+                 (x, y, "periodic")):
+        with pytest.raises(ValidationError):
+            CubicSpline(*args)
+
+
+@given(gaps=st.lists(st.floats(0.01, 2.0), min_size=3, max_size=40),
+       seed=st.integers(0, 2**32 - 1), bc_type=st.sampled_from(BC_TYPES))
+def test_scalar_spline_evaluator_matches_scipy_bit_for_bit(gaps, seed,
+                                                          bc_type):
+    knots, values, rng = _spline_data(gaps, seed, bc_type)
+    spline = interpolate.CubicSpline(knots, values, bc_type=bc_type)
+    probes = _probes(knots, rng).tolist()
     for nu in (0, 1, 2):
         evaluate = _piecewise_cubic(spline, nu)
         got = np.array([evaluate(q) for q in probes])
-        want = np.array([float(spline(q, nu)) for q in probes])
+        # the end pieces continue outside the table, also for a periodic
+        # spline, whose own call would map q into the period
+        want = np.array([float(spline(q, nu, extrapolate=True))
+                         for q in probes])
         assert got.tobytes() == want.tobytes(), nu
 
 
@@ -142,10 +204,16 @@ def test_custom_scalar_path_matches_the_array_path():
     assert math.isnan(p.du(float("nan")))
     assert math.isnan(p.du(np.float64("nan")))
     assert np.isnan(p.du(np.array([float("nan")]))[0])
-    # the scalar evaluators are rebuilt after pickling (bo-sweep --jobs)
+    # the spline pickles and the scalar evaluators are rebuilt after
+    # unpickling (bo-sweep --jobs); both paths evaluate bit for bit
     restored = pickle.loads(pickle.dumps(p))
-    assert [restored.du(q) for q in pts.tolist()] == [p.du(q) for q in
-                                                       pts.tolist()]
+    for order in (0, 1, 2):
+        assert restored.eval(pts, order).tobytes() == p.eval(
+            pts, order).tobytes()
+        assert [restored.eval(q, order) for q in pts.tolist()] == [
+            p.eval(q, order) for q in pts.tolist()]
+    with pytest.raises(ValidationError, match="extrapolation"):
+        restored.u(hi + 1e-12)
 
 
 def test_eval_rejects_unknown_order():

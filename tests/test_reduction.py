@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from circadia import (
     BiasedCosine,
     Cosine,
+    Custom,
     PhysicalRegimeError,
     PolynomialEven,
     ReducedCircuit,
@@ -21,8 +22,9 @@ from circadia import (
     solve_branch_compact,
     solve_consistency,
 )
-from circadia.reduction import (_bisect_scalar, _branch_phase, _coordinates,
-                                _locate_minima, _reduced_values)
+from circadia.reduction import (GRID_MIN, _bisect_scalar, _branch_phase,
+                                _coordinates, _locate_minima, _reduced_values,
+                                _scan_window)
 
 TWO_PI = 2.0 * math.pi
 WINDOW = (0.0, TWO_PI)
@@ -88,6 +90,57 @@ def test_invertibility_thresholds():
     assert invertibility_threshold(PolynomialEven([0.0, 0.5])) == math.inf
     assert invertibility_threshold(
         BiasedCosine(math.pi / 3.0)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _brent_threshold(p):
+    """The scan plus scipy's bounded Brent refinement, as an oracle."""
+    from scipy.optimize import minimize_scalar
+
+    a, b = _scan_window(p, 4.0 * TWO_PI)
+    grid = np.linspace(a, b, GRID_MIN + 1)
+    neg_d2 = -np.asarray(p.d2u(grid), dtype=float)
+    i = int(np.argmax(neg_d2))
+    res = minimize_scalar(lambda c: float(p.d2u(c)),
+                          bounds=(grid[max(i - 2, 0)],
+                                  grid[min(i + 2, GRID_MIN)]),
+                          method="bounded", options={"xatol": 1e-9})
+    peak = max(float(neg_d2[i]), -float(res.fun))
+    return 1.0 / peak if peak > 0.0 else math.inf
+
+
+@pytest.mark.parametrize("p", [
+    Cosine(), BiasedCosine(0.4), BiasedCosine(1.3), BiasedCosine(-2.1),
+    PolynomialEven([0.0, -0.5, 0.01]), PolynomialEven([0.0, 0.5, -0.01]),
+    PolynomialEven([1.0, -0.3, 0.02]), PolynomialEven([0.0, 0.5]),
+], ids=lambda p: f"{p.kind}{getattr(p, 'phi_ext', getattr(p, 'coeffs', ''))}")
+def test_golden_section_threshold_equals_the_brent_refinement(p):
+    assert invertibility_threshold(p) == _brent_threshold(p)
+
+
+def test_golden_section_threshold_on_a_quartic_peak_off_the_grid():
+    # -u'' = -0.4 + 0.36 phi^2 - 0.021 phi^4 peaks at 8/7 off the scan grid;
+    # both refinements land within rounding of 7/8
+    p = PolynomialEven([0.0, 0.2, -0.03, 0.0007])
+    assert invertibility_threshold(p) == pytest.approx(0.875, rel=1e-15)
+    assert _brent_threshold(p) == pytest.approx(0.875, rel=1e-15)
+
+
+@pytest.mark.parametrize("u, lo, hi, n", [
+    (lambda x: -np.cos(x) + 0.05 * x**2, -6.0, 6.0, 61),
+    (lambda x: -np.cos(x - 0.3) + 0.1 * x**2, -5.0, 5.0, 200),
+    (lambda x: np.sin(x) * x, -7.0, 4.0, 97),
+    (lambda x: -np.cos(x) + 0.05 * x**2, -6.0, 6.0, 60),
+])
+def test_table_threshold_finds_the_spline_peak_at_a_knot(u, lo, hi, n):
+    # u'' of a cubic spline is piecewise linear, so sup(-u'') is taken at a
+    # knot; the refinement never raises beta_crit above the scan's value
+    phi = np.linspace(lo, hi, n)
+    p = Custom(phi, u(phi))
+    exact = 1.0 / float(np.max(-p.d2u(phi)))
+    beta_crit = invertibility_threshold(p)
+    assert beta_crit == pytest.approx(exact, rel=1e-8)
+    grid = np.linspace(lo, hi, GRID_MIN + 1)
+    assert beta_crit <= 1.0 / float(np.max(-p.d2u(grid)))
 
 
 def test_curvature_at_the_minimum_matches_the_closed_form():
