@@ -58,6 +58,21 @@ class CliParser(argparse.ArgumentParser):
 # shared loading helpers
 
 
+def _check_flags(args, finite=(), at_least=()) -> None:
+    """Refuse, before any work, a flag of `finite` that is set but not
+    finite, and a flag of the (flag, low) pairs `at_least` below low."""
+    for flag in finite:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be finite, got {value}")
+    for flag, low in at_least:
+        value = getattr(args, flag)
+        if value < low:
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -152,6 +167,8 @@ def _parse_ladder(text: str) -> np.ndarray:
 
 
 def cmd_bo_sweep(args) -> int:
+    _check_flags(args, finite=("x_min", "x_max"),
+                 at_least=(("x_points", 1), ("grid", 0)))
     rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     kappas = _parse_ladder(args.kappa_ladder)
@@ -407,11 +424,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    for flag in ("x0", "px0", "y0", "py0", "t_end", "dt"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(
-                f"--{flag.replace('_', '-')} must be finite, got {value}")
+    _check_flags(args, finite=("x0", "px0", "y0", "py0", "t_end", "dt"))
     rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     t_end = args.t_end if args.t_end is not None else 2.0 * _slow_period(rc)
@@ -498,6 +511,8 @@ def _masked_curve(model: FosterModel, omega: np.ndarray) -> np.ndarray:
 
 
 def cmd_foster(args) -> int:
+    _check_flags(args, finite=("omega_min", "omega_max"),
+                 at_least=(("points", 1),))
     out = _outdir(args)
     if args.model:
         model = _model_from_json(args.model)

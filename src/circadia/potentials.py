@@ -171,7 +171,7 @@ class Custom(PotentialModel):
 
     One natural CubicSpline (the package's own, equal to scipy's bit for
     bit) keeps (u, u', u'') a consistent triple; evaluation outside the
-    tabulated range refuses.
+    tabulated range refuses. knots are the tabulated phi samples.
     """
 
     kind = "Custom"
@@ -189,6 +189,7 @@ class Custom(PotentialModel):
             raise ValidationError("phi samples must be strictly increasing")
         self.support = (float(phi_samples[0]), float(phi_samples[-1]))
         self._spline = CubicSpline(phi_samples, u_samples, "natural")
+        self.knots = self._spline.x
         self._scalar = _scalar_evaluators(self._spline)
         super().__init__(class_tag)
 

@@ -289,14 +289,18 @@ def invertibility_threshold(p: PotentialModel,
     Grid scan, then a golden-section search for the maximizer between the
     grid points two either side of the scan's best, narrowed to 1e-9; the
     larger of the two peaks is kept, so the refinement can only lower the
-    threshold. Infinite when u'' is nonnegative everywhere on the window.
-    The default window is one period, a tabulated potential's support, or
-    else (-8pi, 8pi).
+    threshold. The scan also takes a tabulated potential's knots in the
+    window: its spline's u'' is piecewise linear, so the knots hold its
+    exact maximum. Infinite when u'' is nonnegative everywhere on the
+    window. The default window is one period, a tabulated potential's
+    support, or else (-8pi, 8pi).
     """
     if window is None:
         window = _scan_window(p, 4.0 * TWO_PI)
     a, b = float(window[0]), float(window[1])
-    grid = np.linspace(a, b, GRID_MIN + 1)
+    knots = np.asarray(getattr(p, "knots", ()), dtype=float)
+    grid = np.union1d(np.linspace(a, b, GRID_MIN + 1),
+                      knots[(knots >= a) & (knots <= b)])
     neg_d2 = -np.asarray(p.d2u(grid), dtype=float)
     if not np.all(np.isfinite(neg_d2)):
         raise ValidationError("u'' must be bounded on the window")

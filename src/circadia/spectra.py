@@ -30,17 +30,17 @@ an energy window into slices of <= 32 levels, each shift-inverted Lanczos.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
-assembly (_two_mode) builds the grids, H and a sweep of the blocks once per
-solve. H is projected onto the m lowest eigenvectors chi_i of every B_i (a
+assembly (_two_mode) builds the grids, the product by H (from the slow band
+and the blocks; no matrix of H) and a sweep of the blocks once per solve. H
+is projected onto the m lowest eigenvectors chi_i of every B_i (a
 contracted adiabatic basis, sequential diagonalization-truncation), a
 Hermitian band of width 3m-1 (m = 1 is Born-Oppenheimer with its diagonal
-correction, m = dim_fast the full grid operator, which is never
-factorized). Each Ritz vector is lifted to the grid; one sparse product of
-H gives its Rayleigh quotient, the reported level, and its residual. m
-doubles from 4 until every kept level has a grid residual <= 1e-8 of the
-spectral scale (the residual bound of every variant) and a Kato-Temple
-bracket <= 1e-10 relative, and the next level lies below every discarded
-block level.
+correction, m = dim_fast the full grid operator, never factorized). Each
+Ritz vector is lifted to the grid; one product by H gives its Rayleigh
+quotient, the reported level, and its residual. m doubles from 4 until each
+kept level has a grid residual <= 1e-8 of the spectral scale (every
+variant's bound) and a Kato-Temple bracket <= 1e-10 relative, and the next
+level lies below every discarded block level.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, \
     eig_banded, eigh
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -173,11 +172,14 @@ def _fd4_bands(n: int, h: float, c: float) -> np.ndarray:
     return band
 
 
-def _fd4_sparse(n: int, h: float, c: float) -> sp.csr_matrix:
-    """The same operator as _fd4_bands, as a symmetric CSR matrix."""
-    band = _fd4_bands(n, h, c)
-    d0, d1, d2 = band[0], band[1, :-1], band[2, :-2]
-    return sp.diags([d2, d1, d0, d1, d2], [-2, -1, 0, 1, 2], format="csr")
+def _band_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x along axis 0 of any x, Hermitian A in lower band storage ab."""
+    xt = x.T
+    y = ab[0] * xt
+    for d in range(1, ab.shape[0]):
+        y[..., d:] += ab[d, :-d] * xt[..., :-d]
+        y[..., :-d] += ab[d, :-d].conj() * xt[..., d:]
+    return y.T
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +308,7 @@ def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
     on Lanczos from a proven lower bound, as in 2D. Window: the slicing of
     eigenvalues_in_window; a Ritz value outside its slice (beyond the edges'
     delta and its residual) is a ConvergenceError."""
-    n = v.size
-    band = _fd4_bands(n, h, c_kin)
+    band = _fd4_bands(v.size, h, c_kin)
     band[0, :] += v
     # Gershgorin row sums; the FD4 off-diagonals are constant
     scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
@@ -315,9 +316,7 @@ def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
     if window is None:
         sigma = _weyl_shift(v, 1, scale)
         w, vec = _shift_invert_pairs(band, sigma, k)
-    H = _fd4_sparse(n, h, c_kin) + sp.diags(v)
-    if window is None:
-        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
+        res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
         _cholesky_below(band, float(w[0] - res[0] - tol), "a level lies "
                         f"below the ground Ritz value {float(w[0])!r}")
         return w, vec, res, sigma
@@ -362,7 +361,7 @@ def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
         w, vec = _shift_invert_pairs(band, centre, b[1] - a[1],
                                      lambda v: dgbtrs(lu, 2, 2, v, piv)[0])
         # only the residual norms are kept, so one slice's vectors at a time
-        res = np.linalg.norm(H @ vec - vec * w[None, :], axis=0)
+        res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
         inside += np.count_nonzero((w >= a[0] - a[2] - res - tol)
                                    & (w <= b[0] + b[2] + res + tol))
         parts.append((w, res))
@@ -586,8 +585,7 @@ def _auto_fast_cutoff(kappa: float, xi: float, lam: float, coef: float,
 def _compact_parts(spec: HamiltonianSpec, k: int):
     """Slow grid phi, the phi-independent fast operator h_fast in the charge
     basis, the angle matrix phi1 and c2 = kappa^4 xi^2 of the compact pair;
-    the grid must hold k <= dimension/4 pairs.
-    """
+    the grid must hold k <= dimension/4 pairs."""
     kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
     p = spec.potential if spec.potential is not None else Cosine()
     if not p.is_periodic or abs(p.period - TWO_PI) > 1e-12:
@@ -616,36 +614,37 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     """The two-mode operator of either basis, assembled once per solve.
 
     H = (slow FD4 kinetic) x I + blockdiag(B_i), B_i the fast operator
-    frozen at slow grid point i. Returns the sparse grid operator H, sweep,
-    the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2), a bound on
-    max_i ||B_i||_inf for the Weyl margin, meta and units. sweep(m) gives
-    the m lowest eigenpairs of every B_i (m capped at dim_fast): eps
-    (n_slow, m) ascending and chi (n_slow, dim_fast, m) with orthonormal
-    columns. Extended blocks are banded and solved per call (select='i',
-    LAPACK ?sbevx). Compact blocks are dense Hermitian and diagonalized
-    whole here, since a full eigh costs about as much as its 32 lowest
-    pairs; sweep slices them, so eps[:, 0] is the same for every m.
+    frozen at slow grid point i. Returns apply(psi) = H @ psi on grid
+    vectors (dim, ...), taken from the slow band and the blocks; sweep; the
+    slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound on max_i ||B_i||_inf
+    for the Weyl margin; meta and units. sweep(m) gives the m lowest
+    eigenpairs of every B_i (m capped at dim_fast): eps (n_slow, m)
+    ascending and chi (n_slow, dim_fast, m) with orthonormal columns.
+    Extended blocks (FD4 y-band + V[i]) are banded, solved per call by
+    ?sbevx. Compact blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are
+    dense and diagonalized whole here, a full eigh costing about as much as
+    its 32 lowest pairs; sweep slices them (eps[:, 0] is the same for all m).
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
         n_slow, dim_fast = x.size, y.size
         h_slow, hy = x[1] - x[0], y[1] - y[0]
         c_slow = 0.5 * float(spec.kappa)**2
-        H = sp.kron(_fd4_sparse(n_slow, h_slow, c_slow),
-                    sp.identity(dim_fast)) \
-            + sp.kron(sp.identity(n_slow), _fd4_sparse(dim_fast, hy, 0.5)) \
-            + sp.diags(V.ravel())
         band = _fd4_bands(dim_fast, hy, 0.5)
-        kin = band[0].copy()
-        norm = float(np.max(np.abs(kin + V))
+        fast = band.copy()      # sweep overwrites band[0]
+        norm = float(np.max(np.abs(fast[0] + V))
                      + 2.0 * np.sum(np.abs(band[1:, 0])))
+
+        def blocks(P):
+            fd4 = _band_apply(fast, P.swapaxes(0, 1)).swapaxes(0, 1)
+            return fd4 + V[:, :, None] * P
 
         def sweep(m):
             m = min(m, dim_fast)
             eps = np.empty((n_slow, m))
             chi = np.empty((n_slow, dim_fast, m))
             for i in range(n_slow):
-                band[0] = kin + V[i]
+                band[0] = fast[0] + V[i]
                 eps[i], chi[i] = eig_banded(band, lower=True, select="i",
                                             select_range=(0, m - 1))
             return eps, chi
@@ -657,22 +656,20 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         phi, h_fast, phi1, c2 = _compact_parts(spec, k)
         n_slow, dim_fast = phi.size, h_fast.shape[0]
         h_slow, c_slow = phi[1] - phi[0], float(spec.kappa)**4
-        sp_eye = sp.identity(dim_fast, dtype=complex)
-        H = sp.kron(_fd4_sparse(n_slow, h_slow, c_slow), sp_eye) \
-            + sp.kron(sp.diags(0.5 * c2 * phi**2), sp_eye) \
-            + sp.kron(sp.identity(n_slow), sp.csr_matrix(h_fast)) \
-            + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
         eye = np.eye(dim_fast)
         eps = np.empty((n_slow, dim_fast))
         chi = np.empty((n_slow, dim_fast, dim_fast), dtype=complex)
         for i in range(n_slow):
-            # B_i = h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c
             eps[i], chi[i] = eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
                                   - c2 * phi[i] * phi1)
         L_phi = float(phi[-1])
         norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
                      + 0.5 * c2 * L_phi**2
                      + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
+        col = phi[:, None, None]
+
+        def blocks(P):
+            return h_fast @ P + 0.5 * c2 * col**2 * P - c2 * col * (phi1 @ P)
 
         def sweep(m):
             return eps[:, :m], chi[:, :, :m]
@@ -680,8 +677,13 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         meta = {"n_phi": n_slow, "L_phi": L_phi,
                 "n_max_fast": dim_fast // 2, "h": float(h_slow)}
         units = "E'_C units (primed charging energy)"
-    slow = _fd4_bands(n_slow, h_slow, c_slow)[:, 0]
-    return H, sweep, slow, norm, meta, units
+    slow = _fd4_bands(n_slow, h_slow, c_slow)
+
+    def apply(psi):
+        P = psi.reshape(n_slow, dim_fast, -1)
+        return (_band_apply(slow, P) + blocks(P)).reshape(psi.shape)
+
+    return apply, sweep, slow[:, 0], norm, meta, units
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -716,7 +718,7 @@ _RESIDUAL_RTOL = 1e-8
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
         raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
-    H, sweep, slow, norm, meta, units = _two_mode(spec, k)
+    apply, sweep, slow, norm, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
     # every rung sweeps one block level above itself for the guard below
     eps, chi = sweep(m + 1)
@@ -730,7 +732,7 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
                                      k + 1)
             psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
                 .reshape(dim, -1)
-            Hpsi = H @ psi
+            Hpsi = apply(psi)
             # the level is the Rayleigh quotient of the lifted vector, which
             # rounds at eps*|w|; the banded Ritz value rounds at eps*||H||
             w = np.sum(psi.conj() * Hpsi, axis=0).real \
@@ -772,11 +774,9 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     Residual norms ||Hv - Ev|| (unit-norm v) ride along in the result.
 
     2D: contracted adiabatic basis (see the module docstring). The levels
-    are the Rayleigh quotients of the lifted Ritz vectors: in exact
-    arithmetic the Ritz values, upper bounds on the grid levels, but
-    rounded at eps*|E| where the banded Ritz values round at eps*||H||.
-    residual_norms are grid residuals of the lifted vectors, as for the
-    other variants.
+    are the Rayleigh quotients of the lifted Ritz vectors (in exact
+    arithmetic the Ritz values, upper bounds on the grid levels) and
+    residual_norms their grid residuals, as for the other variants.
     meta['bracket'][j] = ||r_j||^2 / (E_j+1 - ||r_j+1|| - E_j) is the
     Kato-Temple width: the grid level lies in [E_j - bracket_j, E_j]
     provided no grid level between E_j and E_j+1 is missing from the

@@ -293,6 +293,34 @@ def test_dynamics_refuses_non_finite_arguments(write_circuit, tmp_path, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bo-sweep", "--x-min=nan"], "--x-min must be finite"),
+    (["bo-sweep", "--x-max=-inf"], "--x-max must be finite"),
+    (["bo-sweep", "--x-points=0"], "--x-points must be >= 1"),
+    (["bo-sweep", "--grid=-5"], "--grid must be >= 0"),
+    (["foster", "--omega-min=nan"], "--omega-min must be finite"),
+    (["foster", "--omega-max=inf"], "--omega-max must be finite"),
+    (["foster", "--points=0"], "--points must be >= 1"),
+], ids=["x-min-nan", "x-max-inf", "x-points-0", "grid-negative",
+        "omega-min-nan", "omega-max-inf", "points-0"])
+def test_bo_sweep_and_foster_refuse_bad_numeric_flags(write_circuit, tmp_path,
+                                                      argv, message):
+    if argv[0] == "bo-sweep":
+        circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+        argv = argv + ["--circuit", circuit, "--kappa-ladder", "0.6,0.45,0.3"]
+    else:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"c_inf": 1.0,
+                                     "resonances": [[0.5, 3.0]]}))
+        argv = argv + ["--model", model]
+    out = tmp_path / "out"
+    res = run_cli(*argv, "--out", out)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_foster_eval_then_fit_round_trip(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(

@@ -138,9 +138,24 @@ def test_table_threshold_finds_the_spline_peak_at_a_knot(u, lo, hi, n):
     p = Custom(phi, u(phi))
     exact = 1.0 / float(np.max(-p.d2u(phi)))
     beta_crit = invertibility_threshold(p)
-    assert beta_crit == pytest.approx(exact, rel=1e-8)
+    assert beta_crit == pytest.approx(exact, rel=1e-12)
     grid = np.linspace(lo, hi, GRID_MIN + 1)
     assert beta_crit <= 1.0 / float(np.max(-p.d2u(grid)))
+
+
+@pytest.mark.parametrize("window", [None, (-12.0, 0.0), (1.0, 5.0)])
+def test_table_threshold_takes_the_largest_knot_peak(window):
+    # -u'' of this -cos table peaks at several near-equal knots; before the
+    # knots joined the scan, the refinement settled on a lower one and put
+    # beta_crit 2.6e-6 above 1/max over knots, on the unsafe side
+    phi = np.linspace(-12.0, 12.0, 3001)
+    p = Custom(phi, -np.cos(phi))
+    lo, hi = window or p.support
+    inside = phi[(phi >= lo) & (phi <= hi)]
+    exact = 1.0 / float(np.max(-p.d2u(inside)))
+    beta_crit = invertibility_threshold(p, window)
+    assert beta_crit <= exact
+    assert beta_crit == pytest.approx(exact, rel=1e-12)
 
 
 def test_curvature_at_the_minimum_matches_the_closed_form():

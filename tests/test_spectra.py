@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,35 @@ def _fd4_band_oracle(v, h, c):
     return band
 
 
+@settings(max_examples=20)
+@given(
+    n=st.integers(3, 40),
+    rows=st.integers(1, 6),
+    cols=st.sampled_from([(), (3,), (2, 3)]),
+    seed=st.integers(0, 2**16),
+)
+def test_band_apply_equals_the_dense_matrix(n, rows, cols, seed):
+    # the FD4 band of every 1D residual, then a random complex Hermitian
+    # band as wide as a contracted one; any trailing shape of x
+    rng = np.random.default_rng(seed)
+    fd4 = _fd4_band_oracle(rng.standard_normal(n), 0.1, 0.7)
+    # the padding at the end of each band row must not be read
+    wide = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    wide[0] = wide[0].real
+    for ab in (fd4, wide):
+        dense = np.diag(ab[0]).astype(ab.dtype)
+        for d in range(1, min(ab.shape[0], n)):
+            dense += np.diag(ab[d, :n - d], -d) \
+                + np.diag(ab[d, :n - d].conj(), d)
+        x = rng.standard_normal((n, *cols)) \
+            + 1j * rng.standard_normal((n, *cols))
+        got = circadia.spectra._band_apply(ab, x)
+        want = np.tensordot(dense, x, axes=1)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(want)))
+
+
 @settings(max_examples=40)
 @given(
     n=st.integers(128, 512),
@@ -600,13 +630,60 @@ def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64):
                            basis_y=basis, grid=grid)
 
 
+def _fd4_csr(n, h, c):
+    """c*p^2 on n box points as a symmetric CSR matrix."""
+    band = _fd4_band_oracle(np.zeros(n), h, c)
+    return sp.diags([band[2, :-2], band[1, :-1], band[0], band[1, :-1],
+                     band[2, :-2]], [-2, -1, 0, 1, 2], format="csr")
+
+
+def _kron_oracle(spec, k):
+    """The 2D grid operator as a sparse matrix, assembled by Kronecker
+    products from the written-out stencil and the parts of either basis."""
+    if spec.basis_y == "extended":
+        x, y, V = circadia.spectra._extended_parts(spec, k)
+        kx = _fd4_csr(x.size, x[1] - x[0], 0.5 * spec.kappa**2)
+        ky = _fd4_csr(y.size, y[1] - y[0], 0.5)
+        return sp.kron(kx, sp.identity(y.size)) \
+            + sp.kron(sp.identity(x.size), ky) + sp.diags(V.ravel())
+    phi, h_fast, phi1, c2 = circadia.spectra._compact_parts(spec, k)
+    eye = sp.identity(h_fast.shape[0], dtype=complex)
+    return sp.kron(_fd4_csr(phi.size, phi[1] - phi[0], spec.kappa**4), eye) \
+        + sp.kron(sp.diags(0.5 * c2 * phi**2), eye) \
+        + sp.kron(sp.identity(phi.size), sp.csr_matrix(h_fast)) \
+        + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
+
+
 def _assembled(spec, k):
-    """Grid operator, Weyl shift, meta and units as the 2D solve makes them:
-    the shift comes from the first rung's sweep of the fast blocks."""
-    H, sweep, _, norm, meta, units = circadia.spectra._two_mode(spec, k)
+    """Oracle grid operator, and the Weyl shift, meta and units as the 2D
+    solve makes them: the shift comes from the first rung's sweep of the
+    fast blocks."""
+    _, sweep, _, norm, meta, units = circadia.spectra._two_mode(spec, k)
     eps, chi = sweep(circadia.spectra._FIRST_RUNG + 1)
     sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm)
-    return H, sigma, meta, units
+    return _kron_oracle(spec, k), sigma, meta, units
+
+
+@settings(max_examples=10)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+    cols=st.integers(1, 5),
+)
+def test_two_mode_product_equals_the_kron_oracle(basis, kappa, xi, frac,
+                                                 cols):
+    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
+    apply = circadia.spectra._two_mode(spec, 2)[0]
+    H = _kron_oracle(spec, 2)
+    rng = np.random.default_rng(cols)
+    for shape in ((H.shape[0],), (H.shape[0], cols)):
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = H @ psi
+        got = apply(psi)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _loose_shift(spec, H):
@@ -680,10 +757,26 @@ def test_oversized_k_is_refused_before_the_2d_assembly(monkeypatch, basis,
     def no_assembly(*args, **kwargs):
         raise AssertionError("2D operator assembled for an invalid k")
 
-    monkeypatch.setattr(circadia.spectra, "_fd4_sparse", no_assembly)
+    for name in ("_fd4_bands", "eigh", "eig_banded"):
+        monkeypatch.setattr(circadia.spectra, name, no_assembly)
     spec = _two_mode_spec(basis, 0.6, 40.0, 400.0)
     with pytest.raises(ValidationError, match="dimension/4"):
         lowest_eigenvalues(spec, k)
+
+
+def test_compact_solve_holds_no_full_grid_operator():
+    # bench grid (6240 grid points): the blocks' eigenvectors take 6.5 MB; a
+    # full-grid sparse operator beside them lifts the traced peak to 40 MB
+    tracemalloc.start()
+    try:
+        table = spectrum_vs_kappa(Cosine(), 40.0, 400.0, [0.6], k=4,
+                                  bases=("compact",),
+                                  grids={"compact": {"n_phi": 96}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row[6] for row in table.rows] == [""] * 4
+    assert peak <= 20e6
 
 
 def _oracle_levels(spec, k):
