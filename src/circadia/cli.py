@@ -37,8 +37,8 @@ from .manifest import RunManifest
 from .params import read_circuit
 from .potentials import CubicSpline, PotentialModel
 from .reduction import branch_table, effective_potential, write_potential_csv
-from .spectra import HamiltonianSpec, bo_effective_potential, bo_fast_ground, \
-    eigenvalues_in_window, lowest_eigenvalues, naive_compact_adiabatic
+from .spectra import HamiltonianSpec, _window_ends, bo_effective_potential, \
+    bo_fast_ground, lowest_eigenvalues, naive_compact_adiabatic
 from .svgplot import line_plot
 from .sweeps import write_json
 
@@ -168,7 +168,7 @@ def _parse_ladder(text: str) -> np.ndarray:
 
 def cmd_bo_sweep(args) -> int:
     _check_flags(args, finite=("x_min", "x_max"),
-                 at_least=(("x_points", 1), ("grid", 0)))
+                 at_least=(("x_points", 1), ("grid", 0), ("jobs", 1)))
     rc, p = read_circuit(args.circuit)
     out = _outdir(args)
     kappas = _parse_ladder(args.kappa_ladder)
@@ -263,19 +263,21 @@ def _ladder_stats(levels: np.ndarray) -> dict:
 
 
 def _box_proxy(make_spec, vmax: float) -> dict:
-    """Mean level spacing in a fixed window for two box lengths."""
+    """Level count and mean level spacing in a fixed window for two box
+    lengths. The mean of the N - 1 spacings telescopes to (last - first) /
+    (N - 1), so the certified count and the two end levels suffice."""
     lo, hi = vmax + 1.0, vmax + 5.0
     entry: dict = {"window_EC": [lo, hi]}
     spacings = []
     for label, L in (("L", 10.0 * math.pi), ("2L", 20.0 * math.pi)):
         n = int(round(2.0 * L / 0.02)) + 1
-        w = eigenvalues_in_window(make_spec(L, n), lo, hi).eigenvalues
-        if w.size < 2:
+        count, first, last = _window_ends(make_spec(L, n), lo, hi)
+        if count < 2:
             entry[label] = {"half_width": L, "error": "fewer than 2 levels"}
             spacings.append(None)
             continue
-        s = float(np.mean(np.diff(w)))
-        entry[label] = {"half_width": L, "levels_in_window": int(w.size),
+        s = (last - first) / (count - 1)
+        entry[label] = {"half_width": L, "levels_in_window": count,
                         "mean_spacing_EC": s}
         spacings.append(s)
     if None not in spacings and spacings[0]:

@@ -26,7 +26,8 @@ shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
 value certifies that no level lies under it. Sylvester inertia counts cut
-an energy window into slices of <= 32 levels, each shift-inverted Lanczos.
+an energy window into slices of <= 32 levels, each shift-inverted Lanczos;
+a window's count and end levels need only its two end slices.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
@@ -295,101 +296,125 @@ def _count_below(band: np.ndarray, s: float) -> tuple[int, float]:
             float(4.0 * np.finfo(float).eps * np.max(growth)))
 
 
-def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int | None = None,
-                  window: tuple[float, float] | None = None):
-    """Lowest k, or all in the closed window (lo, hi), FD4 eigenpairs of
-    c_kin*p^2 + diag(v): eigenvalues, unit vectors (None for a window),
-    residual norms and the shift-invert sigma or the window's counts.
-
-    s is the Gershgorin bound on max|lambda|. Lowest k: shift-invert
-    Lanczos from the Weyl shift sigma = min v less its margin; a banded
-    Cholesky of H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no
-    level lies below the ground Ritz value E_0. Above E_0 the levels rest
-    on Lanczos from a proven lower bound, as in 2D. Window: the slicing of
-    eigenvalues_in_window; a Ritz value outside its slice (beyond the edges'
-    delta and its residual) is a ConvergenceError."""
+def _fd4_operator(v: np.ndarray, h: float, c_kin: float):
+    """Lower band of c_kin*p^2 + diag(v) and s, the Gershgorin bound on
+    max|lambda|."""
     band = _fd4_bands(v.size, h, c_kin)
     band[0, :] += v
     # Gershgorin row sums; the FD4 off-diagonals are constant
-    scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
-    tol = 8.0 * np.finfo(float).eps * scale
-    if window is None:
-        sigma = _weyl_shift(v, 1, scale)
-        w, vec = _shift_invert_pairs(band, sigma, k)
-        res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
-        _cholesky_below(band, float(w[0] - res[0] - tol), "a level lies "
-                        f"below the ground Ritz value {float(w[0])!r}")
-        return w, vec, res, sigma
-    points = []
+    return band, float(np.max(np.abs(band[0]))
+                       + 2.0 * np.sum(np.abs(band[1:, 0])))
 
-    def point(s):
-        points.append((s, *_count_below(band, s)))
-        return points[-1]
 
-    def cut(a, b):
-        # <= 32 levels a slice bounds ARPACK's O(n*ncv^2) work, keeps k < n
-        mid = 0.5 * (a[0] + b[0])
-        if b[1] - a[1] <= 32 or not a[0] < mid < b[0]:
-            return [(a, b)] if b[1] > a[1] else []
-        return cut(a, m := point(mid)) + cut(m, b)
+def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int):
+    """Lowest k FD4 eigenpairs of c_kin*p^2 + diag(v): eigenvalues, unit
+    vectors, residual norms and the shift-invert sigma.
 
-    edges = []
-    for edge, out in ((window[0], -1.0), (window[1], 1.0)):
-        s = edge + out * tol
-        for _ in range(8):
-            s, c, delta = point(s)
-            if abs(s - edge) - delta >= 0.5 * tol:
-                break
-            # the count is blind within delta of s: move out of its reach
-            s = edge + out * (0.5 * tol + 2.0 * delta)
-        else:
-            raise ConvergenceError("no certified count near the window edge "
-                                   f"{edge!r}", detail=points)
-        edges.append((s, c, delta))
-    slices = cut(*edges)
-    # OPinv: ?gbtrf LU with partial pivoting, two rows of fill space above
-    gb = np.zeros((7, band.shape[1]))
-    gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
-    parts, inside = [(np.empty(0), np.empty(0))], 0
-    for a, b in slices:
-        # the k levels nearest the slice centre are exactly its k levels
-        centre = 0.5 * (a[0] + b[0])
-        gb[4] = band[0] - centre
-        lu, piv, info = dgbtrf(gb, 2, 2)
-        if info > 0:
-            raise ConvergenceError(f"slice centre {centre!r} is a level")
-        w, vec = _shift_invert_pairs(band, centre, b[1] - a[1],
-                                     lambda v: dgbtrs(lu, 2, 2, v, piv)[0])
-        # only the residual norms are kept, so one slice's vectors at a time
-        res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
-        inside += np.count_nonzero((w >= a[0] - a[2] - res - tol)
-                                   & (w <= b[0] + b[2] + res + tol))
-        parts.append((w, res))
-    record = {"slices": len(slices), "edge_counts": [edges[0][1], edges[1][1]],
-              "count_delta": max(p[2] for p in points)}
-    w, res = (np.concatenate(p) for p in zip(*parts))
-    if inside != w.size:
-        raise ConvergenceError(f"{inside} levels lie inside their slices, "
-                               f"the edge counts give {w.size}", detail=record)
-    order = np.argsort(w)
-    return w[order], None, res[order], record
+    s is the Gershgorin bound on max|lambda|. Shift-invert Lanczos from the
+    Weyl shift sigma = min v less its margin; a banded Cholesky of
+    H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no level lies below
+    the ground Ritz value E_0. Above E_0 the levels rest on Lanczos from a
+    proven lower bound, as in 2D."""
+    band, scale = _fd4_operator(v, h, c_kin)
+    sigma = _weyl_shift(v, 1, scale)
+    w, vec = _shift_invert_pairs(band, sigma, k)
+    res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
+    _cholesky_below(band, float(w[0] - res[0] - 8.0 * np.finfo(float).eps
+                                * scale), "a level lies below the ground "
+                    f"Ritz value {float(w[0])!r}")
+    return w, vec, res, sigma
 
 
 def _banded_result(spec: HamiltonianSpec, v: np.ndarray, h: float,
-                   c_kin: float, units: str, k: int | None = None,
-                   window: tuple | None = None, **grid) -> SpectrumResult:
+                   c_kin: float, units: str, k: int, **grid) -> SpectrumResult:
     """_solve_banded as a SpectrumResult; meta records the spec, h, n, grid,
-    then sigma and shift_gap (lowest k) or the window and its counts."""
-    if k is not None and not (k <= v.size / 4):
+    sigma and shift_gap."""
+    if not k <= v.size / 4:
         raise ValidationError("k must be <= dimension/4")
-    w, _, res, info = _solve_banded(v, h, c_kin, k, window)
-    meta = {"spec": spec.describe(), "h": h, "n": int(v.size), **grid}
-    if window is None:
-        meta.update(sigma=info, shift_gap=float(w[0] - info))
-    else:
-        meta.update(window=[float(window[0]), float(window[1])], **info)
+    w, _, res, sigma = _solve_banded(v, h, c_kin, k)
+    meta = {"spec": spec.describe(), "h": h, "n": int(v.size), **grid,
+            "sigma": sigma, "shift_gap": float(w[0] - sigma)}
     return SpectrumResult(eigenvalues=w, k=int(w.size), residual_norms=res,
                           units=units, meta=meta)
+
+
+def _window_counter(spec: HamiltonianSpec):
+    """(h, band, tol, count, points) of an Extended1D window solve: tol =
+    8*eps*s, s the Gershgorin bound on max|lambda|; count(s) is the inertia
+    count (s, levels below s, delta) of the band, each one kept in points."""
+    if spec.variant != "Extended1D":
+        raise ValidationError("energy-window solve is Extended1D only")
+    v, h = _extended1d_arrays(spec)
+    band, scale = _fd4_operator(v, h, spec.c_kin)
+    points: list = []
+
+    def count(s):
+        points.append((s, *_count_below(band, s)))
+        return points[-1]
+    return h, band, 8.0 * np.finfo(float).eps * scale, count, points
+
+
+def _edge_counts(count, lo: float, hi: float, tol: float) -> list:
+    """Certified counts (s, levels below s, delta) just outside both edges
+    of the closed window [lo, hi]. A count is blind within its delta of s,
+    so it is kept once |s - edge| - delta >= tol/2 and otherwise moves to
+    edge -+ (tol/2 + 2*delta), up to seven times. The first count sits at
+    lo - tol, each later edge's first at edge -+ (tol/2 + 2*delta) with the
+    delta of the count before it: kept at once unless its own delta is more
+    than twice that."""
+    edges, tried, reach = [], [], tol
+    for edge, out in ((lo, -1.0), (hi, 1.0)):
+        s = edge + out * reach
+        for _ in range(8):
+            tried.append(count(s))
+            s, c, delta = tried[-1]
+            reach = 0.5 * tol + 2.0 * delta
+            if abs(s - edge) - delta >= 0.5 * tol:
+                break
+            # the count is blind within delta of s: move out of its reach
+            s = edge + out * reach
+        else:
+            raise ConvergenceError("no certified count near the window edge "
+                                   f"{edge!r}", detail=tried)
+        edges.append((s, c, delta))
+    return edges
+
+
+def _cut(count, a: tuple, b: tuple) -> list:
+    """The non-empty slices (a', b') of <= 32 levels between the count
+    points a and b, ascending, cut at energy midpoints."""
+    # <= 32 levels a slice bounds ARPACK's O(n*ncv^2) work, keeps k < n
+    mid = 0.5 * (a[0] + b[0])
+    if b[1] - a[1] <= 32 or not a[0] < mid < b[0]:
+        return [(a, b)] if b[1] > a[1] else []
+    m = count(mid)
+    return _cut(count, a, m) + _cut(count, m, b)
+
+
+def _slice_levels(band: np.ndarray, a: tuple, b: tuple, tol: float):
+    """Ascending Ritz values and residual norms of the b[1] - a[1] levels
+    between the count points a and b: shift-invert Lanczos at the slice
+    centre on a ?gbtrf LU. A Ritz value outside the slice (beyond its ends'
+    delta, its residual and tol) is a ConvergenceError."""
+    # the k levels nearest the slice centre are exactly its k levels
+    centre, k = 0.5 * (a[0] + b[0]), b[1] - a[1]
+    # ?gbtrf LU with partial pivoting, two rows of fill space above
+    gb = np.zeros((7, band.shape[1]))
+    gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
+    gb[4] -= centre
+    lu, piv, info = dgbtrf(gb, 2, 2)
+    if info > 0:
+        raise ConvergenceError(f"slice centre {centre!r} is a level")
+    w, vec = _shift_invert_pairs(band, centre, k,
+                                 lambda v: dgbtrs(lu, 2, 2, v, piv)[0])
+    res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
+    inside = np.count_nonzero((w >= a[0] - a[2] - res - tol)
+                              & (w <= b[0] + b[2] + res + tol))
+    if inside != k:
+        raise ConvergenceError(f"{inside} levels lie inside the slice "
+                               f"({a[0]!r}, {b[0]!r}), its edge counts give "
+                               f"{k}", detail={"slice": [a, b]})
+    return w, res
 
 
 def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
@@ -398,15 +423,61 @@ def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
     spectrum slicing; s is the Gershgorin bound on max|lambda|. An inertia
     count (_count_below, blind within its delta) at e_lo - 8*eps*s moves to
     e_lo - 4*eps*s - 2*delta (up to seven times) while its blind zone
-    reaches within 4*eps*s of e_lo; the same above e_hi. So a level within
+    reaches within 4*eps*s of e_lo; the count above e_hi starts at
+    e_hi + 4*eps*s + 2*delta with the lower edge's delta. So a level within
     4*eps*s of an edge counts as inside, none farther out than 8*eps*s +
     4*delta. Count midpoints cut the window into slices of <= 32 levels,
     solved by shift-invert Lanczos at their centres and checked against the
     counts; meta: slices, edge_counts, count_delta (the largest delta)."""
-    if spec.variant != "Extended1D":
-        raise ValidationError("energy-window solve is Extended1D only")
-    return _banded_result(spec, *_extended1d_arrays(spec), spec.c_kin,
-                          "E_C units", window=(e_lo, e_hi))
+    h, band, tol, count, points = _window_counter(spec)
+    edges = _edge_counts(count, e_lo, e_hi, tol)
+    slices = _cut(count, *edges)
+    parts = [(np.empty(0), np.empty(0))]
+    parts += [_slice_levels(band, a, b, tol) for a, b in slices]
+    w, res = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(w)
+    meta = {"spec": spec.describe(), "h": h, "n": int(band.shape[1]),
+            "window": [float(e_lo), float(e_hi)], "slices": len(slices),
+            "edge_counts": [edges[0][1], edges[1][1]],
+            "count_delta": max(p[2] for p in points)}
+    return SpectrumResult(eigenvalues=w[order], k=int(w.size),
+                          residual_norms=res[order], units="E_C units",
+                          meta=meta)
+
+
+def _window_ends(spec: HamiltonianSpec, lo: float, hi: float):
+    """(count, first, last) of the Extended1D levels in the closed window
+    [lo, hi], first and last None when it holds none: the certified edge
+    counts of eigenvalues_in_window give count, and only the two end slices
+    are solved, each checked against its counts. The bottom slice reaches
+    from the lower edge to a count point 2*(hi - lo)/count above lo, its
+    width doubled while it holds no level; the top slice mirrors it. When
+    they would overlap, the window is cut as in eigenvalues_in_window and
+    its first and last slices are solved."""
+    _, band, tol, count, _ = _window_counter(spec)
+    a, b = _edge_counts(count, lo, hi, tol)
+    n = b[1] - a[1]
+    if n < 1:
+        return n, None, None
+
+    def inner(edge, far, start, out):
+        # about two levels in from `edge`; `far` once that leaves the window
+        width = 2.0 * (hi - lo) / n
+        while width < hi - lo:
+            p = count(start + out * width)
+            if out * (p[1] - edge[1]) > 0:
+                return p
+            width *= 2.0
+        return far
+
+    bottom, top = inner(a, b, lo, 1.0), inner(b, a, hi, -1.0)
+    if bottom[0] >= top[0]:
+        ends = _cut(count, a, b)
+    else:
+        ends = _cut(count, a, bottom)[:1] + _cut(count, top, b)[-1:]
+    first = _slice_levels(band, *ends[0], tol)[0]
+    last = first if len(ends) == 1 else _slice_levels(band, *ends[-1], tol)[0]
+    return n, float(first[0]), float(last[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +804,11 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
             psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
                 .reshape(dim, -1)
             Hpsi = apply(psi)
-            # the level is the Rayleigh quotient of the lifted vector, which
-            # rounds at eps*|w|; the banded Ritz value rounds at eps*||H||
+            # the level is the Rayleigh quotient of the lifted vector; its
+            # terms of size ||K||*|psi|^2 cancel to |w|, and on the quadratic
+            # 192x240 extended grid it was off a long-double evaluation by
+            # 1.4e-14*|w| (about 60 eps); the banded Ritz value rounds at
+            # eps*||H||
             w = np.sum(psi.conj() * Hpsi, axis=0).real \
                 / np.sum(psi.conj() * psi, axis=0).real
             lifted = np.linalg.norm(Hpsi - psi * w[None, :], axis=0)

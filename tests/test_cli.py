@@ -1,7 +1,9 @@
 """End-to-end runs of the command line interface in subprocesses.
 
-Every test drives `python -m circadia.cli` the way a user would and checks
-exit codes, the file sets written to --out, and the manifest contract.
+Nearly every test drives `python -m circadia.cli` the way a user would and
+checks exit codes, the file sets written to --out, and the manifest
+contract; the compare work guard runs `circadia.cli.main` in-process to
+count the solver calls.
 """
 
 from __future__ import annotations
@@ -224,6 +226,40 @@ def test_compare_runs_three_routes(write_circuit, tmp_path):
     check_manifest(out / "manifest.json", "compare")
 
 
+def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
+                                                      tmp_path, monkeypatch):
+    # in-process: the box proxy reports a count and a mean spacing, so its
+    # window solves ask Lanczos for a few end levels, never the whole window
+    import circadia.cli
+    import circadia.spectra
+
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    windows, npairs = [], []
+    ends, pairs = circadia.cli._window_ends, circadia.spectra._shift_invert_pairs
+
+    def counted_ends(spec, lo, hi):
+        windows.append(ends(spec, lo, hi))
+        return windows[-1]
+
+    def counted_pairs(ab, sigma, n, solve=None):
+        if solve is not None:   # the window slices bring their own LU
+            npairs.append(n)
+        return pairs(ab, sigma, n, solve)
+
+    monkeypatch.setattr(circadia.cli, "_window_ends", counted_ends)
+    monkeypatch.setattr(circadia.spectra, "_shift_invert_pairs", counted_pairs)
+    out = tmp_path / "cmp_out"
+    assert circadia.cli.main(["compare", "--circuit", circuit,
+                              "--out", str(out)]) == 0
+    proxy = read_json(out / "compare.json")["box_proxy"]
+    levels = [proxy[route][box]["levels_in_window"]
+              for route in ("classical_reduced", "bo_extended")
+              for box in ("L", "2L")]
+    assert levels == [w[0] for w in windows] and len(windows) == 4
+    assert min(levels) > 30
+    assert 0 < sum(npairs) <= 8 * len(windows)
+
+
 def test_dynamics_residual_report(write_circuit, tmp_path):
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     out = tmp_path / "dyn_out"
@@ -298,11 +334,13 @@ def test_dynamics_refuses_non_finite_arguments(write_circuit, tmp_path, flag,
     (["bo-sweep", "--x-max=-inf"], "--x-max must be finite"),
     (["bo-sweep", "--x-points=0"], "--x-points must be >= 1"),
     (["bo-sweep", "--grid=-5"], "--grid must be >= 0"),
+    (["bo-sweep", "--jobs=0"], "--jobs must be >= 1"),
+    (["bo-sweep", "--jobs=-1"], "--jobs must be >= 1"),
     (["foster", "--omega-min=nan"], "--omega-min must be finite"),
     (["foster", "--omega-max=inf"], "--omega-max must be finite"),
     (["foster", "--points=0"], "--points must be >= 1"),
-], ids=["x-min-nan", "x-max-inf", "x-points-0", "grid-negative",
-        "omega-min-nan", "omega-max-inf", "points-0"])
+], ids=["x-min-nan", "x-max-inf", "x-points-0", "grid-negative", "jobs-0",
+        "jobs-negative", "omega-min-nan", "omega-max-inf", "points-0"])
 def test_bo_sweep_and_foster_refuse_bad_numeric_flags(write_circuit, tmp_path,
                                                       argv, message):
     if argv[0] == "bo-sweep":

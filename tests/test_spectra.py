@@ -230,6 +230,114 @@ def test_a_count_the_slices_contradict_is_refused(monkeypatch, where, offset):
         eigenvalues_in_window(spec, lo, hi)
 
 
+def test_later_edge_counts_start_clear_of_the_last_delta(monkeypatch):
+    # a box-proxy-size window (6284 points, 64 levels): the first count at
+    # lo - 8*eps*s is blind too near the edge and moves out, the upper edge
+    # starts beyond the lower edge's delta and keeps its first count
+    L, n = 20.0 * math.pi, 6284
+    spec = HamiltonianSpec(variant="Extended1D", c_kin=0.5,
+                           v_func=lambda q: 0.5 * (1.0 - np.cos(q)),
+                           grid={"half_width": L, "n": n})
+    lo, hi = 2.0, 6.0
+    q = np.linspace(-L, L, n)
+    full = eig_banded(_fd4_band_oracle(0.5 * (1.0 - np.cos(q)), q[1] - q[0],
+                                       0.5), lower=True, eigvals_only=True)
+    expect = full[(full >= lo) & (full <= hi)]
+    count, shifts = circadia.spectra._count_below, []
+
+    def recorded(band, s):
+        shifts.append(s)
+        return count(band, s)
+
+    monkeypatch.setattr(circadia.spectra, "_count_below", recorded)
+    win = eigenvalues_in_window(spec, lo, hi)
+    below = [s for s in shifts if s < lo]
+    above = [s for s in shifts if s > hi]
+    assert len(below) == 2 and len(above) == 1
+    assert len(shifts) == 3 + win.meta["slices"] - 1
+    assert win.k == expect.size == 64
+    assert win.meta["edge_counts"] == [int(np.count_nonzero(full < lo)),
+                                       int(np.count_nonzero(full <= hi))]
+    assert np.all(np.abs(win.eigenvalues - expect)
+                  <= 1e-10 * np.maximum(1.0, np.abs(expect)))
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(128, 400),
+    half_width=st.floats(5.0, 12.0),
+    c_kin=st.floats(0.25, 2.0),
+    quad=st.floats(0.0, 2.0),
+    amp=st.floats(-20.0, 20.0),
+    omega=st.floats(0.2, 3.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    first=st.integers(0, 30),
+    count=st.integers(0, 90),
+)
+@example(n=300, half_width=10.0, c_kin=1.0, quad=0.5, amp=5.0, omega=1.0,
+         phase=0.0, first=3, count=90)
+@example(n=128, half_width=6.125, c_kin=0.25, quad=0.625, amp=0.0,
+         omega=1.0, phase=0.0, first=0, count=0)
+@example(n=128, half_width=6.125, c_kin=0.25, quad=0.625, amp=0.0,
+         omega=1.0, phase=0.0, first=0, count=1)
+@example(n=200, half_width=8.0, c_kin=1.0, quad=0.5, amp=-3.0, omega=2.0,
+         phase=1.0, first=7, count=2)
+@example(n=200, half_width=8.0, c_kin=1.0, quad=0.5, amp=-3.0, omega=2.0,
+         phase=1.0, first=12, count=0)
+# a free box whose window starts 1.0 below a dense ladder: the bottom
+# slice doubles until it holds a level
+@example(n=300, half_width=12.0, c_kin=0.25, quad=0.0, amp=0.0, omega=1.0,
+         phase=0.0, first=0, count=40)
+def test_window_ends_match_the_dense_spectrum(
+        n, half_width, c_kin, quad, amp, omega, phase, first, count):
+    def v_func(q):
+        return quad * q**2 + amp * np.cos(omega * q + phase)
+
+    spec = HamiltonianSpec(variant="Extended1D", v_func=v_func, c_kin=c_kin,
+                           grid={"half_width": half_width, "n": n})
+    q = np.linspace(-half_width, half_width, n)
+    full = np.linalg.eigvalsh(_fd4_dense(v_func(q), q[1] - q[0], c_kin))
+    last = first + count - 1
+    # window edges halfway between neighbours; an empty window sits in the
+    # lower half of the gap below level `first`
+    lo = full[0] - 1.0 if first == 0 else 0.5 * (full[first - 1] + full[first])
+    hi = 0.5 * (full[last] + full[last + 1]) if count \
+        else 0.5 * (lo + full[first])
+    got = circadia.spectra._window_ends(spec, float(lo), float(hi))
+    if count == 0:
+        assert got == (0, None, None)
+        return
+    assert got[0] == count
+    ends = np.array(got[1:])
+    expect = full[[first, last]]
+    assert np.all(np.abs(ends - expect)
+                  <= 1e-10 * np.maximum(1.0, np.abs(expect)))
+
+
+@pytest.mark.parametrize("end, offset", [("bottom", 1), ("top", -1)])
+def test_a_count_an_end_slice_contradicts_is_refused(monkeypatch, end,
+                                                     offset):
+    # a count inside the window that puts one level too many into an end
+    # slice leaves a Ritz value outside that slice
+    spec = HamiltonianSpec(variant="Extended1D", v_func=lambda q: 0.5 * q**2,
+                           c_kin=0.5, grid={"half_width": 12.0, "n": 1024})
+    lo, hi = 2.0, 70.0
+    w = eigenvalues_in_window(spec, lo, hi).eigenvalues
+    got = circadia.spectra._window_ends(spec, lo, hi)
+    assert got[0] == w.size and np.allclose(got[1:], w[[0, -1]], rtol=1e-12)
+    count = circadia.spectra._count_below
+
+    def miscount(H, s):
+        c, delta = count(H, s)
+        hit = {"bottom": lo < s < 0.5 * (lo + hi),
+               "top": 0.5 * (lo + hi) < s < hi}[end]
+        return c + offset * hit, delta
+
+    monkeypatch.setattr(circadia.spectra, "_count_below", miscount)
+    with pytest.raises(ConvergenceError, match="edge counts give"):
+        circadia.spectra._window_ends(spec, lo, hi)
+
+
 def test_discretization_contracts_are_enforced():
     with pytest.raises(ValidationError, match="128"):
         lowest_eigenvalues(HamiltonianSpec(
