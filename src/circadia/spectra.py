@@ -32,16 +32,19 @@ a window's count and end levels need only its two end slices.
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
 assembly (_two_mode) builds the grids, the product by H (from the slow band
-and the blocks; no matrix of H) and a sweep of the blocks once per solve. H
-is projected onto the m lowest eigenvectors chi_i of every B_i (a
-contracted adiabatic basis, sequential diagonalization-truncation), a
-Hermitian band of width 3m-1 (m = 1 is Born-Oppenheimer with its diagonal
-correction, m = dim_fast the full grid operator, never factorized). Each
-Ritz vector is lifted to the grid; one product by H gives its Rayleigh
-quotient, the reported level, and its residual. m doubles from 4 until each
-kept level has a grid residual <= 1e-8 of the spectral scale (every
-variant's bound) and a Kato-Temple bracket <= 1e-10 relative, and the next
-level lies below every discarded block level.
+and the blocks; no matrix of H) and the sweep of the blocks, which
+diagonalizes every B_i whole once and again only for a rung that needs more
+eigenvectors than it kept (_frozen_sweep). H is projected onto the m lowest
+eigenvectors chi_i of every B_i (a contracted adiabatic basis, sequential
+diagonalization-truncation), a Hermitian band of width 3m-1 (m = 1 is
+Born-Oppenheimer with its diagonal correction, m = dim_fast the full grid
+operator, never factorized). Each Ritz vector is lifted to the grid; one
+product by H gives its Rayleigh quotient, the reported level, and its
+residual. m doubles from 4 until each kept level has a grid residual <=
+1e-8 of the spectral scale (every variant's bound) and a Kato-Temple
+bracket <= 1e-10 relative, and the next level lies below every discarded
+block level. A rung whose arrays would exceed a fixed memory budget is
+refused before it allocates them.
 """
 
 from __future__ import annotations
@@ -681,20 +684,43 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     return phi, h_fast, phi1, c2
 
 
+def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig):
+    """sweep(m): the m lowest eigenpairs of every frozen fast block B_i (m
+    capped at dim_fast), eps (n_slow, m) ascending and chi (n_slow,
+    dim_fast, m) with orthonormal columns; block_eig(i) gives all pairs of
+    B_i. The first call diagonalizes every block whole and keeps all of
+    each block's eigenvalues and its min(dim_fast, 4m) lowest eigenvectors,
+    enough for this rung and the next two; only a call for more columns
+    diagonalizes again, keeping four times its own need."""
+    eps = chi = None
+
+    def sweep(m):
+        nonlocal eps, chi
+        m = min(m, dim_fast)
+        if chi is None or chi.shape[2] < m:
+            keep = min(dim_fast, 4 * m)
+            eps = np.empty((n_slow, dim_fast))
+            chi = np.empty((n_slow, dim_fast, keep), dtype=dtype)
+            for i in range(n_slow):
+                w, v = block_eig(i)
+                eps[i], chi[i] = w, v[:, :keep]
+        return eps[:, :m], chi[:, :, :m]
+
+    return sweep
+
+
 def _two_mode(spec: HamiltonianSpec, k: int):
     """The two-mode operator of either basis, assembled once per solve.
 
     H = (slow FD4 kinetic) x I + blockdiag(B_i), B_i the fast operator
     frozen at slow grid point i. Returns apply(psi) = H @ psi on grid
-    vectors (dim, ...), taken from the slow band and the blocks; sweep; the
-    slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound on max_i ||B_i||_inf
-    for the Weyl margin; meta and units. sweep(m) gives the m lowest
-    eigenpairs of every B_i (m capped at dim_fast): eps (n_slow, m)
-    ascending and chi (n_slow, dim_fast, m) with orthonormal columns.
-    Extended blocks (FD4 y-band + V[i]) are banded, solved per call by
-    ?sbevx. Compact blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are
-    dense and diagonalized whole here, a full eigh costing about as much as
-    its 32 lowest pairs; sweep slices them (eps[:, 0] is the same for all m).
+    vectors (dim, ...), taken from the slow band and the blocks; sweep (see
+    _frozen_sweep); the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound
+    on max_i ||B_i||_inf for the Weyl margin; meta; units; and (n_slow,
+    dim_fast, itemsize) for the memory estimate. Extended blocks (FD4
+    y-band + V[i]) are banded and diagonalized whole by ?sbevd, compact
+    blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are dense and
+    diagonalized whole by eigh; both only when sweep first needs them.
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
@@ -702,23 +728,18 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         h_slow, hy = x[1] - x[0], y[1] - y[0]
         c_slow = 0.5 * float(spec.kappa)**2
         band = _fd4_bands(dim_fast, hy, 0.5)
-        fast = band.copy()      # sweep overwrites band[0]
+        fast = band.copy()      # block_eig overwrites band[0]
         norm = float(np.max(np.abs(fast[0] + V))
                      + 2.0 * np.sum(np.abs(band[1:, 0])))
+        dtype = float
 
         def blocks(P):
             fd4 = _band_apply(fast, P.swapaxes(0, 1)).swapaxes(0, 1)
             return fd4 + V[:, :, None] * P
 
-        def sweep(m):
-            m = min(m, dim_fast)
-            eps = np.empty((n_slow, m))
-            chi = np.empty((n_slow, dim_fast, m))
-            for i in range(n_slow):
-                band[0] = fast[0] + V[i]
-                eps[i], chi[i] = eig_banded(band, lower=True, select="i",
-                                            select_range=(0, m - 1))
-            return eps, chi
+        def block_eig(i):
+            band[0] = fast[0] + V[i]
+            return eig_banded(band, lower=True)
 
         meta = {"nx": n_slow, "ny": dim_fast, "hx": float(h_slow),
                 "hy": float(hy)}
@@ -728,33 +749,32 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         n_slow, dim_fast = phi.size, h_fast.shape[0]
         h_slow, c_slow = phi[1] - phi[0], float(spec.kappa)**4
         eye = np.eye(dim_fast)
-        eps = np.empty((n_slow, dim_fast))
-        chi = np.empty((n_slow, dim_fast, dim_fast), dtype=complex)
-        for i in range(n_slow):
-            eps[i], chi[i] = eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
-                                  - c2 * phi[i] * phi1)
         L_phi = float(phi[-1])
         norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
                      + 0.5 * c2 * L_phi**2
                      + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
         col = phi[:, None, None]
+        dtype = complex
 
         def blocks(P):
             return h_fast @ P + 0.5 * c2 * col**2 * P - c2 * col * (phi1 @ P)
 
-        def sweep(m):
-            return eps[:, :m], chi[:, :, :m]
+        def block_eig(i):
+            return eigh(h_fast + 0.5 * c2 * phi[i]**2 * eye
+                        - c2 * phi[i] * phi1)
 
         meta = {"n_phi": n_slow, "L_phi": L_phi,
                 "n_max_fast": dim_fast // 2, "h": float(h_slow)}
         units = "E'_C units (primed charging energy)"
     slow = _fd4_bands(n_slow, h_slow, c_slow)
+    sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig)
 
     def apply(psi):
         P = psi.reshape(n_slow, dim_fast, -1)
         return (_band_apply(slow, P) + blocks(P)).reshape(psi.shape)
 
-    return apply, sweep, slow[:, 0], norm, meta, units
+    return apply, sweep, slow[:, 0], norm, meta, units, \
+        (n_slow, dim_fast, np.dtype(dtype).itemsize)
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -784,17 +804,34 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
 _FIRST_RUNG = 4
 _LEVEL_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-8
+# a rung whose estimated arrays exceed this many bytes is refused
+_MEMORY_BUDGET = 2 * 1024**3
+
+
+def _check_rung_memory(m: int, n_slow: int, dim_fast: int,
+                       itemsize: int) -> None:
+    """Refuse the rung at m fast levels before it allocates, from the sizes
+    alone: the block eigenvalues and the chi store it may hold (at most
+    4(m+1) columns, see _frozen_sweep), and the contracted band of 3m rows
+    by n_slow*m with its Cholesky copy."""
+    store = n_slow * dim_fast * (8 + min(dim_fast, 4 * (m + 1)) * itemsize)
+    need = store + 2 * 3 * m * n_slow * m * itemsize
+    if need > _MEMORY_BUDGET:
+        raise ValidationError(
+            f"the contracted 2D rung m={m} needs about {need / 2**20:.1f} "
+            f"MiB, over the {_MEMORY_BUDGET / 2**20:.1f} MiB budget")
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
         raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
-    apply, sweep, slow, norm, meta, units = _two_mode(spec, k)
+    apply, sweep, slow, norm, meta, units, sizes = _two_mode(spec, k)
+    n_slow, dim_fast, _ = sizes
+    dim = n_slow * dim_fast
     m = _FIRST_RUNG
+    _check_rung_memory(m, *sizes)
     # every rung sweeps one block level above itself for the guard below
     eps, chi = sweep(m + 1)
-    n_slow, dim_fast = chi.shape[:2]
-    dim = n_slow * dim_fast
     sigma = _weyl_shift(eps[:, 0], dim_fast, norm)
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
@@ -828,6 +865,7 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
         # a doubled m above half the fast axis becomes the whole axis, which
         # is exact and ends the ladder one solve sooner
         m = dim_fast if 4 * m > dim_fast else 2 * m
+        _check_rung_memory(m, *sizes)
         eps, chi = sweep(m + 1)
     meta.update(sigma=sigma, shift_gap=float(w[0] - sigma),
                 spec=spec.describe(), dim=int(dim), m=int(m),

@@ -1,0 +1,13 @@
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["levels"].shape == (5,)

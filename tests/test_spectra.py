@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eig_banded
+from scipy.linalg import LinAlgError, eig_banded, eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 import circadia.spectra
@@ -766,7 +766,7 @@ def _assembled(spec, k):
     """Oracle grid operator, and the Weyl shift, meta and units as the 2D
     solve makes them: the shift comes from the first rung's sweep of the
     fast blocks."""
-    _, sweep, _, norm, meta, units = circadia.spectra._two_mode(spec, k)
+    _, sweep, _, norm, meta, units, _ = circadia.spectra._two_mode(spec, k)
     eps, chi = sweep(circadia.spectra._FIRST_RUNG + 1)
     sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm)
     return _kron_oracle(spec, k), sigma, meta, units
@@ -932,7 +932,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
     # nested subspaces: no Ritz value rises as m doubles
     sigma = r.meta["sigma"]
     assert sigma <= oracle[0]
-    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, k)
+    _, sweep, slow, *_ = circadia.spectra._two_mode(spec, k)
     previous = None
     m = 1
     while m <= r.meta["m"]:
@@ -947,7 +947,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
 
 def test_a_shift_above_the_contracted_spectrum_is_reported():
     spec = _two_mode_spec("compact", 0.6, 40.0, 400.0)
-    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, 2)
+    _, sweep, slow, *_ = circadia.spectra._two_mode(spec, 2)
     eps, chi = sweep(4)
     lowest = circadia.spectra._contracted_pairs(
         eps, chi, slow, _assembled(spec, 2)[1], 1)[0][0]
@@ -987,3 +987,133 @@ def test_a_fast_excited_level_stays_in_the_contracted_space(monkeypatch):
     r = lowest_eigenvalues(spec, k)
     assert r.meta["m"] > 4
     assert np.all(np.abs(r.eigenvalues - oracle) <= 1e-3 * oracle)
+
+
+def _ladder_sweeps(dim_fast):
+    """The sweep arguments of the contracted ladder, m + 1 a rung."""
+    m, args = circadia.spectra._FIRST_RUNG, []
+    while True:
+        args.append(min(m + 1, dim_fast))
+        if m == dim_fast:
+            return args
+        m = dim_fast if 4 * m > dim_fast else 2 * m
+
+
+def _block_oracle(spec, k):
+    """All eigenpairs of every frozen fast block B_i, by
+    eig_banded(select="i") of the written-out extended band or by eigh of
+    the dense compact block."""
+    if spec.basis_y == "extended":
+        _, y, V = circadia.spectra._extended_parts(spec, k)
+        return [eig_banded(_fd4_band_oracle(v, y[1] - y[0], 0.5), lower=True,
+                           select="i", select_range=(0, y.size - 1))
+                for v in V]
+    phi, h_fast, phi1, c2 = circadia.spectra._compact_parts(spec, k)
+    eye = np.eye(h_fast.shape[0])
+    return [eigh(h_fast + 0.5 * c2 * p**2 * eye - c2 * p * phi1)
+            for p in phi]
+
+
+@settings(max_examples=10)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
+        basis, kappa, xi, frac):
+    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
+    _, sweep, *_, (n_slow, dim_fast, _) = circadia.spectra._two_mode(spec, 2)
+    oracle = _block_oracle(spec, 2)
+    store = None
+    for m in _ladder_sweeps(dim_fast):
+        eps, chi = sweep(m)
+        assert eps.shape == (n_slow, m)
+        assert chi.shape == (n_slow, dim_fast, m)
+        # a store is made only for a rung that needs more columns than the
+        # last one kept, and it keeps four times that rung's need
+        if store is None or store.shape[2] < m:
+            assert chi.base is not store
+            assert chi.base.shape[2] == min(dim_fast, 4 * m)
+        else:
+            assert chi.base is store
+        store = chi.base
+        for i, (w, v) in enumerate(oracle):
+            assert np.all(np.abs(eps[i] - w[:m])
+                          <= 1e-12 * np.maximum(1.0, np.abs(w[:m])))
+            if m < dim_fast and w[m] - w[m - 1] <= 1e-6:
+                continue
+            # the kept columns span the oracle's lowest-m subspace
+            s = np.linalg.svd(chi[i].conj().T @ v[:, :m], compute_uv=False)
+            assert np.all(np.abs(s - 1.0) <= 1e-10)
+
+
+def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
+    calls = []
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig_banded", "eigh"):
+        monkeypatch.setattr(circadia.spectra, name,
+                            counted(getattr(circadia.spectra, name)))
+    # bench grid: the ladder runs m = 4, 8, 16 on the first store
+    grid = circadia.spectra._default_2d_grids("extended", 0.6, 40.0, 400.0)
+    grid.update(nx=96, ny=160)
+    spec = HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                           kappa=0.6, xi=40.0, lambdaJ=400.0,
+                           basis_y="extended", grid=grid)
+    assert lowest_eigenvalues(spec, 4).meta["m"] == 16
+    assert len(calls) == 96
+    assert not any("select" in kwargs for kwargs in calls)
+    # a broad fast state: the ladder reaches the whole fast axis
+    calls.clear()
+    r = lowest_eigenvalues(_two_mode_spec("compact", 0.8, 5.0, 1.0), 2)
+    assert r.meta["m"] == 2 * r.meta["n_max_fast"] + 1
+    assert len(calls) <= 2 * 64
+
+
+def _bench_spec(basis):
+    grid = circadia.spectra._default_2d_grids(basis, 0.6, 40.0, 400.0)
+    grid.update({"extended": {"nx": 96, "ny": 160},
+                 "compact": {"n_phi": 96}}[basis])
+    return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                           kappa=0.6, xi=40.0, lambdaJ=400.0, basis_y=basis,
+                           grid=grid)
+
+
+@pytest.mark.parametrize("basis", ["extended", "compact"])
+def test_an_over_budget_solve_is_refused_before_any_block_is_diagonalized(
+        monkeypatch, basis):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a fast block was diagonalized over budget")
+
+    for name in ("eig_banded", "eigh"):
+        monkeypatch.setattr(circadia.spectra, name, no_block)
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 2**20)
+    with pytest.raises(ValidationError, match=r"rung m=4 needs about "
+                       r"\d+\.\d MiB, over the 1\.0 MiB budget"):
+        lowest_eigenvalues(_bench_spec(basis), 4)
+
+
+def test_a_later_rung_over_budget_is_refused_before_it_allocates(
+        monkeypatch):
+    # the bench extended rungs estimate 2.5 MiB at m=4 and 4.6 MiB at m=8
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 4 * 2**20)
+
+    real = circadia.spectra._contracted_pairs
+    rungs = []
+
+    def counted(eps, *args):
+        rungs.append(eps.shape[1])
+        return real(eps, *args)
+
+    monkeypatch.setattr(circadia.spectra, "_contracted_pairs", counted)
+    with pytest.raises(ValidationError, match=r"rung m=8 needs about 4\.6 "
+                       r"MiB, over the 4\.0 MiB budget"):
+        lowest_eigenvalues(_bench_spec("extended"), 4)
+    assert rungs == [4]
