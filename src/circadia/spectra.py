@@ -684,26 +684,46 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     return phi, h_fast, phi1, c2
 
 
-def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig):
+# a 2D solve whose estimated arrays exceed this many bytes is refused
+_MEMORY_BUDGET = 2 * 1024**3
+
+
+def _refuse_over_budget(what: str, need: int) -> None:
+    if need > _MEMORY_BUDGET:
+        raise ValidationError(
+            f"{what} needs about {need / 2**20:.1f} MiB, over the "
+            f"{_MEMORY_BUDGET / 2**20:.1f} MiB budget")
+
+
+def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig,
+                  whole: bool):
     """sweep(m): the m lowest eigenpairs of every frozen fast block B_i (m
     capped at dim_fast), eps (n_slow, m) ascending and chi (n_slow,
     dim_fast, m) with orthonormal columns; block_eig(i) gives all pairs of
-    B_i. The first call diagonalizes every block whole and keeps all of
-    each block's eigenvalues and its min(dim_fast, 4m) lowest eigenvectors,
-    enough for this rung and the next two; only a call for more columns
-    diagonalizes again, keeping four times its own need."""
+    B_i. The first call diagonalizes every block whole and keeps, if whole,
+    all its pairs, else its min(dim_fast, 4m - 3) lowest: enough for the
+    sweeps of this rung and the next two (m, 2m - 1, 4m - 3 as the ladder
+    doubles m - 1). Only a call for more diagonalizes again, by the same
+    rule. A new store is refused before it is allocated if it and the
+    store it replaces (still held by the caller's views) exceed
+    _MEMORY_BUDGET."""
     eps = chi = None
+    itemsize = np.dtype(dtype).itemsize
 
     def sweep(m):
         nonlocal eps, chi
         m = min(m, dim_fast)
         if chi is None or chi.shape[2] < m:
-            keep = min(dim_fast, 4 * m)
-            eps = np.empty((n_slow, dim_fast))
+            keep = dim_fast if whole else min(dim_fast, 4 * m - 3)
+            held = 0 if chi is None else eps.nbytes + chi.nbytes
+            _refuse_over_budget(
+                f"the 2D block store for m={m} levels",
+                held + n_slow * keep * (8 + dim_fast * itemsize))
+            eps = np.empty((n_slow, keep))
             chi = np.empty((n_slow, dim_fast, keep), dtype=dtype)
             for i in range(n_slow):
                 w, v = block_eig(i)
-                eps[i], chi[i] = w, v[:, :keep]
+                eps[i], chi[i] = w[:keep], v[:, :keep]
         return eps[:, :m], chi[:, :, :m]
 
     return sweep
@@ -716,11 +736,11 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     frozen at slow grid point i. Returns apply(psi) = H @ psi on grid
     vectors (dim, ...), taken from the slow band and the blocks; sweep (see
     _frozen_sweep); the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound
-    on max_i ||B_i||_inf for the Weyl margin; meta; units; and (n_slow,
-    dim_fast, itemsize) for the memory estimate. Extended blocks (FD4
-    y-band + V[i]) are banded and diagonalized whole by ?sbevd, compact
-    blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are dense and
-    diagonalized whole by eigh; both only when sweep first needs them.
+    on max_i ||B_i||_inf for the Weyl margin; meta; and units. Extended
+    blocks (FD4 y-band + V[i]) are banded and diagonalized whole by
+    ?sbevd, compact blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are
+    dense and diagonalized whole by eigh; both only when sweep first needs
+    them, and the compact sweep keeps every eigenvector.
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
@@ -731,7 +751,9 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         fast = band.copy()      # block_eig overwrites band[0]
         norm = float(np.max(np.abs(fast[0] + V))
                      + 2.0 * np.sum(np.abs(band[1:, 0])))
-        dtype = float
+        # 16 sampled default-grid ladders stopped at m = 8 or 16 on
+        # 204-288 points: a few columns serve them
+        dtype, whole = float, False
 
         def blocks(P):
             fd4 = _band_apply(fast, P.swapaxes(0, 1)).swapaxes(0, 1)
@@ -754,7 +776,9 @@ def _two_mode(spec: HamiltonianSpec, k: int):
                      + 0.5 * c2 * L_phi**2
                      + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
         col = phi[:, None, None]
-        dtype = complex
+        # a ladder often reaches the whole charge axis (5 of 16 sampled
+        # default-grid sweeps, and kappa = 0.9, xi = 200 on 83 states)
+        dtype, whole = complex, True
 
         def blocks(P):
             return h_fast @ P + 0.5 * c2 * col**2 * P - c2 * col * (phi1 @ P)
@@ -767,14 +791,13 @@ def _two_mode(spec: HamiltonianSpec, k: int):
                 "n_max_fast": dim_fast // 2, "h": float(h_slow)}
         units = "E'_C units (primed charging energy)"
     slow = _fd4_bands(n_slow, h_slow, c_slow)
-    sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig)
+    sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig, whole)
 
     def apply(psi):
         P = psi.reshape(n_slow, dim_fast, -1)
         return (_band_apply(slow, P) + blocks(P)).reshape(psi.shape)
 
-    return apply, sweep, slow[:, 0], norm, meta, units, \
-        (n_slow, dim_fast, np.dtype(dtype).itemsize)
+    return apply, sweep, slow[:, 0], norm, meta, units
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -804,38 +827,26 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
 _FIRST_RUNG = 4
 _LEVEL_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-8
-# a rung whose estimated arrays exceed this many bytes is refused
-_MEMORY_BUDGET = 2 * 1024**3
-
-
-def _check_rung_memory(m: int, n_slow: int, dim_fast: int,
-                       itemsize: int) -> None:
-    """Refuse the rung at m fast levels before it allocates, from the sizes
-    alone: the block eigenvalues and the chi store it may hold (at most
-    4(m+1) columns, see _frozen_sweep), and the contracted band of 3m rows
-    by n_slow*m with its Cholesky copy."""
-    store = n_slow * dim_fast * (8 + min(dim_fast, 4 * (m + 1)) * itemsize)
-    need = store + 2 * 3 * m * n_slow * m * itemsize
-    if need > _MEMORY_BUDGET:
-        raise ValidationError(
-            f"the contracted 2D rung m={m} needs about {need / 2**20:.1f} "
-            f"MiB, over the {_MEMORY_BUDGET / 2**20:.1f} MiB budget")
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
         raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
-    apply, sweep, slow, norm, meta, units, sizes = _two_mode(spec, k)
-    n_slow, dim_fast, _ = sizes
-    dim = n_slow * dim_fast
+    apply, sweep, slow, norm, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
-    _check_rung_memory(m, *sizes)
     # every rung sweeps one block level above itself for the guard below
     eps, chi = sweep(m + 1)
+    n_slow, dim_fast = chi.shape[:2]
+    dim = n_slow * dim_fast
     sigma = _weyl_shift(eps[:, 0], dim_fast, norm)
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
         if m == dim_fast or n_slow * m >= 4 * (k + 1):
+            # the contracted band and its Cholesky copy, beside the store
+            _refuse_over_budget(
+                f"the contracted 2D rung m={m}",
+                eps.base.nbytes + chi.base.nbytes
+                + 2 * 3 * m * n_slow * m * chi.itemsize)
             w, c = _contracted_pairs(eps[:, :m], chi[:, :, :m], slow, sigma,
                                      k + 1)
             psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
@@ -865,7 +876,6 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
         # a doubled m above half the fast axis becomes the whole axis, which
         # is exact and ends the ladder one solve sooner
         m = dim_fast if 4 * m > dim_fast else 2 * m
-        _check_rung_memory(m, *sizes)
         eps, chi = sweep(m + 1)
     meta.update(sigma=sigma, shift_gap=float(w[0] - sigma),
                 spec=spec.describe(), dim=int(dim), m=int(m),

@@ -731,8 +731,15 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
         assert r.meta["shift_gap"] == r.eigenvalues[0] - r.meta["sigma"]
 
 
-def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64):
-    grid = {"nx": n, "ny": n} if basis == "extended" else {"n_phi": n}
+def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64, n_fast=None):
+    """n slow points; n_fast fast states (odd for compact), by default n
+    extended points or the compact basis's own cutoff."""
+    if basis == "extended":
+        grid = {"nx": n, "ny": n_fast or n}
+    else:
+        grid = {"n_phi": n}
+        if n_fast:
+            grid["n_max_fast"] = n_fast // 2
     return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
                            kappa=kappa, xi=xi, lambdaJ=lambdaJ,
                            basis_y=basis, grid=grid)
@@ -766,7 +773,7 @@ def _assembled(spec, k):
     """Oracle grid operator, and the Weyl shift, meta and units as the 2D
     solve makes them: the shift comes from the first rung's sweep of the
     fast blocks."""
-    _, sweep, _, norm, meta, units, _ = circadia.spectra._two_mode(spec, k)
+    _, sweep, _, norm, meta, units = circadia.spectra._two_mode(spec, k)
     eps, chi = sweep(circadia.spectra._FIRST_RUNG + 1)
     sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm)
     return _kron_oracle(spec, k), sigma, meta, units
@@ -932,7 +939,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
     # nested subspaces: no Ritz value rises as m doubles
     sigma = r.meta["sigma"]
     assert sigma <= oracle[0]
-    _, sweep, slow, *_ = circadia.spectra._two_mode(spec, k)
+    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, k)
     previous = None
     m = 1
     while m <= r.meta["m"]:
@@ -947,7 +954,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
 
 def test_a_shift_above_the_contracted_spectrum_is_reported():
     spec = _two_mode_spec("compact", 0.6, 40.0, 400.0)
-    _, sweep, slow, *_ = circadia.spectra._two_mode(spec, 2)
+    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, 2)
     eps, chi = sweep(4)
     lowest = circadia.spectra._contracted_pairs(
         eps, chi, slow, _assembled(spec, 2)[1], 1)[0][0]
@@ -1014,28 +1021,25 @@ def _block_oracle(spec, k):
             for p in phi]
 
 
-@settings(max_examples=10)
-@given(
-    basis=st.sampled_from(["extended", "compact"]),
-    kappa=st.floats(0.3, 0.9),
-    xi=st.floats(1.0, 60.0),
-    frac=st.floats(0.0, 1.0),
-)
-def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
-        basis, kappa, xi, frac):
-    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
-    _, sweep, *_, (n_slow, dim_fast, _) = circadia.spectra._two_mode(spec, 2)
+def _check_sweep_against_the_block_oracle(spec):
+    """Every ladder sweep against the per-block oracle; returns the number
+    of stores the sweeps made."""
+    sweep = circadia.spectra._two_mode(spec, 2)[1]
     oracle = _block_oracle(spec, 2)
-    store = None
+    n_slow, dim_fast = len(oracle), oracle[0][0].size
+    store, stores = None, 0
     for m in _ladder_sweeps(dim_fast):
         eps, chi = sweep(m)
         assert eps.shape == (n_slow, m)
         assert chi.shape == (n_slow, dim_fast, m)
         # a store is made only for a rung that needs more columns than the
-        # last one kept, and it keeps four times that rung's need
+        # last one kept; it keeps the next two rungs' need, or the whole
+        # compact axis
         if store is None or store.shape[2] < m:
             assert chi.base is not store
-            assert chi.base.shape[2] == min(dim_fast, 4 * m)
+            assert chi.base.shape[2] == (dim_fast if spec.basis_y == "compact"
+                                         else min(dim_fast, 4 * m - 3))
+            stores += 1
         else:
             assert chi.base is store
         store = chi.base
@@ -1047,6 +1051,39 @@ def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
             # the kept columns span the oracle's lowest-m subspace
             s = np.linalg.svd(chi[i].conj().T @ v[:, :m], compute_uv=False)
             assert np.all(np.abs(s - 1.0) <= 1e-10)
+    return stores
+
+
+@settings(max_examples=10)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
+        basis, kappa, xi, frac):
+    _check_sweep_against_the_block_oracle(
+        _two_mode_spec(basis, kappa, xi, frac * xi**2))
+
+
+# on 161 fast states the extended stores keep 17, 129 and 161 columns
+# (sweeps of 5, 33 and 161 levels); the compact store keeps all 161
+@pytest.mark.parametrize("basis, kappa, xi, lambdaJ, stores", [
+    ("extended", 0.8, 5.0, 1.0, 3), ("compact", 0.6, 40.0, 400.0, 1)])
+def test_a_long_fast_axis_is_swept_in_the_stores_its_rungs_need(
+        basis, kappa, xi, lambdaJ, stores):
+    assert _check_sweep_against_the_block_oracle(
+        _two_mode_spec(basis, kappa, xi, lambdaJ, n_fast=161)) == stores
+
+
+def _bench_spec(basis):
+    grid = circadia.spectra._default_2d_grids(basis, 0.6, 40.0, 400.0)
+    grid.update({"extended": {"nx": 96, "ny": 160},
+                 "compact": {"n_phi": 96}}[basis])
+    return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                           kappa=0.6, xi=40.0, lambdaJ=400.0, basis_y=basis,
+                           grid=grid)
 
 
 def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
@@ -1062,49 +1099,25 @@ def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
         monkeypatch.setattr(circadia.spectra, name,
                             counted(getattr(circadia.spectra, name)))
     # bench grid: the ladder runs m = 4, 8, 16 on the first store
-    grid = circadia.spectra._default_2d_grids("extended", 0.6, 40.0, 400.0)
-    grid.update(nx=96, ny=160)
-    spec = HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
-                           kappa=0.6, xi=40.0, lambdaJ=400.0,
-                           basis_y="extended", grid=grid)
-    assert lowest_eigenvalues(spec, 4).meta["m"] == 16
+    assert lowest_eigenvalues(_bench_spec("extended"), 4).meta["m"] == 16
     assert len(calls) == 96
     assert not any("select" in kwargs for kwargs in calls)
-    # a broad fast state: the ladder reaches the whole fast axis
-    calls.clear()
-    r = lowest_eigenvalues(_two_mode_spec("compact", 0.8, 5.0, 1.0), 2)
-    assert r.meta["m"] == 2 * r.meta["n_max_fast"] + 1
-    assert len(calls) <= 2 * 64
+    # compact ladders that reach the whole charge axis (65 and 83 states)
+    # on the store of the first sweep
+    for kappa, xi, lambdaJ in ((0.8, 5.0, 1.0), (0.9, 200.0, 2000.0)):
+        calls.clear()
+        r = lowest_eigenvalues(_two_mode_spec("compact", kappa, xi, lambdaJ),
+                               2)
+        assert r.meta["m"] == 2 * r.meta["n_max_fast"] + 1
+        assert len(calls) == 64
 
 
-def _bench_spec(basis):
-    grid = circadia.spectra._default_2d_grids(basis, 0.6, 40.0, 400.0)
-    grid.update({"extended": {"nx": 96, "ny": 160},
-                 "compact": {"n_phi": 96}}[basis])
-    return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
-                           kappa=0.6, xi=40.0, lambdaJ=400.0, basis_y=basis,
-                           grid=grid)
+def _no_block(*args, **kwargs):
+    raise AssertionError("a fast block was diagonalized over budget")
 
 
-@pytest.mark.parametrize("basis", ["extended", "compact"])
-def test_an_over_budget_solve_is_refused_before_any_block_is_diagonalized(
-        monkeypatch, basis):
-    def no_block(*args, **kwargs):
-        raise AssertionError("a fast block was diagonalized over budget")
-
-    for name in ("eig_banded", "eigh"):
-        monkeypatch.setattr(circadia.spectra, name, no_block)
-    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 2**20)
-    with pytest.raises(ValidationError, match=r"rung m=4 needs about "
-                       r"\d+\.\d MiB, over the 1\.0 MiB budget"):
-        lowest_eigenvalues(_bench_spec(basis), 4)
-
-
-def test_a_later_rung_over_budget_is_refused_before_it_allocates(
-        monkeypatch):
-    # the bench extended rungs estimate 2.5 MiB at m=4 and 4.6 MiB at m=8
-    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 4 * 2**20)
-
+def _counted_rungs(monkeypatch):
+    """The m of every contracted solve, as it is made."""
     real = circadia.spectra._contracted_pairs
     rungs = []
 
@@ -1113,7 +1126,50 @@ def test_a_later_rung_over_budget_is_refused_before_it_allocates(
         return real(eps, *args)
 
     monkeypatch.setattr(circadia.spectra, "_contracted_pairs", counted)
-    with pytest.raises(ValidationError, match=r"rung m=8 needs about 4\.6 "
-                       r"MiB, over the 4\.0 MiB budget"):
+    return rungs
+
+
+@pytest.mark.parametrize("basis", ["extended", "compact"])
+def test_an_over_budget_solve_is_refused_before_any_block_is_diagonalized(
+        monkeypatch, basis):
+    for name in ("eig_banded", "eigh"):
+        monkeypatch.setattr(circadia.spectra, name, _no_block)
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 2**20)
+    with pytest.raises(ValidationError, match=r"store for m=5 levels needs "
+                       r"about \d+\.\d MiB, over the 1\.0 MiB budget"):
+        lowest_eigenvalues(_bench_spec(basis), 4)
+
+
+def test_a_contracted_band_over_budget_is_refused_before_it_is_built(
+        monkeypatch):
+    # the bench extended store of 17 pairs (2.00 MiB) serves m = 4, 8 and
+    # 16, whose bands and Cholesky copies add 0.07, 0.28 and 1.13 MiB
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 3 * 2**20)
+    rungs = _counted_rungs(monkeypatch)
+    with pytest.raises(ValidationError, match=r"rung m=16 needs about 3\.1 "
+                       r"MiB, over the 3\.0 MiB budget"):
         lowest_eigenvalues(_bench_spec("extended"), 4)
-    assert rungs == [4]
+    assert rungs == [4, 8]
+
+
+def test_a_store_over_budget_is_refused_before_it_is_diagonalized(
+        monkeypatch):
+    # 64 x 161 extended: the store of 17 pairs (1.34 MiB) serves m = 4, 8,
+    # 16; the sweep of 33 makes one of 129 pairs (10.20 MiB) while the
+    # caller still holds the first
+    spec = _two_mode_spec("extended", 0.8, 5.0, 1.0, n_fast=161)
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 4 * 2**20)
+    rungs = _counted_rungs(monkeypatch)
+    real = circadia.spectra.eig_banded
+    blocks = []
+
+    def counted(*args, **kwargs):
+        blocks.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.spectra, "eig_banded", counted)
+    with pytest.raises(ValidationError, match=r"store for m=33 levels needs "
+                       r"about 11\.5 MiB, over the 4\.0 MiB budget"):
+        lowest_eigenvalues(spec, 2)
+    assert rungs == [4, 8, 16]
+    assert len(blocks) == 64
