@@ -35,14 +35,12 @@ from .foster import eval_admittance, fit_foster, read_admittance_csv, \
     reactance_slope, write_model_json, FosterModel
 from .manifest import RunManifest
 from .params import read_circuit
-from .potentials import CubicSpline, PotentialModel
+from .potentials import CubicSpline, PotentialModel, _two_pi_periodic
 from .reduction import branch_table, effective_potential, write_potential_csv
 from .spectra import HamiltonianSpec, _window_ends, bo_effective_potential, \
     bo_fast_ground, lowest_eigenvalues, naive_compact_adiabatic
 from .svgplot import line_plot
-from .sweeps import write_json
-
-TWO_PI = 2.0 * math.pi
+from .sweeps import SweepTable, float_rows, write_json
 
 
 class CliParser(argparse.ArgumentParser):
@@ -231,28 +229,6 @@ def cmd_bo_sweep(args) -> int:
 # compare
 
 
-def _wrap_pi(phi: np.ndarray) -> np.ndarray:
-    return (phi + math.pi) % TWO_PI - math.pi
-
-
-def _bo_column_potential(rc, p, n_samples: int = 41):
-    """xi * U_BO(sqrt(xi)*phi) as a callable of phi, E_C units."""
-    phis = np.linspace(-math.pi, math.pi, n_samples)
-    e = np.array([bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
-                                 float(math.sqrt(rc.xi) * phi))
-                  for phi in phis])
-    u = (e - e[(n_samples - 1) // 2]) / rc.kappa**2
-    periodic = p.is_periodic and abs(p.period - TWO_PI) < 1e-12
-    if periodic:
-        u[-1] = u[0]
-    spline = CubicSpline(phis, u, "periodic" if periodic else "not-a-knot")
-
-    def v(q):
-        q = np.asarray(q, dtype=float)
-        return rc.xi * spline(_wrap_pi(q) if periodic else q)
-    return v, periodic
-
-
 def _ladder_stats(levels: np.ndarray) -> dict:
     spacings = np.diff(levels)
     return {
@@ -285,89 +261,99 @@ def _box_proxy(make_spec, vmax: float) -> dict:
     return entry
 
 
+# A compare route quantizes one Hamiltonian at the circuit's point and
+# returns (column, box): the column's lowest levels in E_C units, and for an
+# extended route (make_spec(L, n), vmax) for its box proxy, else None.
+
+
+def _classical_reduced(rc, p, args):
+    """The classically reduced single branch, H/E_C = (1/2) n_phi^2 + V(phi)."""
+    def make_spec(L, n):
+        return HamiltonianSpec(
+            variant="Extended1D", c_kin=0.5,
+            effective=effective_potential(p, rc, "CompactPhi",
+                                          np.linspace(-L, L, n)))
+    spec = make_spec(math.pi, args.grid)
+    levels = lowest_eigenvalues(spec, 3).eigenvalues
+    return _ladder_stats(levels), (make_spec, float(np.max(spec.effective.V)))
+
+
+def _bo_extended(rc, p, args):
+    """The Born-Oppenheimer potential of the extended two-mode model,
+    H/E_C = (1/2) n_phi^2 + xi*U_BO(sqrt(xi)*phi), splined through the fast
+    ground energy at 41 phi on [-pi, pi]."""
+    phis = np.linspace(-math.pi, math.pi, 41)
+    e = np.array([bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
+                                 float(math.sqrt(rc.xi) * phi))
+                  for phi in phis])
+    u = (e - e[20]) / rc.kappa**2
+    periodic = _two_pi_periodic(p)
+    if periodic:
+        u[-1] = u[0]
+    spline = CubicSpline(phis, u, "periodic" if periodic else "not-a-knot")
+
+    def v_bo(q):    # a periodic spline maps q into [-pi, pi] itself
+        return rc.xi * spline(q)
+
+    def make_spec(L, n):
+        return HamiltonianSpec(variant="Extended1D", v_func=v_bo, c_kin=0.5,
+                               grid={"half_width": L, "n": n})
+    levels = lowest_eigenvalues(make_spec(math.pi, args.grid), 3).eigenvalues
+    vmax = float(np.max(v_bo(np.linspace(-math.pi, math.pi, 721))))
+    return _ladder_stats(levels), (make_spec, vmax)
+
+
+def _compact_naive_adiabatic(rc, p, args):
+    """The naive compact adiabatic ladder, converted E'_C -> E_C."""
+    nas = naive_compact_adiabatic(rc.kappa, rc.xi, rc.ng, 3,
+                                  charge_half_factor=args.charge_half_factor)
+    column = _ladder_stats(nas.numerical / rc.kappa**4)
+    column["formula_EC"] = [float(v) / rc.kappa**4 for v in nas.formula]
+    return column, None
+
+
+_COMPARE_ROUTES = (("classical_reduced", _classical_reduced),
+                   ("bo_extended", _bo_extended),
+                   ("compact_naive_adiabatic", _compact_naive_adiabatic))
+
+
+def _failed(exc: CircadiaError) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def cmd_compare(args) -> int:
+    _check_flags(args, at_least=(("grid", 128),))
     rc, p = read_circuit(args.circuit)
     out = _outdir(args)
-    nphi = args.grid
-    k = 3
     manifest = _new_manifest("compare", args, {
-        "grid": nphi, "charge_half_factor": args.charge_half_factor,
+        "grid": args.grid, "charge_half_factor": args.charge_half_factor,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ,
         "beta": rc.beta, "ng": rc.ng}, p)
-    columns: dict = {}
-
-    # Column A: quantize the classically reduced single branch,
-    # H/E_C = (1/2) n_phi^2 + V(phi).
-    pot = None
-    try:
-        pot = effective_potential(p, rc, "CompactPhi",
-                                  np.linspace(-math.pi, math.pi, nphi))
-        resA = lowest_eigenvalues(
-            HamiltonianSpec(variant="Extended1D", effective=pot, c_kin=0.5),
-            k)
-        columns["classical_reduced"] = _ladder_stats(resA.eigenvalues)
-    except CircadiaError as exc:
-        columns["classical_reduced"] = {
-            "error": f"{type(exc).__name__}: {exc}"}
-
-    # Column B: quantize the Born-Oppenheimer potential of the extended
-    # two-mode model, H/E_C = (1/2) n_phi^2 + xi*U_BO(sqrt(xi)*phi).
-    v_bo = None
-    bo_periodic = False
-    try:
-        if rc.kappa <= 0:
-            raise ValidationError("BO column needs kappa > 0")
-        v_bo, bo_periodic = _bo_column_potential(rc, p)
-        resB = lowest_eigenvalues(
-            HamiltonianSpec(variant="Extended1D", v_func=v_bo, c_kin=0.5,
-                            grid={"half_width": math.pi, "n": nphi}),
-            k)
-        columns["bo_extended"] = _ladder_stats(resB.eigenvalues)
-    except CircadiaError as exc:
-        columns["bo_extended"] = {"error": f"{type(exc).__name__}: {exc}"}
-
-    # Column C: the naive compact adiabatic ladder, converted E'_C -> E_C.
-    try:
-        if rc.kappa <= 0:
-            raise ValidationError("compact column needs kappa > 0")
-        nas = naive_compact_adiabatic(
-            rc.kappa, rc.xi, rc.ng, k,
-            charge_half_factor=args.charge_half_factor)
-        columns["compact_naive_adiabatic"] = _ladder_stats(
-            nas.numerical / rc.kappa**4)
-        columns["compact_naive_adiabatic"]["formula_EC"] = [
-            float(v) / rc.kappa**4 for v in nas.formula]
-    except CircadiaError as exc:
-        columns["compact_naive_adiabatic"] = {
-            "error": f"{type(exc).__name__}: {exc}"}
-
     # Continuum proxy: the extended pair densifies in a fixed window as the
     # box doubles; the compact ladder stays discrete by construction.
+    periodic = _two_pi_periodic(p)
+    columns: dict = {}
     proxy: dict = {}
-    if pot is not None and p.is_periodic and abs(p.period - TWO_PI) < 1e-12:
+    rows = ["# units: energies in E_C units\n",
+            "column,level,energy_EC,spacing_EC\n"]
+    series = []
+    for name, route in _COMPARE_ROUTES:
         try:
-            vmaxA = float(np.max(pot.V))
-            proxy["classical_reduced"] = _box_proxy(
-                lambda L, n: HamiltonianSpec(
-                    variant="Extended1D",
-                    effective=effective_potential(
-                        p, rc, "CompactPhi", np.linspace(-L, L, n)),
-                    c_kin=0.5),
-                vmaxA)
+            columns[name], box = route(rc, p, args)
         except CircadiaError as exc:
-            proxy["classical_reduced"] = {
-                "error": f"{type(exc).__name__}: {exc}"}
-    if v_bo is not None and bo_periodic:
-        try:
-            phis = np.linspace(-math.pi, math.pi, 721)
-            vmaxB = float(np.max(v_bo(phis)))
-            proxy["bo_extended"] = _box_proxy(
-                lambda L, n: HamiltonianSpec(
-                    variant="Extended1D", v_func=v_bo, c_kin=0.5,
-                    grid={"half_width": L, "n": n}),
-                vmaxB)
-        except CircadiaError as exc:
-            proxy["bo_extended"] = {"error": f"{type(exc).__name__}: {exc}"}
+            columns[name] = _failed(exc)
+            rows.append(f'"{name}",-1,nan,nan\n')
+            continue
+        if box is not None and periodic:
+            try:
+                proxy[name] = _box_proxy(*box)
+            except CircadiaError as exc:
+                proxy[name] = _failed(exc)
+        lv = columns[name]["levels_EC"]
+        sp = [float("nan")] + columns[name]["spacings_EC"]
+        rows.extend(f'"{name}",{i},{e!r},{s!r}\n'
+                    for i, (e, s) in enumerate(zip(lv, sp)))
+        series.append((name, np.arange(len(lv)), np.asarray(lv) - lv[0]))
 
     report = {
         "columns": columns,
@@ -384,26 +370,10 @@ def cmd_compare(args) -> int:
     }
     report_path = os.path.join(out, "compare.json")
     write_json(report_path, report)
-
     csv_path = os.path.join(out, "compare.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("# units: energies in E_C units\n")
-        f.write("column,level,energy_EC,spacing_EC\n")
-        for name, data in columns.items():
-            if "error" in data:
-                f.write(f'"{name}",-1,nan,nan\n')
-                continue
-            lv = data["levels_EC"]
-            sp = [float("nan")] + data["spacings_EC"]
-            for i, (e, s) in enumerate(zip(lv, sp)):
-                f.write(f'"{name}",{i},{e!r},{s!r}\n')
+        f.writelines(rows)
     svg_path = os.path.join(out, "compare.svg")
-    series = []
-    for name, data in columns.items():
-        if "error" not in data:
-            lv = data["levels_EC"]
-            series.append((name, np.arange(len(lv)),
-                           np.asarray(lv) - lv[0]))
     line_plot(svg_path, series, xlabel="level index",
               ylabel="E - E0 (E_C units)", title="three quantization routes")
 
@@ -524,12 +494,9 @@ def cmd_foster(args) -> int:
         omega = np.linspace(args.omega_min, args.omega_max, args.points)
         vals = _masked_curve(model, omega)
         csv_path = os.path.join(out, "admittance.csv")
-        with open(csv_path, "w", encoding="utf-8") as f:
-            f.write("# units: omega and Im Y in the model's input units; "
-                    "NaN rows sit inside a pole margin\n")
-            f.write("omega,ImY\n")
-            for w, v in zip(omega, vals):
-                f.write(f"{float(w)!r},{float(v)!r}\n")
+        SweepTable(columns=["omega", "ImY"], rows=list(float_rows(omega, vals)),
+                   units="omega and Im Y in the model's input units; NaN "
+                   "rows sit inside a pole margin").to_csv(csv_path)
         svg_path = os.path.join(out, "admittance.svg")
         line_plot(svg_path, [("Im Y", omega, vals)], xlabel="omega",
                   ylabel="Im Y", title="Foster admittance")

@@ -82,6 +82,11 @@ class PotentialModel:
         return bool(np.max(np.abs(left - right)) <= 1e-10 * scale)
 
 
+def _two_pi_periodic(p: PotentialModel) -> bool:
+    """u repeats with period 2*pi, the period of the compact phase."""
+    return p.is_periodic and abs(p.period - 2.0 * math.pi) < 1e-12
+
+
 class Cosine(PotentialModel):
     """u(phi) = -cos(phi)."""
 

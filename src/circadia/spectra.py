@@ -62,7 +62,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
                      ValidationError)
-from .potentials import Cosine, PotentialModel
+from .potentials import Cosine, PotentialModel, _two_pi_periodic
 from .reduction import EffectivePotential
 from .sweeps import SweepTable, write_json
 
@@ -502,7 +502,7 @@ def _lowest_compact1d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     lam = float(spec.lambdaJ if spec.lambdaJ is not None else 0.0)
     if lam < 0:
         raise ValidationError("lambdaJ must be >= 0")
-    if not p.is_periodic or abs(p.period - TWO_PI) > 1e-12:
+    if not _two_pi_periodic(p):
         raise ValidationError("Compact1D needs a 2pi-periodic potential")
     n_max = spec.n_max if spec.n_max is not None else int(
         math.ceil(3.0 * math.sqrt(lam) + 10))
@@ -662,7 +662,7 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     the grid must hold k <= dimension/4 pairs."""
     kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
     p = spec.potential if spec.potential is not None else Cosine()
-    if not p.is_periodic or abs(p.period - TWO_PI) > 1e-12:
+    if not _two_pi_periodic(p):
         raise ValidationError("compact fast axis needs a 2pi-periodic potential")
     coef = spec.charge_coef
     probe = np.linspace(0.0, TWO_PI, 512, endpoint=False)

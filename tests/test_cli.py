@@ -74,15 +74,23 @@ def test_reduce_writes_potential_bundle(write_circuit, tmp_path):
 
 
 def test_reduce_rerun_is_byte_identical(write_circuit, tmp_path):
+    # compare too: every file it writes, and its printout
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        res = run_cli("reduce", "--circuit", circuit, "--out", out)
-        assert res.returncode == 0, res.stderr
-        outs.append(out)
-    for name in ("potential.csv", "reduce_report.json", "manifest.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for command in ("reduce", "compare"):
+        outs, stdouts = [], []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{command}_{tag}"
+            res = run_cli(command, "--circuit", circuit, "--out", out)
+            assert res.returncode == 0, res.stderr
+            outs.append(out)
+            stdouts.append(res.stdout)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "manifest.json" in names and len(names) == 4
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), (command, name)
+        assert stdouts[0] == stdouts[1]
 
 
 def test_reduce_supercritical_exits_2_with_branch_table(write_circuit,
@@ -226,6 +234,29 @@ def test_compare_runs_three_routes(write_circuit, tmp_path):
     check_manifest(out / "manifest.json", "compare")
 
 
+def test_compare_at_kappa_zero_keeps_the_reduced_column(write_circuit,
+                                                        tmp_path):
+    # Cp_F = 0: the two kappa routes refuse in their columns, the classically
+    # reduced branch and its box proxy still run, and the command succeeds
+    circuit = write_circuit("k0.json", kappa=0.0, xi=1.0, lambdaJ=0.5)
+    out = tmp_path / "cmp_out"
+    res = run_cli("compare", "--circuit", circuit, "--out", out)
+    assert res.returncode == 0, res.stderr
+    report = read_json(out / "compare.json")
+    columns = report["columns"]
+    assert len(columns["classical_reduced"]["levels_EC"]) == 3
+    assert columns["bo_extended"] == {
+        "error": "ValidationError: kappa must be > 0"}
+    assert columns["compact_naive_adiabatic"] == {
+        "error": "ValidationError: kappa and xi must be > 0"}
+    assert set(report["box_proxy"]) == {"classical_reduced"}
+    assert report["box_proxy"]["classical_reduced"]["spacing_ratio"] == \
+        pytest.approx(0.5, abs=0.01)
+    lines = (out / "compare.csv").read_text().splitlines()
+    assert lines[-2:] == ['"bo_extended",-1,nan,nan',
+                          '"compact_naive_adiabatic",-1,nan,nan']
+
+
 def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
                                                       tmp_path, monkeypatch):
     # in-process: the box proxy reports a count and a mean spacing, so its
@@ -339,11 +370,16 @@ def test_dynamics_refuses_non_finite_arguments(write_circuit, tmp_path, flag,
     (["foster", "--omega-min=nan"], "--omega-min must be finite"),
     (["foster", "--omega-max=inf"], "--omega-max must be finite"),
     (["foster", "--points=0"], "--points must be >= 1"),
+    (["compare", "--grid=100"], "--grid must be >= 128"),
 ], ids=["x-min-nan", "x-max-inf", "x-points-0", "grid-negative", "jobs-0",
-        "jobs-negative", "omega-min-nan", "omega-max-inf", "points-0"])
+        "jobs-negative", "omega-min-nan", "omega-max-inf", "points-0",
+        "compare-grid-100"])
 def test_bo_sweep_and_foster_refuse_bad_numeric_flags(write_circuit, tmp_path,
                                                       argv, message):
-    if argv[0] == "bo-sweep":
+    if argv[0] == "compare":
+        argv = argv + ["--circuit", write_circuit(
+            "cmp.json", kappa=0.5, xi=1.0, lambdaJ=0.5)]
+    elif argv[0] == "bo-sweep":
         circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
         argv = argv + ["--circuit", circuit, "--kappa-ladder", "0.6,0.45,0.3"]
     else:
