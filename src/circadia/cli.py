@@ -185,23 +185,6 @@ def cmd_bo_sweep(args) -> int:
         table = bo_effective_potential(kappas, xs, p, rc.xi, rc.lambdaJ, **kw)
 
     fits = table.quadratic_fit()
-    # 1e-8 sits above the fast-solver noise floor (~1e-10 on e0) and far
-    # below any physical delta_e0 scale.
-    sup_scale = float(np.max(np.abs(table.delta)))
-    if sup_scale < 1e-8:
-        verdict = "decreasing"
-        qualifier = " (identically zero)"
-    else:
-        stabilized = all(
-            abs(b - a) <= 0.1 * max(abs(a), abs(b))
-            for a, b in zip(fits, fits[1:]))
-        if stabilized and abs(fits[-1]) > 1e-9:
-            verdict = "converges-nonzero"
-            qualifier = ""
-        else:
-            verdict = table.verdict
-            qualifier = ""
-
     csv_path = os.path.join(out, "bo_sweep.csv")
     table.to_sweep_table().to_csv(csv_path)
     svg_path = os.path.join(out, "bo_sweep.svg")
@@ -211,7 +194,7 @@ def cmd_bo_sweep(args) -> int:
               xlabel="x", ylabel="U = delta_e0/kappa^2 (hbar*omega_C units)",
               title="Born-Oppenheimer effective potential")
     report = {
-        "verdict": verdict,
+        "verdict": table.verdict,
         "sup_abs_delta": [float(v) for v in table.sup_abs],
         "quadratic_fits": [float(v) for v in fits],
         "kappas": [float(v) for v in table.kappas],
@@ -219,7 +202,8 @@ def cmd_bo_sweep(args) -> int:
     report_path = os.path.join(out, "bo_report.json")
     write_json(report_path, report)
     _finish(manifest, out, [csv_path, svg_path, report_path])
-    print(f"verdict: {verdict}{qualifier}")
+    print(f"verdict: {table.verdict}"
+          + (" (identically zero)" if table.vanishing else ""))
     for kap, s, a in zip(table.kappas, table.sup_abs, fits):
         print(f"  kappa={kap:g}: sup|delta_e0|={s:.6g}  curvature_fit={a:.6g}")
     return 0
@@ -494,7 +478,7 @@ def cmd_foster(args) -> int:
         omega = np.linspace(args.omega_min, args.omega_max, args.points)
         vals = _masked_curve(model, omega)
         csv_path = os.path.join(out, "admittance.csv")
-        SweepTable(columns=["omega", "ImY"], rows=list(float_rows(omega, vals)),
+        SweepTable(columns=["omega", "ImY"], rows=float_rows(omega, vals),
                    units="omega and Im Y in the model's input units; NaN "
                    "rows sit inside a pole margin").to_csv(csv_path)
         svg_path = os.path.join(out, "admittance.svg")

@@ -2,20 +2,14 @@
 
 Single provenance point for hbar, the electron charge, and the flux quantum.
 Nothing else in the package writes these numbers inline; the flux quantum in
-particular is always taken from here, never recomputed.
-
-The env var ``CIRCADIA_CONSTANTS`` may point at a JSON file overriding the
-table (testing only). Keys: ``hbar``, ``e``; ``h`` and ``Phi_Q`` are derived.
+particular is always taken from here, never recomputed: ``hbar`` and ``e``
+are stored, ``h`` and ``Phi_Q`` derived.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-
-from .errors import ValidationError
 
 # 2018 CODATA exact values (SI redefinition): h and e are exact.
 _H_PLANCK = 6.62607015e-34   # J s
@@ -37,20 +31,6 @@ class PhysicalConstants:
         return self.h / (2.0 * self.e)
 
 
-def _load_override(path: str) -> PhysicalConstants:
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    for key in ("hbar", "e"):
-        if key not in obj:
-            raise ValidationError(f"constants override missing '{key}' in {path}")
-        if not (float(obj[key]) > 0 and math.isfinite(float(obj[key]))):
-            raise ValidationError(f"constants override '{key}' must be finite and > 0")
-    return PhysicalConstants(hbar=float(obj["hbar"]), e=float(obj["e"]))
-
-
 def get_constants() -> PhysicalConstants:
-    """Return the active constants table, honoring CIRCADIA_CONSTANTS."""
-    path = os.environ.get("CIRCADIA_CONSTANTS")
-    if path:
-        return _load_override(path)
+    """Return the constants table."""
     return PhysicalConstants(hbar=_H_PLANCK / (2.0 * math.pi), e=_E_CHARGE)

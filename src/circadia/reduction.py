@@ -93,11 +93,11 @@ def write_potential_csv(path, basis, coordinates, V, Vp, Vpp, branch_count,
 
 
 def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection on a bracket; stops on residual, guaranteed by sign change."""
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+    """Bisection on a bracket; stops on residual, guaranteed by sign change.
+
+    flo = fun(lo) and fhi = fun(hi) have opposite signs and neither is zero:
+    every bracket _scan hands over has |f| >= ZERO_TOL at both ends.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fun(mid)

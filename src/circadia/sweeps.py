@@ -30,8 +30,6 @@ def float_rows(*columns):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, int):
@@ -56,6 +54,8 @@ class SweepTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # a generator would be used up by the width check below
+        self.rows = list(self.rows)
         ncol = len(self.columns)
         for row in self.rows:
             if len(row) != ncol:

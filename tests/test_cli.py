@@ -214,6 +214,31 @@ def test_bo_sweep_zero_josephson_and_jobs_determinism(write_circuit,
     assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize("case, verdict", [
+    (dict(xi=10.0, lambdaJ=5.0, ladder="0.6,0.45,0.3", span=2.0, points=7,
+          potential={"kind": "quadratic", "curvature": 1.0}),
+     "converges-nonzero"),
+    (dict(xi=1.0, lambdaJ=0.0, ladder="0.5,0.4,0.3", span=1.0, points=5,
+          potential=None), "decreasing"),
+])
+def test_bo_sweep_csv_and_report_carry_one_verdict(write_circuit, tmp_path,
+                                                   case, verdict):
+    circuit = write_circuit("c.json", kappa=0.5, xi=case["xi"],
+                            lambdaJ=case["lambdaJ"],
+                            potential=case["potential"])
+    out = tmp_path / "out"
+    res = run_cli("bo-sweep", "--circuit", circuit, "--out", out,
+                  "--kappa-ladder", case["ladder"],
+                  "--x-min", -case["span"], "--x-max", case["span"],
+                  "--x-points", case["points"])
+    assert res.returncode == 0, res.stderr
+    meta_line = (out / "bo_sweep.csv").read_text().splitlines()[1]
+    assert meta_line.startswith("# meta: ")
+    assert json.loads(meta_line[len("# meta: "):])["verdict"] == verdict
+    assert read_json(out / "bo_report.json")["verdict"] == verdict
+    assert res.stdout.startswith(f"verdict: {verdict}")
+
+
 def test_bo_sweep_short_ladder_exits_1(write_circuit, tmp_path):
     circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     res = run_cli("bo-sweep", "--circuit", circuit, "--out", tmp_path,
@@ -315,6 +340,20 @@ def test_dynamics_residual_report(write_circuit, tmp_path):
     assert report["samples"] > 100
     assert (out / "trajectory.csv").read_text().startswith("# units:")
     check_manifest(out / "manifest.json", "dynamics")
+
+
+@pytest.mark.parametrize("report", ["residual", "shadow"])
+def test_dynamics_report_past_the_fold_exits_2(write_circuit, tmp_path,
+                                               report):
+    circuit = write_circuit("fold.json", kappa=0.5, xi=1.0, lambdaJ=2.0)
+    out = tmp_path / "out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--report", report)
+    assert res.returncode == 2
+    assert res.stderr.startswith("refused (physical regime): ")
+    assert res.stderr.rstrip().endswith("beta_crit=1")
+    assert "Traceback" not in res.stderr
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("report", ["none", "residual", "shadow"])

@@ -364,6 +364,28 @@ def test_fast_ground_energy_is_half_without_coupling():
         bo_fast_ground(0.0, 1.0, 0.0, Cosine(), 0.0)
 
 
+@pytest.mark.parametrize("xi", [0.0, -1.0])
+@pytest.mark.parametrize("variant", ["FastAtX", "Regularized2D"])
+def test_frozen_fast_oscillator_refuses_a_non_positive_xi(variant, xi):
+    spec = HamiltonianSpec(variant=variant, potential=Cosine(), kappa=0.5,
+                           xi=xi, lambdaJ=0.5)
+    with pytest.raises(ValidationError, match="xi must be > 0"):
+        lowest_eigenvalues(spec, 1)
+
+
+def test_extended_pair_at_kappa_zero_needs_zero_coupling():
+    def spec(lam):
+        return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
+                               kappa=0.0, xi=1.0, lambdaJ=lam,
+                               grid={"nx": 64, "ny": 64})
+
+    # the slow axis decouples: every slow grid point holds the oscillator
+    w = lowest_eigenvalues(spec(0.0), 2).eigenvalues
+    assert w == pytest.approx([0.5, 0.5], abs=1e-3)
+    with pytest.raises(ValidationError, match="singular"):
+        lowest_eigenvalues(spec(0.5), 1)
+
+
 def test_fast_ground_energy_survives_resolution_doubling():
     e_default = bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 1.0)
     e_fine = bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 1.0, n=4801)
