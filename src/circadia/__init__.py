@@ -44,22 +44,6 @@ from .reduction import (
     solve_branch_extended,
     solve_consistency,
 )
-from .spectra import (
-    BOTable,
-    HamiltonianSpec,
-    NaiveAdiabaticSpectrum,
-    SpectrumResult,
-    TransmonComparison,
-    bo_effective_potential,
-    bo_fast_ground,
-    box_level_spacings,
-    eigenvalues_in_window,
-    lowest_eigenvalues,
-    naive_compact_adiabatic,
-    phase_grid_spectrum,
-    spectrum_vs_kappa,
-    transmon_limit_check,
-)
 from .dynamics import (
     ShadowComparison,
     TrajectoryRecord,
@@ -77,6 +61,26 @@ from .foster import (
     read_admittance_csv,
 )
 from .sweeps import SweepTable
+
+# The spectral solvers load scipy.linalg and scipy.sparse.linalg, which cost
+# most of a start-up; circadia.spectra is imported on first use of one of
+# its names (PEP 562), so the routes that never diagonalize skip it.
+_SPECTRA_NAMES = frozenset((
+    "BOTable",
+    "HamiltonianSpec",
+    "NaiveAdiabaticSpectrum",
+    "SpectrumResult",
+    "TransmonComparison",
+    "bo_effective_potential",
+    "bo_fast_ground",
+    "box_level_spacings",
+    "eigenvalues_in_window",
+    "lowest_eigenvalues",
+    "naive_compact_adiabatic",
+    "phase_grid_spectrum",
+    "spectrum_vs_kappa",
+    "transmon_limit_check",
+))
 
 __version__ = "0.1.0"
 
@@ -140,3 +144,16 @@ __all__ = [
     "transmon_limit_check",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SPECTRA_NAMES:
+        from . import spectra
+        value = getattr(spectra, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SPECTRA_NAMES)

@@ -12,6 +12,10 @@ Every run writes a manifest next to its outputs. Outputs carry no wall-clock
 data, so rerunning a command on identical inputs reproduces every file byte
 for byte. Exit codes: 0 success, 1 usage or input validation, 2 physical-
 regime refusal, 3 numerical non-convergence.
+
+Only bo-sweep and compare diagonalize; they import circadia.spectra, and
+with it scipy's eigensolvers, when they run, so the other commands start
+without scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -37,8 +40,6 @@ from .manifest import RunManifest
 from .params import read_circuit
 from .potentials import CubicSpline, PotentialModel, _two_pi_periodic
 from .reduction import branch_table, effective_potential, write_potential_csv
-from .spectra import HamiltonianSpec, _window_ends, bo_effective_potential, \
-    bo_fast_ground, lowest_eigenvalues, naive_compact_adiabatic
 from .svgplot import line_plot
 from .sweeps import SweepTable, float_rows, write_json
 
@@ -177,12 +178,15 @@ def cmd_bo_sweep(args) -> int:
         "grid": args.grid, "jobs": args.jobs,
         "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
     kw = dict(n=args.grid) if args.grid else {}
+    from . import spectra
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            table = bo_effective_potential(kappas, xs, p, rc.xi, rc.lambdaJ,
-                                           map_fn=pool.map, **kw)
+            table = spectra.bo_effective_potential(
+                kappas, xs, p, rc.xi, rc.lambdaJ, map_fn=pool.map, **kw)
     else:
-        table = bo_effective_potential(kappas, xs, p, rc.xi, rc.lambdaJ, **kw)
+        table = spectra.bo_effective_potential(kappas, xs, p, rc.xi,
+                                               rc.lambdaJ, **kw)
 
     fits = table.quadratic_fit()
     csv_path = os.path.join(out, "bo_sweep.csv")
@@ -226,12 +230,13 @@ def _box_proxy(make_spec, vmax: float) -> dict:
     """Level count and mean level spacing in a fixed window for two box
     lengths. The mean of the N - 1 spacings telescopes to (last - first) /
     (N - 1), so the certified count and the two end levels suffice."""
+    from . import spectra
     lo, hi = vmax + 1.0, vmax + 5.0
     entry: dict = {"window_EC": [lo, hi]}
     spacings = []
     for label, L in (("L", 10.0 * math.pi), ("2L", 20.0 * math.pi)):
         n = int(round(2.0 * L / 0.02)) + 1
-        count, first, last = _window_ends(make_spec(L, n), lo, hi)
+        count, first, last = spectra._window_ends(make_spec(L, n), lo, hi)
         if count < 2:
             entry[label] = {"half_width": L, "error": "fewer than 2 levels"}
             spacings.append(None)
@@ -252,13 +257,15 @@ def _box_proxy(make_spec, vmax: float) -> dict:
 
 def _classical_reduced(rc, p, args):
     """The classically reduced single branch, H/E_C = (1/2) n_phi^2 + V(phi)."""
+    from . import spectra
+
     def make_spec(L, n):
-        return HamiltonianSpec(
+        return spectra.HamiltonianSpec(
             variant="Extended1D", c_kin=0.5,
             effective=effective_potential(p, rc, "CompactPhi",
                                           np.linspace(-L, L, n)))
     spec = make_spec(math.pi, args.grid)
-    levels = lowest_eigenvalues(spec, 3).eigenvalues
+    levels = spectra.lowest_eigenvalues(spec, 3).eigenvalues
     return _ladder_stats(levels), (make_spec, float(np.max(spec.effective.V)))
 
 
@@ -266,9 +273,10 @@ def _bo_extended(rc, p, args):
     """The Born-Oppenheimer potential of the extended two-mode model,
     H/E_C = (1/2) n_phi^2 + xi*U_BO(sqrt(xi)*phi), splined through the fast
     ground energy at 41 phi on [-pi, pi]."""
+    from . import spectra
     phis = np.linspace(-math.pi, math.pi, 41)
-    e = np.array([bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
-                                 float(math.sqrt(rc.xi) * phi))
+    e = np.array([spectra.bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
+                                         float(math.sqrt(rc.xi) * phi))
                   for phi in phis])
     u = (e - e[20]) / rc.kappa**2
     periodic = _two_pi_periodic(p)
@@ -280,17 +288,20 @@ def _bo_extended(rc, p, args):
         return rc.xi * spline(q)
 
     def make_spec(L, n):
-        return HamiltonianSpec(variant="Extended1D", v_func=v_bo, c_kin=0.5,
-                               grid={"half_width": L, "n": n})
-    levels = lowest_eigenvalues(make_spec(math.pi, args.grid), 3).eigenvalues
+        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_bo,
+                                       c_kin=0.5,
+                                       grid={"half_width": L, "n": n})
+    levels = spectra.lowest_eigenvalues(make_spec(math.pi, args.grid),
+                                        3).eigenvalues
     vmax = float(np.max(v_bo(np.linspace(-math.pi, math.pi, 721))))
     return _ladder_stats(levels), (make_spec, vmax)
 
 
 def _compact_naive_adiabatic(rc, p, args):
     """The naive compact adiabatic ladder, converted E'_C -> E_C."""
-    nas = naive_compact_adiabatic(rc.kappa, rc.xi, rc.ng, 3,
-                                  charge_half_factor=args.charge_half_factor)
+    from . import spectra
+    nas = spectra.naive_compact_adiabatic(
+        rc.kappa, rc.xi, rc.ng, 3, charge_half_factor=args.charge_half_factor)
     column = _ladder_stats(nas.numerical / rc.kappa**4)
     column["formula_EC"] = [float(v) / rc.kappa**4 for v in nas.formula]
     return column, None

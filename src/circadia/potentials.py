@@ -23,7 +23,6 @@ from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import solve_banded
 
 from .errors import ValidationError
 
@@ -247,7 +246,7 @@ class CubicSpline:
     and x[-2]) or "periodic" (y[0] == y[-1]; u' and u'' continue across
     the ends, and a call maps q into the period first). The knot slopes
     solve the tridiagonal system of scipy's CubicSpline, built with the
-    same operations and passed to the same LAPACK solve (two of them, with
+    same operations and solved as LAPACK's ?gtsv solves it (twice, with
     the same bordered elimination, when periodic), so x, c and every value
     equal scipy's bit for bit.
     """
@@ -301,8 +300,7 @@ class CubicSpline:
                 A[-1, -2] = d
                 b[-1] = (dx[-1]**2 * slope[-2]
                          + (2*d + dx[-1]) * dx[-2] * slope[-1]) / d
-            s = solve_banded((1, 1), A, b.reshape(n, 1), overwrite_ab=True,
-                             overwrite_b=True, check_finite=False)[:, 0]
+            s = _gtsv(A, b)
 
         # Hermite data (y, s) to power coefficients
         t = (s[:-1] + s[1:] - 2 * slope) / dx
@@ -357,8 +355,7 @@ def _periodic_slopes(A: np.ndarray, b: np.ndarray, dx: np.ndarray,
     b2 = np.zeros(n - 2)
     b2[0] = -a_0_m1
     b2[-1] = -a_m2_m1
-    s1, s2 = (solve_banded((1, 1), A[:, :-1], rhs.reshape(n - 2, 1),
-                           check_finite=False)[:, 0] for rhs in (b[:-1], b2))
+    s1, s2 = (_gtsv(A[:, :-1], rhs) for rhs in (b[:-1], b2))
     s_m1 = ((b[-1] - a_m1_0 * s1[0] - a_m1_m2 * s1[-1])
             / (a_m1_m1 + a_m1_0 * s2[0] + a_m1_m2 * s2[-1]))
     s = np.empty(n)
@@ -366,6 +363,48 @@ def _periodic_slopes(A: np.ndarray, b: np.ndarray, dx: np.ndarray,
     s[-2] = s_m1
     s[-1] = s[0]
     return s
+
+
+def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x of scipy's solve_banded((1, 1), ab, b) for one right-hand side b
+    of length n >= 2, bit for bit: reference LAPACK dgtsv line for line
+    (Gaussian elimination with partial pivoting, the row interchanges
+    included) on Python floats. A zero pivot raises LinAlgError, as scipy
+    does."""
+    du = ab[0, 1:].tolist()
+    d = ab[1].tolist()
+    dl = ab[2, :-1].tolist()
+    x = b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no row interchange
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i+1; dl[i] keeps the fill-in of the
+            # second superdiagonal (row n-2 has none)
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    # back substitution with the upper triangle
+    x[-1] = x[-1] / d[-1]
+    x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return np.array(x)
 
 
 def _piecewise_cubic(spline: CubicSpline, nu: int):

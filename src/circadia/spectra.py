@@ -989,6 +989,8 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
         raise ValidationError("kappa ladder needs >= 3 entries")
     if not np.all(np.diff(kappas) < 0):
         raise ValidationError("kappa ladder must be strictly decreasing")
+    if float(np.sum((xs**2)**2)) == 0.0:    # quadratic_fit's denominator
+        raise ValidationError("x grid cannot be all zeros")
     # per kappa: e0 at x = 0, then at every x
     tasks = [(float(kap), xi, lambdaJ, p, float(x), half_width, n)
              for kap in kappas for x in (0.0, *xs)]

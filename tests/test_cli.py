@@ -247,6 +247,31 @@ def test_bo_sweep_short_ladder_exits_1(write_circuit, tmp_path):
     assert "error" in res.stderr.lower()
 
 
+def test_bo_sweep_refuses_an_all_zero_x_grid_before_solving(
+        write_circuit, tmp_path, monkeypatch, capsys):
+    # in-process: the refusal comes from bo_effective_potential, before a
+    # single fast-ground point is solved
+    import circadia.cli
+    import circadia.spectra
+
+    circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    calls = []
+    point = circadia.spectra._bo_point
+
+    def counted_point(task):
+        calls.append(task)
+        return point(task)
+
+    monkeypatch.setattr(circadia.spectra, "_bo_point", counted_point)
+    assert circadia.cli.main(["bo-sweep", "--circuit", circuit,
+                              "--out", str(tmp_path / "bo_out"),
+                              "--kappa-ladder", "0.6,0.45,0.3",
+                              "--x-min", "0", "--x-max", "0",
+                              "--x-points", "3"]) == 1
+    assert "x grid cannot be all zeros" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_compare_runs_three_routes(write_circuit, tmp_path):
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     out = tmp_path / "cmp_out"
@@ -291,7 +316,8 @@ def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
 
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     windows, npairs = [], []
-    ends, pairs = circadia.cli._window_ends, circadia.spectra._shift_invert_pairs
+    ends = circadia.spectra._window_ends
+    pairs = circadia.spectra._shift_invert_pairs
 
     def counted_ends(spec, lo, hi):
         windows.append(ends(spec, lo, hi))
@@ -302,7 +328,7 @@ def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
             npairs.append(n)
         return pairs(ab, sigma, n, solve)
 
-    monkeypatch.setattr(circadia.cli, "_window_ends", counted_ends)
+    monkeypatch.setattr(circadia.spectra, "_window_ends", counted_ends)
     monkeypatch.setattr(circadia.spectra, "_shift_invert_pairs", counted_pairs)
     out = tmp_path / "cmp_out"
     assert circadia.cli.main(["compare", "--circuit", circuit,
@@ -505,30 +531,49 @@ def test_foster_wrong_resonance_count_exits_1(tmp_path):
 
 FOOTPRINT_SCRIPT = """
 import sys
-import circadia.cli
+import circadia, circadia.cli
 
-circuit, custom, samples, out = sys.argv[1:]
-runs = [
-    ["reduce", "--circuit", circuit, "--grid", "256"],
-    ["bo-sweep", "--circuit", circuit, "--kappa-ladder", "0.6,0.45,0.3",
-     "--x-min", "-1", "--x-max", "1", "--x-points", "3"],
-    ["compare", "--circuit", circuit],
-    ["dynamics", "--circuit", custom, "--t-end", "2", "--dt", "1e-3",
-     "--report", "shadow"],
-    ["foster", "--input", samples, "--resonances", "1"],
-]
-for k, argv in enumerate(runs):
+
+def scipy_loaded(prefixes=("scipy",)):
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy"
+                  and name.startswith(prefixes))
+
+
+def run(argv, k, expect=0):
     code = circadia.cli.main(argv + ["--out", out + str(k)])
-    assert code == 0, (argv, code)
-print("loaded:", *(name for name in ("scipy.interpolate", "scipy.optimize",
-                                    "scipy.special") if name in sys.modules))
+    assert code == expect, (argv, code)
+
+
+circuit, fold, custom, samples, out = sys.argv[1:]
+print("footprint import:", *scipy_loaded())
+# the routes that never diagonalize
+run(["reduce", "--circuit", circuit, "--grid", "256"], 0)
+run(["reduce", "--circuit", fold, "--grid", "256"], 1, expect=2)
+for k, path in enumerate((circuit, custom), 2):
+    run(["dynamics", "--circuit", path, "--t-end", "2", "--dt", "1e-3",
+         "--report", "shadow"], k)
+run(["foster", "--input", samples, "--resonances", "1"], 4)
+print("footprint classical:", *scipy_loaded())
+run(["bo-sweep", "--circuit", circuit, "--kappa-ladder", "0.6,0.45,0.3",
+     "--x-min", "-1", "--x-max", "1", "--x-points", "3"], 5)
+run(["compare", "--circuit", circuit], 6)
+print("footprint spectral:", *scipy_loaded(("scipy.interpolate", "scipy.optimize",
+                                  "scipy.special")))
+names = {}
+exec("from circadia import *", names)
+print("footprint unbound:", *sorted(set(circadia.__all__) - set(names)),
+      *sorted(set(circadia.__all__) - set(dir(circadia))))
 """
 
 
 def test_cli_routes_never_import_interpolate_optimize_or_special(
         write_circuit, tmp_path):
-    # start-up cost: each command pays for every module it imports
+    # start-up cost: each command pays for every module it imports. The
+    # routes that never diagonalize load no scipy at all; bo-sweep and
+    # compare load its eigensolvers, never interpolate, optimize or special
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    fold = write_circuit("sup.json", kappa=0.5, xi=1.0, lambdaJ=2.0)
     table = tmp_path / "table.csv"
     table.write_text("".join(f"{x!r},{-math.cos(x)!r}\n"
                              for x in np.linspace(-12.0, 12.0, 601).tolist()))
@@ -542,8 +587,12 @@ def test_cli_routes_never_import_interpolate_optimize_or_special(
         f"{w!r},{w + w / (0.5 * (9.0 - w * w))!r}\n"
         for w in omega.tolist()))
     res = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, circuit, custom,
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, circuit, fold, custom,
          str(samples), str(tmp_path / "out")],
         capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "loaded:"
+    # the commands print too; each check prints one tagged line
+    assert [line for line in res.stdout.splitlines()
+            if line.startswith("footprint ")] == [
+        "footprint import:", "footprint classical:", "footprint spectral:",
+        "footprint unbound:"]

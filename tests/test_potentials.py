@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import interpolate  # the oracle for CubicSpline
+from scipy.linalg import LinAlgError, solve_banded  # the oracle for _gtsv
 
 from circadia import (
     BiasedCosine,
@@ -15,7 +16,7 @@ from circadia import (
     ValidationError,
     classify_asymptotics,
 )
-from circadia.potentials import CubicSpline, _piecewise_cubic
+from circadia.potentials import CubicSpline, _gtsv, _piecewise_cubic
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,6 +152,39 @@ def test_periodic_spline_gives_nan_where_the_period_map_overshoots():
         got = CubicSpline(x, y, "periodic")(q, nu)
         assert math.isnan(got[0]) and math.isfinite(got[1])
         assert got.tobytes() == oracle(q, nu).tobytes()
+
+
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+       pivoting=st.booleans())
+def test_gtsv_equals_lapack_bit_for_bit(n, seed, pivoting):
+    # magnitudes over 1e-5..1e5; when pivoting, about half the rows get a
+    # diagonal below their subdiagonal, so rows are interchanged anywhere
+    # in the elimination, else the diagonal dominates
+    rng = np.random.default_rng(seed)
+    ab, b = rng.standard_normal((3, n)), rng.standard_normal(n)
+    ab *= 10.0 ** rng.uniform(-5.0, 5.0, ab.shape)
+    b *= 10.0 ** rng.uniform(-5.0, 5.0, n)
+    ab[0, 0] = ab[2, -1] = 0.0
+    if pivoting:
+        rows = np.flatnonzero(rng.random(n - 1) < 0.5)
+        ab[1, rows] = ab[2, rows] * rng.uniform(-0.9, 0.9, rows.size)
+    else:
+        ab[1] = np.abs(ab).sum(axis=0) + 1.0
+    want = solve_banded((1, 1), ab, b.reshape(n, 1))[:, 0]
+    assert _gtsv(ab, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("du, d, dl", [
+    ([2.0, 0.0], [1.0, 4.0, 3.0], [2.0, 0.0]),   # zero pivot mid-loop
+    ([0.0], [1.0, 0.0], [0.0]),                  # zero last pivot
+])
+def test_gtsv_refuses_a_singular_system(du, d, dl):
+    ab = np.array([[0.0, *du], d, [*dl, 0.0]])
+    b = np.ones(len(d))
+    with pytest.raises(LinAlgError):
+        solve_banded((1, 1), ab, b)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _gtsv(ab, b)
 
 
 def test_cubic_spline_refuses_what_it_cannot_build():
