@@ -39,7 +39,8 @@ from .foster import eval_admittance, fit_foster, read_admittance_csv, \
 from .manifest import RunManifest
 from .params import read_circuit
 from .potentials import CubicSpline, PotentialModel, _two_pi_periodic
-from .reduction import branch_table, effective_potential, write_potential_csv
+from .reduction import _reduced_branch, branch_table, effective_potential, \
+    write_potential_csv
 from .svgplot import line_plot
 from .sweeps import SweepTable, float_rows, write_json
 
@@ -256,17 +257,22 @@ def _box_proxy(make_spec, vmax: float) -> dict:
 
 
 def _classical_reduced(rc, p, args):
-    """The classically reduced single branch, H/E_C = (1/2) n_phi^2 + V(phi)."""
+    """The classically reduced single branch, H/E_C = (1/2) n_phi^2 + V(phi),
+    sampled without effective_potential's minima, which compare never
+    writes."""
     from . import spectra
 
+    def v_func(q):
+        return _reduced_branch(p, rc, "CompactPhi", q)[2]
+
     def make_spec(L, n):
-        return spectra.HamiltonianSpec(
-            variant="Extended1D", c_kin=0.5,
-            effective=effective_potential(p, rc, "CompactPhi",
-                                          np.linspace(-L, L, n)))
-    spec = make_spec(math.pi, args.grid)
-    levels = spectra.lowest_eigenvalues(spec, 3).eigenvalues
-    return _ladder_stats(levels), (make_spec, float(np.max(spec.effective.V)))
+        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_func,
+                                       c_kin=0.5,
+                                       grid={"half_width": L, "n": n})
+    levels = spectra.lowest_eigenvalues(make_spec(math.pi, args.grid),
+                                        3).eigenvalues
+    vmax = float(np.max(v_func(np.linspace(-math.pi, math.pi, args.grid))))
+    return _ladder_stats(levels), (make_spec, vmax)
 
 
 def _bo_extended(rc, p, args):

@@ -337,12 +337,16 @@ def _solve_branch(du, coef: float, du_reach: float,
 
     du is the force u' in the solve variable. The initial bracket
     drive -/+ (coef*du_reach + 1) is widened by doubling until it straddles
-    the root, then fixed-count bisection takes over.
+    the root, then bisection takes over for at most 110 steps. A lane stops
+    once its midpoint equals an end of its bracket: from then on the
+    bracket can only collapse onto that midpoint, which is the root the
+    remaining steps would return. Lanes at or near a root of 0.0 never
+    reach that float fixed point and take all 110 steps.
     """
     drives = np.asarray(drives, dtype=float)
 
-    def residual(c):
-        return c + coef * np.asarray(du(c), dtype=float) - drives
+    def residual(c, at=drives):
+        return c + coef * np.asarray(du(c), dtype=float) - at
 
     w = np.full_like(drives, max(coef * du_reach + 1.0, 1.0))
     lo = drives - w
@@ -357,12 +361,25 @@ def _solve_branch(du, coef: float, du_reach: float,
         hi = np.where(bad_hi, drives + w, hi)
     else:
         raise ConvergenceError("bracket expansion failed for a monotone branch")
-    for _ in range(110):
+    root = np.empty_like(drives)
+    lane, at = np.arange(drives.size), drives
+    for step in range(110):
         mid = 0.5 * (lo + hi)
-        neg = residual(mid) < 0.0
+        # test for stalled lanes every fourth step from step 40 on, where
+        # typical lanes begin to stall; testing every step costs small calls
+        if step >= 40 and step % 4 == 0:
+            stall = (mid == lo) | (mid == hi)
+            if stall.any():
+                root[lane[stall]] = mid[stall]
+                keep = ~stall
+                lane, at = lane[keep], at[keep]
+                lo, hi, mid = lo[keep], hi[keep], mid[keep]
+                if not lane.size:
+                    break
+        neg = residual(mid, at) < 0.0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
-    root = 0.5 * (lo + hi)
+    root[lane] = 0.5 * (lo + hi)
     res = float(np.max(np.abs(residual(root))))
     if res > 1e-12:
         raise ConvergenceError("branch solve residual above 1e-12", detail=res)
@@ -422,22 +439,35 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
     basis "CompactPhi": coordinate is the periodic phase phi (default grid
     [0, 2pi)). basis "ExtendedX": coordinate is x = sqrt(xi)*phi solved
     through the extended consistency equation. Refuses at or beyond the
-    invertibility threshold, where the branch is multivalued.
+    invertibility threshold, where the branch is multivalued. The values
+    come from _reduced_branch; the minima cost a nested bisection (one
+    branch solve per step over the sign-change cells of V'), so a caller
+    that needs only V, V' and V'' calls _reduced_branch instead.
     """
     coords, scale = _coordinates(rc, basis, grid)
-    beta_crit = invertibility_threshold(p)
-    if rc.beta >= beta_crit:
-        raise PhysicalRegimeError(
-            f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",
-            beta_crit=beta_crit)
-    phi_c = _branch_phase(p, rc, basis, coords)
-    V, Vp, Vpp = _reduced_values(p, rc, phi_c, scale)
+    beta_crit, phi_c, V, Vp, Vpp = _reduced_branch(p, rc, basis, coords)
     minima = _locate_minima(p, rc, basis, coords, Vp, Vpp, scale)
     return EffectivePotential(
         basis=basis, coordinates=coords, V=V, Vp=Vp, Vpp=Vpp, phi_c=phi_c,
         minima=minima, branch_count=np.ones(coords.size, dtype=int),
         beta=rc.beta, lambdaJ=rc.lambdaJ, xi=rc.xi,
         meta={"beta_crit": beta_crit})
+
+
+def _reduced_branch(p: PotentialModel, rc: ReducedCircuit, basis: str,
+                    coords) -> tuple:
+    """(beta_crit, phi_c, V, V', V'') of the single-valued branch at the
+    coordinates coords (a strictly increasing 1D array) of a basis, E_C
+    units, as effective_potential samples them but without its minima.
+    Refuses at or beyond the invertibility threshold beta_crit."""
+    coords, scale = _coordinates(rc, basis, coords)
+    beta_crit = invertibility_threshold(p)
+    if rc.beta >= beta_crit:
+        raise PhysicalRegimeError(
+            f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",
+            beta_crit=beta_crit)
+    phi_c = _branch_phase(p, rc, basis, coords)
+    return (beta_crit, phi_c, *_reduced_values(p, rc, phi_c, scale))
 
 
 def _branch_phase(p: PotentialModel, rc: ReducedCircuit, basis: str,

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -280,17 +281,24 @@ def _count_below(band: np.ndarray, s: float) -> tuple[int, float]:
     Weyl a level farther than delta = 4*eps*|| |L||D||L^T| ||_1 from s is
     counted on its own side; two leading unit pivots meet the zero padding."""
     a0, a1, a2 = (band[0] - s).tolist(), band[1].tolist(), band[2].tolist()
-    d, l1, l2 = [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]
+    # preallocated C doubles, which numpy then reads without a conversion
+    zeros = bytes(8 * len(a0))
+    d, l1, l2 = array("d", zeros), array("d", zeros), array("d", zeros)
+    # the two previous pivots and the previous multiplier l1 as locals
+    d2, d1, m1 = 1.0, 1.0, 0.0
     try:
         for i in range(len(a0)):
-            x2 = a2[i - 2] / d[-2]
-            x1 = (a1[i - 1] - x2 * l1[-1] * d[-2]) / d[-1]
-            d.append(a0[i] - x1 * x1 * d[-1] - x2 * x2 * d[-2])
-            l1.append(x1)
-            l2.append(x2)
+            x2 = a2[i - 2] / d2
+            x1 = (a1[i - 1] - x2 * m1 * d2) / d1
+            di = a0[i] - x1 * x1 * d1 - x2 * x2 * d2
+            d[i] = di
+            l1[i] = x1
+            l2[i] = x2
+            d2, d1, m1 = d1, di, x1
     except ZeroDivisionError as exc:
         raise ConvergenceError(f"zero pivot in the count at s={s!r}") from exc
-    d, l1, l2 = np.array(d[2:]), np.abs(l1[2:]), np.abs(l2[2:])
+    d, l1, l2 = np.frombuffer(d), np.abs(np.frombuffer(l1)), \
+        np.abs(np.frombuffer(l2))
     # |d_k| * (column k sum of |L|), then column sums of |L||D||L^T|
     cd = np.abs(d) * (1.0 + np.append(l1[1:], 0.0) + np.append(l2[2:], [0, 0]))
     growth = cd + np.append(0.0, cd[:-1] * l1[1:]) \
@@ -361,15 +369,17 @@ def _window_counter(spec: HamiltonianSpec):
     return h, band, 8.0 * np.finfo(float).eps * scale, count, points
 
 
-def _edge_counts(count, lo: float, hi: float, tol: float) -> list:
+def _edge_counts(count, lo: float, hi: float, tol: float,
+                 reach: float | None = None) -> list:
     """Certified counts (s, levels below s, delta) just outside both edges
     of the closed window [lo, hi]. A count is blind within its delta of s,
     so it is kept once |s - edge| - delta >= tol/2 and otherwise moves to
     edge -+ (tol/2 + 2*delta), up to seven times. The first count sits at
-    lo - tol, each later edge's first at edge -+ (tol/2 + 2*delta) with the
-    delta of the count before it: kept at once unless its own delta is more
-    than twice that."""
-    edges, tried, reach = [], [], tol
+    lo - reach (default tol), each later edge's first at
+    edge -+ (tol/2 + 2*delta) with the delta of the count before it: kept
+    at once unless its own delta is more than twice that."""
+    edges, tried = [], []
+    reach = tol if reach is None else reach
     for edge, out in ((lo, -1.0), (hi, 1.0)):
         s = edge + out * reach
         for _ in range(8):
@@ -460,8 +470,13 @@ def _window_ends(spec: HamiltonianSpec, lo: float, hi: float):
     from the lower edge to a count point 2*(hi - lo)/count above lo, its
     width doubled while it holds no level; the top slice mirrors it. When
     they would overlap, the window is cut as in eigenvalues_in_window and
-    its first and last slices are solved."""
-    _, band, tol, count, _ = _window_counter(spec)
+    its first and last slices are solved. The end slices rest on their
+    inner counts, so one certified count below first - r and one above
+    last + r (r the Ritz value's residual norm), placed as _edge_counts
+    places them from tol/2 + 2*delta with the largest delta so far, must
+    give the edge counts; one beyond its edge count's point shows nothing
+    more and is not compared."""
+    _, band, tol, count, points = _window_counter(spec)
     a, b = _edge_counts(count, lo, hi, tol)
     n = b[1] - a[1]
     if n < 1:
@@ -482,9 +497,21 @@ def _window_ends(spec: HamiltonianSpec, lo: float, hi: float):
         ends = _cut(count, a, b)
     else:
         ends = _cut(count, a, bottom)[:1] + _cut(count, top, b)[-1:]
-    first = _slice_levels(band, *ends[0], tol)[0]
-    last = first if len(ends) == 1 else _slice_levels(band, *ends[-1], tol)[0]
-    return n, float(first[0]), float(last[-1])
+    w0, r0 = _slice_levels(band, *ends[0], tol)
+    w1, r1 = (w0, r0) if len(ends) == 1 \
+        else _slice_levels(band, *ends[-1], tol)
+    first, last = float(w0[0]), float(w1[-1])
+    below, above = _edge_counts(count, first - float(r0[0]),
+                                last + float(r1[-1]), tol,
+                                0.5 * tol + 2.0 * max(p[2] for p in points))
+    if (below[0] > a[0] and below[1] != a[1]) \
+            or (above[0] < b[0] and above[1] != b[1]):
+        raise ConvergenceError(
+            f"the counts beside the end levels {first!r} and {last!r} give "
+            f"{below[1]} and {above[1]} levels below them, the edge counts "
+            f"give {a[1]} and {b[1]}", detail={"edges": [a, b],
+                                                "ends": [below, above]})
+    return n, first, last
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,50 @@ def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
     assert 0 < sum(npairs) <= 8 * len(windows)
 
 
+@pytest.mark.parametrize("lambdaJ", [0.5, 2.0])
+def test_compare_locates_no_minima_and_keeps_its_columns(write_circuit,
+                                                         tmp_path,
+                                                         monkeypatch,
+                                                         lambdaJ):
+    # in-process: compare writes no minima, so it never searches for them;
+    # the classical column samples the branch as effective_potential does,
+    # and past beta_crit (lambdaJ = 2, beta = 2) refuses with its text
+    import circadia.cli
+    import circadia.reduction
+    from circadia import PhysicalRegimeError, effective_potential
+    from circadia.params import read_circuit
+    from circadia.reduction import _reduced_branch
+
+    def no_minima(*args):
+        raise AssertionError("compare located minima")
+
+    circuit = write_circuit("c.json", kappa=0.5, xi=1.0, lambdaJ=lambdaJ)
+    monkeypatch.setattr(circadia.reduction, "_locate_minima", no_minima)
+    out = tmp_path / "cmp_out"
+    assert circadia.cli.main(["compare", "--circuit", circuit,
+                              "--out", str(out)]) == 0
+    monkeypatch.undo()
+    columns = read_json(out / "compare.json")["columns"]
+    assert set(columns) == {"classical_reduced", "bo_extended",
+                            "compact_naive_adiabatic"}
+    assert all(len(columns[name]["levels_EC"]) == 3
+               for name in ("bo_extended", "compact_naive_adiabatic"))
+    rc, p = read_circuit(circuit)
+    grids = [np.linspace(-L, L, n) for L, n in (
+        (math.pi, 2048), (10.0 * math.pi, 3143), (20.0 * math.pi, 6284))]
+    if lambdaJ > 1.0:
+        with pytest.raises(PhysicalRegimeError) as refused:
+            effective_potential(p, rc, "CompactPhi", grids[0])
+        assert columns["classical_reduced"] == {
+            "error": f"PhysicalRegimeError: {refused.value}"}
+        assert str(refused.value).startswith("multivalued regime: ")
+        return
+    assert len(columns["classical_reduced"]["levels_EC"]) == 3
+    for q in grids:
+        assert np.array_equal(_reduced_branch(p, rc, "CompactPhi", q)[2],
+                              effective_potential(p, rc, "CompactPhi", q).V)
+
+
 def test_dynamics_residual_report(write_circuit, tmp_path):
     circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     out = tmp_path / "dyn_out"

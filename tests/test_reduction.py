@@ -23,8 +23,8 @@ from circadia import (
     solve_consistency,
 )
 from circadia.reduction import (GRID_MIN, _bisect_scalar, _branch_phase,
-                                _coordinates, _locate_minima, _reduced_values,
-                                _scan_window)
+                                _coordinates, _du_reach, _locate_minima,
+                                _reduced_values, _scan_window, _solve_branch)
 
 TWO_PI = 2.0 * math.pi
 WINDOW = (0.0, TWO_PI)
@@ -356,6 +356,57 @@ def test_batched_minima_match_the_per_cell_bisection(basis):
     assert got == _minima_per_cell(p, rc, basis, coords, Vp, pot.Vpp, scale)
     assert got[2] == (float(coords[cell]), float(pot.Vpp[cell]))
     assert got[:2] + got[3:] == pot.minima[:2] + pot.minima[3:]
+
+
+def _fixed_step_branch(du, coef, du_reach, drives):
+    """Reference: the branch solve bisecting every lane for all 110 steps."""
+    drives = np.asarray(drives, dtype=float)
+
+    def residual(c):
+        return c + coef * np.asarray(du(c), dtype=float) - drives
+
+    w = np.full_like(drives, max(coef * du_reach + 1.0, 1.0))
+    lo = drives - w
+    hi = drives + w
+    for _ in range(80):
+        bad_lo = residual(lo) > 0.0
+        bad_hi = residual(hi) < 0.0
+        if not (np.any(bad_lo) or np.any(bad_hi)):
+            break
+        w = np.where(bad_lo | bad_hi, 2.0 * w, w)
+        lo = np.where(bad_lo, drives - w, lo)
+        hi = np.where(bad_hi, drives + w, hi)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        neg = residual(mid) < 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("form", ["compact", "extended", "custom"])
+def test_branch_lanes_stopped_at_their_fixed_point_keep_every_bit(form):
+    # lanes near a root of 0.0 never stall, the others stop at different
+    # steps; one-lane calls stop the whole solve early
+    rc = ReducedCircuit.from_ratios(0.3, 2.5, 1.5)
+    if form == "custom":
+        phi = np.linspace(-1010.0, 1010.0, 20201)
+        p = Custom(phi, -np.cos(phi) + 1e-3 * phi**2)
+    else:
+        p = Cosine()
+    du, coef = p.du, rc.beta
+    if form == "extended":
+        sqxi = math.sqrt(rc.xi)
+        du, coef = (lambda c: p.du(c / sqxi)), rc.lambdaJ / rc.xi**1.5
+    reach = _du_reach(p)
+    special = [0.0, 1e-300, -1e-300, 1e3, -1e3]
+    spread = np.random.default_rng(5).uniform(-40.0, 40.0, 512)
+    for drives in [np.array(special), spread, np.concatenate([special, spread])]:
+        got = _solve_branch(du, coef, reach, drives)
+        assert np.array_equal(got, _fixed_step_branch(du, coef, reach, drives))
+    for d in special + spread[:8].tolist():
+        assert np.array_equal(_solve_branch(du, coef, reach, np.array([d])),
+                              _fixed_step_branch(du, coef, reach, [d]))
 
 
 def test_fold_sweeps_give_the_branch_count_or_refuse():

@@ -180,6 +180,46 @@ def test_inertia_count_matches_the_dense_spectrum_and_a_superlu_factor():
                             * np.max(growth), rel_tol=1e-9)
 
 
+def _list_count_below(band, s):
+    """Reference: the inertia count with its pivots and multipliers kept in
+    growing lists, read back by negative index."""
+    a0, a1, a2 = (band[0] - s).tolist(), band[1].tolist(), band[2].tolist()
+    d, l1, l2 = [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]
+    try:
+        for i in range(len(a0)):
+            x2 = a2[i - 2] / d[-2]
+            x1 = (a1[i - 1] - x2 * l1[-1] * d[-2]) / d[-1]
+            d.append(a0[i] - x1 * x1 * d[-1] - x2 * x2 * d[-2])
+            l1.append(x1)
+            l2.append(x2)
+    except ZeroDivisionError as exc:
+        raise ConvergenceError(f"zero pivot in the count at s={s!r}") from exc
+    d, l1, l2 = np.array(d[2:]), np.abs(l1[2:]), np.abs(l2[2:])
+    cd = np.abs(d) * (1.0 + np.append(l1[1:], 0.0) + np.append(l2[2:], [0, 0]))
+    growth = cd + np.append(0.0, cd[:-1] * l1[1:]) \
+        + np.append([0.0, 0.0], cd[:-2] * l2[2:])
+    return (int(np.count_nonzero(d < 0)),
+            float(4.0 * np.finfo(float).eps * np.max(growth)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300])
+def test_inertia_count_equals_the_list_based_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        band = np.zeros((3, n))
+        band[0] = rng.uniform(-5.0, 5.0, n)
+        band[1, :-1] = rng.uniform(-2.0, 2.0, n - 1)
+        band[2, :-2] = rng.uniform(-1.0, 1.0, n - 2)
+        for s in rng.uniform(-8.0, 8.0, 6):
+            assert circadia.spectra._count_below(band, s) \
+                == _list_count_below(band, s)
+        # a shift equal to the first diagonal entry makes the first pivot
+        # exactly zero
+        for fn in (circadia.spectra._count_below, _list_count_below):
+            with pytest.raises(ConvergenceError, match="zero pivot"):
+                fn(band, band[0, 0])
+
+
 def test_edge_levels_stay_inside_under_the_worst_count_delta_allows(
         monkeypatch):
     # a count may put a level within its delta of s on either side; this
@@ -314,23 +354,29 @@ def test_window_ends_match_the_dense_spectrum(
                   <= 1e-10 * np.maximum(1.0, np.abs(expect)))
 
 
-@pytest.mark.parametrize("end, offset", [("bottom", 1), ("top", -1)])
+@pytest.mark.parametrize("end, offset", [("bottom", 1), ("top", -1),
+                                         ("bottom", -1), ("top", 1)])
 def test_a_count_an_end_slice_contradicts_is_refused(monkeypatch, end,
                                                      offset):
-    # a count inside the window that puts one level too many into an end
-    # slice leaves a Ritz value outside that slice
+    # the inner count point of an end slice miscounts by one: one level
+    # too many in the slice leaves a Ritz value outside it, one too few
+    # lets the slice's Lanczos return the second level as the end level,
+    # which the count beside that end level refuses
     spec = HamiltonianSpec(variant="Extended1D", v_func=lambda q: 0.5 * q**2,
                            c_kin=0.5, grid={"half_width": 12.0, "n": 1024})
     lo, hi = 2.0, 70.0
     w = eigenvalues_in_window(spec, lo, hi).eigenvalues
     got = circadia.spectra._window_ends(spec, lo, hi)
     assert got[0] == w.size and np.allclose(got[1:], w[[0, -1]], rtol=1e-12)
-    count = circadia.spectra._count_below
+    count, inner = circadia.spectra._count_below, []
 
     def miscount(H, s):
+        # only the first count inside that half of the window errs
         c, delta = count(H, s)
-        hit = {"bottom": lo < s < 0.5 * (lo + hi),
-               "top": 0.5 * (lo + hi) < s < hi}[end]
+        hit = not inner and {"bottom": lo < s < 0.5 * (lo + hi),
+                             "top": 0.5 * (lo + hi) < s < hi}[end]
+        if hit:
+            inner.append(s)
         return c + offset * hit, delta
 
     monkeypatch.setattr(circadia.spectra, "_count_below", miscount)
