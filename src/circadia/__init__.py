@@ -62,26 +62,6 @@ from .foster import (
 )
 from .sweeps import SweepTable
 
-# The spectral solvers load scipy.linalg and scipy.sparse.linalg, which cost
-# most of a start-up; circadia.spectra is imported on first use of one of
-# its names (PEP 562), so the routes that never diagonalize skip it.
-_SPECTRA_NAMES = frozenset((
-    "BOTable",
-    "HamiltonianSpec",
-    "NaiveAdiabaticSpectrum",
-    "SpectrumResult",
-    "TransmonComparison",
-    "bo_effective_potential",
-    "bo_fast_ground",
-    "box_level_spacings",
-    "eigenvalues_in_window",
-    "lowest_eigenvalues",
-    "naive_compact_adiabatic",
-    "phase_grid_spectrum",
-    "spectrum_vs_kappa",
-    "transmon_limit_check",
-))
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -144,6 +124,12 @@ __all__ = [
     "transmon_limit_check",
     "__version__",
 ]
+
+# The spectral solvers load scipy.linalg and scipy.sparse.linalg, which cost
+# most of a start-up; circadia.spectra is imported on first use of one of
+# its names (PEP 562), so the routes that never diagonalize skip it. Its
+# names are those of __all__ that the imports above leave unbound.
+_SPECTRA_NAMES = frozenset(__all__) - set(globals())
 
 
 def __getattr__(name: str):

@@ -42,7 +42,7 @@ from .potentials import CubicSpline, PotentialModel, _two_pi_periodic
 from .reduction import _reduced_branch, branch_table, effective_potential, \
     write_potential_csv
 from .svgplot import line_plot
-from .sweeps import SweepTable, float_rows, write_json
+from .sweeps import float_rows, write_csv, write_json
 
 
 class CliParser(argparse.ArgumentParser):
@@ -116,10 +116,9 @@ def cmd_reduce(args) -> int:
         pot = effective_potential(p, rc, basis, args.grid)
     except PhysicalRegimeError as exc:
         beta_crit = exc.context.get("beta_crit", float("nan"))
-        coords, rows = branch_table(p, rc, basis, args.grid)
+        _, rows = branch_table(p, rc, basis, args.grid)
         branch_path = os.path.join(out, "branches.csv")
-        columns = ([row[i] for row in rows] for i in range(5))
-        write_potential_csv(branch_path, basis, *columns,
+        write_potential_csv(branch_path, basis, rows,
                             note="; one row per branch")
         report = {
             "verdict": "multivalued",
@@ -170,7 +169,6 @@ def cmd_bo_sweep(args) -> int:
     _check_flags(args, finite=("x_min", "x_max"),
                  at_least=(("x_points", 1), ("grid", 0), ("jobs", 1)))
     rc, p = read_circuit(args.circuit)
-    out = _outdir(args)
     kappas = _parse_ladder(args.kappa_ladder)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
     manifest = _new_manifest("bo-sweep", args, {
@@ -190,6 +188,7 @@ def cmd_bo_sweep(args) -> int:
                                                rc.lambdaJ, **kw)
 
     fits = table.quadratic_fit()
+    out = _outdir(args)
     csv_path = os.path.join(out, "bo_sweep.csv")
     table.to_sweep_table().to_csv(csv_path)
     svg_path = os.path.join(out, "bo_sweep.svg")
@@ -335,6 +334,7 @@ def cmd_compare(args) -> int:
     periodic = _two_pi_periodic(p)
     columns: dict = {}
     proxy: dict = {}
+    # compare.csv quotes every label, which write_csv does only when it must
     rows = ["# units: energies in E_C units\n",
             "column,level,energy_EC,spacing_EC\n"]
     series = []
@@ -486,7 +486,6 @@ def _masked_curve(model: FosterModel, omega: np.ndarray) -> np.ndarray:
 def cmd_foster(args) -> int:
     _check_flags(args, finite=("omega_min", "omega_max"),
                  at_least=(("points", 1),))
-    out = _outdir(args)
     if args.model:
         model = _model_from_json(args.model)
         manifest = _new_manifest("foster", args, {
@@ -494,10 +493,11 @@ def cmd_foster(args) -> int:
             "omega_max": args.omega_max, "points": args.points})
         omega = np.linspace(args.omega_min, args.omega_max, args.points)
         vals = _masked_curve(model, omega)
+        out = _outdir(args)
         csv_path = os.path.join(out, "admittance.csv")
-        SweepTable(columns=["omega", "ImY"], rows=float_rows(omega, vals),
-                   units="omega and Im Y in the model's input units; NaN "
-                   "rows sit inside a pole margin").to_csv(csv_path)
+        write_csv(csv_path, ("omega", "ImY"), float_rows(omega, vals),
+                  "omega and Im Y in the model's input units; NaN rows sit "
+                  "inside a pole margin")
         svg_path = os.path.join(out, "admittance.svg")
         line_plot(svg_path, [("Im Y", omega, vals)], xlabel="omega",
                   ylabel="Im Y", title="Foster admittance")
@@ -512,6 +512,7 @@ def cmd_foster(args) -> int:
     manifest = _new_manifest("foster", args, {
         "mode": "fit", "resonances": args.resonances})
     model, report = fit_foster(samples, args.resonances)
+    out = _outdir(args)
     model_path = os.path.join(out, "foster_model.json")
     write_model_json(model_path, model, report)
 

@@ -30,7 +30,7 @@ from .potentials import (BiasedCosine, Cosine, CubicSpline, PotentialModel,
                          _piecewise_cubic)
 from .reduction import (_du_reach, _reduced_values, invertibility_threshold,
                         solve_branch_extended)
-from .sweeps import float_rows
+from .sweeps import float_rows, write_csv
 
 TWO_PI = 2.0 * math.pi
 _RECORD_CAP = 16384
@@ -55,14 +55,10 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.energy - e0))) / scale
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("# units: t in 1/omega_C; x,p_x,y,p_y dimensionless "
-                    "(regularized coordinates); E in kappa^2*H/(hbar*omega_C) "
-                    "units\n")
-            f.write("t,x,p_x,y,p_y,E\n")
-            for t, x, px, y, py, e in float_rows(self.times, *self.states.T,
-                                                 self.energy):
-                f.write(f"{t!r},{x!r},{px!r},{y!r},{py!r},{e!r}\n")
+        write_csv(path, ("t", "x", "p_x", "y", "p_y", "E"),
+                  float_rows(self.times, *self.states.T, self.energy),
+                  "t in 1/omega_C; x,p_x,y,p_y dimensionless (regularized "
+                  "coordinates); E in kappa^2*H/(hbar*omega_C) units")
 
 
 def _leapfrog(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,

@@ -30,6 +30,7 @@ from .errors import (ConvergenceError, PhysicalRegimeError,
                      UnresolvedClusterError, ValidationError)
 from .params import ReducedCircuit
 from .potentials import PotentialModel
+from .sweeps import float_rows, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,22 +71,17 @@ class EffectivePotential:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
-        write_potential_csv(path, self.basis, self.coordinates, self.V,
-                            self.Vp, self.Vpp, self.branch_count)
+        write_potential_csv(path, self.basis, float_rows(
+            self.coordinates, self.V, self.Vp, self.Vpp, self.branch_count))
 
 
-def write_potential_csv(path, basis, coordinates, V, Vp, Vpp, branch_count,
-                        note: str = ""):
-    """Fixed schema: coordinate, V, Vp, Vpp, branch_count (V columns in E_C
-    units); note is appended to the units line."""
+def write_potential_csv(path, basis, rows, note: str = "") -> None:
+    """Fixed schema: rows of (coordinate, V, Vp, Vpp, branch_count), V
+    columns in E_C units; note is appended to the units line."""
     name = "x" if basis == "ExtendedX" else "phi"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# units: coordinate={name} (dimensionless), "
-                f"V,Vp,Vpp in E_C units{note}\n")
-        f.write("coordinate,V,Vp,Vpp,branch_count\n")
-        for c, v, vp, vpp, bc in zip(coordinates, V, Vp, Vpp, branch_count):
-            f.write(f"{float(c)!r},{float(v)!r},{float(vp)!r},"
-                    f"{float(vpp)!r},{int(bc)}\n")
+    write_csv(path, ("coordinate", "V", "Vp", "Vpp", "branch_count"), rows,
+              f"coordinate={name} (dimensionless), V,Vp,Vpp in E_C units"
+              + note)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +520,9 @@ def crosscheck_bases(p: PotentialModel, rc: ReducedCircuit,
     equations; this is the numerical identity check between them.
     """
     phis = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    compact = effective_potential(p, rc, "CompactPhi", phis)
-    xs = math.sqrt(rc.xi) * phis
-    extended = effective_potential(p, rc, "ExtendedX", xs)
-    return float(np.max(np.abs(compact.V - extended.V)))
+    compact = _reduced_branch(p, rc, "CompactPhi", phis)[2]
+    extended = _reduced_branch(p, rc, "ExtendedX", math.sqrt(rc.xi) * phis)[2]
+    return float(np.max(np.abs(compact - extended)))
 
 
 def branch_table(p: PotentialModel, rc: ReducedCircuit, basis: str,

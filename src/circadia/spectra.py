@@ -49,7 +49,6 @@ refused before it allocates them.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ from .errors import (CircadiaError, ConvergenceError, PhysicalRegimeError,
                      ValidationError)
 from .potentials import Cosine, PotentialModel, _two_pi_periodic
 from .reduction import EffectivePotential
-from .sweeps import SweepTable, write_json
+from .sweeps import SweepTable, write_csv, write_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,14 +153,10 @@ class SpectrumResult:
         })
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"# units: {self.units}\n")
-            f.write("# meta: " + json.dumps(self.meta, sort_keys=True,
-                                            separators=(",", ":")) + "\n")
-            f.write("level,eigenvalue,residual_norm\n")
-            for i, (e, r) in enumerate(zip(self.eigenvalues,
-                                           self.residual_norms)):
-                f.write(f"{i},{float(e)!r},{float(r)!r}\n")
+        write_csv(path, ("level", "eigenvalue", "residual_norm"),
+                  zip(range(len(self.eigenvalues)),
+                      self.eigenvalues.tolist(), self.residual_norms.tolist()),
+                  self.units, self.meta)
 
 
 # ---------------------------------------------------------------------------

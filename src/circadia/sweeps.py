@@ -1,4 +1,7 @@
-"""Deterministic tabular container for parameter sweeps."""
+"""The package's file formats (write_csv, write_json) and the sweep table.
+
+Floats are written by repr and metadata keys sorted, with no clock data,
+so reruns are byte-identical."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ _ROW_CHUNK = 1024
 
 
 def float_rows(*columns):
-    """Rows of equal-length numpy columns as tuples of Python floats.
+    """Rows of equal-length numpy columns as tuples of Python scalars.
 
     The columns are converted _ROW_CHUNK rows at a time with .tolist():
     much faster than iterating numpy scalars, and only one chunk's Python
@@ -38,6 +41,18 @@ def _fmt(value) -> str:
     if "," in s or "\n" in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
+
+
+def write_csv(path: str, columns, rows, units: str, meta=None) -> None:
+    """Stream rows (any iterable of tuples) to the package's CSV format."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# units: {units}\n")
+        if meta:
+            f.write("# meta: " + json.dumps(meta, sort_keys=True,
+                                            separators=(",", ":")) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(map(_fmt, row)) + "\n")
 
 
 @dataclass
@@ -63,15 +78,7 @@ class SweepTable:
                     f"row width {len(row)} does not match {ncol} columns")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"# units: {self.units}\n")
-            if self.meta:
-                f.write("# meta: "
-                        + json.dumps(self.meta, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
-            f.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(path, self.columns, self.rows, self.units, self.meta)
 
     def to_json(self, path: str) -> None:
         payload = {

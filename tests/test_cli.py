@@ -504,6 +504,55 @@ def test_bo_sweep_and_foster_refuse_bad_numeric_flags(write_circuit, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["bo-sweep", "--kappa-ladder", "0.6,abc"], {}, "bad kappa ladder"),
+    (["bo-sweep", "--kappa-ladder", "0.6,0.45"], {},
+     "kappa ladder needs >= 3 entries"),
+    (["bo-sweep", "--kappa-ladder", "0.3,0.45,0.6"], {},
+     "kappa ladder must be strictly decreasing"),
+    (["foster"], {}, "foster needs --input samples.csv or --model"),
+    (["foster", "--model", "m.json"], {"m.json": "{c_inf: 1"},
+     "model file"),
+    (["foster", "--model", "m.json"], {"m.json": '{"resonances": []}'},
+     "bad model file"),
+    (["foster", "--input", "s.csv"],
+     {"s.csv": "omega,ImY\n1.0,2.0\n1.5,oops\n"}, "malformed CSV row"),
+], ids=["ladder-not-a-number", "ladder-short", "ladder-increasing",
+        "foster-no-input", "model-not-json", "model-without-c-inf",
+        "samples-malformed-row"])
+def test_bo_sweep_and_foster_refuse_bad_input_before_out_exists(
+        write_circuit, tmp_path, argv, files, message):
+    # --out is made only once the inputs are read and the solve succeeded
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if argv[0] == "bo-sweep":
+        argv += ["--circuit", write_circuit("bo.json", kappa=0.5, xi=1.0,
+                                            lambdaJ=0.5)]
+    out = tmp_path / "out"
+    res = run_cli(*argv, "--out", out)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bo-sweep", "--circuit", "c.json"],
+    ["compare", "--circuit", "c.json", "--grid", "abc"],
+    ["reduce", "--circuit", "c.json", "--basis", "torus"],
+    ["frobnicate"],
+], ids=["ladder-missing", "grid-not-int", "basis-unknown", "no-such-command"])
+def test_usage_errors_exit_1_not_argparse_2(argv, capsys):
+    # exit 2 is reserved for physical-regime refusals
+    import circadia.cli
+
+    with pytest.raises(SystemExit) as exc:
+        circadia.cli.main(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
 def test_foster_eval_then_fit_round_trip(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(

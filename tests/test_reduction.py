@@ -233,6 +233,25 @@ def test_cross_basis_deviation_is_tiny_in_the_subcritical_regime():
     assert crosscheck_bases(Cosine(), rc, n=512) < 1e-8
 
 
+def test_cross_basis_check_samples_the_branch_without_minima(monkeypatch):
+    import circadia.reduction
+
+    rc = ReducedCircuit.from_ratios(0.3, 10.0, 5.0)
+    phis = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    compact = effective_potential(Cosine(), rc, "CompactPhi", phis).V
+    extended = effective_potential(Cosine(), rc, "ExtendedX",
+                                   math.sqrt(rc.xi) * phis).V
+
+    def no_minima(*args):
+        raise AssertionError("crosscheck_bases searched for minima")
+
+    monkeypatch.setattr(circadia.reduction, "_locate_minima", no_minima)
+    assert crosscheck_bases(Cosine(), rc, n=256) == float(
+        np.max(np.abs(compact - extended)))
+    with pytest.raises(PhysicalRegimeError, match="multivalued regime"):
+        crosscheck_bases(Cosine(), ReducedCircuit.from_ratios(0.3, 1.0, 2.0))
+
+
 def test_effective_potential_rejects_unknown_basis():
     rc = ReducedCircuit.from_ratios(0.3, 10.0, 5.0)
     with pytest.raises(ValidationError):

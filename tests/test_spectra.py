@@ -1241,3 +1241,13 @@ def test_a_store_over_budget_is_refused_before_it_is_diagonalized(
         lowest_eigenvalues(spec, 2)
     assert rungs == [4, 8, 16]
     assert len(blocks) == 64
+
+
+def test_bo_fast_ground_widens_a_narrow_grid_once_then_refuses():
+    # boundary mass 1.5e-8 on the 3/600 grid: the solve widens to 6/1200
+    args = (0.5, 1.0, 0.5, Cosine(), 0.0)
+    assert bo_fast_ground(*args, half_width=3.0, n=600) == bo_fast_ground(
+        *args, half_width=6.0, n=1200)
+    with pytest.raises(ConvergenceError) as exc:
+        bo_fast_ground(*args, half_width=1.0, n=200)
+    assert exc.value.detail["half_width"] == 2.0
