@@ -21,7 +21,6 @@ without scipy.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -34,8 +33,9 @@ from .dynamics import _slow_period, integrate, manifold_eta, \
     shadow_reduced_dynamics, slow_manifold_residual
 from .errors import CircadiaError, ConvergenceError, PhysicalRegimeError, \
     StructureMismatchError, ValidationError
-from .foster import eval_admittance, fit_foster, read_admittance_csv, \
-    reactance_slope, write_model_json, FosterModel
+from .foster import FosterModel, clear_of_poles, eval_admittance, \
+    fit_foster, reactance_slope, read_admittance_csv, read_model_json, \
+    write_model_json
 from .manifest import RunManifest
 from .params import read_circuit
 from .potentials import CubicSpline, PotentialModel, _two_pi_periodic
@@ -237,14 +237,11 @@ def _box_proxy(make_spec, vmax: float) -> dict:
     for label, L in (("L", 10.0 * math.pi), ("2L", 20.0 * math.pi)):
         n = int(round(2.0 * L / 0.02)) + 1
         count, first, last = spectra._window_ends(make_spec(L, n), lo, hi)
-        if count < 2:
-            entry[label] = {"half_width": L, "error": "fewer than 2 levels"}
-            spacings.append(None)
-            continue
-        s = (last - first) / (count - 1)
-        entry[label] = {"half_width": L, "levels_in_window": count,
-                        "mean_spacing_EC": s}
-        spacings.append(s)
+        entry[label] = {"half_width": L, "error": "fewer than 2 levels"}
+        if count >= 2:
+            entry[label] = {"half_width": L, "levels_in_window": count,
+                            "mean_spacing_EC": (last - first) / (count - 1)}
+        spacings.append(entry[label].get("mean_spacing_EC"))
     if None not in spacings and spacings[0]:
         entry["spacing_ratio"] = spacings[1] / spacings[0]
     return entry
@@ -255,29 +252,32 @@ def _box_proxy(make_spec, vmax: float) -> dict:
 # extended route (make_spec(L, n), vmax) for its box proxy, else None.
 
 
-def _classical_reduced(rc, p, args):
-    """The classically reduced single branch, H/E_C = (1/2) n_phi^2 + V(phi),
-    sampled without effective_potential's minima, which compare never
-    writes."""
+def _extended_pair(v, n: int, vmax_nodes: int):
+    """The route of H/E_C = (1/2) n_phi^2 + v(phi): its three lowest levels
+    on n box nodes over [-pi, pi], and for the box proxy make_spec with
+    vmax, the largest v on `vmax_nodes` box nodes there."""
     from . import spectra
 
-    def v_func(q):
-        return _reduced_branch(p, rc, "CompactPhi", q)[2]
-
     def make_spec(L, n):
-        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_func,
+        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v,
                                        c_kin=0.5,
                                        grid={"half_width": L, "n": n})
-    levels = spectra.lowest_eigenvalues(make_spec(math.pi, args.grid),
-                                        3).eigenvalues
-    vmax = float(np.max(v_func(np.linspace(-math.pi, math.pi, args.grid))))
+    levels = spectra.lowest_eigenvalues(make_spec(math.pi, n), 3).eigenvalues
+    vmax = float(np.max(v(spectra._box_nodes(math.pi, vmax_nodes))))
     return _ladder_stats(levels), (make_spec, vmax)
+
+
+def _classical_reduced(rc, p, args):
+    """The classically reduced single branch, V(phi) sampled without
+    effective_potential's minima, which compare never writes."""
+    return _extended_pair(lambda q: _reduced_branch(p, rc, "CompactPhi", q)[2],
+                          args.grid, args.grid)
 
 
 def _bo_extended(rc, p, args):
     """The Born-Oppenheimer potential of the extended two-mode model,
-    H/E_C = (1/2) n_phi^2 + xi*U_BO(sqrt(xi)*phi), splined through the fast
-    ground energy at 41 phi on [-pi, pi]."""
+    V(phi) = xi*U_BO(sqrt(xi)*phi), splined through the fast ground energy
+    at 41 phi on [-pi, pi]."""
     from . import spectra
     phis = np.linspace(-math.pi, math.pi, 41)
     e = np.array([spectra.bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
@@ -288,18 +288,8 @@ def _bo_extended(rc, p, args):
     if periodic:
         u[-1] = u[0]
     spline = CubicSpline(phis, u, "periodic" if periodic else "not-a-knot")
-
-    def v_bo(q):    # a periodic spline maps q into [-pi, pi] itself
-        return rc.xi * spline(q)
-
-    def make_spec(L, n):
-        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_bo,
-                                       c_kin=0.5,
-                                       grid={"half_width": L, "n": n})
-    levels = spectra.lowest_eigenvalues(make_spec(math.pi, args.grid),
-                                        3).eigenvalues
-    vmax = float(np.max(v_bo(np.linspace(-math.pi, math.pi, 721))))
-    return _ladder_stats(levels), (make_spec, vmax)
+    # a periodic spline maps q into [-pi, pi] itself
+    return _extended_pair(lambda q: rc.xi * spline(q), args.grid, 721)
 
 
 def _compact_naive_adiabatic(rc, p, args):
@@ -455,29 +445,10 @@ def cmd_dynamics(args) -> int:
 # foster
 
 
-def _model_from_json(path: str) -> FosterModel:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"model file {path} is not JSON: {exc}")
-    try:
-        return FosterModel(
-            c_inf=float(doc["c_inf"]),
-            resonances=tuple((float(L), float(om))
-                             for L, om in doc.get("resonances", [])),
-            l_zero=(None if doc.get("l_zero") is None
-                    else float(doc["l_zero"])))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad model file {path}: {exc}")
-
-
 def _masked_curve(model: FosterModel, omega: np.ndarray) -> np.ndarray:
     """Im Y with NaN at samples too close to a pole (plot-safe)."""
     vals = np.full(omega.size, np.nan)
-    ok = np.ones(omega.size, dtype=bool)
-    for _, om in model.resonances:
-        ok &= np.abs(omega - om) > 1e-3 * om
+    ok = clear_of_poles(model, omega, 1e-3)
     if np.any(ok):
         vals[ok] = eval_admittance(model, omega[ok]).imag
     return vals
@@ -487,7 +458,7 @@ def cmd_foster(args) -> int:
     _check_flags(args, finite=("omega_min", "omega_max"),
                  at_least=(("points", 1),))
     if args.model:
-        model = _model_from_json(args.model)
+        model = read_model_json(args.model)
         manifest = _new_manifest("foster", args, {
             "mode": "eval", "omega_min": args.omega_min,
             "omega_max": args.omega_max, "points": args.points})
@@ -525,9 +496,7 @@ def cmd_foster(args) -> int:
               xlabel="omega", ylabel="Im Y", title="Foster fit")
 
     probe = np.linspace(float(omega.min()), float(omega.max()), 10_000)
-    mask = np.ones(probe.size, dtype=bool)
-    for _, om in model.resonances:
-        mask &= np.abs(probe - om) > 1e-6 * om
+    mask = clear_of_poles(model, probe, 1e-6)
     slope_ok = bool(np.all(reactance_slope(model, probe[mask]) > 0.0))
 
     summary = {
@@ -562,8 +531,7 @@ def build_parser() -> CliParser:
                             help="circuit descriptor JSON")
         sp.add_argument("--out", default=".", help="output directory")
 
-    sp = sub.add_parser("reduce", help="effective potential of one circuit",
-                        parents=[], add_help=True)
+    sp = sub.add_parser("reduce", help="effective potential of one circuit")
     add_common(sp)
     sp.add_argument("--basis", choices=("compact", "extended"),
                     default="compact")
@@ -635,10 +603,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, StructureMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, StructureMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ refines the poles alone by variable projection on the least-squares rms.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -62,12 +63,21 @@ class FosterModel:
         }
 
 
-def _check_clear_of_poles(m: FosterModel, omega: np.ndarray) -> None:
+def clear_of_poles(m: FosterModel, omega: np.ndarray,
+                   margin: float = POLE_MARGIN) -> np.ndarray:
+    """Mask of the samples farther than margin*Omega_k from every pole."""
+    ok = np.ones(omega.shape, dtype=bool)
     for _, om in m.resonances:
-        if np.any(np.abs(omega - om) <= POLE_MARGIN * om):
-            raise ValidationError(
-                f"evaluation within relative margin {POLE_MARGIN} of the "
-                f"pole at {om!r}")
+        ok &= np.abs(omega - om) > margin * om
+    return ok
+
+
+def _check_clear_of_poles(m: FosterModel, omega: np.ndarray) -> None:
+    ok = clear_of_poles(m, omega)
+    if not np.all(ok):
+        om = m.omegas[np.argmin(np.abs(m.omegas - omega[~ok][0]))]
+        raise ValidationError(f"evaluation within relative margin "
+                              f"{POLE_MARGIN} of the pole at {float(om)!r}")
 
 
 def eval_admittance(m: FosterModel, omega_list) -> np.ndarray:
@@ -275,6 +285,22 @@ def read_admittance_csv(path: str) -> np.ndarray:
     if not rows:
         raise ValidationError(f"no admittance samples in {path}")
     return np.asarray(rows, dtype=float)
+
+
+def read_model_json(path: str) -> FosterModel:
+    """The FosterModel of write_model_json's file (fit_report ignored)."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:   # JSON or UTF-8 decoding
+            raise ValidationError(f"model file {path} is not JSON: {exc}")
+    try:
+        c_inf, l_zero = float(doc["c_inf"]), doc.get("l_zero")
+        return FosterModel(c_inf=c_inf, resonances=tuple(
+            (float(L), float(om)) for L, om in doc.get("resonances", [])),
+            l_zero=None if l_zero is None else float(l_zero))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad model file {path}: {exc}")
 
 
 def write_model_json(path: str, model: FosterModel,

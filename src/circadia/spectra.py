@@ -81,6 +81,12 @@ class HamiltonianSpec:
       FastAtX         half_width, n (both optional, auto-sized)
       Regularized2D   extended basis_y: Lx, nx, Ly, ny
                       compact basis_y: L_phi, n_phi, n_max_fast
+
+    Box axes (Extended1D, FastAtX, both extended 2D axes, the compact slow
+    axis) have n uniform nodes on [-half_width, half_width] (_box_nodes);
+    the FD4 stencil stops at the end nodes, so the walls sit one step past
+    them (ROADMAP item 1 replaces this closure). FastAtX widens a grid its
+    levels reach once, then refuses; bo_fast_ground is its ground level.
     """
 
     variant: str
@@ -172,6 +178,12 @@ def _fd4_bands(n: int, h: float, c: float) -> np.ndarray:
     return band
 
 
+def _box_nodes(half_width: float, n: int) -> np.ndarray:
+    """The n uniform nodes of a box axis on [-half_width, half_width], end
+    nodes included; the walls sit one step past them (HamiltonianSpec)."""
+    return np.linspace(-half_width, half_width, n)
+
+
 def _band_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x along axis 0 of any x, Hermitian A in lower band storage ab."""
     xt = x.T
@@ -191,8 +203,8 @@ def _extended1d_arrays(spec: HamiltonianSpec):
         coords = np.asarray(spec.effective.coordinates, dtype=float)
         v = np.asarray(spec.effective.V, dtype=float)
     elif spec.v_func is not None:
-        L = float(spec.grid.get("half_width", 10.0))
-        coords = np.linspace(-L, L, int(spec.grid.get("n", 1024)))
+        coords = _box_nodes(float(spec.grid.get("half_width", 10.0)),
+                            int(spec.grid.get("n", 1024)))
         v = np.asarray(spec.v_func(coords), dtype=float)
     else:
         raise ValidationError("Extended1D needs `effective` or `v_func`")
@@ -336,14 +348,12 @@ def _check_k(k: int, dim: int) -> None:
         raise ValidationError("k must be <= dimension/4")
 
 
-def _banded_result(spec: HamiltonianSpec, v: np.ndarray, h: float,
-                   c_kin: float, units: str, k: int, **grid) -> SpectrumResult:
-    """_solve_banded as a SpectrumResult; meta records the spec, h, n, grid,
-    sigma and shift_gap."""
-    _check_k(k, v.size)
-    w, _, res, sigma = _solve_banded(v, h, c_kin, k)
-    meta = {"spec": spec.describe(), "h": h, "n": int(v.size), **grid,
-            "sigma": sigma, "shift_gap": float(w[0] - sigma)}
+def _banded_result(spec: HamiltonianSpec, w: np.ndarray, res: np.ndarray,
+                   sigma: float, units: str, **grid) -> SpectrumResult:
+    """A _solve_banded solve as a SpectrumResult; meta records the spec, the
+    grid (h, n, ...), sigma and shift_gap."""
+    meta = {"spec": spec.describe(), **grid, "sigma": sigma,
+            "shift_gap": float(w[0] - sigma)}
     return SpectrumResult(eigenvalues=w, k=int(w.size), residual_norms=res,
                           units=units, meta=meta)
 
@@ -584,58 +594,54 @@ def _fast_potential(kappa: float, xi: float, lambdaJ: float,
     return 0.5 * (y - kappa * x)**2 + kappa**2 * (lambdaJ / xi) * u
 
 
-def _fast_grid(kappa: float, x: float, half_width, n) -> tuple[float, int]:
-    L = float(half_width) if half_width is not None else kappa * abs(x) + 12.0
-    if n is None:
-        n = int(math.ceil(2.0 * L / 0.01))
-    n = max(int(n), 128)
-    return L, n
+def _frozen_fast_params(spec: HamiltonianSpec):
+    """(kappa, xi, lambdaJ, potential, Cosine by default) of a fast mode."""
+    if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
+        raise ValidationError(f"{spec.variant} needs kappa, xi, lambdaJ")
+    p = spec.potential if spec.potential is not None else Cosine()
+    return float(spec.kappa), float(spec.xi), float(spec.lambdaJ), p
+
+
+def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
+    """_solve_banded on a y-grid that holds the k levels: one with more than
+    1e-12 of its mass on the two end nodes at either end widens the grid
+    once (half_width and n doubled), then fails the solve. By default the
+    half width is kappa*|x| + 12 and the step 0.01, with >= 128 nodes."""
+    kappa, xi, lam, p = _frozen_fast_params(spec)
+    if kappa <= 0:
+        raise ValidationError("kappa must be > 0")
+    L = float(spec.grid.get("half_width", kappa * abs(spec.frozen_x) + 12.0))
+    npts = max(int(spec.grid.get("n", math.ceil(2.0 * L / 0.01))), 128)
+    _check_k(k, npts)
+    for attempt in range(2):
+        y = _box_nodes(L, npts)
+        h = float(y[1] - y[0])
+        v = _fast_potential(kappa, xi, lam, p, spec.frozen_x, y)
+        w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
+        psi2 = np.abs(vec)**2
+        edge = float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
+                            / np.sum(psi2, axis=0)))
+        if edge < 1e-12:
+            return _banded_result(spec, w, res, sigma, "hbar*omega_C units",
+                                  h=h, n=npts, half_width=float(L))
+        if attempt == 0:
+            L, npts = 2.0 * L, 2 * npts
+    raise ConvergenceError(
+        "a fast level reaches the grid boundary after widening",
+        detail={"half_width": L, "boundary_mass": edge})
 
 
 def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    p: PotentialModel, x: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
-    """Ground energy e0(x) of the fast oscillator, hbar*omega_C units.
-
-    Shift-invert Lanczos from the Weyl shift, with a Cholesky certificate
-    that the level is the ground level (_solve_banded). The y-grid must
-    hold the ground state: if the wavefunction mass on the outermost grid
-    cells exceeds 1e-12 the grid is widened once, then the solve fails
-    loudly.
-    """
-    if kappa <= 0:
-        raise ValidationError("kappa must be > 0")
-    L, npts = _fast_grid(kappa, x, half_width, n)
-    for attempt in range(2):
-        y = np.linspace(-L, L, npts)
-        h = y[1] - y[0]
-        v = _fast_potential(kappa, xi, lambdaJ, p, x, y)
-        w, vec, _, _ = _solve_banded(v, h, 0.5, 1)
-        psi2 = np.abs(vec[:, 0])**2
-        edge = float(psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
-        if edge / float(np.sum(psi2)) < 1e-12:
-            return float(w[0])
-        if attempt == 0:
-            L, npts = 2.0 * L, 2 * npts
-    raise ConvergenceError(
-        "fast ground state reaches the grid boundary after widening",
-        detail={"half_width": L, "boundary_mass": edge})
-
-
-def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
-        raise ValidationError("FastAtX needs kappa, xi, lambdaJ")
-    if spec.kappa <= 0:
-        raise ValidationError("kappa must be > 0")
-    p = spec.potential if spec.potential is not None else Cosine()
-    L, npts = _fast_grid(spec.kappa, spec.frozen_x,
-                         spec.grid.get("half_width"), spec.grid.get("n"))
-    y = np.linspace(-L, L, npts)
-    v = _fast_potential(spec.kappa, spec.xi, spec.lambdaJ, p,
-                        spec.frozen_x, y)
-    return _banded_result(spec, v, float(y[1] - y[0]), 0.5,
-                          "hbar*omega_C units", k, half_width=float(L))
+    """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
+    the ground level of FastAtX frozen at x."""
+    grid = {key: val for key, val in (("half_width", half_width), ("n", n))
+            if val is not None}
+    spec = HamiltonianSpec(variant="FastAtX", potential=p, kappa=kappa,
+                           xi=xi, lambdaJ=lambdaJ, frozen_x=x, grid=grid)
+    return float(lowest_eigenvalues(spec, 1).eigenvalues[0])
 
 
 # ---------------------------------------------------------------------------
@@ -655,20 +661,21 @@ def _angle_window_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
+def _check_2d_grid(n_slow: int, dim_fast: int, k: int) -> None:
+    """Refuse a 2D axis below 64 points or k above the dimension/4."""
+    if n_slow < 64 or dim_fast < 64:
+        raise ValidationError("2D grids need >= 64 points per axis")
+    _check_k(k, n_slow * dim_fast)
+
+
 def _extended_parts(spec: HamiltonianSpec, k: int):
     """Slow grid x, fast grid y and the potential V[i, j] of the extended
     pair; the grid must hold k <= dimension/4 pairs."""
-    kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
-    p = spec.potential if spec.potential is not None else Cosine()
-    Lx = float(spec.grid.get("Lx", 10.0))
-    Ly = float(spec.grid.get("Ly", 10.0))
-    nx = int(spec.grid.get("nx", 96))
-    ny = int(spec.grid.get("ny", 96))
-    if nx < 64 or ny < 64:
-        raise ValidationError("2D grids need >= 64 points per axis")
-    _check_k(k, nx * ny)
-    x = np.linspace(-Lx, Lx, nx)
-    y = np.linspace(-Ly, Ly, ny)
+    kappa, xi, lam, p = _frozen_fast_params(spec)
+    nx, ny = int(spec.grid.get("nx", 96)), int(spec.grid.get("ny", 96))
+    _check_2d_grid(nx, ny, k)
+    x = _box_nodes(float(spec.grid.get("Lx", 10.0)), nx)
+    y = _box_nodes(float(spec.grid.get("Ly", 10.0)), ny)
     return x, y, _fast_potential(kappa, xi, lam, p, x[:, None], y[None, :])
 
 
@@ -684,8 +691,7 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     """Slow grid phi, the phi-independent fast operator h_fast in the charge
     basis, the angle matrix phi1 and c2 = kappa^4 xi^2 of the compact pair;
     the grid must hold k <= dimension/4 pairs."""
-    kappa, xi, lam = float(spec.kappa), float(spec.xi), float(spec.lambdaJ)
-    p = spec.potential if spec.potential is not None else Cosine()
+    kappa, xi, lam, p = _frozen_fast_params(spec)
     if not _two_pi_periodic(p):
         raise ValidationError("compact fast axis needs a 2pi-periodic potential")
     coef = spec.charge_coef
@@ -693,12 +699,9 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     u2max = float(np.max(np.abs(np.asarray(p.d2u(probe), dtype=float))))
     n_fast = int(spec.grid.get(
         "n_max_fast", _auto_fast_cutoff(kappa, xi, lam, coef, u2max)))
-    L_phi = float(spec.grid.get("L_phi", 0.5 * math.pi))
     n_phi = int(spec.grid.get("n_phi", 128))
-    if n_phi < 64 or 2 * n_fast + 1 < 64:
-        raise ValidationError("2D grids need >= 64 points per axis")
-    _check_k(k, n_phi * (2 * n_fast + 1))
-    phi = np.linspace(-L_phi, L_phi, n_phi)
+    _check_2d_grid(n_phi, 2 * n_fast + 1, k)
+    phi = _box_nodes(float(spec.grid.get("L_phi", 0.5 * math.pi)), n_phi)
     mc = np.arange(-n_fast, n_fast + 1)
     phi1, phi2 = _angle_window_ops(n_fast)
     c2 = kappa**4 * xi**2
@@ -853,8 +856,6 @@ _RESIDUAL_RTOL = 1e-8
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    if spec.kappa is None or spec.xi is None or spec.lambdaJ is None:
-        raise ValidationError("Regularized2D needs kappa, xi, lambdaJ")
     apply, sweep, slow, norm, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
     # every rung sweeps one block level above itself for the guard below
@@ -914,8 +915,9 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
 
     Extended1D/FastAtX: shift-invert Lanczos on a banded Cholesky from the
     certified Weyl shift, with a Cholesky certificate for the ground level
-    (see _solve_banded); meta records sigma and shift_gap = lambda_0 -
-    sigma. Compact1D: dense Hermitian eigh of the k lowest levels.
+    (see _solve_banded), FastAtX on a grid checked to hold its levels;
+    meta records sigma and shift_gap = lambda_0 - sigma. Compact1D: dense
+    Hermitian eigh of the k lowest levels.
     Residual norms ||Hv - Ev|| (unit-norm v) ride along in the result.
 
     2D: contracted adiabatic basis (see the module docstring). The levels
@@ -935,8 +937,11 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if k < 1:
         raise ValidationError("k must be >= 1")
     if spec.variant == "Extended1D":
-        return _banded_result(spec, *_extended1d_arrays(spec), spec.c_kin,
-                              "E_C units", k)
+        v, h = _extended1d_arrays(spec)
+        _check_k(k, v.size)
+        w, _, res, sigma = _solve_banded(v, h, spec.c_kin, k)
+        return _banded_result(spec, w, res, sigma, "E_C units", h=h,
+                              n=int(v.size))
     if spec.variant == "Compact1D":
         return _lowest_compact1d(spec, k)
     if spec.variant == "FastAtX":
@@ -1064,6 +1069,8 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
 
     Refuses inside the gate-charge window |n_g - 1/2| <= kappa^2, where the
     fast ground state degenerates and the flat-state average is meaningless.
+    The slow operator is an Extended1D spec on n box nodes, so n < 128 and
+    k > n/4 are refused like every 1D grid.
     """
     if kappa <= 0 or xi <= 0:
         raise ValidationError("kappa and xi must be > 0")
@@ -1078,10 +1085,10 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
         np.arange(k) + 0.5)
     sigma_q = (1.0 / (2.0 * xi**2))**0.25
     L = max(12.0 * sigma_q * math.sqrt(k + 1.0), 1.0)
-    q = np.linspace(-L, L, n)
-    h = q[1] - q[0]
-    v = 0.5 * kappa**4 * xi**2 * q**2
-    w, _, _, _ = _solve_banded(v, h, ckin, k)
+    spec = HamiltonianSpec(variant="Extended1D",
+                           v_func=lambda q: 0.5 * kappa**4 * xi**2 * q**2,
+                           c_kin=ckin, grid={"half_width": L, "n": n})
+    w = lowest_eigenvalues(spec, k).eigenvalues
     return NaiveAdiabaticSpectrum(formula=formula, numerical=w,
                                   kappa=float(kappa), xi=float(xi),
                                   ng=float(ng))

@@ -7,9 +7,17 @@ requested (kappa, xi, lambdaJ) through the package's own constants table.
 
 from __future__ import annotations
 
-import json
+import os
 
-import pytest
+# One BLAS thread for the suite and the CLI subprocesses it starts: set
+# before anything loads numpy, since OpenBLAS reads it once at load. Many
+# small threaded LAPACK calls run far slower beside another busy process.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import json  # noqa: E402
+
+import pytest  # noqa: E402
 from hypothesis import HealthCheck, settings
 
 from circadia import get_constants

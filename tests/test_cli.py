@@ -689,3 +689,54 @@ def test_cli_routes_never_import_interpolate_optimize_or_special(
             if line.startswith("footprint ")] == [
         "footprint import:", "footprint classical:", "footprint spectral:",
         "footprint unbound:"]
+
+
+def test_compare_box_proxy_records_a_sparse_window_and_a_failed_box(
+        write_circuit, tmp_path, monkeypatch, capsys):
+    # in-process: the classical column's L box holds one level, the
+    # bo_extended proxy fails; both are recorded and compare succeeds
+    import circadia.cli
+    import circadia.spectra
+    from circadia import ConvergenceError
+
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    ends = circadia.spectra._window_ends
+    calls = []
+
+    def scripted_ends(spec, lo, hi):
+        calls.append(spec.grid["half_width"])
+        if len(calls) == 1:
+            return 1, lo, lo
+        if len(calls) == 3:
+            raise ConvergenceError("scripted count failure")
+        return ends(spec, lo, hi)
+
+    monkeypatch.setattr(circadia.spectra, "_window_ends", scripted_ends)
+    out = tmp_path / "cmp_out"
+    assert circadia.cli.main(["compare", "--circuit", circuit,
+                              "--out", str(out)]) == 0
+    assert calls == [10.0 * math.pi, 20.0 * math.pi, 10.0 * math.pi]
+    proxy = read_json(out / "compare.json")["box_proxy"]
+    reduced = proxy["classical_reduced"]
+    assert reduced["L"] == {"half_width": 10.0 * math.pi,
+                            "error": "fewer than 2 levels"}
+    assert reduced["2L"]["levels_in_window"] > 30
+    assert "spacing_ratio" not in reduced
+    assert proxy["bo_extended"] == {
+        "error": "ConvergenceError: scripted count failure"}
+    assert "box proxy" not in capsys.readouterr().out
+
+
+def test_dynamics_starts_from_a_given_fast_coordinate(write_circuit,
+                                                      tmp_path):
+    circuit = write_circuit("dyn.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    out = tmp_path / "dyn_out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--x0", "0.4", "--y0", "0.3", "--py0", "-0.1",
+                  "--t-end", "2")
+    assert res.returncode == 0, res.stderr
+    first = (out / "trajectory.csv").read_text().splitlines()[2]
+    assert [float(v) for v in first.split(",")[:5]] == [0.0, 0.4, 0.0, 0.3,
+                                                        -0.1]
+    params = read_json(out / "manifest.json")["parameters"]
+    assert (params["y0"], params["py0"]) == (0.3, -0.1)

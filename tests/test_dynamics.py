@@ -435,3 +435,8 @@ def test_reduced_flow_evaluates_the_force_once_per_substep(monkeypatch):
     substeps = _substeps(cmp_.times)
     assert set(substeps) == {2, 3}
     assert len(calls) == sum(substeps) + 1
+
+
+def test_slow_period_without_coupling_is_the_bare_kappa_squared_one():
+    rc = ReducedCircuit.from_ratios(0.5, 2.0, 0.0)  # beta = 0
+    assert _slow_period(rc) == 2.0 * math.pi / 0.25

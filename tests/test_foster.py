@@ -12,7 +12,8 @@ from circadia import (
     reactance_slope,
     read_admittance_csv,
 )
-from circadia.foster import POLE_MARGIN, _linear_residual
+from circadia.foster import POLE_MARGIN, FitReport, _linear_residual, \
+    clear_of_poles, read_model_json, write_model_json
 
 
 def sample_grid(model: FosterModel, lo: float, hi: float, n: int,
@@ -245,3 +246,43 @@ def test_sparse_samples_keep_each_pole_in_its_bracket():
     # each pole between the same two samples as the true one
     assert np.array_equal(np.searchsorted(om, model.omegas),
                           np.searchsorted(om, true.omegas))
+
+
+def test_model_json_round_trip_keeps_every_branch(tmp_path):
+    model = FosterModel(c_inf=1.25, resonances=((0.5, 1.5), (0.8, 3.0)),
+                        l_zero=2.0)
+    path = str(tmp_path / "model.json")
+    write_model_json(path, model, FitReport(rms_residual=1e-9,
+                                            detected_poles=[1.5, 3.0],
+                                            sweeps=4))
+    assert read_model_json(path) == model
+    write_model_json(path, FosterModel(c_inf=1.0))
+    assert read_model_json(path) == FosterModel(c_inf=1.0)
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "not json", '{"resonances": []}', '{"c_inf": "abc"}',
+    '{"c_inf": 1.0, "resonances": [[1.0]]}',
+    '{"c_inf": 1.0, "l_zero": -1.0}',
+])
+def test_a_bad_model_file_is_a_validation_error(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        read_model_json(str(path))
+
+
+def test_one_pole_mask_serves_every_margin():
+    m = FosterModel(c_inf=1.0, resonances=((0.5, 2.0), (0.5, 4.0)))
+    omega = np.array([1.0, 2.0 * (1.0 + 5e-4), 2.0 * (1.0 + 5e-10), 3.0,
+                      4.0 * (1.0 - 5e-7)])
+    assert clear_of_poles(m, omega).tolist() == [True, True, False, True,
+                                                 True]
+    assert clear_of_poles(m, omega, 1e-6).tolist() == [True, True, False,
+                                                       True, False]
+    assert clear_of_poles(m, omega, 1e-3).tolist() == [True, False, False,
+                                                       True, False]
+    with pytest.raises(ValidationError, match="pole at 2.0$"):
+        eval_admittance(m, omega)
+    with pytest.raises(ValidationError, match="pole at 4.0$"):
+        reactance_slope(m, [1.0, 4.0])

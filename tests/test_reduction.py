@@ -462,3 +462,34 @@ def test_fold_sweeps_give_the_branch_count_or_refuse():
         with pytest.raises(UnresolvedClusterError):
             branch_table(Cosine(), rc, "CompactPhi",
                          np.array([fold - 1e-3, fold]))
+
+
+def test_branch_table_leads_with_the_nearest_root_of_a_double_well():
+    # u = -phi^2 + phi^4/4 is not periodic; at beta = 1 the branch solves
+    # c^3 - c = drive: three roots for |drive| < 2/(3 sqrt 3), one beyond;
+    # each drive's rows start at the root nearest the drive
+    p = PolynomialEven([0.0, -1.0, 0.25])
+    rc = ReducedCircuit.from_ratios(0.3, 1.0, 1.0)  # beta = 1 > 1/2
+    drives = [-1.0, -0.3, 0.1, 0.35, 1.0]
+    _, rows = branch_table(p, rc, "CompactPhi", np.array(drives))
+    expected = []
+    for d in drives:
+        real = sorted(r.real for r in np.roots([1.0, 0.0, -1.0, -d])
+                      if abs(r.imag) < 1e-9)
+        lead = min(real, key=lambda r: abs(r - d))
+        for c in [lead] + [r for r in real if r != lead]:
+            u, du = -c**2 + 0.25 * c**4, -2.0 * c + c**3
+            expected.append((d, rc.lambdaJ * (u + 0.5 * rc.beta * du**2),
+                             len(real)))
+    assert [c for *_, c in expected] == [1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1]
+    assert [(r[0], r[4]) for r in rows] == [(d, c) for d, _, c in expected]
+    assert [r[1] for r in rows] == pytest.approx(
+        [v for _, v, _ in expected], rel=1e-10, abs=1e-12)
+
+
+def test_branch_bracket_too_narrow_for_the_force_is_widened():
+    # a reach of 0 understates |u'| = 10|c|: the first bracket drive -/+ 1
+    # misses the root of 11c = drive until it is doubled enough times
+    drives = np.array([-50.0, -5.0, 0.0, 0.5, 5.0, 50.0])
+    got = _solve_branch(lambda c: 10.0 * c, 1.0, 0.0, drives)
+    assert got == pytest.approx(drives / 11.0, rel=1e-13, abs=1e-15)

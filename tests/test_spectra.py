@@ -1251,3 +1251,60 @@ def test_bo_fast_ground_widens_a_narrow_grid_once_then_refuses():
     with pytest.raises(ConvergenceError) as exc:
         bo_fast_ground(*args, half_width=1.0, n=200)
     assert exc.value.detail["half_width"] == 2.0
+
+
+def _fast_at_x(k, lambdaJ=0.5, **grid):
+    return lowest_eigenvalues(HamiltonianSpec(
+        variant="FastAtX", potential=Cosine(), kappa=0.5, xi=1.0,
+        lambdaJ=lambdaJ, grid=grid), k)
+
+
+def test_fast_at_x_widens_a_narrow_grid_once_then_refuses():
+    # the boundary check bo_fast_ground relies on is FastAtX's own: the
+    # 3/600 grid gives the level of 6/1200, the 1/200 grid fails
+    narrow = _fast_at_x(1, half_width=3.0, n=600)
+    assert narrow.eigenvalues[0] == _fast_at_x(
+        1, half_width=6.0, n=1200).eigenvalues[0]
+    assert (narrow.meta["half_width"], narrow.meta["n"]) == (6.0, 1200)
+    assert narrow.eigenvalues[0] == bo_fast_ground(
+        0.5, 1.0, 0.5, Cosine(), 0.0, half_width=3.0, n=600)
+    with pytest.raises(ConvergenceError, match="grid boundary") as exc:
+        _fast_at_x(1, half_width=1.0, n=200)
+    assert exc.value.detail["half_width"] == 2.0
+
+
+def test_fast_at_x_checks_every_returned_level_at_the_boundary():
+    # harmonic fast mode on 6/1200: five levels stay clear of the end
+    # nodes, the sixth reaches them and widens the grid to 12/2400
+    five = _fast_at_x(5, lambdaJ=0.0, half_width=6.0, n=1200)
+    six = _fast_at_x(6, lambdaJ=0.0, half_width=6.0, n=1200)
+    assert five.meta["half_width"] == 6.0
+    assert (six.meta["half_width"], six.meta["n"]) == (12.0, 2400)
+    assert np.array_equal(six.eigenvalues, _fast_at_x(
+        6, lambdaJ=0.0, half_width=12.0, n=2400).eigenvalues)
+    assert six.eigenvalues == pytest.approx(np.arange(6) + 0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("curvature, verdict", [
+    # e0 = c(kappa)*x^2, so U = c/kappa^2 * x^2 and sup|delta| = 4c
+    ({0.6: 1.0, 0.45: 3.0, 0.3: 2.0}, "inconclusive"),
+    ({0.6: 3.0, 0.45: 2.0, 0.3: 0.1}, "decreasing"),
+    ({0.6: 0.36, 0.45: 0.2025, 0.3: 0.09}, "converges-nonzero"),
+])
+def test_bo_verdict_from_crafted_ground_energies(monkeypatch, curvature,
+                                                 verdict):
+    def crafted(kappa, xi, lambdaJ, p, x, half_width=None, n=None):
+        return curvature[kappa] * x**2
+
+    monkeypatch.setattr(circadia.spectra, "bo_fast_ground", crafted)
+    table = bo_effective_potential([0.6, 0.45, 0.3], [-2.0, 1.0, 2.0],
+                                   Cosine(), 1.0, 0.5)
+    assert table.sup_abs.tolist() == [4.0 * c for c in curvature.values()]
+    assert table.verdict == verdict
+
+
+def test_naive_ladder_refuses_the_grids_every_1d_solve_refuses():
+    with pytest.raises(ValidationError, match="128"):
+        naive_compact_adiabatic(0.3, 2.0, 0.1, 3, n=64)
+    with pytest.raises(ValidationError, match="dimension/4"):
+        naive_compact_adiabatic(0.3, 2.0, 0.1, 33, n=128)
