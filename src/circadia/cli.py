@@ -8,10 +8,14 @@ Subcommands map one-to-one onto the library layers:
   dynamics   leapfrog trajectory of the regularized two-mode circuit
   foster     lossless admittance fit, or evaluation, from CSV samples
 
-Every run writes a manifest next to its outputs. Outputs carry no wall-clock
-data, so rerunning a command on identical inputs reproduces every file byte
-for byte. Exit codes: 0 success, 1 usage or input validation, 2 physical-
-regime refusal, 3 numerical non-convergence.
+Every run writes a manifest next to its outputs. A command computes first
+and then writes --out in one step, so --out is created only when the run
+has something to write: a run that exits 1, 2 or 3 leaves none, except
+reduce past the fold, whose exit 2 writes its branch table and report.
+Outputs carry no wall-clock data, so rerunning a command on identical
+inputs reproduces every file byte for byte. Exit codes: 0 success, 1 usage
+or input validation, 2 physical-regime refusal, 3 numerical
+non-convergence.
 
 Only bo-sweep and compare diagonalize; they import circadia.spectra, and
 with it scipy's eigensolvers, when they run, so the other commands start
@@ -73,11 +77,6 @@ def _check_flags(args, finite=(), at_least=()) -> None:
                 f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _new_manifest(command: str, args, parameters: dict,
                   p: PotentialModel | None = None) -> RunManifest:
     """Manifest with every input file hashed: the files named by the
@@ -95,8 +94,15 @@ def _new_manifest(command: str, args, parameters: dict,
     return m
 
 
-def _finish(manifest: RunManifest, out: str, outputs: list[str]) -> None:
-    manifest.outputs = [os.path.basename(o) for o in outputs]
+def _write_run(out: str, manifest: RunManifest, files: dict) -> None:
+    """Write a computed run into the directory out: files maps each output
+    name, in order, to a writer called with the file's path. The manifest
+    lists those names and is written last. A command calls this once, after
+    its work has succeeded, so a refused run leaves no directory behind."""
+    os.makedirs(out, exist_ok=True)
+    for name, write in files.items():
+        write(os.path.join(out, name))
+    manifest.outputs = list(files)
     manifest.write(os.path.join(out, "manifest.json"))
 
 
@@ -106,7 +112,6 @@ def _finish(manifest: RunManifest, out: str, outputs: list[str]) -> None:
 
 def cmd_reduce(args) -> int:
     rc, p = read_circuit(args.circuit)
-    out = _outdir(args)
     basis = "ExtendedX" if args.basis == "extended" else "CompactPhi"
     manifest = _new_manifest("reduce", args, {
         "basis": basis, "grid": args.grid,
@@ -117,37 +122,33 @@ def cmd_reduce(args) -> int:
     except PhysicalRegimeError as exc:
         beta_crit = exc.context.get("beta_crit", float("nan"))
         _, rows = branch_table(p, rc, basis, args.grid)
-        branch_path = os.path.join(out, "branches.csv")
-        write_potential_csv(branch_path, basis, rows,
-                            note="; one row per branch")
         report = {
             "verdict": "multivalued",
             "beta": rc.beta, "beta_crit": beta_crit,
             "max_branches": max((r[4] for r in rows), default=0),
         }
-        report_path = os.path.join(out, "reduce_report.json")
-        write_json(report_path, report)
-        _finish(manifest, out, [branch_path, report_path])
+        _write_run(args.out, manifest, {
+            "branches.csv": lambda path: write_potential_csv(
+                path, basis, rows, note="; one row per branch"),
+            "reduce_report.json": lambda path: write_json(path, report)})
         print(f"multivalued: beta={rc.beta:.6g} >= beta_crit={beta_crit:.6g}; "
               "branch table written")
         return 2
-    pot_path = os.path.join(out, "potential.csv")
-    pot.to_csv(pot_path)
-    svg_path = os.path.join(out, "potential.svg")
     name = "x" if basis == "ExtendedX" else "phi"
-    line_plot(svg_path, [("V", pot.coordinates, pot.V),
-                         ("Vpp", pot.coordinates, pot.Vpp)],
-              xlabel=name, ylabel="E_C units",
-              title="effective potential (single branch)")
     report = {
         "verdict": "single-valued",
         "beta": rc.beta, "beta_crit": pot.meta["beta_crit"],
         "minima": [[loc, curv] for loc, curv in pot.minima],
         "basis": basis,
     }
-    report_path = os.path.join(out, "reduce_report.json")
-    write_json(report_path, report)
-    _finish(manifest, out, [pot_path, svg_path, report_path])
+    _write_run(args.out, manifest, {
+        "potential.csv": pot.to_csv,
+        "potential.svg": lambda path: line_plot(
+            path, [("V", pot.coordinates, pot.V),
+                   ("Vpp", pot.coordinates, pot.Vpp)],
+            xlabel=name, ylabel="E_C units",
+            title="effective potential (single branch)"),
+        "reduce_report.json": lambda path: write_json(path, report)})
     print(f"single-valued: beta={rc.beta:.6g} < "
           f"beta_crit={pot.meta['beta_crit']:.6g}; {len(pot.minima)} minima")
     return 0
@@ -188,24 +189,20 @@ def cmd_bo_sweep(args) -> int:
                                                rc.lambdaJ, **kw)
 
     fits = table.quadratic_fit()
-    out = _outdir(args)
-    csv_path = os.path.join(out, "bo_sweep.csv")
-    table.to_sweep_table().to_csv(csv_path)
-    svg_path = os.path.join(out, "bo_sweep.svg")
-    line_plot(svg_path,
-              [(f"kappa={kap:g}", table.xs, table.U[i])
-               for i, kap in enumerate(table.kappas)],
-              xlabel="x", ylabel="U = delta_e0/kappa^2 (hbar*omega_C units)",
-              title="Born-Oppenheimer effective potential")
     report = {
         "verdict": table.verdict,
         "sup_abs_delta": [float(v) for v in table.sup_abs],
         "quadratic_fits": [float(v) for v in fits],
         "kappas": [float(v) for v in table.kappas],
     }
-    report_path = os.path.join(out, "bo_report.json")
-    write_json(report_path, report)
-    _finish(manifest, out, [csv_path, svg_path, report_path])
+    _write_run(args.out, manifest, {
+        "bo_sweep.csv": table.to_sweep_table().to_csv,
+        "bo_sweep.svg": lambda path: line_plot(
+            path, [(f"kappa={kap:g}", table.xs, table.U[i])
+                   for i, kap in enumerate(table.kappas)],
+            xlabel="x", ylabel="U = delta_e0/kappa^2 (hbar*omega_C units)",
+            title="Born-Oppenheimer effective potential"),
+        "bo_report.json": lambda path: write_json(path, report)})
     print(f"verdict: {table.verdict}"
           + (" (identically zero)" if table.vanishing else ""))
     for kap, s, a in zip(table.kappas, table.sup_abs, fits):
@@ -314,7 +311,6 @@ def _failed(exc: CircadiaError) -> dict:
 def cmd_compare(args) -> int:
     _check_flags(args, at_least=(("grid", 128),))
     rc, p = read_circuit(args.circuit)
-    out = _outdir(args)
     manifest = _new_manifest("compare", args, {
         "grid": args.grid, "charge_half_factor": args.charge_half_factor,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ,
@@ -359,16 +355,16 @@ def cmd_compare(args) -> int:
             "convention",
         ],
     }
-    report_path = os.path.join(out, "compare.json")
-    write_json(report_path, report)
-    csv_path = os.path.join(out, "compare.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.writelines(rows)
-    svg_path = os.path.join(out, "compare.svg")
-    line_plot(svg_path, series, xlabel="level index",
-              ylabel="E - E0 (E_C units)", title="three quantization routes")
 
-    _finish(manifest, out, [report_path, csv_path, svg_path])
+    def write_rows(path):
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(rows)
+    _write_run(args.out, manifest, {
+        "compare.json": lambda path: write_json(path, report),
+        "compare.csv": write_rows,
+        "compare.svg": lambda path: line_plot(
+            path, series, xlabel="level index",
+            ylabel="E - E0 (E_C units)", title="three quantization routes")})
     for name, data in columns.items():
         if "error" in data:
             print(f"{name}: FAILED {data['error']}")
@@ -389,7 +385,6 @@ def cmd_compare(args) -> int:
 def cmd_dynamics(args) -> int:
     _check_flags(args, finite=("x0", "px0", "y0", "py0", "t_end", "dt"))
     rc, p = read_circuit(args.circuit)
-    out = _outdir(args)
     t_end = args.t_end if args.t_end is not None else 2.0 * _slow_period(rc)
     manifest = _new_manifest("dynamics", args, {
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
@@ -406,8 +401,7 @@ def cmd_dynamics(args) -> int:
     report = {"energy_drift": record.energy_drift,
               "dt": record.dt, "t_end": t_end,
               "samples": int(record.times.size)}
-    # reports run over the same span and before any file is written, so a
-    # refused report leaves no trajectory behind
+    # reports run over the same span as the trajectory
     if args.report == "residual":
         y_res, py_res = slow_manifold_residual(rc, p, args.x0,
                                                t_end=args.t_end, dt=args.dt)
@@ -420,17 +414,14 @@ def cmd_dynamics(args) -> int:
                                        full=record)
         report["max_x_deviation"] = cmp_.max_deviation
         report["slow_period"] = cmp_.slow_period
-    csv_path = os.path.join(out, "trajectory.csv")
-    record.to_csv(csv_path)
-    svg_path = os.path.join(out, "trajectory.svg")
-    line_plot(svg_path,
-              [("x", record.times, record.states[:, 0]),
-               ("y", record.times, record.states[:, 2])],
-              xlabel="t (1/omega_C)", ylabel="coordinate",
-              title="regularized trajectory")
-    report_path = os.path.join(out, "dynamics_report.json")
-    write_json(report_path, report)
-    _finish(manifest, out, [csv_path, svg_path, report_path])
+    _write_run(args.out, manifest, {
+        "trajectory.csv": record.to_csv,
+        "trajectory.svg": lambda path: line_plot(
+            path, [("x", record.times, record.states[:, 0]),
+                   ("y", record.times, record.states[:, 2])],
+            xlabel="t (1/omega_C)", ylabel="coordinate",
+            title="regularized trajectory"),
+        "dynamics_report.json": lambda path: write_json(path, report)})
     print(f"energy drift {record.energy_drift:.3e} over t_end={t_end:.6g}")
     if "y_residual" in report:
         print(f"slow-manifold residuals: y {report['y_residual']:.3e}, "
@@ -464,15 +455,14 @@ def cmd_foster(args) -> int:
             "omega_max": args.omega_max, "points": args.points})
         omega = np.linspace(args.omega_min, args.omega_max, args.points)
         vals = _masked_curve(model, omega)
-        out = _outdir(args)
-        csv_path = os.path.join(out, "admittance.csv")
-        write_csv(csv_path, ("omega", "ImY"), float_rows(omega, vals),
-                  "omega and Im Y in the model's input units; NaN rows sit "
-                  "inside a pole margin")
-        svg_path = os.path.join(out, "admittance.svg")
-        line_plot(svg_path, [("Im Y", omega, vals)], xlabel="omega",
-                  ylabel="Im Y", title="Foster admittance")
-        _finish(manifest, out, [csv_path, svg_path])
+        _write_run(args.out, manifest, {
+            "admittance.csv": lambda path: write_csv(
+                path, ("omega", "ImY"), float_rows(omega, vals),
+                "omega and Im Y in the model's input units; NaN rows sit "
+                "inside a pole margin"),
+            "admittance.svg": lambda path: line_plot(
+                path, [("Im Y", omega, vals)], xlabel="omega",
+                ylabel="Im Y", title="Foster admittance")})
         print(f"evaluated {args.points} samples on "
               f"[{args.omega_min:g}, {args.omega_max:g}]")
         return 0
@@ -483,18 +473,9 @@ def cmd_foster(args) -> int:
     manifest = _new_manifest("foster", args, {
         "mode": "fit", "resonances": args.resonances})
     model, report = fit_foster(samples, args.resonances)
-    out = _outdir(args)
-    model_path = os.path.join(out, "foster_model.json")
-    write_model_json(model_path, model, report)
-
     omega = samples[:, 0]
     dense = np.linspace(float(omega.min()), float(omega.max()), 600)
     curve = _masked_curve(model, dense)
-    svg_path = os.path.join(out, "foster_fit.svg")
-    line_plot(svg_path,
-              [("data", omega, samples[:, 1]), ("fit", dense, curve)],
-              xlabel="omega", ylabel="Im Y", title="Foster fit")
-
     probe = np.linspace(float(omega.min()), float(omega.max()), 10_000)
     mask = clear_of_poles(model, probe, 1e-6)
     slope_ok = bool(np.all(reactance_slope(model, probe[mask]) > 0.0))
@@ -506,9 +487,13 @@ def cmd_foster(args) -> int:
         "resonances": [[L, om] for L, om in model.resonances],
         "reactance_slope_positive": slope_ok,
     }
-    summary_path = os.path.join(out, "foster_report.json")
-    write_json(summary_path, summary)
-    _finish(manifest, out, [model_path, svg_path, summary_path])
+    _write_run(args.out, manifest, {
+        "foster_model.json": lambda path: write_model_json(path, model,
+                                                           report),
+        "foster_fit.svg": lambda path: line_plot(
+            path, [("data", omega, samples[:, 1]), ("fit", dense, curve)],
+            xlabel="omega", ylabel="Im Y", title="Foster fit"),
+        "foster_report.json": lambda path: write_json(path, summary)})
     print(f"fit rms residual {report.rms_residual:.3e}; "
           f"{len(model.resonances)} resonance(s); "
           f"reactance slope positive: {slope_ok}")

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
-from .potentials import (BiasedCosine, Cosine, CubicSpline, PotentialModel,
-                         _piecewise_cubic)
+from .potentials import CubicSpline, PotentialModel, _piecewise_cubic
 from .reduction import (_du_reach, _reduced_values, invertibility_threshold,
                         solve_branch_extended)
 from .sweeps import float_rows, write_csv
@@ -66,7 +65,7 @@ def _leapfrog(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
     """nsteps kick-drift-kick steps of dt from (x, px, y, py), writing the
     state after every stride-th step to rec[1], rec[2], ... and, when
     stride does not divide nsteps, the final state to the row after them.
-    du is u' as a callable returning a Python float (_scalar_force).
+    du is u' as a float -> float callable (PotentialModel._scalar).
 
     Each half-kick increment is computed once: the kick that closes a step
     acts at the (x, y) where the next step opens, so it opens that step
@@ -92,18 +91,6 @@ def _leapfrog(x, px, y, py, dt, nsteps, stride, rec, kappa, cgrad,
             px += kx
             py += ky
         rec[idx] = (x, px, y, py)
-
-
-def _scalar_force(p: PotentialModel, rc: ReducedCircuit):
-    """u' for the kernel as a callable that returns a Python float: math.sin
-    for the cosine family (p.du would run a numpy ufunc per scalar), and
-    never p.du at lambdaJ=0, where the force is zero and a tabulated u'
-    would refuse arguments outside its table."""
-    if rc.lambdaJ == 0.0 or isinstance(p, Cosine):
-        return math.sin
-    if isinstance(p, BiasedCosine):
-        return lambda q, s=p.phi_ext: math.sin(q - s)
-    return lambda q: float(p.du(q))
 
 
 def _energy(states: np.ndarray, rc: ReducedCircuit,
@@ -160,8 +147,11 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
     # vanishes and the argument scale is unused.
     inv_scale = 1.0 / (rc.kappa * math.sqrt(rc.xi)) if rc.kappa > 0 else 0.0
     cgrad = rc.kappa * rc.lambdaJ / rc.xi**1.5
+    # at lambdaJ=0 the force is zero: never consult u', which a table would
+    # refuse outside its support
+    du = math.sin if rc.lambdaJ == 0.0 else p._scalar(1)
     _leapfrog(x0, px0, y0, py0, dt_eff, nsteps, stride, states, rc.kappa,
-              cgrad, inv_scale, _scalar_force(p, rc))
+              cgrad, inv_scale, du)
 
     times = dt_eff * stride * np.arange(full + 1)
     if rem:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -64,6 +65,12 @@ class PotentialModel:
     def _eval(self, phi, order: int):
         raise NotImplementedError
 
+    def _scalar(self, order: int):
+        """u, u' or u'' (order 0, 1, 2) of one float as a float -> float
+        callable, for loops that evaluate one point at a time; the kinds
+        that can evaluate without numpy override it."""
+        return lambda q: float(self._eval(q, order))
+
     @property
     def is_periodic(self) -> bool:
         return self.period is not None
@@ -102,6 +109,13 @@ class Cosine(PotentialModel):
             return np.sin(phi)
         return np.cos(phi)
 
+    def _scalar(self, order: int):
+        return _COSINE_SCALARS[order]
+
+
+# (u, u', u'') of u = -cos at one float, one math call each
+_COSINE_SCALARS = (lambda q: -math.cos(q), math.sin, math.cos)
+
 
 class BiasedCosine(PotentialModel):
     """u(phi) = -cos(phi - phi_ext); asymmetric unless phi_ext is 0 or pi."""
@@ -132,6 +146,10 @@ class BiasedCosine(PotentialModel):
         else:
             out = np.cos(arg)
         return out if out.ndim else float(out)
+
+    def _scalar(self, order: int):
+        f, shift = _COSINE_SCALARS[order], self.phi_ext
+        return lambda q: f(q - shift)
 
 
 class PolynomialEven(PotentialModel):
@@ -194,16 +212,7 @@ class Custom(PotentialModel):
         self.support = (float(phi_samples[0]), float(phi_samples[-1]))
         self._spline = CubicSpline(phi_samples, u_samples, "natural")
         self.knots = self._spline.x
-        self._scalar = _scalar_evaluators(self._spline)
         super().__init__(class_tag)
-
-    def __getstate__(self):
-        # the scalar evaluators are closures, which do not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "_scalar"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._scalar = _scalar_evaluators(self._spline)
 
     @classmethod
     def from_csv(cls, path: str, class_tag: str = "Unclassified") -> "Custom":
@@ -220,17 +229,22 @@ class Custom(PotentialModel):
 
     def _eval(self, phi, order: int):
         lo, hi = self.support
-        if isinstance(phi, (float, np.floating)):
-            # one point: no numpy call; a NaN passes both tests, as below
-            q = float(phi)
-            if q < lo or q > hi:
-                raise self._extrapolation()
-            return self._scalar[order](q)
         arr = np.asarray(phi, dtype=float)
         if np.any(arr < lo) or np.any(arr > hi):
             raise self._extrapolation()
         out = self._spline(arr, nu=order)
         return out if out.ndim else float(out)
+
+    def _scalar(self, order: int):
+        lo, hi = self.support
+        evaluate = _piecewise_cubic(self._spline, order)
+
+        def scalar(q: float) -> float:
+            # a NaN passes both tests and is evaluated, as by _eval
+            if q < lo or q > hi:
+                raise self._extrapolation()
+            return evaluate(q)
+        return scalar
 
     def _extrapolation(self) -> ValidationError:
         lo, hi = self.support
@@ -336,6 +350,11 @@ class CubicSpline:
             res = np.where((q >= x[0]) & (q <= x[-1]), res, np.nan)
         return res
 
+    @cached_property
+    def _lists(self) -> tuple[list, list]:
+        """x and c as Python floats, converted once for _piecewise_cubic."""
+        return self.x.tolist(), self.c.tolist()
+
 
 def _periodic_slopes(A: np.ndarray, b: np.ndarray, dx: np.ndarray,
                      slope: np.ndarray) -> np.ndarray:
@@ -415,11 +434,9 @@ def _piecewise_cubic(spline: CubicSpline, nu: int):
     evaluation, which CubicSpline keeps (lowest power first, not Horner's
     rule), so the rounding is the same.
     """
-    x = spline.x.tolist()
+    x, c = spline._lists
     last = len(x) - 2
-    k = spline.c.shape[0]
-    terms = [(spline.c[k - 1 - kp].tolist(), float(math.perm(kp, nu)))
-             for kp in range(nu, k)]
+    terms = [(c[3 - kp], float(math.perm(kp, nu))) for kp in range(nu, 4)]
 
     def evaluate(q: float) -> float:
         i = bisect_right(x, q) - 1
@@ -433,11 +450,6 @@ def _piecewise_cubic(spline: CubicSpline, nu: int):
         return res
 
     return evaluate
-
-
-def _scalar_evaluators(spline: CubicSpline):
-    """(u, u', u'') of a spline as scalar evaluators, indexed by order."""
-    return tuple(_piecewise_cubic(spline, nu) for nu in (0, 1, 2))
 
 
 class ClassificationReport:

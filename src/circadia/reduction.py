@@ -159,11 +159,13 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
     jac = 1.0 + beta * np.asarray(p.d2u(grid), dtype=float)
     jacobian_min = float(np.min(jac))
 
+    du = p._scalar(1)
+
     def F(c: np.ndarray) -> np.ndarray:
         return c + beta * np.asarray(p.du(c), dtype=float) - phi
 
     def f(c: float) -> float:
-        return c + beta * float(p.du(c)) - phi
+        return c + beta * du(c) - phi
 
     lip = np.maximum(np.abs(jac[:-1]), np.abs(jac[1:])) + 1.0
     roots = _scan(F, f, grid[None, :], lip, 0)
@@ -306,17 +308,18 @@ def invertibility_threshold(p: PotentialModel,
     hi = float(grid[min(i + 2, len(grid) - 1)])
     # golden section on u'': the better inner point is always kept, so the
     # final pair holds the least u'' seen; a fixed count ends the loop
+    d2u = p._scalar(2)
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = float(p.d2u(c)), float(p.d2u(d))
+    fc, fd = d2u(c), d2u(d)
     for _ in range(math.ceil(math.log(1e-9 / max(hi - lo, 1e-9), _INVPHI))):
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
-            fc = float(p.d2u(c))
+            fc = d2u(c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
-            fd = float(p.d2u(d))
+            fd = d2u(d)
     peak = max(peak, -min(fc, fd))
     if peak <= 0.0:
         return math.inf

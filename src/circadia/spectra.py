@@ -606,12 +606,15 @@ def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     """_solve_banded on a y-grid that holds the k levels: one with more than
     1e-12 of its mass on the two end nodes at either end widens the grid
     once (half_width and n doubled), then fails the solve. By default the
-    half width is kappa*|x| + 12 and the step 0.01, with >= 128 nodes."""
+    half width is kappa*|x| + 12 and the step 0.01, with >= 128 nodes; a
+    given n below 128 is refused, as by every 1D grid."""
     kappa, xi, lam, p = _frozen_fast_params(spec)
     if kappa <= 0:
         raise ValidationError("kappa must be > 0")
     L = float(spec.grid.get("half_width", kappa * abs(spec.frozen_x) + 12.0))
-    npts = max(int(spec.grid.get("n", math.ceil(2.0 * L / 0.01))), 128)
+    npts = int(spec.grid.get("n", max(math.ceil(2.0 * L / 0.01), 128)))
+    if npts < 128:
+        raise ValidationError("1D grids need >= 128 points")
     _check_k(k, npts)
     for attempt in range(2):
         y = _box_nodes(L, npts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -32,12 +33,16 @@ def read_json(path):
 
 
 def check_manifest(path, command):
+    """The manifest's keys, and its outputs naming exactly what --out holds
+    beside it."""
     doc = read_json(path)
     assert set(doc) == MANIFEST_KEYS
     assert doc["command"] == command
     assert doc["version"] == "0.1.0"
     assert doc["wall_time_s"] is None
     assert isinstance(doc["identity"], str) and doc["identity"]
+    assert set(os.listdir(os.path.dirname(path))) == \
+        set(doc["outputs"]) | {"manifest.json"}
     return doc
 
 
@@ -87,6 +92,7 @@ def test_reduce_rerun_is_byte_identical(write_circuit, tmp_path):
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == sorted(p.name for p in outs[1].iterdir())
         assert "manifest.json" in names and len(names) == 4
+        check_manifest(outs[0] / "manifest.json", command)
         for name in names:
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes()), (command, name)
@@ -111,6 +117,7 @@ def test_reduce_supercritical_exits_2_with_branch_table(write_circuit,
     assert header[0] == ("# units: coordinate=phi (dimensionless), V,Vp,Vpp "
                          "in E_C units; one row per branch")
     assert header[1] == "coordinate,V,Vp,Vpp,branch_count"
+    check_manifest(out / "manifest.json", "reduce")
 
 
 def test_custom_potential_table_is_hashed_into_the_manifest(write_circuit,
@@ -149,6 +156,7 @@ def test_reduce_malformed_field_exits_1_without_traceback(tmp_path):
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("error:") and "'C_F'" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_bo_sweep_cosine_verdict_decreasing(write_circuit, tmp_path):
@@ -201,6 +209,7 @@ def test_bo_sweep_zero_josephson_and_jobs_determinism(write_circuit,
         assert res.returncode == 0, res.stderr
         assert "identically zero" in res.stdout
         assert read_json(out / "bo_report.json")["verdict"] == "decreasing"
+        check_manifest(out / "manifest.json", "bo-sweep")
         outs.append(out)
         manifests.append(read_json(out / "manifest.json"))
     # worker count must never leak into the data
@@ -396,7 +405,7 @@ def test_dynamics_residual_report(write_circuit, tmp_path):
                   "--x0", 0.3, "--t-end", 10.0, "--report", "residual")
     assert res.returncode == 1
     assert "t_end must exceed the 5-fast-period transient" in res.stderr
-    assert list(short.iterdir()) == []
+    assert not short.exists()
     res = run_cli("dynamics", "--circuit", circuit, "--out", out,
                   "--x0", 0.3, "--t-end", 40.0, "--report", "residual")
     assert res.returncode == 0, res.stderr
@@ -423,7 +432,7 @@ def test_dynamics_report_past_the_fold_exits_2(write_circuit, tmp_path,
     assert res.stderr.startswith("refused (physical regime): ")
     assert res.stderr.rstrip().endswith("beta_crit=1")
     assert "Traceback" not in res.stderr
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("report", ["none", "residual", "shadow"])
@@ -443,6 +452,7 @@ def test_dynamics_reports_on_a_table_narrower_than_the_default_scan(
     assert res.returncode == 0, res.stderr
     report_doc = read_json(out / "dynamics_report.json")
     assert all(math.isfinite(v) for v in report_doc.values())
+    check_manifest(out / "manifest.json", "dynamics")
 
 
 def test_dynamics_coarse_step_exits_3(write_circuit, tmp_path):
@@ -451,6 +461,12 @@ def test_dynamics_coarse_step_exits_3(write_circuit, tmp_path):
                   "--x0", 0.3, "--t-end", 5.0, "--dt", 0.04)
     assert res.returncode == 3
     assert "did not converge" in res.stderr
+    # a fresh --out is never created by a run that did not converge
+    out = tmp_path / "out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--x0", 0.3, "--t-end", 5.0, "--dt", 0.04)
+    assert res.returncode == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -476,13 +492,15 @@ def test_dynamics_refuses_non_finite_arguments(write_circuit, tmp_path, flag,
     (["bo-sweep", "--grid=-5"], "--grid must be >= 0"),
     (["bo-sweep", "--jobs=0"], "--jobs must be >= 1"),
     (["bo-sweep", "--jobs=-1"], "--jobs must be >= 1"),
+    (["bo-sweep", "--grid=1"], "1D grids need >= 128 points"),
+    (["bo-sweep", "--grid=127"], "1D grids need >= 128 points"),
     (["foster", "--omega-min=nan"], "--omega-min must be finite"),
     (["foster", "--omega-max=inf"], "--omega-max must be finite"),
     (["foster", "--points=0"], "--points must be >= 1"),
     (["compare", "--grid=100"], "--grid must be >= 128"),
 ], ids=["x-min-nan", "x-max-inf", "x-points-0", "grid-negative", "jobs-0",
-        "jobs-negative", "omega-min-nan", "omega-max-inf", "points-0",
-        "compare-grid-100"])
+        "jobs-negative", "grid-1", "grid-127", "omega-min-nan",
+        "omega-max-inf", "points-0", "compare-grid-100"])
 def test_bo_sweep_and_foster_refuse_bad_numeric_flags(write_circuit, tmp_path,
                                                       argv, message):
     if argv[0] == "compare":
@@ -563,6 +581,7 @@ def test_foster_eval_then_fit_round_trip(tmp_path):
     assert res.returncode == 0, res.stderr
     names = {p.name for p in eval_out.iterdir()}
     assert names == {"admittance.csv", "admittance.svg", "manifest.json"}
+    check_manifest(eval_out / "manifest.json", "foster")
     rows = []
     for line in (eval_out / "admittance.csv").read_text().splitlines():
         if line.startswith("#") or line.startswith("omega"):
@@ -584,6 +603,7 @@ def test_foster_eval_then_fit_round_trip(tmp_path):
     names = {p.name for p in fit_out.iterdir()}
     assert names == {"foster_fit.svg", "foster_model.json",
                      "foster_report.json", "manifest.json"}
+    check_manifest(fit_out / "manifest.json", "foster")
     fitted = read_json(fit_out / "foster_model.json")
     assert fitted["c_inf"] == pytest.approx(1.0, rel=1e-12)
     assert fitted["l_zero"] is None

@@ -19,7 +19,7 @@ from circadia import (
     shadow_reduced_dynamics,
     slow_manifold_residual,
 )
-from circadia.dynamics import _scalar_force, _slow_period, _steps
+from circadia.dynamics import _slow_period, _steps
 from circadia.potentials import CubicSpline, _piecewise_cubic
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
@@ -111,23 +111,22 @@ def test_leapfrog_matches_the_two_force_kernel(p, lambdaJ, t_end):
 @pytest.mark.parametrize("p", [Cosine(), _cosine_table(-8.0, 8.0)],
                          ids=lambda p: p.kind)
 def test_leapfrog_evaluates_the_force_once_per_step(monkeypatch, p):
-    import circadia.dynamics
-
     calls = []
+    scalar = type(p)._scalar
 
-    def tracing(p_, rc_):
-        force = _scalar_force(p_, rc_)
+    def tracing(self, order):
+        force = scalar(self, order)
 
         def counted(q):
             calls.append(q)
             return force(q)
         return counted
 
-    monkeypatch.setattr(circadia.dynamics, "_scalar_force", tracing)
+    monkeypatch.setattr(type(p), "_scalar", tracing)
     nsteps, _ = _steps(32.771, 1e-3)
     integrate(RC, p, (0.7, 0.3, 0.4, -0.1), 32.771, dt=1e-3, drift_tol=1e-4)
     assert len(calls) == nsteps + 1
-    assert all(type(v) is float for v in map(_scalar_force(p, RC), calls[:3]))
+    assert all(type(v) is float for v in map(scalar(p, 1), calls[:3]))
 
 
 def test_zero_coupling_never_evaluates_the_potential():

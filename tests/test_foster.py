@@ -65,6 +65,8 @@ def test_model_validation():
         FosterModel(c_inf=1.0, l_zero=0.0)
     with pytest.raises(ValidationError):
         FosterModel(c_inf=1.0, resonances=((0.0, 2.0),))
+    with pytest.raises(ValidationError, match="frequencies must be > 0"):
+        FosterModel(c_inf=1.0, resonances=((0.5, 0.0),))
     with pytest.raises(ValidationError):
         FosterModel(c_inf=1.0, resonances=((0.5, 5.0), (0.5, 2.0)))
 
@@ -131,6 +133,12 @@ def test_fit_rejects_malformed_samples():
         fit_foster(np.stack([om, imy], axis=1), -1)
     with pytest.raises(ValidationError, match="samples"):
         fit_foster(np.stack([om[:5], imy[:5]], axis=1), 1)
+    with pytest.raises(ValidationError, match="rows of"):
+        fit_foster(om, 0)
+    with pytest.raises(ValidationError, match="omega samples must be real"):
+        fit_foster(np.stack([om + 1e-3j, imy], axis=1), 0)
+    with pytest.raises(ValidationError, match="omega samples must be > 0"):
+        fit_foster(np.stack([om - 2.0, imy], axis=1), 0)
     dup = om.copy()
     dup[3] = dup[2]
     with pytest.raises(ValidationError):

@@ -131,6 +131,20 @@ def test_si_validation_names_the_offending_field(field, value):
         SICircuit(**kwargs)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("kappa", -0.1, "kappa must be >= 0"),
+    ("xi", 0.0, "xi must be > 0"),
+    ("lambdaJ", -0.5, "lambdaJ must be >= 0"),
+    ("ng", 1.0, "ng must lie in"),
+    ("ng", -0.25, "ng must lie in"),
+])
+def test_reduced_circuit_refuses_out_of_range_fields(field, value, message):
+    fields = dict(kappa=0.5, xi=1.0, lambdaJ=0.0, beta=0.0, ng=0.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=message):
+        ReducedCircuit(**fields)
+
+
 def test_reduced_circuit_rejects_inconsistent_beta():
     with pytest.raises(ValidationError, match="beta"):
         ReducedCircuit(kappa=0.5, xi=1.0, lambdaJ=0.5, beta=0.3)
@@ -168,6 +182,9 @@ def test_load_circuit_rejects_missing_keys_and_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"C_F": 1e-12, "Cp_F": 0.0, "L_H": 1e-8}')
     with pytest.raises(ValidationError, match="EJ_J"):
+        load_circuit(str(path))
+    path.write_text('{"C_F": 1e-12, "Cp_F": 0.0, "EJ_J": 1e-24}')
+    with pytest.raises(ValidationError, match="missing 'L_H'"):
         load_circuit(str(path))
     path.write_text("not json at all")
     with pytest.raises(ValidationError, match="not JSON"):

@@ -202,10 +202,11 @@ def test_cubic_spline_refuses_what_it_cannot_build():
 def test_scalar_spline_evaluator_matches_scipy_bit_for_bit(gaps, seed,
                                                           bc_type):
     knots, values, rng = _spline_data(gaps, seed, bc_type)
+    ours = CubicSpline(knots, values, bc_type)
     spline = interpolate.CubicSpline(knots, values, bc_type=bc_type)
     probes = _probes(knots, rng).tolist()
     for nu in (0, 1, 2):
-        evaluate = _piecewise_cubic(spline, nu)
+        evaluate = _piecewise_cubic(ours, nu)
         got = np.array([evaluate(q) for q in probes])
         # the end pieces continue outside the table, also for a periodic
         # spline, whose own call would map q into the period
@@ -222,32 +223,43 @@ def test_custom_scalar_path_matches_the_array_path():
     pts = np.concatenate([phi, rng.uniform(lo, hi, 64)])
     for order in (0, 1, 2):
         whole = p.eval(pts, order)
-        one = [p.eval(q, order) for q in pts.tolist()]
+        scalar = p._scalar(order)
+        one = [scalar(q) for q in pts.tolist()]
         assert all(type(v) is float for v in one)
         assert np.array(one).tobytes() == whole.tobytes()
-        assert p.eval(np.float64(pts[5]), order) == whole[5]
-        assert p.eval(np.float32(0.5), order) == p.eval(np.array(
-            np.float32(0.5)), order)
-    for bad in (lo - 1e-12, hi + 1e-12, np.float64(hi + 1.0)):
-        with pytest.raises(ValidationError) as scalar:
-            p.du(bad)
+        assert p.eval(float(pts[5]), order) == whole[5]
+        assert type(p.eval(float(pts[5]), order)) is float
+    for bad in (lo - 1e-12, hi + 1e-12):
+        with pytest.raises(ValidationError) as one_point:
+            p._scalar(1)(bad)
         with pytest.raises(ValidationError) as array:
             p.du(np.array([bad]))
-        assert str(scalar.value) == str(array.value)
+        assert str(one_point.value) == str(array.value)
     # a NaN is evaluated, not refused, on both paths
-    assert math.isnan(p.du(float("nan")))
-    assert math.isnan(p.du(np.float64("nan")))
+    assert math.isnan(p._scalar(1)(float("nan")))
     assert np.isnan(p.du(np.array([float("nan")]))[0])
-    # the spline pickles and the scalar evaluators are rebuilt after
-    # unpickling (bo-sweep --jobs); both paths evaluate bit for bit
+    # the model pickles (bo-sweep --jobs), also after a scalar evaluator
+    # was made, and both paths of the copy evaluate bit for bit
     restored = pickle.loads(pickle.dumps(p))
     for order in (0, 1, 2):
         assert restored.eval(pts, order).tobytes() == p.eval(
             pts, order).tobytes()
-        assert [restored.eval(q, order) for q in pts.tolist()] == [
-            p.eval(q, order) for q in pts.tolist()]
+        assert [restored._scalar(order)(q) for q in pts.tolist()] == [
+            p._scalar(order)(q) for q in pts.tolist()]
     with pytest.raises(ValidationError, match="extrapolation"):
-        restored.u(hi + 1e-12)
+        restored._scalar(0)(hi + 1e-12)
+
+
+@pytest.mark.parametrize("p", all_kinds()[:4], ids=lambda p: type(p).__name__)
+def test_scalar_evaluators_equal_the_array_path(p):
+    # the cosine kinds evaluate one point through math, the others through
+    # numpy; every kind gives the array path's float
+    pts = np.random.default_rng(5).uniform(-40.0, 40.0, 500)
+    for order in (0, 1, 2):
+        scalar = p._scalar(order)
+        one = [scalar(q) for q in pts.tolist()]
+        assert all(type(v) is float for v in one)
+        assert np.array(one).tobytes() == p.eval(pts, order).tobytes()
 
 
 def test_eval_rejects_unknown_order():

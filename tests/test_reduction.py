@@ -258,6 +258,12 @@ def test_effective_potential_rejects_unknown_basis():
         effective_potential(Cosine(), rc, "Torus", 256)
 
 
+def test_effective_potential_rejects_a_grid_below_16_points():
+    rc = ReducedCircuit.from_ratios(0.3, 10.0, 5.0)
+    with pytest.raises(ValidationError, match=">= 16"):
+        effective_potential(Cosine(), rc, "CompactPhi", 8)
+
+
 def test_potential_csv_schema(tmp_path):
     rc = ReducedCircuit.from_ratios(0.3, 10.0, 5.0)
     pot = effective_potential(Cosine(), rc, "CompactPhi", 256)

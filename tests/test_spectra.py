@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1271,6 +1272,48 @@ def test_fast_at_x_widens_a_narrow_grid_once_then_refuses():
     with pytest.raises(ConvergenceError, match="grid boundary") as exc:
         _fast_at_x(1, half_width=1.0, n=200)
     assert exc.value.detail["half_width"] == 2.0
+    # a given n below 128 is refused, not raised to 128
+    for n in (1, 127):
+        with pytest.raises(ValidationError, match=">= 128 points"):
+            _fast_at_x(1, half_width=6.0, n=n)
+        with pytest.raises(ValidationError, match=">= 128 points"):
+            bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 0.0, n=n)
+
+
+def _effective(coords):
+    return SimpleNamespace(coordinates=coords, V=0.5 * coords**2,
+                           basis="ExtendedX")
+
+
+@pytest.mark.parametrize("request_, message", [
+    (lambda: lowest_eigenvalues(compact_spec(1.0), 0), "k must be >= 1"),
+    (lambda: lowest_eigenvalues(HamiltonianSpec(variant="Extended1D"), 1),
+     "needs `effective` or `v_func`"),
+    (lambda: lowest_eigenvalues(HamiltonianSpec(
+        variant="Extended1D",
+        effective=_effective(np.linspace(-2.0, 2.0, 256)**3)), 1),
+     "must be uniform"),
+    (lambda: lowest_eigenvalues(HamiltonianSpec(
+        variant="Extended1D",
+        effective=_effective(np.linspace(-4.0, 6.0, 256))), 1),
+     "symmetric about 0"),
+    (lambda: HamiltonianSpec(variant="Regularized2D", basis_y="torus"),
+     "unknown basis_y"),
+    (lambda: lowest_eigenvalues(compact_spec(-1.0), 1),
+     "lambdaJ must be >= 0"),
+    (lambda: lowest_eigenvalues(HamiltonianSpec(
+        variant="Regularized2D", basis_y="compact",
+        potential=PolynomialEven([0.0, 0.5]), kappa=0.6, xi=40.0,
+        lambdaJ=400.0, grid={"n_phi": 64}), 1),
+     "compact fast axis needs a 2pi-periodic"),
+    (lambda: spectrum_vs_kappa(Cosine(), 40.0, 400.0, [0.6, 0.0]),
+     "kappas must be > 0"),
+], ids=["k-0", "extended-without-potential", "effective-non-uniform",
+        "effective-asymmetric", "basis-y-unknown", "compact-lambdaJ-negative",
+        "compact-2d-non-periodic", "kappa-ladder-zero"])
+def test_malformed_spectral_requests_are_refused(request_, message):
+    with pytest.raises(ValidationError, match=message):
+        request_()
 
 
 def test_fast_at_x_checks_every_returned_level_at_the_boundary():
