@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .constants import get_constants
-from .dynamics import _slow_period, integrate, manifold_eta, \
+from .dynamics import _manifold_y0, _slow_period, integrate, \
     shadow_reduced_dynamics, slow_manifold_residual
 from .errors import CircadiaError, ConvergenceError, PhysicalRegimeError, \
     StructureMismatchError, ValidationError
@@ -390,10 +390,8 @@ def cmd_dynamics(args) -> int:
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
-    if args.y0 is not None:
-        y0 = args.y0
-    else:
-        y0 = rc.kappa * float(manifold_eta(rc, p, np.array([args.x0]))[0])
+    y0 = args.y0 if args.y0 is not None else _manifold_y0(
+        rc, p, args.x0, "slow manifold")
     py0 = args.py0 if args.py0 is not None else 0.0
 
     record = integrate(rc, p, (args.x0, args.px0, y0, py0), t_end,
@@ -549,11 +547,13 @@ def build_parser() -> CliParser:
     sp.add_argument("--x0", type=float, default=1.0)
     sp.add_argument("--px0", type=float, default=0.0)
     sp.add_argument("--y0", type=float, default=None,
-                    help="default: on the slow manifold")
+                    help="default: on the slow manifold, refused (exit 2) "
+                    "past the fold")
     sp.add_argument("--py0", type=float, default=None)
     sp.add_argument("--t-end", type=float, default=None,
-                    help="default: two slow periods (the residual report's "
-                    "own run: five fast periods and half a slow one)")
+                    help="default: two slow periods, refused (exit 1) at "
+                    "kappa = 0 (the residual report's own run: five fast "
+                    "periods and half a slow one)")
     sp.add_argument("--dt", type=float, default=2e-4)
     sp.add_argument("--report", choices=("none", "residual", "shadow"),
                     default="none")

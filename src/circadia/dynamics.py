@@ -173,7 +173,10 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
 
 
 def _slow_period(rc: ReducedCircuit) -> float:
-    """Harmonic slow period near a cosine-family minimum; default horizon."""
+    """Harmonic slow period near a cosine-family minimum; default horizon.
+    Refused at kappa = 0, where the slow mode does not move."""
+    if rc.kappa <= 0:
+        raise ValidationError("kappa must be > 0 for a slow period")
     if rc.beta > 0:
         omega = rc.kappa**2 * math.sqrt(rc.beta / (1.0 + rc.beta))
     else:
@@ -190,16 +193,15 @@ def manifold_eta(rc: ReducedCircuit, p: PotentialModel,
 
 def _manifold_y0(rc: ReducedCircuit, p: PotentialModel, x0: float,
                  what: str, px0: float = 0.0) -> float:
-    """y = kappa*eta1(x0) on the slow manifold, refused where undefined;
-    a non-finite slow start (x0, px0) is refused before any solve."""
+    """y = kappa*eta1(x0) on the slow manifold (y = 0 at kappa = 0),
+    refused where undefined; a non-finite slow start (x0, px0) is refused
+    before any solve."""
     if not (math.isfinite(x0) and math.isfinite(px0)):
         raise ValidationError("initial state must be finite")
     threshold = invertibility_threshold(p)
     if rc.beta >= threshold:
         raise PhysicalRegimeError(f"{what} undefined at supercritical beta",
                                   beta_crit=threshold)
-    if rc.kappa <= 0:
-        raise ValidationError("kappa must be > 0")
     return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0])
 
 
@@ -213,6 +215,8 @@ def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
     signal being measured.
     """
     y0 = _manifold_y0(rc, p, x0, "slow manifold")
+    if rc.kappa <= 0:
+        raise ValidationError("kappa must be > 0")
     if t_end is None:
         t_end = 5.0 * TWO_PI + 0.5 * _slow_period(rc)
     if not t_end >= 5.0 * TWO_PI:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (ConvergenceError, PhysicalRegimeError,
                      UnresolvedClusterError, ValidationError)
 from .params import ReducedCircuit
-from .potentials import PotentialModel
+from .potentials import PolynomialEven, PotentialModel
 from .sweeps import float_rows, write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -88,37 +88,19 @@ def write_potential_csv(path, basis, rows, note: str = "") -> None:
 # root finding
 
 
-def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection on a bracket; stops on residual, guaranteed by sign change.
-
-    flo = fun(lo) and fhi = fun(hi) have opposite signs and neither is zero:
-    every bracket _scan hands over has |f| >= ZERO_TOL at both ends.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if abs(fm) < RESIDUAL_TOL or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    raise ConvergenceError("bisection stalled", detail=(lo, hi))
-
-
 def _bisect_lanes(fun, lo: np.ndarray, hi: np.ndarray,
                   flo: np.ndarray) -> np.ndarray:
-    """_bisect_scalar on many brackets at once, with its stop rule per lane.
+    """Bisection on many brackets at once, stopping each lane on residual.
 
-    fun maps an array of points to f; f(lo) and f(hi) have opposite signs
-    and neither is zero. Each step evaluates fun once, on the midpoints of
-    the lanes still open, so every lane ends where _bisect_scalar would.
-    """
+    fun(points, lanes) gives f at the midpoints of the open lanes (lanes:
+    their indices into lo); f(lo) and f(hi) have opposite signs, neither
+    zero. A lane ends at a midpoint with |f| < 1e-13 or a bracket below
+    1e-16 relative."""
     out = np.empty_like(lo)
     lane = np.arange(lo.size)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fun(mid)
+        fm = fun(mid, lane)
         done = (np.abs(fm) < RESIDUAL_TOL) \
             | ((hi - lo) < 1e-16 * np.maximum(1.0, np.abs(mid)))
         out[lane[done]] = mid[done]
@@ -144,7 +126,23 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
     128-fold, up to four levels deep; a cell still ambiguous at the deepest
     level raises UnresolvedClusterError. A run of samples with |f| < 1e-12
     is one candidate: one root when f changes sign across it, and
-    UnresolvedClusterError (a tangent double root) when it does not.
+    UnresolvedClusterError (a tangent double root) when it does not. The
+    one-drive case of branch_table's search.
+    """
+    (roots,), jacobian_min = _consistency_roots(p, beta, [phi], window)
+    return BranchSolution(drive_phi=float(phi), roots=tuple(roots),
+                          invertible=jacobian_min > 0.0,
+                          jacobian_min=jacobian_min)
+
+
+def _consistency_roots(p: PotentialModel, beta: float, drives,
+                       window: tuple[float, float]):
+    """(roots per drive, ordered as BranchSolution.roots; jacobian_min).
+
+    The window is sampled once for all drives: grid, Jacobian, Lipschitz
+    reach and g = grid + beta*u'(grid). Each drive's top row g - phi is
+    scanned in turn; then one _bisect_lanes call bisects every drive's
+    brackets, each lane against its own drive.
     """
     if beta < 0:
         raise ValidationError("beta must be >= 0")
@@ -157,37 +155,41 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
 
     grid = np.linspace(a, b, GRID_MIN + 1)
     jac = 1.0 + beta * np.asarray(p.d2u(grid), dtype=float)
-    jacobian_min = float(np.min(jac))
-
-    du = p._scalar(1)
-
-    def F(c: np.ndarray) -> np.ndarray:
-        return c + beta * np.asarray(p.du(c), dtype=float) - phi
-
-    def f(c: float) -> float:
-        return c + beta * du(c) - phi
-
     lip = np.maximum(np.abs(jac[:-1]), np.abs(jac[1:])) + 1.0
-    roots = _scan(F, f, grid[None, :], lip, 0)
-    ordered = _order_roots(roots, phi, p.period if p.is_periodic else None)
-    invertible = jacobian_min > 0.0
-    return BranchSolution(drive_phi=float(phi), roots=tuple(ordered),
-                          invertible=invertible, jacobian_min=jacobian_min)
+    g = grid + beta * np.asarray(p.du(grid), dtype=float)
+    drives = np.asarray(drives, dtype=float)
+
+    def residual(c: np.ndarray, at) -> np.ndarray:
+        return c + beta * np.asarray(p.du(c), dtype=float) - at
+
+    rows = [_scan(lambda c, phi=phi: residual(c, phi), grid[None, :],
+                  (g - phi)[None, :], lip, 0) for phi in drives.tolist()]
+    lanes = [(k, item) for k, row in enumerate(rows) for item in row
+             if isinstance(item, tuple)]
+    if lanes:
+        at = drives[[k for k, _ in lanes]]
+        lo, hi, flo = np.array([item for _, item in lanes]).T
+        mids = iter(_bisect_lanes(lambda c, lane: residual(c, at[lane]),
+                                  lo, hi, flo).tolist())
+        rows = [[next(mids) if isinstance(item, tuple) else item
+                 for item in row] for row in rows]
+    return [_order_roots(row, phi, p.period) for row, phi in
+            zip(rows, drives.tolist())], float(np.min(jac))
 
 
-def _scan(F, f, X: np.ndarray, lip, depth: int) -> list[float]:
+def _scan(F, X: np.ndarray, FX: np.ndarray, lip, depth: int) -> list:
     """Roots of f on the rows of sample points X, refining suspicious cells.
 
-    F evaluates f on an array, f on one point (for bisection). X holds one
-    row, the top grid, at depth 0, and below it the refinements of one
-    row's suspicious cells, evaluated together. lip is the Lipschitz reach
-    per cell. The top grid refines every suspicious cell; a refined row
-    stops as soon as it finds a root, and one left with only suspicious
+    FX = F(X) holds f on X; F evaluates f on an array of refinements. X
+    holds one row, the top grid, at depth 0, and below it the refinements
+    of one row's suspicious cells, evaluated together. lip is the Lipschitz
+    reach per cell. The top grid refines every suspicious cell; a refined
+    row stops as soon as it finds a root, and one left with only suspicious
     cells at depth _MAX_DEPTH raises UnresolvedClusterError. The rows are
     searched in order, depth first, so the first error met is the one a
-    row-by-row search would meet.
+    row-by-row search would meet. Roots come in the order found: a sample
+    as a float, else its bracket (lo, hi, f(lo)) for the caller to bisect.
     """
-    FX = F(X)
     flo, fhi = FX[:, :-1], FX[:, 1:]
     # The residual contract (|f| < 1e-12) accepts a near-zero sample as a
     # root outright, but a tangency leaves a band of them (about 2e-6 wide
@@ -202,16 +204,15 @@ def _scan(F, f, X: np.ndarray, lip, depth: int) -> list[float]:
     suspicious = clear & ~change & (np.minimum(np.abs(flo), np.abs(fhi))
                                     < (X[:, 1:2] - X[:, :1]) * lip)
     busy = near.any(axis=1) | change.any(axis=1)
-    roots: list[float] = []
+    roots: list = []
     for r in np.flatnonzero(busy | suspicious.any(axis=1)):
         x, fx = X[r], FX[r]
         if busy[r]:
             edges = np.diff(near[r].astype(np.int8), prepend=0, append=0)
-            roots += [_run_root(f, x, fx, a, b) for a, b in
+            roots += [_run_root(x, fx, a, b) for a, b in
                       zip(np.flatnonzero(edges == 1),
                           np.flatnonzero(edges == -1) - 1)]
-            roots += [_bisect_scalar(f, float(x[i]), float(x[i + 1]),
-                                     float(fx[i]), float(fx[i + 1]))
+            roots += [(float(x[i]), float(x[i + 1]), float(fx[i]))
                       for i in np.flatnonzero(change[r])]
             if depth:
                 continue
@@ -228,19 +229,19 @@ def _scan(F, f, X: np.ndarray, lip, depth: int) -> list[float]:
         sub = np.arange(_REFINE_FACTOR + 1.0) * ((hi - lo) / _REFINE_FACTOR)
         sub += lo
         sub[:, -1] = hi[:, 0]
-        roots += _scan(F, f, sub, lip[r, cells, None], depth + 1)
+        roots += _scan(F, sub, F(sub), lip[r, cells, None], depth + 1)
     return roots
 
 
-def _run_root(f, x: np.ndarray, fx: np.ndarray, a: int, b: int) -> float:
+def _run_root(x: np.ndarray, fx: np.ndarray, a: int, b: int):
     """The one root of the run x[a..b] of near-zero samples of f.
 
     Inside the samples, f must change sign between the run's neighbours:
-    a run of one is its own sample, a longer run is bisected between the
-    neighbours. Without a sign change the run is a tangent double root (or
-    a pair too close to split), refused as UnresolvedClusterError. A run at
-    the window's edge has no neighbour on that side; its sample of least
-    |f| is the root.
+    a run of one is its own sample, a longer run's root lies in the bracket
+    (x[a - 1], x[b + 1], f(x[a - 1])) between the neighbours. Without a
+    sign change the run is a tangent double root (or a pair too close to
+    split), refused as UnresolvedClusterError. A run at the window's edge
+    has no neighbour on that side; its sample of least |f| is the root.
     """
     if a == 0 or b == x.size - 1:
         return float(x[a + int(np.argmin(np.abs(fx[a:b + 1])))])
@@ -251,8 +252,7 @@ def _run_root(f, x: np.ndarray, fx: np.ndarray, a: int, b: int) -> float:
             "across it", bracket=(float(x[a]), float(x[b])))
     if a == b:
         return float(x[a])
-    return _bisect_scalar(f, float(x[a - 1]), float(x[b + 1]),
-                          float(fx[a - 1]), float(fx[b + 1]))
+    return float(x[a - 1]), float(x[b + 1]), float(fx[a - 1])
 
 
 def _order_roots(roots: list[float], drive: float,
@@ -278,6 +278,26 @@ def _scan_window(p: PotentialModel, half_width: float) -> tuple[float, float]:
     if p.is_periodic:
         return 0.0, p.period
     return getattr(p, "support", (-half_width, half_width))
+
+
+def _root_window(p: PotentialModel, beta: float,
+                 drives: np.ndarray) -> tuple[float, float]:
+    """Where branch_table seeks the roots phi_c of phi = phi_c + beta*u'(phi_c)
+    for the drives phi: one period of a periodic u, a tabulated u's support
+    (u' ends there), (-8pi, 8pi) for another kind, and for an even
+    polynomial (-r, r), which holds every root. There r is Fujiwara's bound
+    2*max_i |q_i/q_n|^(1/(n-i)) (q_0 halved) on the roots of
+    q(c) = beta*u'(c) + c - phi at the largest |phi|, rounded up to a whole
+    number plus one, so that drives a rounding apart share one window."""
+    if not isinstance(p, PolynomialEven):
+        return _scan_window(p, 4.0 * TWO_PI)
+    q = np.abs((beta * p._dpoly + [np.max(np.abs(drives)), 1.0]).trim().coef)
+    n = q.size - 1
+    ratio = q[:n] / q[n]
+    ratio[:1] /= 2.0
+    r = math.ceil(2.0 * max((ratio ** (1.0 / np.arange(n, 0, -1))).tolist(),
+                            default=0.0)) + 1.0
+    return -r, r
 
 
 def invertibility_threshold(p: PotentialModel,
@@ -499,7 +519,7 @@ def _locate_minima(p, rc, basis, coords, Vp, Vpp, scale):
     branch solve over the midpoints of the cells still open.
     """
 
-    def slope(c: np.ndarray) -> np.ndarray:  # V' from u' alone
+    def slope(c: np.ndarray, _) -> np.ndarray:  # V' from u' alone
         pc = _branch_phase(p, rc, basis, c)
         return rc.lambdaJ * np.asarray(p.du(pc), dtype=float) * scale
 
@@ -535,15 +555,15 @@ def branch_table(p: PotentialModel, rc: ReducedCircuit, basis: str,
     Returns (coordinates, rows) where each row is
     (coordinate, V, Vp, Vpp, branch_count) evaluated per root; multivalued
     drives contribute several rows. Exported raw: no branch is selected.
+    One search serves the table: the window of _root_window is sampled
+    once, and every drive's brackets are bisected together.
     """
     coords, scale = _coordinates(rc, basis, grid)
-    window = (0.0, TWO_PI) if p.is_periodic else (float(coords[0]) - 1.0,
-                                                  float(coords[-1]) + 1.0)
-    at, counts, roots = [], [], []
-    for c in coords:
-        sol = solve_consistency(p, rc.beta, float(c) * scale, window)
-        at += [float(c)] * len(sol.roots)
-        counts += [len(sol.roots)] * len(sol.roots)
-        roots += sol.roots
-    V, Vp, Vpp = _reduced_values(p, rc, np.array(roots, dtype=float), scale)
+    drives = coords * scale
+    roots, _ = _consistency_roots(p, rc.beta, drives,
+                                  _root_window(p, rc.beta, drives))
+    at = [c for c, rs in zip(coords.tolist(), roots) for _ in rs]
+    counts = [len(rs) for rs in roots for _ in rs]
+    V, Vp, Vpp = _reduced_values(
+        p, rc, np.array([r for rs in roots for r in rs], dtype=float), scale)
     return coords, list(zip(at, V.tolist(), Vp.tolist(), Vpp.tolist(), counts))

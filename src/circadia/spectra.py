@@ -69,13 +69,18 @@ from .sweeps import SweepTable, write_csv, write_json
 TWO_PI = 2.0 * math.pi
 
 VARIANTS = ("Extended1D", "Compact1D", "Regularized2D", "FastAtX")
+# the grid keys each variant reads, the 2D one by basis_y
+_GRID_KEYS = {"Extended1D": ("half_width", "n"), "Compact1D": (),
+              "FastAtX": ("half_width", "n"),
+              "extended": ("Lx", "nx", "Ly", "ny"),
+              "compact": ("L_phi", "n_phi", "n_max_fast")}
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
     """One Hamiltonian variant plus its discretization.
 
-    grid keys by variant:
+    grid keys by variant (any other key is refused):
       Extended1D      half_width, n (ignored when `effective` carries a grid)
       Compact1D       none (cutoff comes from n_max)
       FastAtX         half_width, n (both optional, auto-sized)
@@ -110,6 +115,14 @@ class HamiltonianSpec:
         if self.variant == "Regularized2D" and self.basis_y not in (
                 "extended", "compact"):
             raise ValidationError(f"unknown basis_y {self.basis_y!r}")
+        two_d = self.variant == "Regularized2D"
+        allowed = _GRID_KEYS[self.basis_y if two_d else self.variant]
+        for key in self.grid:
+            if key not in allowed:
+                raise ValidationError(
+                    f"grid key {key!r} is not read by {self.variant}"
+                    + (f" ({self.basis_y} basis_y)" if two_d else "")
+                    + f"; allowed: {', '.join(allowed) or 'none'}")
 
     @property
     def charge_coef(self) -> float:

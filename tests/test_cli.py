@@ -421,9 +421,10 @@ def test_dynamics_residual_report(write_circuit, tmp_path):
     check_manifest(out / "manifest.json", "dynamics")
 
 
-@pytest.mark.parametrize("report", ["residual", "shadow"])
+@pytest.mark.parametrize("report", ["none", "residual", "shadow"])
 def test_dynamics_report_past_the_fold_exits_2(write_circuit, tmp_path,
                                                report):
+    # the default start sits on the slow manifold, undefined past the fold
     circuit = write_circuit("fold.json", kappa=0.5, xi=1.0, lambdaJ=2.0)
     out = tmp_path / "out"
     res = run_cli("dynamics", "--circuit", circuit, "--out", out,
@@ -433,6 +434,37 @@ def test_dynamics_report_past_the_fold_exits_2(write_circuit, tmp_path,
     assert res.stderr.rstrip().endswith("beta_crit=1")
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_dynamics_past_the_fold_runs_from_a_given_y0(write_circuit, tmp_path):
+    circuit = write_circuit("fold.json", kappa=0.5, xi=1.0, lambdaJ=2.0)
+    out = tmp_path / "out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--y0", "0.2", "--t-end", "20")
+    assert res.returncode == 0, res.stderr
+    first = (out / "trajectory.csv").read_text().splitlines()[2]
+    assert [float(v) for v in first.split(",")[:5]] == [0.0, 1.0, 0.0, 0.2,
+                                                        0.0]
+    check_manifest(out / "manifest.json", "dynamics")
+
+
+def test_dynamics_at_kappa_zero_needs_a_horizon(write_circuit, tmp_path):
+    # Cp_F = 0 and EJ_J = 0: two slow periods are infinite, so the default
+    # horizon is refused; a given one runs from y = kappa*eta1(x0) = 0
+    circuit = write_circuit("k0.json", kappa=0.0, xi=1.0, lambdaJ=0.0)
+    out = tmp_path / "out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: kappa must be > 0")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--t-end", "2")
+    assert res.returncode == 0, res.stderr
+    first = (out / "trajectory.csv").read_text().splitlines()[2]
+    assert [float(v) for v in first.split(",")[:5]] == [0.0, 1.0, 0.0, 0.0,
+                                                        0.0]
+    check_manifest(out / "manifest.json", "dynamics")
 
 
 @pytest.mark.parametrize("report", ["none", "residual", "shadow"])

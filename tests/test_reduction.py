@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from circadia import (
     BiasedCosine,
+    ConvergenceError,
     Cosine,
     Custom,
     PhysicalRegimeError,
@@ -22,9 +23,10 @@ from circadia import (
     solve_branch_compact,
     solve_consistency,
 )
-from circadia.reduction import (GRID_MIN, _bisect_scalar, _branch_phase,
+from circadia.reduction import (GRID_MIN, RESIDUAL_TOL, _branch_phase,
                                 _coordinates, _du_reach, _locate_minima,
-                                _reduced_values, _scan_window, _solve_branch)
+                                _reduced_values, _root_window, _scan_window,
+                                _solve_branch)
 
 TWO_PI = 2.0 * math.pi
 WINDOW = (0.0, TWO_PI)
@@ -331,13 +333,35 @@ def test_branch_table_rows_match_the_closed_form_in_both_bases():
     for got, want in zip(compact, expected):
         assert got[0] == want[0] and got[4] == want[4]
         assert got[1:4] == pytest.approx(want[1:4], rel=1e-12, abs=1e-12)
+    _assert_same_branches(compact, extended, rc.xi)
+
+
+def _assert_same_branches(compact, extended, xi):
+    """Rows of the two bases' tables of one circuit on the same phases:
+    equal roots give V alike, V' scaled by 1/sqrt(xi), V'' by 1/xi."""
+    sqxi = math.sqrt(xi)
+    assert len(compact) == len(extended)
     for (phi, V, Vp, Vpp, n), (x, Vx, Vpx, Vppx, nx) in zip(compact,
                                                             extended):
         assert x == pytest.approx(sqxi * phi, rel=1e-15)
         assert nx == n
         assert Vx == pytest.approx(V, rel=1e-12, abs=1e-12)
         assert Vpx == pytest.approx(Vp / sqxi, rel=1e-12, abs=1e-12)
-        assert Vppx == pytest.approx(Vpp / rc.xi, rel=1e-12, abs=1e-12)
+        assert Vppx == pytest.approx(Vpp / xi, rel=1e-12, abs=1e-12)
+
+
+def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Reference: bisection on one bracket, with _bisect_lanes' stop rule."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fun(mid)
+        if abs(fm) < RESIDUAL_TOL or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+            return mid
+        if (flo < 0.0) == (fm < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    raise ConvergenceError("bisection stalled", detail=(lo, hi))
 
 
 def _minima_per_cell(p, rc, basis, coords, Vp, Vpp, scale):
@@ -491,6 +515,88 @@ def test_branch_table_leads_with_the_nearest_root_of_a_double_well():
     assert [(r[0], r[4]) for r in rows] == [(d, c) for d, _, c in expected]
     assert [r[1] for r in rows] == pytest.approx(
         [v for _, v, _ in expected], rel=1e-10, abs=1e-12)
+
+
+def _per_drive_rows(p, rc, basis, grid):
+    """Reference: branch_table's rows from one solve_consistency per drive
+    on the table's window."""
+    coords, scale = _coordinates(rc, basis, grid)
+    window = _root_window(p, rc.beta, coords * scale)
+    rows = []
+    for c in coords.tolist():
+        roots = solve_consistency(p, rc.beta, c * scale, window).roots
+        values = _reduced_values(p, rc, np.array(roots), scale)
+        rows += [(c, *v, len(roots)) for v in zip(*map(list, values))]
+    return rows
+
+
+def _near_fold_drives(beta):
+    """Drives 1e-6 ... 1e-10 either side of both folds of u = -cos; every
+    one resolves (closer ones need a tangency the scan refuses)."""
+    c_star = math.acos(-1.0 / beta)
+    lift = beta * math.sin(c_star)
+    return np.array(sorted(fold + sign * 10.0**-e
+                           for fold in (c_star + lift, TWO_PI - c_star - lift)
+                           for e in range(6, 11) for sign in (1.0, -1.0)))
+
+
+@pytest.mark.parametrize("p, ratios, basis, grid", [
+    (Cosine(), (0.3, 1.0, 2.0), "CompactPhi", 257),
+    (Cosine(), (0.3, 4.0, 32.0), "ExtendedX", 257),
+    (Cosine(), (0.3, 1.0, 2.0), "CompactPhi", _near_fold_drives(2.0)),
+    (PolynomialEven([0.0, -1.0, 0.25]), (0.3, 1.0, 1.0), "CompactPhi",
+     np.array([-1.0, -0.3, 0.1, 0.35, 1.0])),
+    (PolynomialEven([0.0, -1.0, 0.25]), (0.3, 1.0, 1.0), "ExtendedX", 64),
+], ids=["cosine-fold", "cosine-fold-extended", "near-fold", "double-well",
+        "double-well-extended"])
+def test_batched_branch_table_equals_per_drive_solves(p, ratios, basis,
+                                                      grid):
+    rc = ReducedCircuit.from_ratios(*ratios)
+    _, rows = branch_table(p, rc, basis, grid)
+    assert max(row[4] for row in rows) == 3
+    assert rows == _per_drive_rows(p, rc, basis, grid)
+
+
+def _wide_rows(p, rc, phi, scale):
+    """(V, V', V'', count) per root of one drive, found on (-20, 20)."""
+    roots = solve_consistency(p, rc.beta, phi, (-20.0, 20.0)).roots
+    values = _reduced_values(p, rc, np.array(roots), scale)
+    return [(*v, len(roots)) for v in zip(*map(list, values))]
+
+
+def test_branch_table_window_holds_every_root_of_a_polynomial():
+    # u = -phi^2/2 + phi^4/50 at beta = 2: 0.16 c^3 - c = phi has the roots
+    # 0 and +-2.5 at phi = 0, and one beyond 3 for phi near 2pi: roots can
+    # lie outside the span of the coordinates
+    p = PolynomialEven([0.0, -0.5, 0.02])
+    rc = ReducedCircuit.from_ratios(0.3, 1.0, 2.0)
+    _, rows = branch_table(p, rc, "CompactPhi", 64)
+    at_zero = [v for row in rows if row[0] == 0.0 for v in row[1:]]
+    assert at_zero == pytest.approx(sum(_wide_rows(p, rc, 0.0, 1.0), ()),
+                                    rel=1e-12, abs=1e-12)
+    assert sorted(solve_consistency(p, 2.0, 0.0, (-20.0, 20.0)).roots) == \
+        pytest.approx([-2.5, 0.0, 2.5], abs=1e-12)
+    rc = ReducedCircuit.from_ratios(0.3, 0.1, 0.02)  # beta = 2 again
+    coords, rows = branch_table(p, rc, "ExtendedX", 64)
+    scale = 1.0 / math.sqrt(rc.xi)
+    expected = [(c, *row) for c in coords.tolist()
+                for row in _wide_rows(p, rc, c * scale, scale)]
+    assert Counter(row[0] for row in rows) == Counter(
+        row[0] for row in expected)
+    assert len(Counter(row[0] for row in rows)) == 64
+    assert sum(rows, ()) == pytest.approx(sum(expected, ()), rel=1e-12,
+                                          abs=1e-12)
+
+
+def test_both_bases_list_the_same_roots_of_a_polynomial():
+    p = PolynomialEven([0.0, -0.5, 0.02])
+    rc = ReducedCircuit.from_ratios(0.3, 0.1, 0.02)  # beta = 2
+    sqxi = math.sqrt(rc.xi)
+    phis = np.linspace(-TWO_PI, TWO_PI, 97)
+    _, compact = branch_table(p, rc, "CompactPhi", phis)
+    _, extended = branch_table(p, rc, "ExtendedX", sqxi * phis)
+    assert max(row[4] for row in compact) == 3
+    _assert_same_branches(compact, extended, rc.xi)
 
 
 def test_branch_bracket_too_narrow_for_the_force_is_widened():

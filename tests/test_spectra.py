@@ -1308,9 +1308,19 @@ def _effective(coords):
      "compact fast axis needs a 2pi-periodic"),
     (lambda: spectrum_vs_kappa(Cosine(), 40.0, 400.0, [0.6, 0.0]),
      "kappas must be > 0"),
+    (lambda: HamiltonianSpec(
+        variant="Extended1D", v_func=lambda q: 0.5 * q**2,
+        grid={"N": 256, "halfwidth": 3.0}),
+     r"grid key 'N' is not read by Extended1D; allowed: half_width, n$"),
+    (lambda: HamiltonianSpec(
+        variant="Regularized2D", basis_y="compact", potential=Cosine(),
+        kappa=0.6, xi=40.0, lambdaJ=400.0, grid={"nx": 64, "ny": 64}),
+     r"grid key 'nx' is not read by Regularized2D \(compact basis_y\); "
+     r"allowed: L_phi, n_phi, n_max_fast$"),
 ], ids=["k-0", "extended-without-potential", "effective-non-uniform",
         "effective-asymmetric", "basis-y-unknown", "compact-lambdaJ-negative",
-        "compact-2d-non-periodic", "kappa-ladder-zero"])
+        "compact-2d-non-periodic", "kappa-ladder-zero",
+        "extended-1d-unread-grid-key", "compact-2d-unread-grid-key"])
 def test_malformed_spectral_requests_are_refused(request_, message):
     with pytest.raises(ValidationError, match=message):
         request_()
