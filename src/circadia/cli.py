@@ -255,13 +255,17 @@ def _extended_pair(v, n: int, vmax_nodes: int):
     vmax, the largest v on `vmax_nodes` box nodes there."""
     from . import spectra
 
-    def make_spec(L, n):
-        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v,
+    def make_spec(L, n, v_func=v):
+        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_func,
                                        c_kin=0.5,
                                        grid={"half_width": L, "n": n})
-    levels = spectra.lowest_eigenvalues(make_spec(math.pi, n), 3).eigenvalues
-    vmax = float(np.max(v(spectra._box_nodes(math.pi, vmax_nodes))))
-    return _ladder_stats(levels), (make_spec, vmax)
+    sampled = np.asarray(v(spectra._box_nodes(math.pi, n)), dtype=float)
+    # the level solve reads the samples taken here: v is evaluated once
+    levels = spectra.lowest_eigenvalues(
+        make_spec(math.pi, n, lambda q: sampled), 3).eigenvalues
+    if vmax_nodes != n:
+        sampled = v(spectra._box_nodes(math.pi, vmax_nodes))
+    return _ladder_stats(levels), (make_spec, float(np.max(sampled)))
 
 
 def _classical_reduced(rc, p, args):
@@ -277,9 +281,9 @@ def _bo_extended(rc, p, args):
     at 41 phi on [-pi, pi]."""
     from . import spectra
     phis = np.linspace(-math.pi, math.pi, 41)
-    e = np.array([spectra.bo_fast_ground(rc.kappa, rc.xi, rc.lambdaJ, p,
-                                         float(math.sqrt(rc.xi) * phi))
-                  for phi in phis])
+    # one continuation chain from the middle point, phi = 0
+    e = spectra._ground_along(rc.kappa, rc.xi, rc.lambdaJ, p,
+                              [math.sqrt(rc.xi) * phi for phi in phis], 20)
     u = (e - e[20]) / rc.kappa**2
     periodic = _two_pi_periodic(p)
     if periodic:
@@ -531,7 +535,9 @@ def build_parser() -> CliParser:
     sp.add_argument("--x-points", type=int, default=21)
     sp.add_argument("--grid", type=int, default=0,
                     help="fast-axis points (0 = auto)")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes; they work over the kappa "
+                         "rungs, and the outputs never change with it")
     sp.set_defaults(func=cmd_bo_sweep)
 
     sp = sub.add_parser("compare",

@@ -25,7 +25,10 @@ shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
-value certifies that no level lies under it. Sylvester inertia counts cut
+value certifies that no level lies under it. A Born-Oppenheimer sweep
+solves one fast ground state so and continues its neighbours by inverse
+iteration on one banded LU each, under the same certificate
+(_ground_along). Sylvester inertia counts cut
 an energy window into slices of <= 32 levels, each shift-inverted Lanczos;
 a window's count and end levels need only its two end slices.
 
@@ -426,6 +429,20 @@ def _cut(count, a: tuple, b: tuple) -> list:
     return _cut(count, a, m) + _cut(count, m, b)
 
 
+def _lu_solver(band: np.ndarray, shift: float):
+    """v -> (A - shift*I)^-1 v for the real pentadiagonal band A (lower
+    storage) by a ?gbtrf LU with partial pivoting, or None when A - shift*I
+    is singular."""
+    # the general band with two rows of fill space above
+    gb = np.zeros((7, band.shape[1]))
+    gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
+    gb[4] -= shift
+    lu, piv, info = dgbtrf(gb, 2, 2)
+    if info > 0:
+        return None
+    return lambda v: dgbtrs(lu, 2, 2, v, piv)[0]
+
+
 def _slice_levels(band: np.ndarray, a: tuple, b: tuple, tol: float):
     """Ascending Ritz values and residual norms of the b[1] - a[1] levels
     between the count points a and b: shift-invert Lanczos at the slice
@@ -433,15 +450,10 @@ def _slice_levels(band: np.ndarray, a: tuple, b: tuple, tol: float):
     delta, its residual and tol) is a ConvergenceError."""
     # the k levels nearest the slice centre are exactly its k levels
     centre, k = 0.5 * (a[0] + b[0]), b[1] - a[1]
-    # ?gbtrf LU with partial pivoting, two rows of fill space above
-    gb = np.zeros((7, band.shape[1]))
-    gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
-    gb[4] -= centre
-    lu, piv, info = dgbtrf(gb, 2, 2)
-    if info > 0:
+    solve = _lu_solver(band, centre)
+    if solve is None:
         raise ConvergenceError(f"slice centre {centre!r} is a level")
-    w, vec = _shift_invert_pairs(band, centre, k,
-                                 lambda v: dgbtrs(lu, 2, 2, v, piv)[0])
+    w, vec = _shift_invert_pairs(band, centre, k, solve)
     res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
     inside = np.count_nonzero((w >= a[0] - a[2] - res - tol)
                               & (w <= b[0] + b[2] + res + tol))
@@ -615,31 +627,44 @@ def _frozen_fast_params(spec: HamiltonianSpec):
     return float(spec.kappa), float(spec.xi), float(spec.lambdaJ), p
 
 
-def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    """_solve_banded on a y-grid that holds the k levels: one with more than
-    1e-12 of its mass on the two end nodes at either end widens the grid
-    once (half_width and n doubled), then fails the solve. By default the
-    half width is kappa*|x| + 12 and the step 0.01, with >= 128 nodes; a
-    given n below 128 is refused, as by every 1D grid."""
-    kappa, xi, lam, p = _frozen_fast_params(spec)
-    if kappa <= 0:
-        raise ValidationError("kappa must be > 0")
+def _fast_grid(spec: HamiltonianSpec, kappa: float) -> tuple[float, int]:
+    """(half_width, n) of a FastAtX y grid: by default the half width is
+    kappa*|x| + 12 and the step 0.01, with >= 128 nodes; a given n below
+    128 is refused, as by every 1D grid."""
     L = float(spec.grid.get("half_width", kappa * abs(spec.frozen_x) + 12.0))
     npts = int(spec.grid.get("n", max(math.ceil(2.0 * L / 0.01), 128)))
     if npts < 128:
         raise ValidationError("1D grids need >= 128 points")
+    return L, npts
+
+
+def _edge_mass(vec: np.ndarray) -> float:
+    """Largest share of a column's mass on the two end nodes at either end."""
+    psi2 = np.abs(vec)**2
+    return float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
+                        / np.sum(psi2, axis=0)))
+
+
+def _lowest_fast_at_x(spec: HamiltonianSpec, k: int):
+    """_solve_banded on a y-grid (_fast_grid) that holds the k levels, as a
+    SpectrumResult with the unit eigenvectors (columns) on its grid: one
+    level with more than 1e-12 of its mass on the two end nodes at either
+    end widens the grid once (half_width and n doubled), then fails the
+    solve."""
+    kappa, xi, lam, p = _frozen_fast_params(spec)
+    if kappa <= 0:
+        raise ValidationError("kappa must be > 0")
+    L, npts = _fast_grid(spec, kappa)
     _check_k(k, npts)
     for attempt in range(2):
         y = _box_nodes(L, npts)
         h = float(y[1] - y[0])
         v = _fast_potential(kappa, xi, lam, p, spec.frozen_x, y)
         w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
-        psi2 = np.abs(vec)**2
-        edge = float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
-                            / np.sum(psi2, axis=0)))
+        edge = _edge_mass(vec)
         if edge < 1e-12:
             return _banded_result(spec, w, res, sigma, "hbar*omega_C units",
-                                  h=h, n=npts, half_width=float(L))
+                                  h=h, n=npts, half_width=float(L)), vec
         if attempt == 0:
             L, npts = 2.0 * L, 2 * npts
     raise ConvergenceError(
@@ -647,17 +672,106 @@ def _lowest_fast_at_x(spec: HamiltonianSpec, k: int) -> SpectrumResult:
         detail={"half_width": L, "boundary_mass": edge})
 
 
+def _warm_fast_ground(spec: HamiltonianSpec, prev: tuple):
+    """(e0, y, unit ground vector) of FastAtX at spec.frozen_x continued
+    from a neighbour's prev = (e0, y, vector), or None.
+
+    On its own grid (_fast_grid, never widened) the neighbour's vector,
+    interpolated (zero outside its grid), starts inverse iteration on one
+    LU of H - sigma*I, sigma = e0_prev - 1e-3. The level is
+    sigma + 1/(v^T (H - sigma)^-1 v) of the current v, as in shift-invert
+    Lanczos; the Rayleigh quotient of H would round at eps*||H||. It is
+    taken once it moves by no more than 8*eps*s, s the Gershgorin bound on
+    max|lambda|, within 8 solves. It must then pass the cold solve's checks:
+    a banded Cholesky of H - (e0 - ||r|| - 8*eps*s)*I proves no level below
+    it, and the vector holds no more than 1e-12 of its mass on the end
+    nodes. None when the shift is a level, the cap is reached or a check
+    fails."""
+    kappa, xi, lam, p = _frozen_fast_params(spec)
+    L, npts = _fast_grid(spec, kappa)
+    y = _box_nodes(L, npts)
+    band, scale = _fd4_operator(
+        _fast_potential(kappa, xi, lam, p, spec.frozen_x, y),
+        float(y[1] - y[0]), 0.5)
+    tol = 8.0 * np.finfo(float).eps * scale
+    sigma = prev[0] - 1e-3
+    v = np.interp(y, prev[1], prev[2], left=0.0, right=0.0)
+    norm = float(np.linalg.norm(v))
+    solve = _lu_solver(band, sigma) if norm > 0.0 else None
+    if solve is None:
+        return None
+    v, level = v / norm, math.inf
+    for _ in range(8):
+        w = solve(v)
+        theta = float(v @ w)
+        if theta == 0.0:
+            return None
+        last, level = level, sigma + 1.0 / theta
+        v = w / np.linalg.norm(w)
+        if abs(level - last) <= tol:
+            break
+    else:
+        return None
+    res = float(np.linalg.norm(_band_apply(band, v) - level * v))
+    try:
+        _cholesky_below(band, level - res - tol, "a level lies below the "
+                        f"continued level {level!r}")
+    except ConvergenceError:
+        return None
+    if _edge_mass(v) >= 1e-12:
+        return None
+    return level, y, v
+
+
+def _fast_spec(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
+               x: float, half_width: float | None = None,
+               n: int | None = None) -> HamiltonianSpec:
+    """FastAtX frozen at x, on the default grid unless half_width or n."""
+    grid = {key: val for key, val in (("half_width", half_width), ("n", n))
+            if val is not None}
+    return HamiltonianSpec(variant="FastAtX", potential=p, kappa=kappa,
+                           xi=xi, lambdaJ=lambdaJ, frozen_x=x, grid=grid)
+
+
 def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    p: PotentialModel, x: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
-    the ground level of FastAtX frozen at x."""
-    grid = {key: val for key, val in (("half_width", half_width), ("n", n))
-            if val is not None}
-    spec = HamiltonianSpec(variant="FastAtX", potential=p, kappa=kappa,
-                           xi=xi, lambdaJ=lambdaJ, frozen_x=x, grid=grid)
+    the ground level of FastAtX frozen at x, one cold solve."""
+    spec = _fast_spec(kappa, xi, lambdaJ, p, x, half_width, n)
     return float(lowest_eigenvalues(spec, 1).eigenvalues[0])
+
+
+def _ground_along(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
+                  xs, start: int, half_width: float | None = None,
+                  n: int | None = None) -> np.ndarray:
+    """bo_fast_ground at every x of the chain xs, by continuation.
+
+    xs[start] is solved cold (_lowest_fast_at_x, with its widening); the
+    chain then walks outward in both directions, each point continued from
+    its neighbour's level and vector (_warm_fast_ground). A point that does
+    not continue, or fails the certificate or the edge check, is solved
+    cold, and only a cold solve raises: every level is certified as
+    bo_fast_ground's is, so the two differ by no more than their residual
+    norms and 8*eps*s (s the Gershgorin bound on max|lambda|)."""
+    specs = [_fast_spec(kappa, xi, lambdaJ, p, float(x), half_width, n)
+             for x in xs]
+    levels = np.empty(len(specs))
+
+    def cold(spec):
+        r, vec = _lowest_fast_at_x(spec, 1)
+        return (r.eigenvalues[0],
+                _box_nodes(r.meta["half_width"], r.meta["n"]), vec[:, 0])
+
+    first = cold(specs[start])
+    levels[start] = first[0]
+    for step, stop in ((1, len(specs)), (-1, -1)):
+        prev = first
+        for i in range(start + step, stop, step):
+            prev = _warm_fast_ground(specs[i], prev) or cold(specs[i])
+            levels[i] = prev[0]
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +1075,7 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.variant == "Compact1D":
         return _lowest_compact1d(spec, k)
     if spec.variant == "FastAtX":
-        return _lowest_fast_at_x(spec, k)
+        return _lowest_fast_at_x(spec, k)[0]
     return _lowest_regularized2d(spec, k)
 
 
@@ -1008,9 +1122,15 @@ class BOTable:
                   "sup_abs": [float(s) for s in self.sup_abs]})
 
 
-def _bo_point(task) -> float:
-    kap, xi, lam, p, x, half_width, n = task
-    return bo_fast_ground(kap, xi, lam, p, x, half_width=half_width, n=n)
+def _bo_rung(task) -> np.ndarray:
+    """e0 at x = 0, then at every x of xs, on one kappa rung: one
+    _ground_along chain over the sorted distinct x with 0, from x = 0, so
+    an x = 0 in xs reuses the reference level."""
+    kappa, xi, lambdaJ, p, xs, half_width, n = task
+    chain = np.unique(np.append(xs, 0.0))
+    start = int(np.searchsorted(chain, 0.0))
+    e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start, half_width, n)
+    return np.append(e0[start], e0[np.searchsorted(chain, xs)])
 
 
 def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
@@ -1018,13 +1138,18 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
                            n: int | None = None, map_fn=None) -> BOTable:
     """Fast-ground-energy differences over a decreasing kappa ladder.
 
+    Each kappa rung is one continuation chain (_bo_rung, _ground_along):
+    a cold solve at x = 0, then each x continued from its neighbour, a
+    point that does not continue or fails its certificate or edge check
+    falling back to the cold bo_fast_ground solve.
     verdict: "decreasing" when delta vanishes (BOTable.vanishing);
     otherwise "converges-nonzero" when the curvature fits agree within 10%
     from rung to rung and the last exceeds 1e-9; otherwise "decreasing"
     when sup_x |e0(x)-e0(0)| strictly decreases along the ladder, else
     "inconclusive" (data still returned).
-    map_fn, when given, replaces the built-in map over grid points (an
-    order-preserving pool map parallelizes the sweep deterministically).
+    map_fn, when given, replaces the built-in map over the kappa rungs (an
+    order-preserving pool map parallelizes the sweep; a rung's levels do
+    not depend on where it runs, so the output does not either).
     """
     kappas = np.asarray(kappas, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -1035,10 +1160,10 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
     if float(np.sum((xs**2)**2)) == 0.0:    # quadratic_fit's denominator
         raise ValidationError("x grid cannot be all zeros")
     # per kappa: e0 at x = 0, then at every x
-    tasks = [(float(kap), xi, lambdaJ, p, float(x), half_width, n)
-             for kap in kappas for x in (0.0, *xs)]
+    tasks = [(float(kap), xi, lambdaJ, p, xs, half_width, n)
+             for kap in kappas]
     mapper = map if map_fn is None else map_fn
-    e0 = np.array(list(mapper(_bo_point, tasks))).reshape(kappas.size, -1)
+    e0 = np.array(list(mapper(_bo_rung, tasks)))
     delta = e0[:, 1:] - e0[:, :1]
     sup = np.max(np.abs(delta), axis=1)
     table = BOTable(kappas=kappas, xs=xs, delta=delta, sup_abs=sup,

@@ -223,6 +223,30 @@ def test_bo_sweep_zero_josephson_and_jobs_determinism(write_circuit,
     assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize("potential, x_max, points", [
+    (None, 1.5, 7),
+    # not even in x, and no x = 0 on the grid
+    ({"kind": "biased_cosine", "phi_ext": 0.7}, 2.0, 6),
+], ids=["cosine", "biased-cosine"])
+def test_bo_sweep_jobs_never_change_the_outputs(write_circuit, tmp_path,
+                                                potential, x_max, points):
+    # lambdaJ > 0: each rung is a continuation chain of fast-ground solves,
+    # run in one process or spread over three
+    circuit = write_circuit("bo.json", kappa=0.5, xi=2.0, lambdaJ=1.5,
+                            potential=potential)
+    outs = []
+    for jobs in (1, 3):
+        out = tmp_path / f"jobs{jobs}"
+        res = run_cli("bo-sweep", "--circuit", circuit, "--out", out,
+                      "--kappa-ladder", "0.6,0.45,0.3", "--x-min", -1.5,
+                      "--x-max", x_max, "--x-points", points, "--jobs", jobs)
+        assert res.returncode == 0, res.stderr
+        assert "identically zero" not in res.stdout
+        outs.append(out)
+    for name in ("bo_sweep.csv", "bo_sweep.svg", "bo_report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("case, verdict", [
     (dict(xi=10.0, lambdaJ=5.0, ladder="0.6,0.45,0.3", span=2.0, points=7,
           potential={"kind": "quadratic", "curvature": 1.0}),
@@ -265,13 +289,13 @@ def test_bo_sweep_refuses_an_all_zero_x_grid_before_solving(
 
     circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     calls = []
-    point = circadia.spectra._bo_point
+    rung = circadia.spectra._bo_rung
 
-    def counted_point(task):
+    def counted_rung(task):
         calls.append(task)
-        return point(task)
+        return rung(task)
 
-    monkeypatch.setattr(circadia.spectra, "_bo_point", counted_point)
+    monkeypatch.setattr(circadia.spectra, "_bo_rung", counted_rung)
     assert circadia.cli.main(["bo-sweep", "--circuit", circuit,
                               "--out", str(tmp_path / "bo_out"),
                               "--kappa-ladder", "0.6,0.45,0.3",

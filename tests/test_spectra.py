@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 import circadia.spectra
 from circadia import (
+    BiasedCosine,
     ConvergenceError,
     Cosine,
     HamiltonianSpec,
@@ -27,6 +28,7 @@ from circadia import (
     spectrum_vs_kappa,
     transmon_limit_check,
 )
+from circadia.spectra import _ground_along
 
 
 def compact_spec(lambdaJ, ng=0.0, **kw):
@@ -783,7 +785,10 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
     # the bench's bo_ladder points at production grid size (2400-2800 fast
     # grid points), where the lowest-k solves of bo-sweep run
     xi, lambdaJ = 10.0, 5.0
-    for x in np.linspace(-3.0, 3.0, 7):
+    xs = np.linspace(-3.0, 3.0, 7)
+    # bo-sweep's continuation chain over the same points, from x = 0
+    along = _ground_along(kappa, xi, lambdaJ, Cosine(), xs, 3)
+    for x, e_along in zip(xs, along):
         e0 = bo_fast_ground(kappa, xi, lambdaJ, Cosine(), float(x))
         r = lowest_eigenvalues(HamiltonianSpec(
             variant="FastAtX", potential=Cosine(), kappa=kappa, xi=xi,
@@ -796,6 +801,7 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
         lam0 = eig_banded(_fd4_band_oracle(v, y[1] - y[0], 0.5), lower=True,
                           eigvals_only=True)[0]
         assert abs(e0 - lam0) <= 1e-10 * max(1.0, abs(lam0))
+        assert abs(e_along - lam0) <= 1e-10 * max(1.0, abs(lam0))
         assert r.meta["sigma"] <= lam0
         assert r.meta["shift_gap"] == r.eigenvalues[0] - r.meta["sigma"]
 
@@ -1254,6 +1260,116 @@ def test_bo_fast_ground_widens_a_narrow_grid_once_then_refuses():
     assert exc.value.detail["half_width"] == 2.0
 
 
+def _cold_and_floor(kappa, xi, lambdaJ, p, x, **grid):
+    """bo_fast_ground's cold level at x and 8*eps*s on the grid it was
+    solved on, s the Gershgorin bound on max|lambda| there."""
+    r = lowest_eigenvalues(HamiltonianSpec(
+        variant="FastAtX", potential=p, kappa=kappa, xi=xi, lambdaJ=lambdaJ,
+        frozen_x=x, grid=grid), 1)
+    L, n = r.meta["half_width"], r.meta["n"]
+    v = circadia.spectra._fast_potential(kappa, xi, lambdaJ, p, x,
+                                         np.linspace(-L, L, n))
+    _, s = circadia.spectra._fd4_operator(v, r.meta["h"], 0.5)
+    return r.eigenvalues[0], 8.0 * np.finfo(float).eps * s
+
+
+@settings(max_examples=20)
+@given(
+    kappa=st.floats(0.2, 0.7),
+    xi=st.floats(0.5, 20.0),
+    lambdaJ=st.floats(0.0, 10.0),
+    p=st.sampled_from([Cosine(), BiasedCosine(0.7),
+                       PolynomialEven([0.0, 0.5, 0.01])]),
+    xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+    with_zero=st.booleans(),
+    data=st.data(),
+)
+def test_ground_along_stays_within_rounding_of_the_cold_solve(
+        kappa, xi, lambdaJ, p, xs, with_zero, data):
+    xs = [x for x in xs if x != 0.0] + ([0.0] if with_zero else [])
+    if not xs:
+        xs = [1.0]
+    start = data.draw(st.integers(0, len(xs) - 1))
+    along = _ground_along(kappa, xi, lambdaJ, p, xs, start)
+    for x, e in zip(xs, along):
+        cold, floor = _cold_and_floor(kappa, xi, lambdaJ, p, x)
+        assert abs(e - cold) <= floor
+
+
+def _counted_cold_solves(monkeypatch):
+    calls = []
+    cold = circadia.spectra._lowest_fast_at_x
+
+    def counted(spec, k):
+        calls.append(spec.frozen_x)
+        return cold(spec, k)
+
+    monkeypatch.setattr(circadia.spectra, "_lowest_fast_at_x", counted)
+    return calls
+
+
+def test_a_step_too_large_to_continue_falls_back_to_the_cold_solve(
+        monkeypatch):
+    # from x = 0 to 40 the ground state moves by kappa*x = 24 along y, far
+    # off the neighbour's grid: inverse iteration does not settle within
+    # its 8 solves, and the point is solved cold
+    calls = _counted_cold_solves(monkeypatch)
+    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 40.0], 0)
+    assert calls == [0.0, 40.0]
+    assert along[1] == bo_fast_ground(0.6, 10.0, 5.0, Cosine(), 40.0)
+    # a short step continues: only the start is cold
+    calls.clear()
+    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 0.5, 1.0], 0)
+    assert calls == [0.0]
+    for x, e in zip((0.5, 1.0), along[1:]):
+        cold, floor = _cold_and_floor(0.6, 10.0, 5.0, Cosine(), x)
+        assert abs(e - cold) <= floor
+
+
+def test_a_refused_certificate_sends_a_continued_point_to_the_cold_solve(
+        monkeypatch):
+    calls = _counted_cold_solves(monkeypatch)
+    certify = circadia.spectra._cholesky_below
+    refusals = []
+
+    def refuse_continued(ab, shift, claim):
+        if "continued level" in claim:
+            refusals.append(shift)
+            raise ConvergenceError(claim)
+        return certify(ab, shift, claim)
+
+    monkeypatch.setattr(circadia.spectra, "_cholesky_below", refuse_continued)
+    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [-0.5, 0.0, 0.5], 1)
+    assert calls == [0.0, 0.5, -0.5] and len(refusals) == 2
+    assert along.tolist() == [bo_fast_ground(0.6, 10.0, 5.0, Cosine(), x)
+                              for x in (-0.5, 0.0, 0.5)]
+
+
+def test_ground_along_widens_or_refuses_per_point_like_bo_fast_ground(
+        monkeypatch):
+    # on the fixed 6/1200 grid the ground state, centred near kappa*x,
+    # reaches the end nodes from x = 4 on: those points widen to 12/2400
+    # like bo_fast_ground, x = 0 and 2 stay
+    args = (0.5, 1.0, 0.5, Cosine())
+    xs = np.linspace(0.0, 14.0, 8)
+    calls = _counted_cold_solves(monkeypatch)
+    along = _ground_along(*args, xs, 0, half_width=6.0, n=1200)
+    assert 1 < len(calls) < xs.size
+    for x, e in zip(xs, along):
+        cold, floor = _cold_and_floor(*args, float(x), half_width=6.0,
+                                      n=1200)
+        assert abs(e - cold) <= floor
+    # a grid too narrow even when widened is refused at the first point
+    # that needs it, as bo_fast_ground refuses it there
+    with pytest.raises(ConvergenceError, match="grid boundary") as exc:
+        _ground_along(*args, [0.0, 0.5], 0, half_width=1.0, n=200)
+    assert exc.value.detail["half_width"] == 2.0
+    with pytest.raises(ConvergenceError, match="grid boundary"):
+        bo_fast_ground(*args, 30.0, half_width=6.0, n=1200)
+    with pytest.raises(ConvergenceError, match="grid boundary"):
+        _ground_along(*args, [0.0, 10.0, 30.0], 0, half_width=6.0, n=1200)
+
+
 def _fast_at_x(k, lambdaJ=0.5, **grid):
     return lowest_eigenvalues(HamiltonianSpec(
         variant="FastAtX", potential=Cosine(), kappa=0.5, xi=1.0,
@@ -1346,10 +1462,11 @@ def test_fast_at_x_checks_every_returned_level_at_the_boundary():
 ])
 def test_bo_verdict_from_crafted_ground_energies(monkeypatch, curvature,
                                                  verdict):
-    def crafted(kappa, xi, lambdaJ, p, x, half_width=None, n=None):
-        return curvature[kappa] * x**2
+    def crafted(task):
+        kappa, xi, lambdaJ, p, xs, half_width, n = task
+        return np.array([curvature[kappa] * x**2 for x in (0.0, *xs)])
 
-    monkeypatch.setattr(circadia.spectra, "bo_fast_ground", crafted)
+    monkeypatch.setattr(circadia.spectra, "_bo_rung", crafted)
     table = bo_effective_potential([0.6, 0.45, 0.3], [-2.0, 1.0, 2.0],
                                    Cosine(), 1.0, 0.5)
     assert table.sup_abs.tolist() == [4.0 * c for c in curvature.values()]
