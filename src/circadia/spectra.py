@@ -37,17 +37,24 @@ diagonal: B_i is the fast operator frozen at slow grid point i. One
 assembly (_two_mode) builds the grids, the product by H (from the slow band
 and the blocks; no matrix of H) and the sweep of the blocks, which
 diagonalizes every B_i whole once and again only for a rung that needs more
-eigenvectors than it kept (_frozen_sweep). H is projected onto the m lowest
-eigenvectors chi_i of every B_i (a contracted adiabatic basis, sequential
-diagonalization-truncation), a Hermitian band of width 3m-1 (m = 1 is
-Born-Oppenheimer with its diagonal correction, m = dim_fast the full grid
-operator, never factorized). Each Ritz vector is lifted to the grid; one
-product by H gives its Rayleigh quotient, the reported level, and its
-residual. m doubles from 4 until each kept level has a grid residual <=
-1e-8 of the spectral scale (every variant's bound) and a Kato-Temple
-bracket <= 1e-10 relative, and the next level lies below every discarded
-block level. A rung whose arrays would exceed a fixed memory budget is
-refused before it allocates them.
+eigenvectors than it kept (_frozen_sweep). Parity halves the sweep: when u
+is even, n_g = 0 and the slow grid symmetric, the block at slow point
+n_slow-1-i is P B_i P, P reversing the fast axis, so only the blocks
+i <= n_slow-1-i are diagonalized and each other one takes its mirror's
+levels and reversed eigenvectors. The mirror is taken only when the
+measured bound delta on ||B_(n_slow-1-i) - P B_i P|| is within the
+rounding of one block eigensolve, and delta then widens the Weyl margin and
+the stop guard below; otherwise every block is solved. H is projected onto
+the m lowest eigenvectors chi_i of every B_i (a contracted adiabatic basis,
+sequential diagonalization-truncation), a Hermitian band of width 3m-1
+(m = 1 is Born-Oppenheimer with its diagonal correction, m = dim_fast the
+full grid operator, never factorized). Each Ritz vector is lifted to the
+grid; one product by H gives its Rayleigh quotient, the reported level,
+and its residual. m doubles from 4 until each kept level has a grid
+residual <= 1e-8 of the spectral scale (every variant's bound) and a
+Kato-Temple bracket <= 1e-10 relative, and the next level lies below every
+discarded block level. A rung whose arrays would exceed a fixed memory
+budget is refused before it allocates them.
 """
 
 from __future__ import annotations
@@ -235,7 +242,7 @@ def _extended1d_arrays(spec: HamiltonianSpec):
 
 
 def _weyl_shift(block_minima: np.ndarray, block_dim: int,
-                block_norm: float) -> float:
+                block_norm: float, mirror_gap: float = 0.0) -> float:
     """Shift-invert sigma certified below the spectrum of H = A + B.
 
     A, the FD4 kinetic term (times the identity on the fast axis in 2D), is
@@ -245,12 +252,14 @@ def _weyl_shift(block_minima: np.ndarray, block_dim: int,
     1D, one frozen fast block per slow grid point in 2D), so Weyl's
     inequality gives lambda_min(H) >= min_i lambda_min(B_i); by Cauchy
     interlacing the bound holds for every projection of H too. The margin
-    covers the rounding of the block eigensolves (block_dim*eps*||B_i||)
+    covers the rounding of the block eigensolves (block_dim*eps*||B_i||),
+    mirror_gap (a bound on ||B_j - P B_i P|| when block j took the levels
+    of its mirror i, see _frozen_sweep; 0 when every block was solved)
     plus 1e-6 relative to the bound.
     """
     bound = float(np.min(block_minima))
     margin = 1e-6 * max(1.0, abs(bound)) \
-        + block_dim * np.finfo(float).eps * block_norm
+        + block_dim * np.finfo(float).eps * block_norm + mirror_gap
     return float(bound - margin)
 
 
@@ -852,19 +861,23 @@ def _refuse_over_budget(what: str, need: int) -> None:
 
 
 def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig,
-                  whole: bool):
+                  whole: bool, solved: int):
     """sweep(m): the m lowest eigenpairs of every frozen fast block B_i (m
     capped at dim_fast), eps (n_slow, m) ascending and chi (n_slow,
     dim_fast, m) with orthonormal columns; block_eig(i) gives all pairs of
-    B_i. The first call diagonalizes every block whole and keeps, if whole,
-    all its pairs, else its min(dim_fast, 4m - 3) lowest: enough for the
-    sweeps of this rung and the next two (m, 2m - 1, 4m - 3 as the ladder
-    doubles m - 1). Only a call for more diagonalizes again, by the same
-    rule. A new store is refused before it is allocated if it and the
-    store it replaces (still held by the caller's views) exceed
-    _MEMORY_BUDGET."""
+    B_i. Blocks i < solved are diagonalized; every block j >= solved is
+    the mirror P B_i P of block i = n_slow - 1 - j (P reverses the fast
+    axis) and takes eps[j] = eps[i], chi[j] = P chi[i]. With solved =
+    n_slow no block is mirrored. The first call diagonalizes its blocks
+    whole and keeps, if whole, all their pairs, else the min(dim_fast,
+    4m - 3) lowest: enough for the sweeps of this rung and the next two
+    (m, 2m - 1, 4m - 3 as the ladder doubles m - 1). Only a call for more
+    diagonalizes again, by the same rule. A new store is refused before it
+    is allocated if it and the store it replaces (still held by the
+    caller's views) exceed _MEMORY_BUDGET."""
     eps = chi = None
     itemsize = np.dtype(dtype).itemsize
+    mirrored = n_slow - solved
 
     def sweep(m):
         nonlocal eps, chi
@@ -877,12 +890,20 @@ def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig,
                 held + n_slow * keep * (8 + dim_fast * itemsize))
             eps = np.empty((n_slow, keep))
             chi = np.empty((n_slow, dim_fast, keep), dtype=dtype)
-            for i in range(n_slow):
+            for i in range(solved):
                 w, v = block_eig(i)
                 eps[i], chi[i] = w[:keep], v[:, :keep]
+            eps[solved:] = eps[:mirrored][::-1]
+            chi[solved:] = chi[:mirrored][::-1, ::-1]
         return eps[:, :m], chi[:, :, :m]
 
     return sweep
+
+
+def _mirrors(gap: float, dim_fast: int, norm: float) -> bool:
+    """Whether the mirror pairs of frozen blocks agree, ||B_j - P B_i P||
+    <= gap, to within the rounding of one block eigensolve."""
+    return gap <= dim_fast * np.finfo(float).eps * norm
 
 
 def _two_mode(spec: HamiltonianSpec, k: int):
@@ -892,11 +913,25 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     frozen at slow grid point i. Returns apply(psi) = H @ psi on grid
     vectors (dim, ...), taken from the slow band and the blocks; sweep (see
     _frozen_sweep); the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound
-    on max_i ||B_i||_inf for the Weyl margin; meta; and units. Extended
-    blocks (FD4 y-band + V[i]) are banded and diagonalized whole by
-    ?sbevd, compact blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c) are
-    dense and diagonalized whole by eigh; both only when sweep first needs
-    them, and the compact sweep keeps every eigenvector.
+    on max_i ||B_i||_inf for the Weyl margin; the mirror gap (below);
+    meta; and units. Extended blocks (FD4 y-band + V[i]) are banded and
+    diagonalized whole by ?sbevd, compact blocks (h_fast + 1/2 c2 phi_i^2
+    - c2 phi_i phi_c) are dense and diagonalized whole by eigh; both only
+    when sweep first needs them, and the compact sweep keeps every
+    eigenvector.
+
+    Parity: with P reversing the fast axis (y -> -y, or charge m -> -m),
+    an even u, n_g = 0 and a symmetric slow grid give B_j = P B_i P for
+    j = n_slow - 1 - i. The grids are symmetric only to rounding, so delta,
+    a bound on max_i ||B_j - P B_i P|| from the assembled parts, is
+    measured: max|V[::-1, ::-1] - V| (the FD4 band is reversal invariant),
+    or ||h_fast - P h_fast P||_inf + max_i (1/2 c2 |phi_j^2 - phi_i^2|
+    + c2 |phi_i + phi_j| ||phi_c||_inf). When delta is within the rounding
+    of one block eigensolve (_mirrors), the sweep solves the blocks
+    i <= n_slow - 1 - i only (the middle one too when n_slow is odd) and
+    mirrors the rest, and the mirror gap delta joins the Weyl margin and
+    the stop guard. Otherwise (an asymmetric u, n_g != 0, an asymmetric
+    grid) every block is solved and the mirror gap is 0.
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
@@ -907,6 +942,7 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         fast = band.copy()      # block_eig overwrites band[0]
         norm = float(np.max(np.abs(fast[0] + V))
                      + 2.0 * np.sum(np.abs(band[1:, 0])))
+        delta = float(np.max(np.abs(V[::-1, ::-1] - V)))
         # 16 sampled default-grid ladders stopped at m = 8 or 16 on
         # 204-288 points: a few columns serve them
         dtype, whole = float, False
@@ -928,9 +964,13 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         h_slow, c_slow = phi[1] - phi[0], float(spec.kappa)**4
         eye = np.eye(dim_fast)
         L_phi = float(phi[-1])
+        phi1_norm = float(np.max(np.sum(np.abs(phi1), axis=1)))
         norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
-                     + 0.5 * c2 * L_phi**2
-                     + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
+                     + 0.5 * c2 * L_phi**2 + c2 * L_phi * phi1_norm)
+        delta = float(
+            np.max(np.sum(np.abs(h_fast - h_fast[::-1, ::-1]), axis=1))
+            + np.max(0.5 * c2 * np.abs(phi[::-1]**2 - phi**2)
+                     + c2 * np.abs(phi + phi[::-1]) * phi1_norm))
         col = phi[:, None, None]
         # a ladder often reaches the whole charge axis (5 of 16 sampled
         # default-grid sweeps, and kappa = 0.9, xi = 200 on 83 states)
@@ -947,13 +987,17 @@ def _two_mode(spec: HamiltonianSpec, k: int):
                 "n_max_fast": dim_fast // 2, "h": float(h_slow)}
         units = "E'_C units (primed charging energy)"
     slow = _fd4_bands(n_slow, h_slow, c_slow)
-    sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig, whole)
+    if _mirrors(delta, dim_fast, norm):
+        mirror_gap, solved = delta, (n_slow + 1) // 2
+    else:
+        mirror_gap, solved = 0.0, n_slow
+    sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig, whole, solved)
 
     def apply(psi):
         P = psi.reshape(n_slow, dim_fast, -1)
         return (_band_apply(slow, P) + blocks(P)).reshape(psi.shape)
 
-    return apply, sweep, slow[:, 0], norm, meta, units
+    return apply, sweep, slow[:, 0], norm, mirror_gap, meta, units
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -986,21 +1030,22 @@ _RESIDUAL_RTOL = 1e-8
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    apply, sweep, slow, norm, meta, units = _two_mode(spec, k)
+    apply, sweep, slow, norm, mirror_gap, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
     # every rung sweeps one block level above itself for the guard below
     eps, chi = sweep(m + 1)
     n_slow, dim_fast = chi.shape[:2]
     dim = n_slow * dim_fast
-    sigma = _weyl_shift(eps[:, 0], dim_fast, norm)
+    sigma = _weyl_shift(eps[:, 0], dim_fast, norm, mirror_gap)
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
         if m == dim_fast or n_slow * m >= 4 * (k + 1):
-            # the contracted band and its Cholesky copy, beside the store
+            # the contracted band and its Cholesky copy, and the lifted
+            # Ritz vectors and their products by H, beside the store
             _refuse_over_budget(
                 f"the contracted 2D rung m={m}",
                 eps.base.nbytes + chi.base.nbytes
-                + 2 * 3 * m * n_slow * m * chi.itemsize)
+                + 2 * (3 * m * n_slow * m + dim * (k + 1)) * chi.itemsize)
             w, c = _contracted_pairs(eps[:, :m], chi[:, :, :m], slow, sigma,
                                      k + 1)
             psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
@@ -1021,9 +1066,10 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
             if m == dim_fast:
                 break
             # guard: without non-adiabatic coupling no state built on a
-            # discarded fast level lies below the lowest discarded block level
+            # discarded fast level lies below the lowest discarded block
+            # level, which a mirrored block knows to within the mirror gap
             scale = max(1.0, float(np.max(np.abs(w[:k]))))
-            if w[k] < np.min(eps[:, m]) and np.all(
+            if w[k] < np.min(eps[:, m]) - mirror_gap and np.all(
                     bracket <= _LEVEL_RTOL * np.maximum(1.0, np.abs(w[:k]))) \
                     and np.all(lifted[:k] <= _RESIDUAL_RTOL * scale):
                 break

@@ -806,18 +806,20 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
         assert r.meta["shift_gap"] == r.eigenvalues[0] - r.meta["sigma"]
 
 
-def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64, n_fast=None):
+def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64, n_fast=None,
+                   potential=None, ng=0.0):
     """n slow points; n_fast fast states (odd for compact), by default n
-    extended points or the compact basis's own cutoff."""
+    extended points or the compact basis's own cutoff; Cosine by default."""
     if basis == "extended":
         grid = {"nx": n, "ny": n_fast or n}
     else:
         grid = {"n_phi": n}
         if n_fast:
             grid["n_max_fast"] = n_fast // 2
-    return HamiltonianSpec(variant="Regularized2D", potential=Cosine(),
-                           kappa=kappa, xi=xi, lambdaJ=lambdaJ,
-                           basis_y=basis, grid=grid)
+    return HamiltonianSpec(variant="Regularized2D",
+                           potential=potential or Cosine(), kappa=kappa,
+                           xi=xi, lambdaJ=lambdaJ, ng=ng, basis_y=basis,
+                           grid=grid)
 
 
 def _fd4_csr(n, h, c):
@@ -847,10 +849,10 @@ def _kron_oracle(spec, k):
 def _assembled(spec, k):
     """Oracle grid operator, and the Weyl shift, meta and units as the 2D
     solve makes them: the shift comes from the first rung's sweep of the
-    fast blocks."""
-    _, sweep, _, norm, meta, units = circadia.spectra._two_mode(spec, k)
+    fast blocks, its margin widened by the mirror gap."""
+    _, sweep, _, norm, gap, meta, units = circadia.spectra._two_mode(spec, k)
     eps, chi = sweep(circadia.spectra._FIRST_RUNG + 1)
-    sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm)
+    sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm, gap)
     return _kron_oracle(spec, k), sigma, meta, units
 
 
@@ -1014,7 +1016,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
     # nested subspaces: no Ritz value rises as m doubles
     sigma = r.meta["sigma"]
     assert sigma <= oracle[0]
-    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, k)
+    _, sweep, slow, _, _, _, _ = circadia.spectra._two_mode(spec, k)
     previous = None
     m = 1
     while m <= r.meta["m"]:
@@ -1029,7 +1031,7 @@ def test_contracted_levels_match_the_full_grid_oracle(basis, kappa, xi, frac,
 
 def test_a_shift_above_the_contracted_spectrum_is_reported():
     spec = _two_mode_spec("compact", 0.6, 40.0, 400.0)
-    _, sweep, slow, _, _, _ = circadia.spectra._two_mode(spec, 2)
+    _, sweep, slow, _, _, _, _ = circadia.spectra._two_mode(spec, 2)
     eps, chi = sweep(4)
     lowest = circadia.spectra._contracted_pairs(
         eps, chi, slow, _assembled(spec, 2)[1], 1)[0][0]
@@ -1142,6 +1144,23 @@ def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
         _two_mode_spec(basis, kappa, xi, frac * xi**2))
 
 
+# blocks that are not mirrors of each other (an asymmetric u, n_g != 0),
+# and an odd slow axis, whose middle block is its own mirror
+_UNMIRRORED = [
+    ("extended", dict(potential=BiasedCosine(0.7))),
+    ("compact", dict(potential=BiasedCosine(0.7))),
+    ("compact", dict(ng=0.25)),
+]
+_ODD = [("extended", dict(n=65)), ("compact", dict(n=65))]
+
+
+@pytest.mark.parametrize("basis, kw", _UNMIRRORED + _ODD)
+def test_the_block_sweep_matches_the_per_block_solver_unmirrored_or_odd(
+        basis, kw):
+    _check_sweep_against_the_block_oracle(
+        _two_mode_spec(basis, 0.6, 20.0, 100.0, **kw))
+
+
 # on 161 fast states the extended stores keep 17, 129 and 161 columns
 # (sweeps of 5, 33 and 161 levels); the compact store keeps all 161
 @pytest.mark.parametrize("basis, kappa, xi, lambdaJ, stores", [
@@ -1173,18 +1192,93 @@ def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
     for name in ("eig_banded", "eigh"):
         monkeypatch.setattr(circadia.spectra, name,
                             counted(getattr(circadia.spectra, name)))
-    # bench grid: the ladder runs m = 4, 8, 16 on the first store
+    # bench grid: the ladder runs m = 4, 8, 16 on the first store, which
+    # solves 48 of the 96 blocks and mirrors the rest
     assert lowest_eigenvalues(_bench_spec("extended"), 4).meta["m"] == 16
-    assert len(calls) == 96
+    assert len(calls) == 48
     assert not any("select" in kwargs for kwargs in calls)
     # compact ladders that reach the whole charge axis (65 and 83 states)
-    # on the store of the first sweep
+    # on the store of the first sweep, 32 of 64 blocks solved
     for kappa, xi, lambdaJ in ((0.8, 5.0, 1.0), (0.9, 200.0, 2000.0)):
         calls.clear()
         r = lowest_eigenvalues(_two_mode_spec("compact", kappa, xi, lambdaJ),
                                2)
         assert r.meta["m"] == 2 * r.meta["n_max_fast"] + 1
-        assert len(calls) == 64
+        assert len(calls) == 32
+
+
+def _solved_blocks(monkeypatch, spec):
+    """The number of frozen blocks the first sweep of spec diagonalizes,
+    and the mirror gap of its assembly."""
+    calls = []
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig_banded", "eigh"):
+        monkeypatch.setattr(circadia.spectra, name,
+                            counted(getattr(circadia.spectra, name)))
+    parts = circadia.spectra._two_mode(spec, 2)
+    parts[1](circadia.spectra._FIRST_RUNG + 1)
+    return len(calls), parts[4]
+
+
+@pytest.mark.parametrize(
+    "basis, kw, solved",
+    [("extended", {}, 32), ("compact", {}, 32)]
+    + [(basis, kw, 33) for basis, kw in _ODD]
+    + [(basis, kw, 64) for basis, kw in _UNMIRRORED])
+def test_only_a_mirrored_sweep_solves_half_the_blocks(monkeypatch, basis, kw,
+                                                      solved):
+    spec = _two_mode_spec(basis, 0.6, 20.0, 100.0, **kw)
+    count, gap = _solved_blocks(monkeypatch, spec)
+    assert count == solved
+    if solved == 64:
+        assert gap == 0.0
+
+
+@pytest.mark.parametrize("basis", ["extended", "compact"])
+def test_a_mirrored_weyl_shift_lies_below_every_block_solved_directly(basis):
+    # the bench grids are antisymmetric only to rounding: the mirrored
+    # blocks are off their mirrors by a nonzero gap
+    spec = _bench_spec(basis)
+    parts = circadia.spectra._two_mode(spec, 4)
+    norm, gap = parts[3], parts[4]
+    assert gap > 0.0
+    eps, chi = parts[1](circadia.spectra._FIRST_RUNG + 1)
+    _, sigma, _, _ = _assembled(spec, 4)
+    oracle = _block_oracle(spec, 4)
+    lowest = np.array([w[0] for w, _ in oracle])
+    assert sigma <= np.min(lowest)
+    # each stored level, mirrored or solved, is within the gap and the
+    # rounding of a block eigensolve of the block's own level
+    rounding = chi.shape[1] * np.finfo(float).eps * norm
+    for i, (w, _) in enumerate(oracle):
+        assert np.all(np.abs(eps[i] - w[:eps.shape[1]]) <= gap + rounding)
+
+
+@settings(max_examples=10)
+@given(
+    basis=st.sampled_from(["extended", "compact"]),
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_a_mirrored_solve_equals_the_solve_of_every_block(basis, kappa, xi,
+                                                          frac):
+    spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
+    r = lowest_eigenvalues(spec, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circadia.spectra, "_mirrors", lambda *args: False)
+        full = lowest_eigenvalues(spec, 3)
+    tol = 1e-12 * np.maximum(1.0, np.abs(full.eigenvalues))
+    assert r.meta["m"] == full.meta["m"]
+    assert np.all(np.abs(r.eigenvalues - full.eigenvalues) <= tol)
+    assert np.all(np.abs(np.subtract(r.meta["bracket"],
+                                     full.meta["bracket"])) <= tol)
 
 
 def _no_block(*args, **kwargs):
@@ -1218,13 +1312,26 @@ def test_an_over_budget_solve_is_refused_before_any_block_is_diagonalized(
 def test_a_contracted_band_over_budget_is_refused_before_it_is_built(
         monkeypatch):
     # the bench extended store of 17 pairs (2.00 MiB) serves m = 4, 8 and
-    # 16, whose bands and Cholesky copies add 0.07, 0.28 and 1.13 MiB
-    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 3 * 2**20)
+    # 16, whose bands and Cholesky copies add 0.07, 0.28 and 1.13 MiB; the
+    # 5 lifted Ritz vectors and their products by H add 1.17 MiB to each
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 4 * 2**20)
     rungs = _counted_rungs(monkeypatch)
-    with pytest.raises(ValidationError, match=r"rung m=16 needs about 3\.1 "
-                       r"MiB, over the 3\.0 MiB budget"):
+    with pytest.raises(ValidationError, match=r"rung m=16 needs about 4\.3 "
+                       r"MiB, over the 4\.0 MiB budget"):
         lowest_eigenvalues(_bench_spec("extended"), 4)
     assert rungs == [4, 8]
+
+
+def test_the_lifted_ritz_vectors_count_against_the_rung_budget(monkeypatch):
+    # 64 x 64 extended, k = 60: the store of 17 pairs (0.54 MiB) and the
+    # m = 4 band (0.05 MiB) fit in 1 MiB, but 61 lifted vectors and their
+    # products by H (3.81 MiB) do not
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 2**20)
+    rungs = _counted_rungs(monkeypatch)
+    with pytest.raises(ValidationError, match=r"rung m=4 needs about 4\.4 "
+                       r"MiB, over the 1\.0 MiB budget"):
+        lowest_eigenvalues(_two_mode_spec("extended", 0.6, 40.0, 400.0), 60)
+    assert rungs == []
 
 
 def test_a_store_over_budget_is_refused_before_it_is_diagonalized(
@@ -1247,7 +1354,8 @@ def test_a_store_over_budget_is_refused_before_it_is_diagonalized(
                        r"about 11\.5 MiB, over the 4\.0 MiB budget"):
         lowest_eigenvalues(spec, 2)
     assert rungs == [4, 8, 16]
-    assert len(blocks) == 64
+    # the first store solved 32 of the 64 blocks and mirrored the rest
+    assert len(blocks) == 32
 
 
 def test_bo_fast_ground_widens_a_narrow_grid_once_then_refuses():
