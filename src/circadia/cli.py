@@ -281,10 +281,9 @@ def _bo_extended(rc, p, args):
     at 41 phi on [-pi, pi]."""
     from . import spectra
     phis = np.linspace(-math.pi, math.pi, 41)
-    # one continuation chain from the middle point, phi = 0
-    e = spectra._ground_along(rc.kappa, rc.xi, rc.lambdaJ, p,
-                              [math.sqrt(rc.xi) * phi for phi in phis], 20)
-    u = (e - e[20]) / rc.kappa**2
+    # bo-sweep's rung: one continuation chain from phi = 0
+    u = spectra._bo_delta(rc.kappa, rc.xi, rc.lambdaJ, p,
+                          math.sqrt(rc.xi) * phis) / rc.kappa**2
     periodic = _two_pi_periodic(p)
     if periodic:
         u[-1] = u[0]
@@ -389,7 +388,11 @@ def cmd_compare(args) -> int:
 def cmd_dynamics(args) -> int:
     _check_flags(args, finite=("x0", "px0", "y0", "py0", "t_end", "dt"))
     rc, p = read_circuit(args.circuit)
-    t_end = args.t_end if args.t_end is not None else 2.0 * _slow_period(rc)
+    # the default horizon and the shadow report need a finite slow period:
+    # refused at kappa = 0 and lambdaJ = 0 before any step
+    if args.t_end is None or args.report == "shadow":
+        period = _slow_period(rc)
+    t_end = args.t_end if args.t_end is not None else 2.0 * period
     manifest = _new_manifest("dynamics", args, {
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
@@ -557,9 +560,9 @@ def build_parser() -> CliParser:
                     "past the fold")
     sp.add_argument("--py0", type=float, default=None)
     sp.add_argument("--t-end", type=float, default=None,
-                    help="default: two slow periods, refused (exit 1) at "
-                    "kappa = 0 (the residual report's own run: five fast "
-                    "periods and half a slow one)")
+                    help="default: two slow periods; it and --report shadow "
+                    "are refused (exit 1) at kappa = 0 and lambdaJ = 0 (the "
+                    "residual report: five fast periods, half a slow one)")
     sp.add_argument("--dt", type=float, default=2e-4)
     sp.add_argument("--report", choices=("none", "residual", "shadow"),
                     default="none")

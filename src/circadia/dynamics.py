@@ -173,15 +173,16 @@ def integrate(rc: ReducedCircuit, p: PotentialModel, initial_state,
 
 
 def _slow_period(rc: ReducedCircuit) -> float:
-    """Harmonic slow period near a cosine-family minimum; default horizon.
-    Refused at kappa = 0, where the slow mode does not move."""
+    """Harmonic slow period 2*pi/(kappa^2*sqrt(beta/(1+beta))) near a
+    cosine-family minimum; default horizon. Refused at kappa = 0, where the
+    slow mode does not move, and at beta = 0, where it moves freely: the
+    period grows without bound as beta -> 0+."""
     if rc.kappa <= 0:
         raise ValidationError("kappa must be > 0 for a slow period")
-    if rc.beta > 0:
-        omega = rc.kappa**2 * math.sqrt(rc.beta / (1.0 + rc.beta))
-    else:
-        omega = rc.kappa**2
-    return TWO_PI / omega
+    if rc.beta <= 0:
+        raise ValidationError("beta must be > 0 for a slow period (the "
+                              "slow mode is free at lambdaJ = 0)")
+    return TWO_PI / (rc.kappa**2 * math.sqrt(rc.beta / (1.0 + rc.beta)))
 
 
 def manifold_eta(rc: ReducedCircuit, p: PotentialModel,

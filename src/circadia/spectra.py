@@ -25,12 +25,13 @@ shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
-value certifies that no level lies under it. A Born-Oppenheimer sweep
-solves one fast ground state so and continues its neighbours by inverse
-iteration on one banded LU each, under the same certificate
-(_ground_along). Sylvester inertia counts cut
-an energy window into slices of <= 32 levels, each shift-inverted Lanczos;
-a window's count and end levels need only its two end slices.
+value certifies that no level lies under it (_certify_ground). Every
+Born-Oppenheimer rung, of bo-sweep and of compare, is one routine
+(_bo_delta): a chain (_ground_along) that solves one fast ground state so
+and continues its neighbours by inverse iteration on one banded LU each,
+under the same certificate. Sylvester inertia counts cut an energy window
+into slices of <= 32 levels, each shift-inverted Lanczos; a window's count
+and end levels need only its two end slices.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
@@ -274,7 +275,8 @@ def _cholesky_below(ab: np.ndarray, shift: float, claim: str) -> np.ndarray:
     """Banded Cholesky factor of A - shift*I (A Hermitian, lower storage ab,
     ab[0] the diagonal). It exists only if shift lies below the spectrum of
     A, so a refused factorization is a ConvergenceError stating `claim`."""
-    shifted = ab.copy()
+    # in Fortran order, which LAPACK factors in place without a copy
+    shifted = ab.copy(order="F")
     shifted[0] -= shift
     try:
         return cholesky_banded(shifted, lower=True, overwrite_ab=True,
@@ -358,14 +360,26 @@ def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int):
     H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no level lies below
     the ground Ritz value E_0. Above E_0 the levels rest on Lanczos from a
     proven lower bound, as in 2D."""
+    _check_k(k, v.size)
     band, scale = _fd4_operator(v, h, c_kin)
     sigma = _weyl_shift(v, 1, scale)
     w, vec = _shift_invert_pairs(band, sigma, k)
+    return w, vec, _certify_ground(band, scale, w, vec, "ground Ritz value"), \
+        sigma
+
+
+def _certify_ground(band: np.ndarray, scale: float, w: np.ndarray,
+                    vec: np.ndarray, what: str) -> np.ndarray:
+    """Residual norms ||H v_j - w_j v_j|| of the unit pairs (w_j, column v_j
+    of vec) of the band H (lower storage), s = scale its Gershgorin bound on
+    max|lambda|, once a banded Cholesky of H - (w_0 - ||r_0|| - 8*eps*s)*I
+    proves that no level lies below w_0; a refused factorization is a
+    ConvergenceError "a level lies below the <what> w_0"."""
     res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
     _cholesky_below(band, float(w[0] - res[0] - 8.0 * np.finfo(float).eps
-                                * scale), "a level lies below the ground "
-                    f"Ritz value {float(w[0])!r}")
-    return w, vec, res, sigma
+                                * scale),
+                    f"a level lies below the {what} {float(w[0])!r}")
+    return res
 
 
 def _check_k(k: int, dim: int) -> None:
@@ -636,72 +650,74 @@ def _frozen_fast_params(spec: HamiltonianSpec):
     return float(spec.kappa), float(spec.xi), float(spec.lambdaJ), p
 
 
-def _fast_grid(spec: HamiltonianSpec, kappa: float) -> tuple[float, int]:
-    """(half_width, n) of a FastAtX y grid: by default the half width is
-    kappa*|x| + 12 and the step 0.01, with >= 128 nodes; a given n below
-    128 is refused, as by every 1D grid."""
-    L = float(spec.grid.get("half_width", kappa * abs(spec.frozen_x) + 12.0))
-    npts = int(spec.grid.get("n", max(math.ceil(2.0 * L / 0.01), 128)))
+def _fast_grid(kappa: float, x: float, half_width: float | None = None,
+               n: int | None = None) -> tuple[float, int]:
+    """(half_width, n) of the y grid of the fast mode frozen at x: by
+    default the half width is kappa*|x| + 12 and the step 0.01, with >= 128
+    nodes; a given n below 128 is refused, as by every 1D grid."""
+    L = kappa * abs(x) + 12.0 if half_width is None else float(half_width)
+    npts = max(math.ceil(2.0 * L / 0.01), 128) if n is None else int(n)
     if npts < 128:
         raise ValidationError("1D grids need >= 128 points")
     return L, npts
 
 
-def _edge_mass(vec: np.ndarray) -> float:
-    """Largest share of a column's mass on the two end nodes at either end."""
-    psi2 = np.abs(vec)**2
-    return float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
-                        / np.sum(psi2, axis=0)))
-
-
-def _lowest_fast_at_x(spec: HamiltonianSpec, k: int):
-    """_solve_banded on a y-grid (_fast_grid) that holds the k levels, as a
-    SpectrumResult with the unit eigenvectors (columns) on its grid: one
-    level with more than 1e-12 of its mass on the two end nodes at either
-    end widens the grid once (half_width and n doubled), then fails the
-    solve."""
-    kappa, xi, lam, p = _frozen_fast_params(spec)
+def _frozen_fast(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
+                 half_width, n, x: float, widen: int = 1):
+    """(y, v, h) of the fast mode frozen at x: the nodes of its y grid
+    (_fast_grid, half_width and n None for the default, both times widen),
+    the fast potential on them and their step; kappa <= 0 is refused."""
     if kappa <= 0:
         raise ValidationError("kappa must be > 0")
-    L, npts = _fast_grid(spec, kappa)
-    _check_k(k, npts)
-    for attempt in range(2):
-        y = _box_nodes(L, npts)
-        h = float(y[1] - y[0])
-        v = _fast_potential(kappa, xi, lam, p, spec.frozen_x, y)
+    L, npts = _fast_grid(kappa, x, half_width, n)
+    y = _box_nodes(widen * L, widen * npts)
+    return y, _fast_potential(kappa, xi, lambdaJ, p, x, y), float(y[1] - y[0])
+
+
+def _edge_mass(vec: np.ndarray) -> float:
+    """Largest share of a column's mass on the two end nodes at either end,
+    or 0 when no share exceeds 1e-12: a grid holds the levels whose columns
+    have edge mass 0."""
+    psi2 = np.abs(vec)**2
+    mass = float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
+                        / np.sum(psi2, axis=0)))
+    return mass if mass >= 1e-12 else 0.0
+
+
+def _lowest_fast(frozen, x: float, k: int):
+    """(w, vec, res, sigma, y): _solve_banded of the fast mode frozen at x,
+    frozen(x, widen=...) a partial of _frozen_fast, on a y grid that holds
+    the k levels, the unit eigenvectors (columns) on its nodes y. A level
+    with edge mass (_edge_mass) widens the grid once (half_width and n
+    doubled), then fails the solve. The one cold solve of FastAtX and of a
+    continuation chain (bo_fast_ground is a chain of one point)."""
+    for widen in (1, 2):
+        y, v, h = frozen(x, widen=widen)
         w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
         edge = _edge_mass(vec)
-        if edge < 1e-12:
-            return _banded_result(spec, w, res, sigma, "hbar*omega_C units",
-                                  h=h, n=npts, half_width=float(L)), vec
-        if attempt == 0:
-            L, npts = 2.0 * L, 2 * npts
+        if not edge:
+            return w, vec, res, sigma, y
     raise ConvergenceError(
         "a fast level reaches the grid boundary after widening",
-        detail={"half_width": L, "boundary_mass": edge})
+        detail={"half_width": float(y[-1]), "boundary_mass": edge})
 
 
-def _warm_fast_ground(spec: HamiltonianSpec, prev: tuple):
-    """(e0, y, unit ground vector) of FastAtX at spec.frozen_x continued
-    from a neighbour's prev = (e0, y, vector), or None.
+def _warm_fast_ground(frozen, x: float, prev: tuple):
+    """(e0, y, unit ground vector) of the fast mode frozen at x (frozen as
+    in _lowest_fast) continued from a neighbour's prev = (e0, y, vector),
+    or None.
 
-    On its own grid (_fast_grid, never widened) the neighbour's vector,
+    On its own grid (never widened) the neighbour's vector,
     interpolated (zero outside its grid), starts inverse iteration on one
     LU of H - sigma*I, sigma = e0_prev - 1e-3. The level is
     sigma + 1/(v^T (H - sigma)^-1 v) of the current v, as in shift-invert
     Lanczos; the Rayleigh quotient of H would round at eps*||H||. It is
     taken once it moves by no more than 8*eps*s, s the Gershgorin bound on
     max|lambda|, within 8 solves. It must then pass the cold solve's checks:
-    a banded Cholesky of H - (e0 - ||r|| - 8*eps*s)*I proves no level below
-    it, and the vector holds no more than 1e-12 of its mass on the end
-    nodes. None when the shift is a level, the cap is reached or a check
-    fails."""
-    kappa, xi, lam, p = _frozen_fast_params(spec)
-    L, npts = _fast_grid(spec, kappa)
-    y = _box_nodes(L, npts)
-    band, scale = _fd4_operator(
-        _fast_potential(kappa, xi, lam, p, spec.frozen_x, y),
-        float(y[1] - y[0]), 0.5)
+    the ground certificate (_certify_ground) and no edge mass. None when
+    the shift is a level, the cap is reached or a check fails."""
+    y, v, h = frozen(x)
+    band, scale = _fd4_operator(v, h, 0.5)
     tol = 8.0 * np.finfo(float).eps * scale
     sigma = prev[0] - 1e-3
     v = np.interp(y, prev[1], prev[2], left=0.0, right=0.0)
@@ -721,25 +737,12 @@ def _warm_fast_ground(spec: HamiltonianSpec, prev: tuple):
             break
     else:
         return None
-    res = float(np.linalg.norm(_band_apply(band, v) - level * v))
     try:
-        _cholesky_below(band, level - res - tol, "a level lies below the "
-                        f"continued level {level!r}")
+        _certify_ground(band, scale, np.array([level]), v[:, None],
+                        "continued level")
     except ConvergenceError:
         return None
-    if _edge_mass(v) >= 1e-12:
-        return None
-    return level, y, v
-
-
-def _fast_spec(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
-               x: float, half_width: float | None = None,
-               n: int | None = None) -> HamiltonianSpec:
-    """FastAtX frozen at x, on the default grid unless half_width or n."""
-    grid = {key: val for key, val in (("half_width", half_width), ("n", n))
-            if val is not None}
-    return HamiltonianSpec(variant="FastAtX", potential=p, kappa=kappa,
-                           xi=xi, lambdaJ=lambdaJ, frozen_x=x, grid=grid)
+    return None if _edge_mass(v) else (level, y, v)
 
 
 def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
@@ -747,38 +750,38 @@ def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
-    the ground level of FastAtX frozen at x, one cold solve."""
-    spec = _fast_spec(kappa, xi, lambdaJ, p, x, half_width, n)
-    return float(lowest_eigenvalues(spec, 1).eigenvalues[0])
+    the ground level of FastAtX frozen at x, as a chain of one point
+    (_ground_along), which is one cold solve."""
+    return float(_ground_along(kappa, xi, lambdaJ, p, [x], 0, half_width,
+                               n)[0])
 
 
 def _ground_along(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
                   xs, start: int, half_width: float | None = None,
                   n: int | None = None) -> np.ndarray:
-    """bo_fast_ground at every x of the chain xs, by continuation.
+    """bo_fast_ground at every x of the chain xs, by continuation; the
+    chain of every Born-Oppenheimer rung (_bo_delta).
 
-    xs[start] is solved cold (_lowest_fast_at_x, with its widening); the
-    chain then walks outward in both directions, each point continued from
-    its neighbour's level and vector (_warm_fast_ground). A point that does
-    not continue, or fails the certificate or the edge check, is solved
-    cold, and only a cold solve raises: every level is certified as
+    xs[start] is solved cold (_lowest_fast, with its widening); the chain
+    then walks outward in both directions, each point continued from its
+    neighbour's level and vector (_warm_fast_ground). A point that does not
+    continue, or fails the certificate or the edge check, is solved cold,
+    and only a cold solve raises: every level is certified as
     bo_fast_ground's is, so the two differ by no more than their residual
     norms and 8*eps*s (s the Gershgorin bound on max|lambda|)."""
-    specs = [_fast_spec(kappa, xi, lambdaJ, p, float(x), half_width, n)
-             for x in xs]
-    levels = np.empty(len(specs))
+    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
+    levels = np.empty(len(xs))
 
-    def cold(spec):
-        r, vec = _lowest_fast_at_x(spec, 1)
-        return (r.eigenvalues[0],
-                _box_nodes(r.meta["half_width"], r.meta["n"]), vec[:, 0])
+    def cold(x):
+        w, vec, _, _, y = _lowest_fast(frozen, x, 1)
+        return w[0], y, vec[:, 0]
 
-    first = cold(specs[start])
+    first = cold(xs[start])
     levels[start] = first[0]
-    for step, stop in ((1, len(specs)), (-1, -1)):
+    for step, stop in ((1, len(xs)), (-1, -1)):
         prev = first
         for i in range(start + step, stop, step):
-            prev = _warm_fast_ground(specs[i], prev) or cold(specs[i])
+            prev = _warm_fast_ground(frozen, xs[i], prev) or cold(xs[i])
             levels[i] = prev[0]
     return levels
 
@@ -994,8 +997,13 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig, whole, solved)
 
     def apply(psi):
+        # the slow band's product is added in place once the blocks' is
+        # made: beside psi three arrays of its size at most, as the rung
+        # guard of _lowest_regularized2d counts
         P = psi.reshape(n_slow, dim_fast, -1)
-        return (_band_apply(slow, P) + blocks(P)).reshape(psi.shape)
+        out = blocks(P)
+        out += _band_apply(slow, P)
+        return out.reshape(psi.shape)
 
     return apply, sweep, slow[:, 0], norm, mirror_gap, meta, units
 
@@ -1023,6 +1031,31 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
     return _shift_invert_pairs(ab, sigma, npairs)
 
 
+def _lifted_rung(apply, eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
+                 sigma: float, npairs: int):
+    """(w, r): the npairs lowest pairs of the contracted rung
+    (_contracted_pairs) lifted to the grid, psi = chi c, w their Rayleigh
+    quotients and r their grid residual norms ||H psi - w psi||.
+
+    The level is the Rayleigh quotient of the lifted vector; its terms of
+    size ||K||*|psi|^2 cancel to |w|, and on the quadratic 192x240 extended
+    grid it was off a long-double evaluation by 1.4e-14*|w| (about 60 eps);
+    the banded Ritz value rounds at eps*||H||. Once H psi is made (apply
+    holds at most three dim x npairs arrays beside psi), the products,
+    quotients and the residual are taken in place in one more such array;
+    the rung guard of _lowest_regularized2d counts them all."""
+    _, c = _contracted_pairs(eps, chi, slow, sigma, npairs)
+    psi = np.matmul(chi, c.reshape(len(chi), -1, npairs)).reshape(-1, npairs)
+    Hpsi, prod = apply(psi), np.conj(psi)
+    w = np.sum(np.multiply(prod, Hpsi, out=prod), axis=0).real
+    w = w / np.sum(np.multiply(np.conj(psi, out=prod), psi, out=prod),
+                   axis=0).real
+    # the residual in place of H psi, its norm as np.linalg.norm takes it
+    Hpsi -= np.multiply(psi, w[None, :], out=prod)
+    np.multiply(np.conj(Hpsi, out=prod), Hpsi, out=prod)
+    return w, np.sqrt(np.sum(prod.real, axis=0))
+
+
 # the contracted solve starts at m = _FIRST_RUNG fast levels per slow point
 _FIRST_RUNG = 4
 _LEVEL_RTOL = 1e-10
@@ -1040,25 +1073,24 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
         if m == dim_fast or n_slow * m >= 4 * (k + 1):
-            # the contracted band and its Cholesky copy, and the lifted
-            # Ritz vectors and their products by H, beside the store
-            _refuse_over_budget(
-                f"the contracted 2D rung m={m}",
-                eps.base.nbytes + chi.base.nbytes
-                + 2 * (3 * m * n_slow * m + dim * (k + 1)) * chi.itemsize)
-            w, c = _contracted_pairs(eps[:, :m], chi[:, :, :m], slow, sigma,
-                                     k + 1)
-            psi = np.matmul(chi[:, :, :m], c.reshape(n_slow, m, -1)) \
-                .reshape(dim, -1)
-            Hpsi = apply(psi)
-            # the level is the Rayleigh quotient of the lifted vector; its
-            # terms of size ||K||*|psi|^2 cancel to |w|, and on the quadratic
-            # 192x240 extended grid it was off a long-double evaluation by
-            # 1.4e-14*|w| (about 60 eps); the banded Ritz value rounds at
-            # eps*||H||
-            w = np.sum(psi.conj() * Hpsi, axis=0).real \
-                / np.sum(psi.conj() * psi, axis=0).real
-            lifted = np.linalg.norm(Hpsi - psi * w[None, :], axis=0)
+            # a rung of n = n_slow*m states allocates, beside the store, at
+            # the larger of two peaks. Both hold a copy of the m eigenvector
+            # columns of every block (dim x m: conjugated, or contiguous for
+            # a product). The band solve adds the band of 3m rows, its
+            # shifted Cholesky copy, the coupling blocks of one slow offset
+            # and their scaled copy (n x m twice), the ARPACK Lanczos basis
+            # (n x ncv, ncv = max(2k+3, 20) as eigsh sizes it, and 8 vectors
+            # of work) and the Ritz vectors with their sorted copy
+            # (n x (k+1) twice). The lift (_lifted_rung) adds the Ritz
+            # coefficients (n x (k+1)), psi and three more arrays of its
+            # size (dim x (k+1)): H psi and two temporaries.
+            n = n_slow * m
+            band = 8 * m * n + n * (min(max(2 * k + 3, 20), n) + 2 * k + 10)
+            need = eps.base.nbytes + chi.base.nbytes + chi.itemsize * (
+                dim * m + max(band, (n + 4 * dim) * (k + 1)))
+            _refuse_over_budget(f"the contracted 2D rung m={m}", need)
+            w, lifted = _lifted_rung(apply, eps[:, :m], chi[:, :, :m], slow,
+                                     sigma, k + 1)
             # Kato-Temple: lambda_j >= w_j - |r_j|^2 / (w_j+1 - |r_j+1| - w_j)
             gap = w[1:] - lifted[1:] - w[:-1]
             bracket = np.divide(lifted[:-1]**2, gap, out=np.full(k, np.inf),
@@ -1114,14 +1146,18 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
         raise ValidationError("k must be >= 1")
     if spec.variant == "Extended1D":
         v, h = _extended1d_arrays(spec)
-        _check_k(k, v.size)
         w, _, res, sigma = _solve_banded(v, h, spec.c_kin, k)
         return _banded_result(spec, w, res, sigma, "E_C units", h=h,
                               n=int(v.size))
     if spec.variant == "Compact1D":
         return _lowest_compact1d(spec, k)
     if spec.variant == "FastAtX":
-        return _lowest_fast_at_x(spec, k)[0]
+        frozen = partial(_frozen_fast, *_frozen_fast_params(spec),
+                         spec.grid.get("half_width"), spec.grid.get("n"))
+        w, _, res, sigma, y = _lowest_fast(frozen, spec.frozen_x, k)
+        return _banded_result(spec, w, res, sigma, "hbar*omega_C units",
+                              h=float(y[1] - y[0]), n=int(y.size),
+                              half_width=float(y[-1]))
     return _lowest_regularized2d(spec, k)
 
 
@@ -1168,15 +1204,16 @@ class BOTable:
                   "sup_abs": [float(s) for s in self.sup_abs]})
 
 
-def _bo_rung(task) -> np.ndarray:
-    """e0 at x = 0, then at every x of xs, on one kappa rung: one
-    _ground_along chain over the sorted distinct x with 0, from x = 0, so
-    an x = 0 in xs reuses the reference level."""
-    kappa, xi, lambdaJ, p, xs, half_width, n = task
+def _bo_delta(kappa: float, xi: float, lambdaJ: float, p: PotentialModel, xs,
+              half_width=None, n=None) -> np.ndarray:
+    """e0(x) - e0(0) at every x of xs on one kappa rung, the one
+    Born-Oppenheimer routine of bo-sweep and compare: one _ground_along
+    chain over the sorted distinct x with 0, from x = 0, so an x = 0 in xs
+    reuses the reference level."""
     chain = np.unique(np.append(xs, 0.0))
     start = int(np.searchsorted(chain, 0.0))
     e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start, half_width, n)
-    return np.append(e0[start], e0[np.searchsorted(chain, xs)])
+    return e0[np.searchsorted(chain, xs)] - e0[start]
 
 
 def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
@@ -1184,10 +1221,11 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
                            n: int | None = None, map_fn=None) -> BOTable:
     """Fast-ground-energy differences over a decreasing kappa ladder.
 
-    Each kappa rung is one continuation chain (_bo_rung, _ground_along):
-    a cold solve at x = 0, then each x continued from its neighbour, a
-    point that does not continue or fails its certificate or edge check
-    falling back to the cold bo_fast_ground solve.
+    Each kappa rung is one continuation chain (_bo_delta, _ground_along),
+    the routine compare's bo_extended column runs too: a cold solve at
+    x = 0, then each x continued from its neighbour, a point that does not
+    continue or fails its certificate or edge check falling back to the
+    cold bo_fast_ground solve.
     verdict: "decreasing" when delta vanishes (BOTable.vanishing);
     otherwise "converges-nonzero" when the curvature fits agree within 10%
     from rung to rung and the last exceeds 1e-9; otherwise "decreasing"
@@ -1205,12 +1243,9 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
         raise ValidationError("kappa ladder must be strictly decreasing")
     if float(np.sum((xs**2)**2)) == 0.0:    # quadratic_fit's denominator
         raise ValidationError("x grid cannot be all zeros")
-    # per kappa: e0 at x = 0, then at every x
-    tasks = [(float(kap), xi, lambdaJ, p, xs, half_width, n)
-             for kap in kappas]
-    mapper = map if map_fn is None else map_fn
-    e0 = np.array(list(mapper(_bo_rung, tasks)))
-    delta = e0[:, 1:] - e0[:, :1]
+    rung = partial(_bo_delta, xi=xi, lambdaJ=lambdaJ, p=p, xs=xs,
+                   half_width=half_width, n=n)
+    delta = np.array(list((map_fn or map)(rung, kappas.tolist())))
     sup = np.max(np.abs(delta), axis=1)
     table = BOTable(kappas=kappas, xs=xs, delta=delta, sup_abs=sup,
                     U=delta / kappas[:, None]**2, verdict="decreasing")

@@ -2,8 +2,9 @@
 
 Nearly every test drives `python -m circadia.cli` the way a user would and
 checks exit codes, the file sets written to --out, and the manifest
-contract; the compare work guard runs `circadia.cli.main` in-process to
-count the solver calls.
+contract; the compare work guard and the BO wiring checks run
+`circadia.cli.main` in-process to count the solver calls or capture the
+splined samples.
 """
 
 from __future__ import annotations
@@ -289,13 +290,13 @@ def test_bo_sweep_refuses_an_all_zero_x_grid_before_solving(
 
     circuit = write_circuit("bo.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
     calls = []
-    rung = circadia.spectra._bo_rung
+    rung = circadia.spectra._bo_delta
 
-    def counted_rung(task):
-        calls.append(task)
-        return rung(task)
+    def counted_rung(kappa, *args, **kwargs):
+        calls.append(kappa)
+        return rung(kappa, *args, **kwargs)
 
-    monkeypatch.setattr(circadia.spectra, "_bo_rung", counted_rung)
+    monkeypatch.setattr(circadia.spectra, "_bo_delta", counted_rung)
     assert circadia.cli.main(["bo-sweep", "--circuit", circuit,
                               "--out", str(tmp_path / "bo_out"),
                               "--kappa-ladder", "0.6,0.45,0.3",
@@ -315,6 +316,35 @@ def test_compare_runs_three_routes(write_circuit, tmp_path):
                      "manifest.json"}
     assert (out / "compare.csv").read_text().startswith("# units:")
     check_manifest(out / "manifest.json", "compare")
+
+
+def test_compare_splines_the_bo_sweep_rung(write_circuit, tmp_path,
+                                           monkeypatch):
+    # in-process: the U samples compare's bo_extended column splines are,
+    # bit for bit, the kappa row bo-sweep computes on the same x grid
+    import circadia.cli
+    from circadia.params import read_circuit
+    from circadia.spectra import bo_effective_potential
+
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    splined = []
+    spline = circadia.cli.CubicSpline
+
+    def recording(knots, values, bc_type):
+        splined.append(np.array(values))
+        return spline(knots, values, bc_type)
+
+    monkeypatch.setattr(circadia.cli, "CubicSpline", recording)
+    assert circadia.cli.main(["compare", "--circuit", circuit,
+                              "--out", str(tmp_path / "cmp_out")]) == 0
+    rc, p = read_circuit(circuit)
+    assert rc.kappa == 0.5
+    xs = math.sqrt(rc.xi) * np.linspace(-math.pi, math.pi, 41)
+    row = bo_effective_potential([0.5, 0.4, 0.3], xs, p, rc.xi,
+                                 rc.lambdaJ).U[0]
+    (u,) = splined
+    # the periodic spline closes the samples on the first one
+    assert np.array_equal(u[:-1], row[:-1]) and u[-1] == u[0] == row[0]
 
 
 def test_compare_at_kappa_zero_keeps_the_reduced_column(write_circuit,
@@ -489,6 +519,43 @@ def test_dynamics_at_kappa_zero_needs_a_horizon(write_circuit, tmp_path):
     assert [float(v) for v in first.split(",")[:5]] == [0.0, 1.0, 0.0, 0.0,
                                                         0.0]
     check_manifest(out / "manifest.json", "dynamics")
+
+
+def test_dynamics_without_coupling_needs_a_horizon(write_circuit, tmp_path):
+    # EJ_J = 0: the slow mode is free and two slow periods are infinite, so
+    # the default horizon is refused before any step; a given one runs
+    circuit = write_circuit("ej0.json", kappa=0.5, xi=1.0, lambdaJ=0.0)
+    out = tmp_path / "out"
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: beta must be > 0")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+    res = run_cli("dynamics", "--circuit", circuit, "--out", out,
+                  "--t-end", "2")
+    assert res.returncode == 0, res.stderr
+    check_manifest(out / "manifest.json", "dynamics")
+
+
+def test_dynamics_refuses_a_shadow_report_without_a_slow_period(
+        write_circuit, tmp_path, monkeypatch, capsys):
+    # in-process: the shadow report states the slow period, which kappa = 0
+    # and lambdaJ = 0 lack, so the run is refused before a single step
+    import circadia.cli
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("integrated before the refusal")
+
+    monkeypatch.setattr(circadia.cli, "integrate", no_steps)
+    for name, kappa, lambdaJ, error in (("k0.json", 0.0, 0.5, "kappa"),
+                                        ("ej0.json", 0.5, 0.0, "beta")):
+        circuit = write_circuit(name, kappa=kappa, xi=1.0, lambdaJ=lambdaJ)
+        out = tmp_path / f"{error}_out"
+        assert circadia.cli.main(["dynamics", "--circuit", circuit,
+                                  "--out", str(out), "--t-end", "2",
+                                  "--report", "shadow"]) == 1
+        assert f"{error} must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("report", ["none", "residual", "shadow"])

@@ -436,6 +436,12 @@ def test_reduced_flow_evaluates_the_force_once_per_substep(monkeypatch):
     assert len(calls) == sum(substeps) + 1
 
 
-def test_slow_period_without_coupling_is_the_bare_kappa_squared_one():
-    rc = ReducedCircuit.from_ratios(0.5, 2.0, 0.0)  # beta = 0
-    assert _slow_period(rc) == 2.0 * math.pi / 0.25
+def test_slow_period_without_coupling_is_refused():
+    # at beta = 0 the slow mode is free: the period is infinite, as the
+    # harmonic formula's limit beta -> 0+ says, and is refused as at kappa = 0
+    with pytest.raises(ValidationError, match="beta must be > 0"):
+        _slow_period(ReducedCircuit.from_ratios(0.5, 2.0, 0.0))
+    rc = ReducedCircuit.from_ratios(0.5, 1.0, 1e-6)
+    assert rc.beta == 1e-6
+    assert _slow_period(rc) == 2.0 * math.pi / (
+        0.25 * math.sqrt(1e-6 / (1.0 + 1e-6)))

@@ -1312,26 +1312,52 @@ def test_an_over_budget_solve_is_refused_before_any_block_is_diagonalized(
 def test_a_contracted_band_over_budget_is_refused_before_it_is_built(
         monkeypatch):
     # the bench extended store of 17 pairs (2.00 MiB) serves m = 4, 8 and
-    # 16, whose bands and Cholesky copies add 0.07, 0.28 and 1.13 MiB; the
-    # 5 lifted Ritz vectors and their products by H add 1.17 MiB to each
-    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 4 * 2**20)
+    # 16; beside it a rung counts a copy of its m eigenvector columns and
+    # its lift, which outweighs its band solve: the Ritz coefficients and
+    # four grid arrays of 5 vectors (psi, H psi and two temporaries, 2.34
+    # MiB), 4.83, 5.32 and 6.28 MiB in all
+    monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 6 * 2**20)
     rungs = _counted_rungs(monkeypatch)
-    with pytest.raises(ValidationError, match=r"rung m=16 needs about 4\.3 "
-                       r"MiB, over the 4\.0 MiB budget"):
+    with pytest.raises(ValidationError, match=r"rung m=16 needs about 6\.3 "
+                       r"MiB, over the 6\.0 MiB budget"):
         lowest_eigenvalues(_bench_spec("extended"), 4)
     assert rungs == [4, 8]
 
 
 def test_the_lifted_ritz_vectors_count_against_the_rung_budget(monkeypatch):
     # 64 x 64 extended, k = 60: the store of 17 pairs (0.54 MiB) and the
-    # m = 4 band (0.05 MiB) fit in 1 MiB, but 61 lifted vectors and their
-    # products by H (3.81 MiB) do not
+    # m = 4 band (0.05 MiB) fit in 1 MiB, but 61 lifted vectors, their
+    # products by H and the two temporaries of the lift (7.63 MiB) do not
     monkeypatch.setattr(circadia.spectra, "_MEMORY_BUDGET", 2**20)
     rungs = _counted_rungs(monkeypatch)
-    with pytest.raises(ValidationError, match=r"rung m=4 needs about 4\.4 "
+    with pytest.raises(ValidationError, match=r"rung m=4 needs about 8\.4 "
                        r"MiB, over the 1\.0 MiB budget"):
         lowest_eigenvalues(_two_mode_spec("extended", 0.6, 40.0, 400.0), 60)
     assert rungs == []
+
+
+@pytest.mark.parametrize("basis", ["extended", "compact"])
+def test_a_solve_allocates_no_more_than_its_largest_counted_rung(
+        monkeypatch, basis):
+    # 64 x 64 grids at k = 60: the temporaries of the product by H and of
+    # the Rayleigh quotients once took the traced peak to twice the largest
+    # rung the guard counted (10.7 against 5.1 MiB extended)
+    counted = []
+    refuse = circadia.spectra._refuse_over_budget
+
+    def recording(what, need):
+        if "rung" in what:
+            counted.append(need)
+        return refuse(what, need)
+
+    monkeypatch.setattr(circadia.spectra, "_refuse_over_budget", recording)
+    tracemalloc.start()
+    try:
+        lowest_eigenvalues(_two_mode_spec(basis, 0.6, 40.0, 400.0), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 3 and peak <= max(counted)
 
 
 def test_a_store_over_budget_is_refused_before_it_is_diagonalized(
@@ -1406,13 +1432,13 @@ def test_ground_along_stays_within_rounding_of_the_cold_solve(
 
 def _counted_cold_solves(monkeypatch):
     calls = []
-    cold = circadia.spectra._lowest_fast_at_x
+    cold = circadia.spectra._lowest_fast
 
-    def counted(spec, k):
-        calls.append(spec.frozen_x)
-        return cold(spec, k)
+    def counted(frozen, x, k):
+        calls.append(x)
+        return cold(frozen, x, k)
 
-    monkeypatch.setattr(circadia.spectra, "_lowest_fast_at_x", counted)
+    monkeypatch.setattr(circadia.spectra, "_lowest_fast", counted)
     return calls
 
 
@@ -1570,11 +1596,11 @@ def test_fast_at_x_checks_every_returned_level_at_the_boundary():
 ])
 def test_bo_verdict_from_crafted_ground_energies(monkeypatch, curvature,
                                                  verdict):
-    def crafted(task):
-        kappa, xi, lambdaJ, p, xs, half_width, n = task
-        return np.array([curvature[kappa] * x**2 for x in (0.0, *xs)])
+    def crafted(kappa, xi, lambdaJ, p, xs, half_width=None, n=None):
+        # e0 = c*x^2 on the rung, so e0(x) - e0(0) = c*x^2
+        return np.array([curvature[kappa] * x**2 for x in xs])
 
-    monkeypatch.setattr(circadia.spectra, "_bo_rung", crafted)
+    monkeypatch.setattr(circadia.spectra, "_bo_delta", crafted)
     table = bo_effective_potential([0.6, 0.45, 0.3], [-2.0, 1.0, 2.0],
                                    Cosine(), 1.0, 0.5)
     assert table.sup_abs.tolist() == [4.0 * c for c in curvature.values()]
