@@ -223,17 +223,18 @@ def _ladder_stats(levels: np.ndarray) -> dict:
     }
 
 
-def _box_proxy(make_spec, vmax: float) -> dict:
-    """Level count and mean level spacing in a fixed window for two box
-    lengths. The mean of the N - 1 spacings telescopes to (last - first) /
-    (N - 1), so the certified count and the two end levels suffice."""
+def _box_proxy(v, vmax: float) -> dict:
+    """Level count and mean level spacing of (1/2) n_phi^2 + v(phi) in a
+    fixed window for two box lengths, v sampled on each box's axis. The
+    mean of the N - 1 spacings telescopes to (last - first) / (N - 1), so
+    the certified count and the two end levels suffice."""
     from . import spectra
     lo, hi = vmax + 1.0, vmax + 5.0
     entry: dict = {"window_EC": [lo, hi]}
     spacings = []
     for label, L in (("L", 10.0 * math.pi), ("2L", 20.0 * math.pi)):
-        n = int(round(2.0 * L / 0.02)) + 1
-        count, first, last = spectra._window_ends(make_spec(L, n), lo, hi)
+        q, h = spectra._box_axis(L, int(round(2.0 * L / 0.02)) + 1)
+        count, first, last = spectra._window_ends(v(q), h, 0.5, lo, hi)
         entry[label] = {"half_width": L, "error": "fewer than 2 levels"}
         if count >= 2:
             entry[label] = {"half_width": L, "levels_in_window": count,
@@ -246,26 +247,20 @@ def _box_proxy(make_spec, vmax: float) -> dict:
 
 # A compare route quantizes one Hamiltonian at the circuit's point and
 # returns (column, box): the column's lowest levels in E_C units, and for an
-# extended route (make_spec(L, n), vmax) for its box proxy, else None.
+# extended route (v, vmax) for its box proxy, else None.
 
 
 def _extended_pair(v, n: int, vmax_nodes: int):
     """The route of H/E_C = (1/2) n_phi^2 + v(phi): its three lowest levels
-    on n box nodes over [-pi, pi], and for the box proxy make_spec with
-    vmax, the largest v on `vmax_nodes` box nodes there."""
+    on n box nodes over [-pi, pi], and for the box proxy v with vmax, the
+    largest v on `vmax_nodes` box nodes there."""
     from . import spectra
-
-    def make_spec(L, n, v_func=v):
-        return spectra.HamiltonianSpec(variant="Extended1D", v_func=v_func,
-                                       c_kin=0.5,
-                                       grid={"half_width": L, "n": n})
-    sampled = np.asarray(v(spectra._box_nodes(math.pi, n)), dtype=float)
-    # the level solve reads the samples taken here: v is evaluated once
-    levels = spectra.lowest_eigenvalues(
-        make_spec(math.pi, n, lambda q: sampled), 3).eigenvalues
+    q, h = spectra._box_axis(math.pi, n)
+    sampled = v(q)
+    levels = spectra._solve_banded(sampled, h, 0.5, 3)[0]
     if vmax_nodes != n:
-        sampled = v(spectra._box_nodes(math.pi, vmax_nodes))
-    return _ladder_stats(levels), (make_spec, float(np.max(sampled)))
+        sampled = v(spectra._box_axis(math.pi, vmax_nodes)[0])
+    return _ladder_stats(levels), (v, float(np.max(sampled)))
 
 
 def _classical_reduced(rc, p, args):
@@ -401,18 +396,18 @@ def cmd_dynamics(args) -> int:
         rc, p, args.x0, "slow manifold")
     py0 = args.py0 if args.py0 is not None else 0.0
 
+    report = {}
+    # the residual probe runs its own on-manifold trajectory over --t-end,
+    # first: its refusals (kappa = 0, t_end inside the transient) come
+    # before this one is integrated
+    if args.report == "residual":
+        report["y_residual"], report["py_residual"] = slow_manifold_residual(
+            rc, p, args.x0, t_end=args.t_end, dt=args.dt)
     record = integrate(rc, p, (args.x0, args.px0, y0, py0), t_end,
                        dt=args.dt)
-    report = {"energy_drift": record.energy_drift,
-              "dt": record.dt, "t_end": t_end,
-              "samples": int(record.times.size)}
-    # reports run over the same span as the trajectory
-    if args.report == "residual":
-        y_res, py_res = slow_manifold_residual(rc, p, args.x0,
-                                               t_end=args.t_end, dt=args.dt)
-        report["y_residual"] = y_res
-        report["py_residual"] = py_res
-    elif args.report == "shadow":
+    report.update(energy_drift=record.energy_drift, dt=record.dt,
+                  t_end=t_end, samples=int(record.times.size))
+    if args.report == "shadow":
         # the shadow reuses this trajectory when it is the one it needs
         cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0,
                                        t_end=args.t_end, dt=args.dt,

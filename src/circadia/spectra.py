@@ -20,6 +20,14 @@ its matrix elements in the charge basis are exact:
 <m|phi_c|m'> = i(-1)^(m-m')/(m-m'), <m|phi_c^2|m> = pi^2/3,
 <m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal.
 
+Every box axis, 1D or 2D, is built and checked by _box_axis (n uniform
+nodes on [-L, L]; L not finite and > 0, or n below the axis floor, is a
+ValidationError). The internal 1D solves (compare's columns and box
+proxies, the naive ladder, box_level_spacings, the fast mode of every BO
+point) take the sampled potential on those nodes; HamiltonianSpec is the
+public entry point only. The one 1D band builder refuses non-finite
+samples and a kinetic coefficient that is not finite and >= 0.
+
 Every lowest-k solve of a band (1D, and the contracted 2D band below) is
 shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
@@ -98,11 +106,14 @@ class HamiltonianSpec:
       Regularized2D   extended basis_y: Lx, nx, Ly, ny
                       compact basis_y: L_phi, n_phi, n_max_fast
 
-    Box axes (Extended1D, FastAtX, both extended 2D axes, the compact slow
-    axis) have n uniform nodes on [-half_width, half_width] (_box_nodes);
-    the FD4 stencil stops at the end nodes, so the walls sit one step past
-    them (ROADMAP item 1 replaces this closure). FastAtX widens a grid its
-    levels reach once, then refuses; bo_fast_ground is its ground level.
+    Box axes (Extended1D v_func grids, FastAtX, both extended 2D axes, the
+    compact slow axis) come from one routine, _box_axis: n uniform nodes on
+    [-half_width, half_width], refusing a half-width that is not finite and
+    > 0 and n below 128 (64 on a 2D axis). The FD4 stencil stops at the end
+    nodes, so the walls sit one step past them (ROADMAP item 1 replaces
+    this closure). An `effective` grid must be uniform, increasing and
+    symmetric. FastAtX widens a grid its levels reach once, then refuses;
+    bo_fast_ground is its ground level.
     """
 
     variant: str
@@ -202,10 +213,24 @@ def _fd4_bands(n: int, h: float, c: float) -> np.ndarray:
     return band
 
 
-def _box_nodes(half_width: float, n: int) -> np.ndarray:
-    """The n uniform nodes of a box axis on [-half_width, half_width], end
-    nodes included; the walls sit one step past them (HamiltonianSpec)."""
-    return np.linspace(-half_width, half_width, n)
+def _half_width(half_width: float) -> float:
+    """half_width as a float, refused unless finite and > 0."""
+    if not 0.0 < float(half_width) < math.inf:
+        raise ValidationError("box half-width must be finite and > 0")
+    return float(half_width)
+
+
+def _box_axis(half_width: float, n: int, least: int = 128):
+    """(nodes, h): the n uniform nodes of a box axis on [-half_width,
+    half_width], end nodes included, and their step; the walls sit one step
+    past them (HamiltonianSpec). Refuses a half-width that is not finite and
+    > 0, and n below least (128 for a 1D grid, 64 for a 2D axis)."""
+    half_width = _half_width(half_width)
+    if n < least:
+        raise ValidationError("1D grids need >= 128 points" if least == 128
+                              else f"2D grids need >= {least} points per axis")
+    nodes = np.linspace(-half_width, half_width, n)
+    return nodes, float(nodes[1] - nodes[0])
 
 
 def _band_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -223,23 +248,21 @@ def _band_apply(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _extended1d_arrays(spec: HamiltonianSpec):
-    if spec.effective is not None:
-        coords = np.asarray(spec.effective.coordinates, dtype=float)
-        v = np.asarray(spec.effective.V, dtype=float)
-    elif spec.v_func is not None:
-        coords = _box_nodes(float(spec.grid.get("half_width", 10.0)),
-                            int(spec.grid.get("n", 1024)))
-        v = np.asarray(spec.v_func(coords), dtype=float)
-    else:
-        raise ValidationError("Extended1D needs `effective` or `v_func`")
+    if spec.effective is None:
+        if spec.v_func is None:
+            raise ValidationError("Extended1D needs `effective` or `v_func`")
+        q, h = _box_axis(spec.grid.get("half_width", 10.0),
+                         int(spec.grid.get("n", 1024)))
+        return np.asarray(spec.v_func(q), dtype=float), h
+    coords = np.asarray(spec.effective.coordinates, dtype=float)
     if coords.size < 128:
         raise ValidationError("1D grids need >= 128 points")
     h = float(coords[1] - coords[0])
-    if not np.allclose(np.diff(coords), h, rtol=1e-9, atol=0.0):
-        raise ValidationError("extended grid must be uniform")
+    if not (h > 0 and np.allclose(np.diff(coords), h, rtol=1e-9, atol=0.0)):
+        raise ValidationError("extended grid must be uniform and increasing")
     if abs(coords[0] + coords[-1]) > 1e-9 * (coords[-1] - coords[0]):
         raise ValidationError("extended grid must be symmetric about 0")
-    return v, h
+    return np.asarray(spec.effective.V, dtype=float), h
 
 
 def _weyl_shift(block_minima: np.ndarray, block_dim: int,
@@ -343,12 +366,18 @@ def _count_below(band: np.ndarray, s: float) -> tuple[int, float]:
 
 def _fd4_operator(v: np.ndarray, h: float, c_kin: float):
     """Lower band of c_kin*p^2 + diag(v) and s, the Gershgorin bound on
-    max|lambda|."""
+    max|lambda|; refuses a c_kin that is not finite and >= 0 (the Weyl
+    shift needs a positive semidefinite kinetic term) and non-finite v."""
+    if not 0.0 <= c_kin < math.inf:
+        raise ValidationError(f"c_kin must be finite and >= 0, got {c_kin!r}")
     band = _fd4_bands(v.size, h, c_kin)
     band[0, :] += v
     # Gershgorin row sums; the FD4 off-diagonals are constant
-    return band, float(np.max(np.abs(band[0]))
-                       + 2.0 * np.sum(np.abs(band[1:, 0])))
+    scale = float(np.max(np.abs(band[0])) + 2.0 * np.sum(np.abs(band[1:, 0])))
+    # with c_kin and h finite, the bound is finite exactly when v is
+    if not math.isfinite(scale):
+        raise ValidationError("the potential samples must be finite")
+    return band, scale
 
 
 def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int):
@@ -383,6 +412,8 @@ def _certify_ground(band: np.ndarray, scale: float, w: np.ndarray,
 
 
 def _check_k(k: int, dim: int) -> None:
+    if k < 1:
+        raise ValidationError("k must be >= 1")
     if not k <= dim / 4:
         raise ValidationError("k must be <= dimension/4")
 
@@ -397,20 +428,18 @@ def _banded_result(spec: HamiltonianSpec, w: np.ndarray, res: np.ndarray,
                           units=units, meta=meta)
 
 
-def _window_counter(spec: HamiltonianSpec):
-    """(h, band, tol, count, points) of an Extended1D window solve: tol =
-    8*eps*s, s the Gershgorin bound on max|lambda|; count(s) is the inertia
-    count (s, levels below s, delta) of the band, each one kept in points."""
-    if spec.variant != "Extended1D":
-        raise ValidationError("energy-window solve is Extended1D only")
-    v, h = _extended1d_arrays(spec)
-    band, scale = _fd4_operator(v, h, spec.c_kin)
+def _window_counter(v: np.ndarray, h: float, c_kin: float):
+    """(band, tol, count, points) of a window solve of c_kin*p^2 + diag(v):
+    tol = 8*eps*s, s the Gershgorin bound on max|lambda|; count(s) is the
+    inertia count (s, levels below s, delta) of the band, each one kept in
+    points."""
+    band, scale = _fd4_operator(v, h, c_kin)
     points: list = []
 
     def count(s):
         points.append((s, *_count_below(band, s)))
         return points[-1]
-    return h, band, 8.0 * np.finfo(float).eps * scale, count, points
+    return band, 8.0 * np.finfo(float).eps * scale, count, points
 
 
 def _edge_counts(count, lo: float, hi: float, tol: float,
@@ -498,8 +527,14 @@ def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
     4*eps*s of an edge counts as inside, none farther out than 8*eps*s +
     4*delta. Count midpoints cut the window into slices of <= 32 levels,
     solved by shift-invert Lanczos at their centres and checked against the
-    counts; meta: slices, edge_counts, count_delta (the largest delta)."""
-    h, band, tol, count, points = _window_counter(spec)
+    counts; meta: slices, edge_counts, count_delta (the largest delta).
+    Non-finite edges are refused."""
+    if spec.variant != "Extended1D":
+        raise ValidationError("energy-window solve is Extended1D only")
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise ValidationError("window edges must be finite")
+    v, h = _extended1d_arrays(spec)
+    band, tol, count, points = _window_counter(v, h, spec.c_kin)
     edges = _edge_counts(count, e_lo, e_hi, tol)
     slices = _cut(count, *edges)
     parts = [(np.empty(0), np.empty(0))]
@@ -515,9 +550,11 @@ def eigenvalues_in_window(spec: HamiltonianSpec, e_lo: float,
                           meta=meta)
 
 
-def _window_ends(spec: HamiltonianSpec, lo: float, hi: float):
-    """(count, first, last) of the Extended1D levels in the closed window
-    [lo, hi], first and last None when it holds none: the certified edge
+def _window_ends(v: np.ndarray, h: float, c_kin: float, lo: float,
+                 hi: float):
+    """(count, first, last) of the levels of c_kin*p^2 + diag(v) (step h) in
+    the closed window [lo, hi], first and last None when it holds none: the
+    certified edge
     counts of eigenvalues_in_window give count, and only the two end slices
     are solved, each checked against its counts. The bottom slice reaches
     from the lower edge to a count point 2*(hi - lo)/count above lo, its
@@ -529,7 +566,7 @@ def _window_ends(spec: HamiltonianSpec, lo: float, hi: float):
     places them from tol/2 + 2*delta with the largest delta so far, must
     give the edge counts; one beyond its edge count's point shows nothing
     more and is not compared."""
-    _, band, tol, count, points = _window_counter(spec)
+    band, tol, count, points = _window_counter(v, h, c_kin)
     a, b = _edge_counts(count, lo, hi, tol)
     n = b[1] - a[1]
     if n < 1:
@@ -650,28 +687,19 @@ def _frozen_fast_params(spec: HamiltonianSpec):
     return float(spec.kappa), float(spec.xi), float(spec.lambdaJ), p
 
 
-def _fast_grid(kappa: float, x: float, half_width: float | None = None,
-               n: int | None = None) -> tuple[float, int]:
-    """(half_width, n) of the y grid of the fast mode frozen at x: by
-    default the half width is kappa*|x| + 12 and the step 0.01, with >= 128
-    nodes; a given n below 128 is refused, as by every 1D grid."""
-    L = kappa * abs(x) + 12.0 if half_width is None else float(half_width)
-    npts = max(math.ceil(2.0 * L / 0.01), 128) if n is None else int(n)
-    if npts < 128:
-        raise ValidationError("1D grids need >= 128 points")
-    return L, npts
-
-
 def _frozen_fast(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
                  half_width, n, x: float, widen: int = 1):
-    """(y, v, h) of the fast mode frozen at x: the nodes of its y grid
-    (_fast_grid, half_width and n None for the default, both times widen),
-    the fast potential on them and their step; kappa <= 0 is refused."""
+    """(y, v, h) of the fast mode frozen at x: the nodes of its y box axis,
+    the fast potential on them and their step. By default (half_width, n
+    None) the half width is kappa*|x| + 12 and the step 0.01, with >= 128
+    nodes; both are multiplied by widen. kappa <= 0 is refused."""
     if kappa <= 0:
         raise ValidationError("kappa must be > 0")
-    L, npts = _fast_grid(kappa, x, half_width, n)
-    y = _box_nodes(widen * L, widen * npts)
-    return y, _fast_potential(kappa, xi, lambdaJ, p, x, y), float(y[1] - y[0])
+    L = _half_width(kappa * abs(x) + 12.0 if half_width is None
+                    else half_width)
+    npts = max(math.ceil(2.0 * L / 0.01), 128) if n is None else int(n)
+    y, h = _box_axis(widen * L, widen * npts)
+    return y, _fast_potential(kappa, xi, lambdaJ, p, x, y), h
 
 
 def _edge_mass(vec: np.ndarray) -> float:
@@ -803,21 +831,15 @@ def _angle_window_ops(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return phi1, phi2
 
 
-def _check_2d_grid(n_slow: int, dim_fast: int, k: int) -> None:
-    """Refuse a 2D axis below 64 points or k above the dimension/4."""
-    if n_slow < 64 or dim_fast < 64:
-        raise ValidationError("2D grids need >= 64 points per axis")
-    _check_k(k, n_slow * dim_fast)
-
-
 def _extended_parts(spec: HamiltonianSpec, k: int):
     """Slow grid x, fast grid y and the potential V[i, j] of the extended
     pair; the grid must hold k <= dimension/4 pairs."""
     kappa, xi, lam, p = _frozen_fast_params(spec)
-    nx, ny = int(spec.grid.get("nx", 96)), int(spec.grid.get("ny", 96))
-    _check_2d_grid(nx, ny, k)
-    x = _box_nodes(float(spec.grid.get("Lx", 10.0)), nx)
-    y = _box_nodes(float(spec.grid.get("Ly", 10.0)), ny)
+    x, _ = _box_axis(spec.grid.get("Lx", 10.0), int(spec.grid.get("nx", 96)),
+                     64)
+    y, _ = _box_axis(spec.grid.get("Ly", 10.0), int(spec.grid.get("ny", 96)),
+                     64)
+    _check_k(k, x.size * y.size)
     return x, y, _fast_potential(kappa, xi, lam, p, x[:, None], y[None, :])
 
 
@@ -841,9 +863,11 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     u2max = float(np.max(np.abs(np.asarray(p.d2u(probe), dtype=float))))
     n_fast = int(spec.grid.get(
         "n_max_fast", _auto_fast_cutoff(kappa, xi, lam, coef, u2max)))
-    n_phi = int(spec.grid.get("n_phi", 128))
-    _check_2d_grid(n_phi, 2 * n_fast + 1, k)
-    phi = _box_nodes(float(spec.grid.get("L_phi", 0.5 * math.pi)), n_phi)
+    if 2 * n_fast + 1 < 64:
+        raise ValidationError("2D grids need >= 64 points per axis")
+    phi, _ = _box_axis(spec.grid.get("L_phi", 0.5 * math.pi),
+                       int(spec.grid.get("n_phi", 128)), 64)
+    _check_k(k, phi.size * (2 * n_fast + 1))
     mc = np.arange(-n_fast, n_fast + 1)
     phi1, phi2 = _angle_window_ops(n_fast)
     c2 = kappa**4 * xi**2
@@ -1142,8 +1166,6 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     n_slow*m, lifted_residuals (= residual_norms), the grid dimension dim,
     the Weyl shift sigma and shift_gap = lambda_0 - sigma.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     if spec.variant == "Extended1D":
         v, h = _extended1d_arrays(spec)
         w, _, res, sigma = _solve_banded(v, h, spec.c_kin, k)
@@ -1291,10 +1313,10 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
 
     Refuses inside the gate-charge window |n_g - 1/2| <= kappa^2, where the
     fast ground state degenerates and the flat-state average is meaningless.
-    The slow operator is an Extended1D spec on n box nodes, so n < 128 and
-    k > n/4 are refused like every 1D grid.
+    The slow operator is solved on a box axis of n nodes (_box_axis), so
+    n < 128 and k > n/4 are refused like every 1D grid.
     """
-    if kappa <= 0 or xi <= 0:
+    if not (kappa > 0 and xi > 0):
         raise ValidationError("kappa and xi must be > 0")
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -1306,11 +1328,8 @@ def naive_compact_adiabatic(kappa: float, xi: float, ng: float,
     formula = 2.0 * math.sqrt(0.5 * ckin * kappa**4 * xi**2) * (
         np.arange(k) + 0.5)
     sigma_q = (1.0 / (2.0 * xi**2))**0.25
-    L = max(12.0 * sigma_q * math.sqrt(k + 1.0), 1.0)
-    spec = HamiltonianSpec(variant="Extended1D",
-                           v_func=lambda q: 0.5 * kappa**4 * xi**2 * q**2,
-                           c_kin=ckin, grid={"half_width": L, "n": n})
-    w = lowest_eigenvalues(spec, k).eigenvalues
+    q, h = _box_axis(max(12.0 * sigma_q * math.sqrt(k + 1.0), 1.0), int(n))
+    w = _solve_banded(0.5 * kappa**4 * xi**2 * q**2, h, ckin, k)[0]
     return NaiveAdiabaticSpectrum(formula=formula, numerical=w,
                                   kappa=float(kappa), xi=float(xi),
                                   ng=float(ng))
@@ -1348,8 +1367,10 @@ def spectrum_vs_kappa(p: PotentialModel, xi: float, lambdaJ: float,
     recorded in the error column and the sweep continues.
     """
     kappas = np.asarray(kappas, dtype=float)
-    if np.any(kappas <= 0):
+    if not np.all(kappas > 0):
         raise ValidationError("kappas must be > 0")
+    if not (xi > 0 and lambdaJ >= 0):
+        raise ValidationError("xi must be > 0 and lambdaJ >= 0")
     rows = []
     for kap in kappas:
         for basis in bases:
@@ -1436,12 +1457,8 @@ def box_level_spacings(c_kin: float, half_widths, n_per_length: float = 24.0,
     regularization shows that directly as spacings collapsing with length.
     """
     out = []
-    for L in half_widths:
-        n = max(256, int(n_per_length * 2.0 * L))
-        spec = HamiltonianSpec(variant="Extended1D",
-                               v_func=lambda q: np.zeros_like(q),
-                               c_kin=c_kin,
-                               grid={"half_width": float(L), "n": n})
-        w = lowest_eigenvalues(spec, k).eigenvalues
+    for L in map(_half_width, half_widths):
+        q, h = _box_axis(L, max(256, int(n_per_length * 2.0 * L)))
+        w = _solve_banded(np.zeros_like(q), h, c_kin, k)[0]
         out.append(float(np.mean(np.diff(w))))
     return np.asarray(out)

@@ -382,8 +382,8 @@ def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
     ends = circadia.spectra._window_ends
     pairs = circadia.spectra._shift_invert_pairs
 
-    def counted_ends(spec, lo, hi):
-        windows.append(ends(spec, lo, hi))
+    def counted_ends(v, h, c_kin, lo, hi):
+        windows.append(ends(v, h, c_kin, lo, hi))
         return windows[-1]
 
     def counted_pairs(ab, sigma, n, solve=None):
@@ -403,6 +403,30 @@ def test_compare_box_proxy_solves_only_its_end_levels(write_circuit,
     assert levels == [w[0] for w in windows] and len(windows) == 4
     assert min(levels) > 30
     assert 0 < sum(npairs) <= 8 * len(windows)
+
+
+def test_compare_reduced_column_is_the_public_extended1d_solve(
+        write_circuit, tmp_path):
+    # compare solves its columns from sampled arrays; on the default
+    # 2048-node grid the classical column equals, bit for bit, the public
+    # lowest_eigenvalues of the same operator stated as a HamiltonianSpec
+    import circadia.cli
+    from circadia import HamiltonianSpec, lowest_eigenvalues
+    from circadia.params import read_circuit
+    from circadia.reduction import _reduced_branch
+
+    circuit = write_circuit("sub.json", kappa=0.5, xi=1.0, lambdaJ=0.5)
+    out = tmp_path / "cmp_out"
+    assert circadia.cli.main(["compare", "--circuit", circuit,
+                              "--out", str(out)]) == 0
+    rc, p = read_circuit(circuit)
+    spec = HamiltonianSpec(
+        variant="Extended1D", c_kin=0.5,
+        v_func=lambda q: _reduced_branch(p, rc, "CompactPhi", q)[2],
+        grid={"half_width": math.pi, "n": 2048})
+    levels = read_json(out / "compare.json")["columns"]["classical_reduced"]
+    assert levels["levels_EC"] == lowest_eigenvalues(spec, 3).eigenvalues \
+        .tolist()
 
 
 @pytest.mark.parametrize("lambdaJ", [0.5, 2.0])
@@ -556,6 +580,37 @@ def test_dynamics_refuses_a_shadow_report_without_a_slow_period(
                                   "--report", "shadow"]) == 1
         assert f"{error} must be > 0" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_dynamics_refuses_a_residual_report_before_integrating(
+        write_circuit, tmp_path, monkeypatch, capsys):
+    # in-process: the residual probe needs kappa > 0 and a t_end past its
+    # 5-fast-period transient, so either is refused before a trajectory,
+    # the command's or the probe's own, is integrated
+    import circadia.cli
+    import circadia.dynamics
+
+    calls = []
+    integrate = circadia.dynamics.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.cli, "integrate", counted)
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    for name, kappa, lambdaJ, t_end, error in (
+            ("k0.json", 0.0, 0.0, "40", "kappa must be > 0"),
+            ("sub.json", 0.5, 0.5, "10",
+             "t_end must exceed the 5-fast-period transient")):
+        circuit = write_circuit(name, kappa=kappa, xi=1.0, lambdaJ=lambdaJ)
+        out = tmp_path / f"{name}_out"
+        assert circadia.cli.main(["dynamics", "--circuit", circuit,
+                                  "--out", str(out), "--t-end", t_end,
+                                  "--report", "residual"]) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("report", ["none", "residual", "shadow"])
@@ -846,19 +901,20 @@ def test_compare_box_proxy_records_a_sparse_window_and_a_failed_box(
     ends = circadia.spectra._window_ends
     calls = []
 
-    def scripted_ends(spec, lo, hi):
-        calls.append(spec.grid["half_width"])
+    def scripted_ends(v, h, c_kin, lo, hi):
+        calls.append(len(v))
         if len(calls) == 1:
             return 1, lo, lo
         if len(calls) == 3:
             raise ConvergenceError("scripted count failure")
-        return ends(spec, lo, hi)
+        return ends(v, h, c_kin, lo, hi)
 
     monkeypatch.setattr(circadia.spectra, "_window_ends", scripted_ends)
     out = tmp_path / "cmp_out"
     assert circadia.cli.main(["compare", "--circuit", circuit,
                               "--out", str(out)]) == 0
-    assert calls == [10.0 * math.pi, 20.0 * math.pi, 10.0 * math.pi]
+    # the boxes' node counts, 2L/0.02 + 1 at L = 10 pi and 20 pi
+    assert calls == [3143, 6284, 3143]
     proxy = read_json(out / "compare.json")["box_proxy"]
     reduced = proxy["classical_reduced"]
     assert reduced["L"] == {"half_width": 10.0 * math.pi,

@@ -336,8 +336,6 @@ def test_window_ends_match_the_dense_spectrum(
     def v_func(q):
         return quad * q**2 + amp * np.cos(omega * q + phase)
 
-    spec = HamiltonianSpec(variant="Extended1D", v_func=v_func, c_kin=c_kin,
-                           grid={"half_width": half_width, "n": n})
     q = np.linspace(-half_width, half_width, n)
     full = np.linalg.eigvalsh(_fd4_dense(v_func(q), q[1] - q[0], c_kin))
     last = first + count - 1
@@ -346,7 +344,8 @@ def test_window_ends_match_the_dense_spectrum(
     lo = full[0] - 1.0 if first == 0 else 0.5 * (full[first - 1] + full[first])
     hi = 0.5 * (full[last] + full[last + 1]) if count \
         else 0.5 * (lo + full[first])
-    got = circadia.spectra._window_ends(spec, float(lo), float(hi))
+    got = circadia.spectra._window_ends(v_func(q), float(q[1] - q[0]), c_kin,
+                                       float(lo), float(hi))
     if count == 0:
         assert got == (0, None, None)
         return
@@ -369,7 +368,8 @@ def test_a_count_an_end_slice_contradicts_is_refused(monkeypatch, end,
                            c_kin=0.5, grid={"half_width": 12.0, "n": 1024})
     lo, hi = 2.0, 70.0
     w = eigenvalues_in_window(spec, lo, hi).eigenvalues
-    got = circadia.spectra._window_ends(spec, lo, hi)
+    q, h = circadia.spectra._box_axis(12.0, 1024)
+    got = circadia.spectra._window_ends(0.5 * q**2, h, 0.5, lo, hi)
     assert got[0] == w.size and np.allclose(got[1:], w[[0, -1]], rtol=1e-12)
     count, inner = circadia.spectra._count_below, []
 
@@ -384,7 +384,7 @@ def test_a_count_an_end_slice_contradicts_is_refused(monkeypatch, end,
 
     monkeypatch.setattr(circadia.spectra, "_count_below", miscount)
     with pytest.raises(ConvergenceError, match="edge counts give"):
-        circadia.spectra._window_ends(spec, lo, hi)
+        circadia.spectra._window_ends(0.5 * q**2, h, 0.5, lo, hi)
 
 
 def test_discretization_contracts_are_enforced():
@@ -708,9 +708,10 @@ def test_only_solver_failures_become_convergence_errors(monkeypatch, exc,
             assert info.value.__cause__ is exc
 
 
-def _harmonic_1d():
+def _harmonic_1d(half_width=8.0, c_kin=1.0):
     return HamiltonianSpec(variant="Extended1D", v_func=lambda q: q**2,
-                           c_kin=1.0, grid={"half_width": 8.0, "n": 256})
+                           c_kin=c_kin, grid={"half_width": half_width,
+                                              "n": 256})
 
 
 def test_a_1d_shift_above_the_ground_level_is_reported(monkeypatch):
@@ -807,15 +808,18 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
 
 
 def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64, n_fast=None,
-                   potential=None, ng=0.0):
+                   potential=None, ng=0.0, L=None):
     """n slow points; n_fast fast states (odd for compact), by default n
-    extended points or the compact basis's own cutoff; Cosine by default."""
+    extended points or the compact basis's own cutoff; Cosine by default;
+    L the slow half-width (Lx or L_phi), by default the spec's."""
     if basis == "extended":
         grid = {"nx": n, "ny": n_fast or n}
     else:
         grid = {"n_phi": n}
         if n_fast:
             grid["n_max_fast"] = n_fast // 2
+    if L is not None:
+        grid["Lx" if basis == "extended" else "L_phi"] = L
     return HamiltonianSpec(variant="Regularized2D",
                            potential=potential or Cosine(), kappa=kappa,
                            xi=xi, lambdaJ=lambdaJ, ng=ng, basis_y=basis,
@@ -1535,42 +1539,89 @@ def _effective(coords):
                            basis="ExtendedX")
 
 
-@pytest.mark.parametrize("request_, message", [
-    (lambda: lowest_eigenvalues(compact_spec(1.0), 0), "k must be >= 1"),
-    (lambda: lowest_eigenvalues(HamiltonianSpec(variant="Extended1D"), 1),
+_NAN = float("nan")
+# (id, request, message); the half-width, NaN-sample, negative-c_kin, NaN
+# window-edge, zero-step and sweep-parameter rows were each, before the
+# box axis and the band builder checked their inputs, a ZeroDivisionError,
+# a ConvergenceError, a bare ValueError or a silent solve
+_MALFORMED = [
+    ("k-0", lambda: lowest_eigenvalues(compact_spec(1.0), 0),
+     "k must be >= 1"),
+    ("extended-without-potential",
+     lambda: lowest_eigenvalues(HamiltonianSpec(variant="Extended1D"), 1),
      "needs `effective` or `v_func`"),
-    (lambda: lowest_eigenvalues(HamiltonianSpec(
+    ("effective-non-uniform", lambda: lowest_eigenvalues(HamiltonianSpec(
         variant="Extended1D",
         effective=_effective(np.linspace(-2.0, 2.0, 256)**3)), 1),
      "must be uniform"),
-    (lambda: lowest_eigenvalues(HamiltonianSpec(
+    *[(f"effective-step-{name}", lambda c=c: lowest_eigenvalues(
+        HamiltonianSpec(variant="Extended1D", effective=_effective(c)), 1),
+       "must be uniform and increasing")
+      for name, c in (("zero", np.zeros(256)),
+                      ("negative", np.linspace(2.0, -2.0, 256)))],
+    ("effective-asymmetric", lambda: lowest_eigenvalues(HamiltonianSpec(
         variant="Extended1D",
         effective=_effective(np.linspace(-4.0, 6.0, 256))), 1),
      "symmetric about 0"),
-    (lambda: HamiltonianSpec(variant="Regularized2D", basis_y="torus"),
+    ("basis-y-unknown",
+     lambda: HamiltonianSpec(variant="Regularized2D", basis_y="torus"),
      "unknown basis_y"),
-    (lambda: lowest_eigenvalues(compact_spec(-1.0), 1),
+    ("compact-lambdaJ-negative",
+     lambda: lowest_eigenvalues(compact_spec(-1.0), 1),
      "lambdaJ must be >= 0"),
-    (lambda: lowest_eigenvalues(HamiltonianSpec(
+    ("compact-2d-non-periodic", lambda: lowest_eigenvalues(HamiltonianSpec(
         variant="Regularized2D", basis_y="compact",
         potential=PolynomialEven([0.0, 0.5]), kappa=0.6, xi=40.0,
         lambdaJ=400.0, grid={"n_phi": 64}), 1),
      "compact fast axis needs a 2pi-periodic"),
-    (lambda: spectrum_vs_kappa(Cosine(), 40.0, 400.0, [0.6, 0.0]),
+    ("kappa-ladder-zero",
+     lambda: spectrum_vs_kappa(Cosine(), 40.0, 400.0, [0.6, 0.0]),
      "kappas must be > 0"),
-    (lambda: HamiltonianSpec(
+    ("extended-1d-unread-grid-key", lambda: HamiltonianSpec(
         variant="Extended1D", v_func=lambda q: 0.5 * q**2,
         grid={"N": 256, "halfwidth": 3.0}),
      r"grid key 'N' is not read by Extended1D; allowed: half_width, n$"),
-    (lambda: HamiltonianSpec(
+    ("compact-2d-unread-grid-key", lambda: HamiltonianSpec(
         variant="Regularized2D", basis_y="compact", potential=Cosine(),
         kappa=0.6, xi=40.0, lambdaJ=400.0, grid={"nx": 64, "ny": 64}),
      r"grid key 'nx' is not read by Regularized2D \(compact basis_y\); "
      r"allowed: L_phi, n_phi, n_max_fast$"),
-], ids=["k-0", "extended-without-potential", "effective-non-uniform",
-        "effective-asymmetric", "basis-y-unknown", "compact-lambdaJ-negative",
-        "compact-2d-non-periodic", "kappa-ladder-zero",
-        "extended-1d-unread-grid-key", "compact-2d-unread-grid-key"])
+    *[(f"extended1d-half-width-{L}",
+       lambda L=L: lowest_eigenvalues(_harmonic_1d(L), 1), "half-width")
+      for L in (0.0, -1.0, _NAN)],
+    *[(f"fast-at-x-half-width-{L}", lambda L=L: _fast_at_x(1, half_width=L),
+       "half-width") for L in (0.0, -3.0, _NAN)],
+    *[(f"bo-fast-ground-half-width-{L}", lambda L=L: bo_fast_ground(
+        0.5, 1.0, 0.5, Cosine(), 0.0, half_width=L, n=600), "half-width")
+      for L in (0.0, -3.0, _NAN)],
+    *[(f"{basis}-2d-half-width-{L}", lambda basis=basis, L=L:
+       lowest_eigenvalues(_two_mode_spec(basis, 0.6, 40.0, 400.0, L=L), 1),
+       "half-width")
+      for basis in ("extended", "compact") for L in (0.0, -10.0, _NAN)],
+    *[(f"box-level-spacings-{L}", lambda L=L: box_level_spacings(0.5, [L]),
+       "half-width") for L in (0.0, _NAN)],
+    ("extended1d-nan-potential", lambda: lowest_eigenvalues(HamiltonianSpec(
+        variant="Extended1D", v_func=lambda q: np.full_like(q, _NAN),
+        grid={"half_width": 5.0, "n": 256}), 1),
+     "potential samples must be finite"),
+    ("naive-ladder-nan-kappa",
+     lambda: naive_compact_adiabatic(_NAN, 2.0, 0.1, 3),
+     "kappa and xi must be > 0"),
+    ("extended1d-negative-c-kin",
+     lambda: lowest_eigenvalues(_harmonic_1d(c_kin=-1.0), 1),
+     "c_kin must be finite and >= 0"),
+    ("window-nan-edge",
+     lambda: eigenvalues_in_window(_harmonic_1d(), _NAN, 1.0),
+     "window edges must be finite"),
+    ("kappa-sweep-xi-zero",
+     lambda: spectrum_vs_kappa(Cosine(), 0.0, 0.5, [0.5]), "xi must be > 0"),
+    ("kappa-sweep-lambdaJ-minus-xi-squared",
+     lambda: spectrum_vs_kappa(Cosine(), 1.0, -1.0, [0.5]), "lambdaJ >= 0"),
+]
+
+
+@pytest.mark.parametrize("request_, message", [r[1:] for r in _MALFORMED],
+                         ids=[r[0] for r in _MALFORMED])
 def test_malformed_spectral_requests_are_refused(request_, message):
     with pytest.raises(ValidationError, match=message):
         request_()
