@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, PhysicalRegimeError, ValidationError
 from .params import ReducedCircuit
 from .potentials import CubicSpline, PotentialModel, _piecewise_cubic
-from .reduction import (_du_reach, _reduced_values, invertibility_threshold,
+from .reduction import (_du_reach, _reduced_branch, invertibility_threshold,
                         solve_branch_extended)
 from .sweeps import float_rows, write_csv
 
@@ -283,13 +283,9 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     # Force table for the reduced flow: V'(x) sampled once on a span the
     # trajectory cannot leave (energy bound), then interpolated.
     sqxi = math.sqrt(rc.xi)
-
-    def reduced(x):  # (V, V', V'') on the slow manifold, ExtendedX basis
-        return _reduced_values(p, rc, manifold_eta(rc, p, x) / sqxi, 1.0 / sqxi)
-
     e_red = 0.5 * rc.kappa**2 * px0**2
     probe = np.linspace(x0 - TWO_PI * sqxi, x0 + TWO_PI * sqxi, 512)
-    v_probe = reduced(probe)[0]
+    v_probe = _reduced_branch(p, rc, "ExtendedX", probe)[2]
     vmin = float(np.min(v_probe)) * rc.kappa**2 / rc.xi
     e_red += rc.kappa**2 / rc.xi * float(np.interp(x0, probe, v_probe))
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
@@ -302,7 +298,8 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
         lo = max(lo, p.support[0] * sqxi + reach)
         hi = min(hi, p.support[1] * sqxi - reach)
     xs = np.linspace(lo, hi, 8192)
-    vp = _piecewise_cubic(CubicSpline(xs, reduced(xs)[1]), 0)
+    vp = _piecewise_cubic(
+        CubicSpline(xs, _reduced_branch(p, rc, "ExtendedX", xs)[3]), 0)
 
     times = full.times
     n = times.size

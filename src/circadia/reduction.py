@@ -17,6 +17,12 @@ phi itself (s=1) while the extended coordinate is x = sqrt(xi)*phi, whose
 consistency equation x = eta1 + (lambda_J/xi^(3/2)) u'(eta1/sqrt(xi)) is
 solved in its own variable. The two parameterizations must land on the same
 curve; crosscheck_bases measures how well they do.
+
+Where u'(phi_c) = 0 the consistency equation gives phi = phi_c: the
+reduction moves no stationary point of u. So V' vanishes exactly at the
+stationary points phi* of u, at the coordinate phi*/s, and the minima of V
+are those of u (1 + beta*u'' > 0 on the branch), found without a branch
+solve.
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
     level raises UnresolvedClusterError. A run of samples with |f| < 1e-12
     is one candidate: one root when f changes sign across it, and
     UnresolvedClusterError (a tangent double root) when it does not. The
-    one-drive case of branch_table's search.
+    one-drive case of branch_table's search, without its periodic images.
     """
     (roots,), jacobian_min = _consistency_roots(p, beta, [phi], window)
     return BranchSolution(drive_phi=float(phi), roots=tuple(roots),
@@ -136,13 +142,21 @@ def solve_consistency(p: PotentialModel, beta: float, phi: float,
 
 
 def _consistency_roots(p: PotentialModel, beta: float, drives,
-                       window: tuple[float, float]):
+                       window: tuple[float, float], wrap: bool = False):
     """(roots per drive, ordered as BranchSolution.roots; jacobian_min).
 
     The window is sampled once for all drives: grid, Jacobian, Lipschitz
     reach and g = grid + beta*u'(grid). Each drive's top row g - phi is
     scanned in turn; then one _bisect_lanes call bisects every drive's
     brackets, each lane against its own drive.
+
+    wrap (a periodic u on a window one period P long) seeks the roots on
+    the whole line: c solves drive phi exactly when c - k*P solves
+    phi - k*P. After the drives themselves, each shifted drive phi - k*P
+    (k != 0) that g can meet on the window (its sampled range widened by
+    the cells' reach; no other gives a root) is scanned, and its roots are
+    shifted back by k*P. A root on the edge the window shares with the
+    scan one period nearer k = 0 is that scan's, and is dropped.
     """
     if beta < 0:
         raise ValidationError("beta must be >= 0")
@@ -157,24 +171,38 @@ def _consistency_roots(p: PotentialModel, beta: float, drives,
     jac = 1.0 + beta * np.asarray(p.d2u(grid), dtype=float)
     lip = np.maximum(np.abs(jac[:-1]), np.abs(jac[1:])) + 1.0
     g = grid + beta * np.asarray(p.du(grid), dtype=float)
-    drives = np.asarray(drives, dtype=float)
+    drives = np.asarray(drives, dtype=float).tolist()
+    scans = [(i, 0, phi) for i, phi in enumerate(drives)]  # (drive, k, at)
+    if wrap:
+        reach = float(np.max(lip)) * (grid[1] - grid[0])
+        g_lo, g_hi = float(np.min(g)) - reach, float(np.max(g)) + reach
+        for i, phi in enumerate(drives):
+            scans += [(i, k, phi - k * p.period) for k in range(
+                math.floor((phi - g_hi) / p.period),
+                math.ceil((phi - g_lo) / p.period) + 1)
+                if k and g_lo <= phi - k * p.period <= g_hi]
 
     def residual(c: np.ndarray, at) -> np.ndarray:
         return c + beta * np.asarray(p.du(c), dtype=float) - at
 
-    rows = [_scan(lambda c, phi=phi: residual(c, phi), grid[None, :],
-                  (g - phi)[None, :], lip, 0) for phi in drives.tolist()]
-    lanes = [(k, item) for k, row in enumerate(rows) for item in row
+    rows = [_scan(lambda c, at=at: residual(c, at), grid[None, :],
+                  (g - at)[None, :], lip, 0) for _, _, at in scans]
+    lanes = [(j, item) for j, row in enumerate(rows) for item in row
              if isinstance(item, tuple)]
     if lanes:
-        at = drives[[k for k, _ in lanes]]
+        at = np.array([scans[j][2] for j, _ in lanes])
         lo, hi, flo = np.array([item for _, item in lanes]).T
         mids = iter(_bisect_lanes(lambda c, lane: residual(c, at[lane]),
                                   lo, hi, flo).tolist())
         rows = [[next(mids) if isinstance(item, tuple) else item
                  for item in row] for row in rows]
+    roots = [[] for _ in drives]
+    for (i, k, _), row in zip(scans, rows):
+        shared = a if k > 0 else b
+        roots[i] += row if not k else [r + k * p.period for r in row
+                                       if r != shared]
     return [_order_roots(row, phi, p.period) for row, phi in
-            zip(rows, drives.tolist())], float(np.min(jac))
+            zip(roots, drives)], float(np.min(jac))
 
 
 def _scan(F, X: np.ndarray, FX: np.ndarray, lip, depth: int) -> list:
@@ -283,12 +311,14 @@ def _scan_window(p: PotentialModel, half_width: float) -> tuple[float, float]:
 def _root_window(p: PotentialModel, beta: float,
                  drives: np.ndarray) -> tuple[float, float]:
     """Where branch_table seeks the roots phi_c of phi = phi_c + beta*u'(phi_c)
-    for the drives phi: one period of a periodic u, a tabulated u's support
-    (u' ends there), (-8pi, 8pi) for another kind, and for an even
-    polynomial (-r, r), which holds every root. There r is Fujiwara's bound
-    2*max_i |q_i/q_n|^(1/(n-i)) (q_0 halved) on the roots of
-    q(c) = beta*u'(c) + c - phi at the largest |phi|, rounded up to a whole
-    number plus one, so that drives a rounding apart share one window."""
+    for the drives phi: one period of a periodic u (its roots elsewhere
+    are shifted images of the period's: _consistency_roots' wrap), a
+    tabulated u's support (u' ends there), (-8pi, 8pi) for another kind,
+    and for an even polynomial (-r, r), which holds every root. There r is
+    Fujiwara's bound 2*max_i |q_i/q_n|^(1/(n-i)) (q_0 halved) on the roots
+    of q(c) = beta*u'(c) + c - phi at the largest |phi|, rounded up to a
+    whole number plus one, so that drives a rounding apart share one
+    window."""
     if not isinstance(p, PolynomialEven):
         return _scan_window(p, 4.0 * TWO_PI)
     q = np.abs((beta * p._dpoly + [np.max(np.abs(drives)), 1.0]).trim().coef)
@@ -459,13 +489,15 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
     [0, 2pi)). basis "ExtendedX": coordinate is x = sqrt(xi)*phi solved
     through the extended consistency equation. Refuses at or beyond the
     invertibility threshold, where the branch is multivalued. The values
-    come from _reduced_branch; the minima cost a nested bisection (one
-    branch solve per step over the sign-change cells of V'), so a caller
-    that needs only V, V' and V'' calls _reduced_branch instead.
+    come from _reduced_branch, its one branch solve. The minima need no
+    other: V' = lambda_J*s*u'(phi_c), and where u'(phi_c) = 0 the
+    consistency equation puts the drive at phi_c itself, so the reduction
+    keeps every stationary point of u in place and each minimum is a root
+    of u' between two neighbouring branch phases.
     """
     coords, scale = _coordinates(rc, basis, grid)
     beta_crit, phi_c, V, Vp, Vpp = _reduced_branch(p, rc, basis, coords)
-    minima = _locate_minima(p, rc, basis, coords, Vp, Vpp, scale)
+    minima = _locate_minima(p, rc, coords, phi_c, Vp, Vpp, scale)
     return EffectivePotential(
         basis=basis, coordinates=coords, V=V, Vp=Vp, Vpp=Vpp, phi_c=phi_c,
         minima=minima, branch_count=np.ones(coords.size, dtype=int),
@@ -485,16 +517,11 @@ def _reduced_branch(p: PotentialModel, rc: ReducedCircuit, basis: str,
         raise PhysicalRegimeError(
             f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",
             beta_crit=beta_crit)
-    phi_c = _branch_phase(p, rc, basis, coords)
-    return (beta_crit, phi_c, *_reduced_values(p, rc, phi_c, scale))
-
-
-def _branch_phase(p: PotentialModel, rc: ReducedCircuit, basis: str,
-                  coords: np.ndarray) -> np.ndarray:
-    """Junction phase phi_c on the single-valued branch at each coordinate."""
     if basis == "CompactPhi":
-        return solve_branch_compact(p, rc.beta, coords)
-    return solve_branch_extended(p, rc, coords) / math.sqrt(rc.xi)
+        phi_c = solve_branch_compact(p, rc.beta, coords)
+    else:
+        phi_c = solve_branch_extended(p, rc, coords) / math.sqrt(rc.xi)
+    return (beta_crit, phi_c, *_reduced_values(p, rc, phi_c, scale))
 
 
 def _reduced_values(p: PotentialModel, rc: ReducedCircuit, phi_c: np.ndarray,
@@ -512,26 +539,24 @@ def _reduced_values(p: PotentialModel, rc: ReducedCircuit, phi_c: np.ndarray,
     return V, Vp, Vpp
 
 
-def _locate_minima(p, rc, basis, coords, Vp, Vpp, scale):
+def _locate_minima(p, rc, coords, phi_c, Vp, Vpp, scale):
     """Minima via sign changes (or exact zeros) of V' along the grid.
 
-    The sign-change cells are bisected together: each step makes one
-    branch solve over the midpoints of the cells still open.
+    A sign-change cell holds a stationary point phi* of u between its two
+    branch phases (effective_potential): the cells' roots of u' are
+    bisected together, each minimum sits at the coordinate phi*/s, and
+    its curvature is V'' at phi*.
     """
-
-    def slope(c: np.ndarray, _) -> np.ndarray:  # V' from u' alone
-        pc = _branch_phase(p, rc, basis, c)
-        return rc.lambdaJ * np.asarray(p.du(pc), dtype=float) * scale
-
     found = {int(i): (float(coords[i]), float(Vpp[i]))
              for i in np.flatnonzero((Vp == 0.0) & (Vpp > 0.0))}
     cells = np.flatnonzero((Vp[:-1] < 0.0) & (0.0 < Vp[1:]))
     if cells.size:
-        locs = _bisect_lanes(slope, coords[cells], coords[cells + 1],
-                             Vp[cells])
-        pc = _branch_phase(p, rc, basis, locs)
-        curv = _reduced_values(p, rc, pc, scale)[2]
-        found.update(zip(cells.tolist(), zip(locs.tolist(), curv.tolist())))
+        # V' = lambda_J*s*u'(phi_c) has the sign of u' at the cells' left ends
+        phis = _bisect_lanes(lambda c, _: np.asarray(p.du(c), dtype=float),
+                             phi_c[cells], phi_c[cells + 1], Vp[cells])
+        curv = _reduced_values(p, rc, phis, scale)[2]
+        found.update(zip(cells.tolist(),
+                         zip((phis / scale).tolist(), curv.tolist())))
     return [found[i] for i in sorted(found)]
 
 
@@ -556,12 +581,15 @@ def branch_table(p: PotentialModel, rc: ReducedCircuit, basis: str,
     (coordinate, V, Vp, Vpp, branch_count) evaluated per root; multivalued
     drives contribute several rows. Exported raw: no branch is selected.
     One search serves the table: the window of _root_window is sampled
-    once, and every drive's brackets are bisected together.
+    once, and every drive's brackets are bisected together. A periodic u
+    gets every root on the line, found through shifted drives on its one
+    sampled period.
     """
     coords, scale = _coordinates(rc, basis, grid)
     drives = coords * scale
     roots, _ = _consistency_roots(p, rc.beta, drives,
-                                  _root_window(p, rc.beta, drives))
+                                  _root_window(p, rc.beta, drives),
+                                  wrap=p.is_periodic)
     at = [c for c, rs in zip(coords.tolist(), roots) for _ in rs]
     counts = [len(rs) for rs in roots for _ in rs]
     V, Vp, Vpp = _reduced_values(

@@ -1047,11 +1047,13 @@ def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
     ab = np.zeros((3 * m, n), dtype=chi.dtype)
     ab[0] = eps.ravel() + slow[0]
     a = np.arange(m)
+    chi_h = chi.conj().transpose(0, 2, 1)  # a real store is not copied
     for s in (1, 2):
         # S[i] = chi_{i+s}^H chi_i, the block at (slow point i+s, i)
-        S = np.matmul(chi[s:].conj().transpose(0, 2, 1), chi[:-s])
+        S = np.matmul(chi_h[s:], chi[:-s])
         ab[s * m + a[:, None] - a[None, :],
            m * np.arange(n_slow - s)[:, None, None] + a] = slow[s] * S
+    del chi_h, S    # not held through the band solve
     return _shift_invert_pairs(ab, sigma, npairs)
 
 

@@ -21,6 +21,7 @@ from circadia import (
 )
 from circadia.dynamics import _slow_period, _steps
 from circadia.potentials import CubicSpline, _piecewise_cubic
+from circadia.reduction import _reduced_branch, _reduced_values
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
 
@@ -427,6 +428,40 @@ def test_reduced_flow_matches_the_spline_called_per_half_kick(monkeypatch,
         oracle.append(x)
     assert np.array_equal(cmp_.x_reduced, np.array(oracle))
     assert cmp_.max_deviation < 0.05
+
+
+def test_the_force_table_is_the_reduced_branch(monkeypatch):
+    import circadia.dynamics
+
+    calls = []
+
+    def counted(p, rc, basis, coords):
+        calls.append((basis, coords.size))
+        return _reduced_branch(p, rc, basis, coords)
+
+    monkeypatch.setattr(circadia.dynamics, "_reduced_branch", counted)
+    rc, _, spline, _, _ = _traced_reduced_flow(monkeypatch, BiasedCosine(0.4))
+    # the energy probe and the force table, nothing else
+    assert calls == [("ExtendedX", 512), ("ExtendedX", 8192)]
+    # V' on the slow manifold, bit for bit as manifold_eta gives it
+    sqxi = math.sqrt(rc.xi)
+    eta = manifold_eta(rc, BiasedCosine(0.4), spline.x)
+    vp = _reduced_values(BiasedCosine(0.4), rc, eta / sqxi, 1.0 / sqxi)[1]
+    assert CubicSpline(spline.x, vp).c.tobytes() == spline.c.tobytes()
+
+
+def test_the_reduced_flow_refuses_to_leave_its_force_table():
+    # a tabulated harmonic u on |phi| <= 16: the table keeps the drives
+    # whose branch bracket (half-width 9 here) stays on the support, so it
+    # ends near |x| = 7, while this start swings out to |x| = 10
+    phi = np.linspace(-16.0, 16.0, 321)
+    p = Custom(phi, 0.5 * phi**2)
+    rc = ReducedCircuit.from_ratios(0.6, 1.0, 0.5)
+    inside = shadow_reduced_dynamics(rc, p, 0.0, 3.0, t_end=8.0)
+    assert 5.0 < np.max(np.abs(inside.x_reduced)) < 7.0
+    with pytest.raises(ValidationError,
+                       match=r"leaves its force table \[-7\.0\d*, 7\.0"):
+        shadow_reduced_dynamics(rc, p, 0.0, 5.8, t_end=8.0)
 
 
 def test_reduced_flow_evaluates_the_force_once_per_substep(monkeypatch):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circadia import (
@@ -21,9 +21,10 @@ from circadia import (
     effective_potential,
     invertibility_threshold,
     solve_branch_compact,
+    solve_branch_extended,
     solve_consistency,
 )
-from circadia.reduction import (GRID_MIN, RESIDUAL_TOL, _branch_phase,
+from circadia.reduction import (GRID_MIN, RESIDUAL_TOL, _consistency_roots,
                                 _coordinates, _du_reach, _locate_minima,
                                 _reduced_values, _root_window, _scan_window,
                                 _solve_branch)
@@ -364,12 +365,12 @@ def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
     raise ConvergenceError("bisection stalled", detail=(lo, hi))
 
 
-def _minima_per_cell(p, rc, basis, coords, Vp, Vpp, scale):
-    """Reference: one _bisect_scalar per sign-change cell of V'."""
+def _minima_per_cell(p, rc, coords, phi_c, Vp, Vpp, scale):
+    """Reference: one _bisect_scalar of u' per sign-change cell of V',
+    between the cell's two branch phases."""
 
     def slope(c):
-        pc = _branch_phase(p, rc, basis, np.array([c]))[0]
-        return rc.lambdaJ * float(p.du(pc)) * scale
+        return float(p.du(np.array([c]))[0])
 
     minima = []
     for i in range(coords.size):
@@ -377,34 +378,102 @@ def _minima_per_cell(p, rc, basis, coords, Vp, Vpp, scale):
             if Vpp[i] > 0.0:
                 minima.append((float(coords[i]), float(Vpp[i])))
         elif i + 1 < coords.size and Vp[i] < 0.0 < Vp[i + 1]:
-            loc = _bisect_scalar(slope, float(coords[i]),
-                                 float(coords[i + 1]), float(Vp[i]),
-                                 float(Vp[i + 1]))
-            pc = _branch_phase(p, rc, basis, np.array([loc]))
-            minima.append((loc, float(_reduced_values(p, rc, pc,
-                                                      scale)[2][0])))
+            phi = _bisect_scalar(slope, float(phi_c[i]), float(phi_c[i + 1]),
+                                 float(Vp[i]), float(Vp[i + 1]))
+            minima.append((phi / scale, float(_reduced_values(
+                p, rc, np.array([phi]), scale)[2][0])))
+    return minima
+
+
+def _minima_in_coordinates(p, rc, basis, coords, Vp, scale):
+    """Reference: the minima as a bisection of V' in the coordinate, one
+    branch solve per step, with the curvature at the branch phase of the
+    minimum; (location, curvature) per sign-change cell of V'."""
+
+    def phase(c):
+        if basis == "CompactPhi":
+            return solve_branch_compact(p, rc.beta, np.array([c]))
+        return solve_branch_extended(p, rc, np.array([c])) / math.sqrt(rc.xi)
+
+    def slope(c):
+        return rc.lambdaJ * float(p.du(phase(c))[0]) * scale
+
+    minima = []
+    for i in np.flatnonzero((Vp[:-1] < 0.0) & (Vp[1:] > 0.0)).tolist():
+        loc = _bisect_scalar(slope, float(coords[i]), float(coords[i + 1]),
+                             float(Vp[i]), float(Vp[i + 1]))
+        minima.append((loc, float(_reduced_values(p, rc, phase(loc),
+                                                  scale)[2][0])))
     return minima
 
 
 @pytest.mark.parametrize("basis", ["CompactPhi", "ExtendedX"])
-def test_batched_minima_match_the_per_cell_bisection(basis):
+def test_batched_minima_match_the_per_cell_bisection(basis, monkeypatch):
+    import circadia.reduction
+
     rc = ReducedCircuit.from_ratios(0.3, 4.0, 9.6)  # beta = 0.6
     p = BiasedCosine(0.7)
     phis = np.linspace(-7.0 * math.pi, 7.0 * math.pi, 2049)
     coords, scale = _coordinates(
         rc, basis, phis if basis == "CompactPhi" else math.sqrt(rc.xi) * phis)
+    # one branch solve serves the samples; the minima make none
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1].size)
+        return _solve_branch(*args)
+
+    monkeypatch.setattr(circadia.reduction, "_solve_branch", counted)
     pot = effective_potential(p, rc, basis, coords)
+    assert calls == [coords.size]
+    monkeypatch.undo()
     assert len(pot.minima) == 7
-    assert pot.minima == _minima_per_cell(p, rc, basis, coords, pot.Vp,
+    assert pot.minima == _minima_per_cell(p, rc, coords, pot.phi_c, pot.Vp,
                                           pot.Vpp, scale)
+    # the stationary points of u, where a bisection of V' in the
+    # coordinate (a branch solve per step) puts them
+    for (loc, curv), (ref, ref_curv) in zip(pot.minima, _minima_in_coordinates(
+            p, rc, basis, coords, pot.Vp, scale), strict=True):
+        assert abs(loc - ref) <= 1e-12
+        assert curv == pytest.approx(ref_curv, rel=1e-14, abs=0.0)
     # an exact zero of V' at the left end of the third well's cell
     cell = np.flatnonzero((pot.Vp[:-1] < 0.0) & (pot.Vp[1:] > 0.0))[2]
     Vp = pot.Vp.copy()
     Vp[cell] = 0.0
-    got = _locate_minima(p, rc, basis, coords, Vp, pot.Vpp, scale)
-    assert got == _minima_per_cell(p, rc, basis, coords, Vp, pot.Vpp, scale)
+    got = _locate_minima(p, rc, coords, pot.phi_c, Vp, pot.Vpp, scale)
+    assert got == _minima_per_cell(p, rc, coords, pot.phi_c, Vp, pot.Vpp,
+                                   scale)
     assert got[2] == (float(coords[cell]), float(pot.Vpp[cell]))
     assert got[:2] + got[3:] == pot.minima[:2] + pot.minima[3:]
+
+
+_TABLE_PHI = np.linspace(-12.0, 12.0, 2401)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["cosine", "biased", "polynomial", "custom"]),
+       basis=st.sampled_from(["CompactPhi", "ExtendedX"]),
+       shape=st.floats(0.1, 3.0), xi=st.floats(1.0, 20.0),
+       beta_frac=st.floats(0.05, 0.95))
+def test_minima_sit_at_the_stationary_points_of_u(kind, basis, shape, xi,
+                                                  beta_frac):
+    # a biased cosine's bias, a double well's depth, or a tabulated
+    # tilted cosine's tilt; beta below the invertibility threshold
+    p = {"cosine": lambda: Cosine(),
+         "biased": lambda: BiasedCosine(shape),
+         "polynomial": lambda: PolynomialEven([0.0, -shape, 0.25]),
+         "custom": lambda: Custom(_TABLE_PHI, -np.cos(_TABLE_PHI)
+                                  + 0.01 * shape * _TABLE_PHI**2)}[kind]()
+    beta = beta_frac * min(invertibility_threshold(p), 10.0)
+    rc = ReducedCircuit.from_ratios(0.3, xi, beta * xi**2)
+    coords, scale = _coordinates(rc, basis, np.linspace(
+        -8.0, 8.0, 513) * (1.0 if basis == "CompactPhi" else math.sqrt(xi)))
+    pot = effective_potential(p, rc, basis, coords)
+    assert pot.minima
+    for c, curv in pot.minima:
+        assert abs(float(p.du(np.array([scale * c]))[0])) <= 1e-12
+        assert float(p.d2u(np.array([scale * c]))[0]) > 0.0
+        assert curv > 0.0
 
 
 def _fixed_step_branch(du, coef, du_reach, drives):
@@ -586,6 +655,52 @@ def test_branch_table_window_holds_every_root_of_a_polynomial():
     assert len(Counter(row[0] for row in rows)) == 64
     assert sum(rows, ()) == pytest.approx(sum(expected, ()), rel=1e-12,
                                           abs=1e-12)
+
+
+def _wide_counts(p, beta, drives):
+    """Reference: root counts per drive on (-4pi, 6pi), which holds every
+    root of a drive in [0, 2pi) while beta*max|u'| <= 2pi."""
+    roots, _ = _consistency_roots(p, beta, drives, (-2.0 * TWO_PI,
+                                                    3.0 * TWO_PI))
+    return [len(rs) for rs in roots]
+
+
+@pytest.mark.parametrize("basis", ["CompactPhi", "ExtendedX"])
+@pytest.mark.parametrize("p, ratios, rows_", [
+    (BiasedCosine(0.7), (0.3, 2.0, 1.0), 256),   # beta = 0.25
+    (Cosine(), (0.3, 1.0, 5.0), 830),            # beta = 5
+], ids=["biased", "cosine-beta-5"])
+def test_periodic_branch_tables_keep_the_roots_outside_the_period(
+        p, ratios, rows_, basis):
+    # the table scans one period, [0, 2pi]; the roots of drives near its
+    # ends lie outside it, and were dropped (250 and 768 rows) before the
+    # shifted drives were scanned
+    rc = ReducedCircuit.from_ratios(*ratios)
+    coords, rows = branch_table(p, rc, basis, 256)
+    assert len(rows) == rows_
+    scale = _coordinates(rc, basis, 256)[1]
+    per_drive = Counter(row[0] for row in rows)
+    assert [per_drive[c] for c in coords.tolist()] == _wide_counts(
+        p, rc.beta, coords * scale)
+    # the last drive has roots past 2pi (its only one, or 2 of its 5),
+    # found through shifted drives, with the wide window's values
+    c = float(coords[-1])
+    assert sum((r[1:] for r in rows if r[0] == c), ()) == pytest.approx(
+        sum(_wide_rows(p, rc, c * scale, scale), ()), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(phi_ext=st.floats(-math.pi, math.pi), beta=st.floats(0.01, 5.0),
+       basis=st.sampled_from(["CompactPhi", "ExtendedX"]))
+def test_periodic_branch_tables_count_the_roots_of_a_wide_window(
+        phi_ext, beta, basis):
+    p = BiasedCosine(phi_ext)
+    rc = ReducedCircuit.from_ratios(0.3, 2.0, 4.0 * beta)
+    coords, rows = branch_table(p, rc, basis, 64)
+    per_drive = Counter(row[0] for row in rows)
+    scale = _coordinates(rc, basis, 64)[1]
+    assert [per_drive[c] for c in coords.tolist()] == _wide_counts(
+        p, rc.beta, coords * scale)
 
 
 def test_both_bases_list_the_same_roots_of_a_polynomial():

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 import circadia.spectra
 from circadia import (
     BiasedCosine,
+    BOTable,
     ConvergenceError,
     Cosine,
     HamiltonianSpec,
@@ -1559,6 +1560,15 @@ _MALFORMED = [
        "must be uniform and increasing")
       for name, c in (("zero", np.zeros(256)),
                       ("negative", np.linspace(2.0, -2.0, 256)))],
+    ("effective-below-128-points", lambda: lowest_eigenvalues(
+        HamiltonianSpec(variant="Extended1D",
+                        effective=_effective(np.linspace(-2.0, 2.0, 127))), 1),
+     "1D grids need >= 128 points"),
+    ("bo-table-all-zero-x", lambda: BOTable(
+        kappas=np.array([0.5]), xs=np.zeros(3), delta=np.zeros((1, 3)),
+        sup_abs=np.zeros(1), U=np.zeros((1, 3)),
+        verdict="inconclusive").quadratic_fit(),
+     "x grid cannot be all zeros"),
     ("effective-asymmetric", lambda: lowest_eigenvalues(HamiltonianSpec(
         variant="Extended1D",
         effective=_effective(np.linspace(-4.0, 6.0, 256))), 1),

@@ -1,18 +1,23 @@
 """Count the code lines of Python files.
 
-    python tools/code_lines.py src/circadia/*.py
+    python tools/code_lines.py [--rev REV] src/circadia/*.py
 
 A code line is a line that holds a token other than a comment or a
 docstring (the leading string of a module, class or function body), so
 blank lines, comments and docstrings do not count, and a statement split
 over several lines counts each of them. Prints each file's count and the
-total.
+total. With --rev, each line shows the file's count at the git revision
+REV (read with ``git show REV:path``; 0 where the file did not exist
+there), the working tree's count and the difference.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import os
+import subprocess
 import sys
 import tokenize
 
@@ -43,17 +48,45 @@ def code_lines(source: str) -> int:
     return len(lines - doc)
 
 
-def main(paths) -> int:
-    if not paths:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 1
-    total = 0
-    for path in paths:
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], capture_output=True, text=True)
+
+
+def _count_at(rev: str, path: str) -> int:
+    """Code lines of path at a git revision, 0 where it does not exist."""
+    shown = _git("show", f"{rev}:./{os.path.relpath(path)}")
+    return code_lines(shown.stdout) if shown.returncode == 0 else 0
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.strip().splitlines()[0])
+    parser.add_argument("paths", nargs="+", metavar="PATH")
+    parser.add_argument("--rev", help="a git revision to count beside the "
+                        "working tree")
+    args = parser.parse_args(argv)
+    if args.rev is not None:
+        verified = _git("rev-parse", "--verify", "--quiet",
+                        f"{args.rev}^{{commit}}")
+        if verified.returncode != 0:
+            print(f"not a git revision: {args.rev}", file=sys.stderr)
+            return 1
+        print(f"{args.rev[:6]:>6}    tree    diff")
+    totals = [0, 0]
+    for path in args.paths:
         with open(path, encoding="utf-8") as f:
             n = code_lines(f.read())
-        total += n
-        print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+        if args.rev is None:
+            totals[1] += n
+            print(f"{n:6d}  {path}")
+            continue
+        old = _count_at(args.rev, path)
+        totals[0] += old
+        totals[1] += n
+        print(f"{old:6d}  {n:6d}  {n - old:+6d}  {path}")
+    old, n = totals
+    print(f"{n:6d}  total" if args.rev is None
+          else f"{old:6d}  {n:6d}  {n - old:+6d}  total")
     return 0
 
 
