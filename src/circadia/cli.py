@@ -33,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .constants import get_constants
-from .dynamics import _manifold_y0, _slow_period, integrate, \
-    shadow_reduced_dynamics, slow_manifold_residual
+from .dynamics import _manifold_y0, _residual_span, _slow_period, \
+    integrate, shadow_reduced_dynamics, slow_manifold_residual
 from .errors import CircadiaError, ConvergenceError, PhysicalRegimeError, \
     StructureMismatchError, ValidationError
 from .foster import FosterModel, clear_of_poles, eval_admittance, \
@@ -392,26 +392,34 @@ def cmd_dynamics(args) -> int:
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
-    y0 = args.y0 if args.y0 is not None else _manifold_y0(
-        rc, p, args.x0, "slow manifold")
+    # the run's one invertibility threshold, found with the manifold start
+    # and passed to the probes; the residual probe's supercritical refusal
+    # comes first, as when it ran before this trajectory
+    beta_crit, y0 = None, args.y0
+    if y0 is None or args.report == "residual":
+        y_manifold, beta_crit = _manifold_y0(rc, p, args.x0, "slow manifold")
+        y0 = y_manifold if y0 is None else y0
     py0 = args.py0 if args.py0 is not None else 0.0
 
     report = {}
-    # the residual probe runs its own on-manifold trajectory over --t-end,
-    # first: its refusals (kappa = 0, t_end inside the transient) come
-    # before this one is integrated
+    # the residual probe's refusals (kappa = 0, t_end inside the transient)
+    # come before any step; it measures its on-manifold trajectory over
+    # --t-end, which is this one when px0, y0 and py0 are the defaults
     if args.report == "residual":
-        report["y_residual"], report["py_residual"] = slow_manifold_residual(
-            rc, p, args.x0, t_end=args.t_end, dt=args.dt)
+        _residual_span(rc, args.t_end)
     record = integrate(rc, p, (args.x0, args.px0, y0, py0), t_end,
                        dt=args.dt)
+    if args.report == "residual":
+        report["y_residual"], report["py_residual"] = slow_manifold_residual(
+            rc, p, args.x0, t_end=args.t_end, dt=args.dt, full=record,
+            beta_crit=beta_crit)
     report.update(energy_drift=record.energy_drift, dt=record.dt,
                   t_end=t_end, samples=int(record.times.size))
     if args.report == "shadow":
         # the shadow reuses this trajectory when it is the one it needs
         cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0,
                                        t_end=args.t_end, dt=args.dt,
-                                       full=record)
+                                       full=record, beta_crit=beta_crit)
         report["max_x_deviation"] = cmp_.max_deviation
         report["slow_period"] = cmp_.slow_period
     _write_run(args.out, manifest, {

@@ -193,41 +193,77 @@ def manifold_eta(rc: ReducedCircuit, p: PotentialModel,
 
 
 def _manifold_y0(rc: ReducedCircuit, p: PotentialModel, x0: float,
-                 what: str, px0: float = 0.0) -> float:
-    """y = kappa*eta1(x0) on the slow manifold (y = 0 at kappa = 0),
-    refused where undefined; a non-finite slow start (x0, px0) is refused
-    before any solve."""
+                 what: str, px0: float = 0.0,
+                 beta_crit: float | None = None) -> tuple[float, float]:
+    """(y, beta_crit): y = kappa*eta1(x0) on the slow manifold (y = 0 at
+    kappa = 0), refused where undefined, and the invertibility threshold
+    of p it was refused by, invertibility_threshold(p) unless given; a
+    non-finite slow start (x0, px0) is refused before any solve."""
     if not (math.isfinite(x0) and math.isfinite(px0)):
         raise ValidationError("initial state must be finite")
-    threshold = invertibility_threshold(p)
-    if rc.beta >= threshold:
+    if beta_crit is None:
+        beta_crit = invertibility_threshold(p)
+    if rc.beta >= beta_crit:
         raise PhysicalRegimeError(f"{what} undefined at supercritical beta",
-                                  beta_crit=threshold)
-    return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0])
+                                  beta_crit=beta_crit)
+    return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0]), \
+        beta_crit
 
 
-def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
-                           t_end: float | None = None, dt: float = 2e-4,
-                           drift_tol: float = 1e-8) -> tuple[float, float]:
-    """(max |y - kappa*eta1(x)|, max |p_y|) after on-manifold initialization.
+def _same_run(full, rc: ReducedCircuit, start: tuple, t_end: float,
+              dt: float) -> bool:
+    """Whether the record full (or None) is the trajectory that
+    integrate(rc, p, start, t_end, dt) makes: same circuit ratios, start,
+    step and end time (full must come from the same potential)."""
+    return full is not None and tuple(full.states[0]) == start \
+        and (full.kappa, full.xi, full.lambdaJ) \
+        == (rc.kappa, rc.xi, rc.lambdaJ) \
+        and full.dt == _steps(t_end, dt)[1] \
+        and math.isclose(full.times[-1], t_end, rel_tol=1e-12)
 
-    The first 5 fast periods are excluded: p_y(0)=0 is only accurate to the
-    manifold's own order, and that initialization ringing is not the slaved
-    signal being measured.
-    """
-    y0 = _manifold_y0(rc, p, x0, "slow manifold")
+
+def _residual_span(rc: ReducedCircuit, t_end: float | None) -> float:
+    """The residual probe's horizon, by default 5 fast periods and half a
+    slow period; refused at kappa <= 0 and when it does not pass the
+    5-fast-period transient."""
     if rc.kappa <= 0:
         raise ValidationError("kappa must be > 0")
     if t_end is None:
         t_end = 5.0 * TWO_PI + 0.5 * _slow_period(rc)
     if not t_end >= 5.0 * TWO_PI:
         raise ValidationError("t_end must exceed the 5-fast-period transient")
-    record = integrate(rc, p, (x0, 0.0, y0, 0.0), t_end, dt,
-                       drift_tol=drift_tol)
-    keep = record.times >= 5.0 * TWO_PI
-    x = record.states[keep, 0]
-    y = record.states[keep, 2]
-    py = record.states[keep, 3]
+    return t_end
+
+
+def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
+                           t_end: float | None = None, dt: float = 2e-4,
+                           drift_tol: float = 1e-8,
+                           full: TrajectoryRecord | None = None,
+                           beta_crit: float | None = None,
+                           ) -> tuple[float, float]:
+    """(max |y - kappa*eta1(x)|, max |p_y|) after on-manifold initialization.
+
+    The first 5 fast periods are excluded: p_y(0)=0 is only accurate to the
+    manifold's own order, and that initialization ringing is not the slaved
+    signal being measured.
+
+    full, when given, is a full-system trajectory already integrated in
+    the same potential; it stands in for the probe's own integration when
+    it is that trajectory (as in shadow_reduced_dynamics: same circuit
+    ratios, start (x0, 0, kappa*eta1(x0), 0), t_end and step) and its
+    energy drift is within drift_tol. beta_crit, when given, is
+    invertibility_threshold(p). Every refusal comes before any step.
+    """
+    y0 = _manifold_y0(rc, p, x0, "slow manifold", beta_crit=beta_crit)[0]
+    t_end = _residual_span(rc, t_end)
+    start = (x0, 0.0, y0, 0.0)
+    if not (_same_run(full, rc, start, t_end, dt)
+            and full.energy_drift <= drift_tol):
+        full = integrate(rc, p, start, t_end, dt, drift_tol=drift_tol)
+    keep = full.times >= 5.0 * TWO_PI
+    x = full.states[keep, 0]
+    y = full.states[keep, 2]
+    py = full.states[keep, 3]
     eta = manifold_eta(rc, p, x)
     y_resid = float(np.max(np.abs(y - rc.kappa * eta)))
     py_resid = float(np.max(np.abs(py)))
@@ -249,6 +285,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
                             px0: float, t_end: float | None = None,
                             dt: float = 2e-4,
                             full: TrajectoryRecord | None = None,
+                            beta_crit: float | None = None,
                             ) -> ShadowComparison:
     """Integrates the reduced Hamiltonian 1/2 kappa^2 p_x^2
     + (kappa^2/xi) V(x) alongside the full system from the same slow initial
@@ -258,7 +295,8 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     the same potential; it stands in for the comparison's own integration
     when it is that trajectory: same circuit ratios, start
     (x0, px0, kappa*eta1(x0), 0), t_end and step. Any other record is
-    ignored and the trajectory integrated here.
+    ignored and the trajectory integrated here. beta_crit, when given, is
+    invertibility_threshold(p); otherwise it is computed once here.
 
     The reduced flow is its own one-degree-of-freedom kick-drift-kick, not
     _leapfrog, since the reduced system has no y mode. It takes substeps
@@ -268,16 +306,13 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     evaluator of the potentials module (equal to the spline's own call bit
     for bit), once per substep: the force that closes a substep opens the
     next one."""
-    y0 = _manifold_y0(rc, p, x0, "reduced dynamics", px0)
+    y0, beta_crit = _manifold_y0(rc, p, x0, "reduced dynamics", px0,
+                                 beta_crit)
     slow_period = _slow_period(rc)
     if t_end is None:
         t_end = 2.0 * slow_period
     start = (x0, px0, y0, 0.0)
-    if full is None or tuple(full.states[0]) != start \
-            or (full.kappa, full.xi, full.lambdaJ) \
-            != (rc.kappa, rc.xi, rc.lambdaJ) \
-            or full.dt != _steps(t_end, dt)[1] \
-            or not math.isclose(full.times[-1], t_end, rel_tol=1e-12):
+    if not _same_run(full, rc, start, t_end, dt):
         full = integrate(rc, p, start, t_end, dt)
 
     # Force table for the reduced flow: V'(x) sampled once on a span the
@@ -285,7 +320,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     sqxi = math.sqrt(rc.xi)
     e_red = 0.5 * rc.kappa**2 * px0**2
     probe = np.linspace(x0 - TWO_PI * sqxi, x0 + TWO_PI * sqxi, 512)
-    v_probe = _reduced_branch(p, rc, "ExtendedX", probe)[2]
+    v_probe = _reduced_branch(p, rc, "ExtendedX", probe, beta_crit)[2]
     vmin = float(np.min(v_probe)) * rc.kappa**2 / rc.xi
     e_red += rc.kappa**2 / rc.xi * float(np.interp(x0, probe, v_probe))
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
@@ -298,8 +333,8 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
         lo = max(lo, p.support[0] * sqxi + reach)
         hi = min(hi, p.support[1] * sqxi - reach)
     xs = np.linspace(lo, hi, 8192)
-    vp = _piecewise_cubic(
-        CubicSpline(xs, _reduced_branch(p, rc, "ExtendedX", xs)[3]), 0)
+    vp = _piecewise_cubic(CubicSpline(
+        xs, _reduced_branch(p, rc, "ExtendedX", xs, beta_crit)[3]), 0)
 
     times = full.times
     n = times.size

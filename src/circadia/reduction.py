@@ -95,20 +95,25 @@ def write_potential_csv(path, basis, rows, note: str = "") -> None:
 
 
 def _bisect_lanes(fun, lo: np.ndarray, hi: np.ndarray,
-                  flo: np.ndarray) -> np.ndarray:
-    """Bisection on many brackets at once, stopping each lane on residual.
+                  flo: np.ndarray, residual: bool = True) -> np.ndarray:
+    """Bisection on many brackets at once.
 
     fun(points, lanes) gives f at the midpoints of the open lanes (lanes:
     their indices into lo); f(lo) and f(hi) have opposite signs, neither
-    zero. A lane ends at a midpoint with |f| < 1e-13 or a bracket below
-    1e-16 relative."""
+    zero. A lane ends at a bracket below 1e-16 relative (absolute below
+    1) or one that no longer halves (its midpoint rounds to an end), at a
+    midpoint with f = 0, or, when residual, at one with |f| < 1e-13. The
+    residual stop suits a root where f is steep; where f is flat (a
+    degenerate minimum, f' = 0 at the root) it ends far from the root, and
+    only the bracket stops locate it."""
     out = np.empty_like(lo)
     lane = np.arange(lo.size)
+    ftol = RESIDUAL_TOL if residual else 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fun(mid, lane)
-        done = (np.abs(fm) < RESIDUAL_TOL) \
-            | ((hi - lo) < 1e-16 * np.maximum(1.0, np.abs(mid)))
+        done = (np.abs(fm) < ftol) | (fm == 0.0) | (mid == lo) \
+            | (mid == hi) | ((hi - lo) < 1e-16 * np.maximum(1.0, np.abs(mid)))
         out[lane[done]] = mid[done]
         keep = ~done
         if not np.any(keep):
@@ -506,13 +511,15 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
 
 
 def _reduced_branch(p: PotentialModel, rc: ReducedCircuit, basis: str,
-                    coords) -> tuple:
+                    coords, beta_crit: float | None = None) -> tuple:
     """(beta_crit, phi_c, V, V', V'') of the single-valued branch at the
     coordinates coords (a strictly increasing 1D array) of a basis, E_C
     units, as effective_potential samples them but without its minima.
-    Refuses at or beyond the invertibility threshold beta_crit."""
+    Refuses at or beyond the invertibility threshold beta_crit,
+    invertibility_threshold(p) unless given."""
     coords, scale = _coordinates(rc, basis, coords)
-    beta_crit = invertibility_threshold(p)
+    if beta_crit is None:
+        beta_crit = invertibility_threshold(p)
     if rc.beta >= beta_crit:
         raise PhysicalRegimeError(
             f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",
@@ -544,8 +551,9 @@ def _locate_minima(p, rc, coords, phi_c, Vp, Vpp, scale):
 
     A sign-change cell holds a stationary point phi* of u between its two
     branch phases (effective_potential): the cells' roots of u' are
-    bisected together, each minimum sits at the coordinate phi*/s, and
-    its curvature is V'' at phi*.
+    bisected together down to the bracket width (a residual stop would end
+    far from a degenerate minimum, where u' is flat), each minimum sits at
+    the coordinate phi*/s, and its curvature is V'' at phi*.
     """
     found = {int(i): (float(coords[i]), float(Vpp[i]))
              for i in np.flatnonzero((Vp == 0.0) & (Vpp > 0.0))}
@@ -553,7 +561,8 @@ def _locate_minima(p, rc, coords, phi_c, Vp, Vpp, scale):
     if cells.size:
         # V' = lambda_J*s*u'(phi_c) has the sign of u' at the cells' left ends
         phis = _bisect_lanes(lambda c, _: np.asarray(p.du(c), dtype=float),
-                             phi_c[cells], phi_c[cells + 1], Vp[cells])
+                             phi_c[cells], phi_c[cells + 1], Vp[cells],
+                             residual=False)
         curv = _reduced_values(p, rc, phis, scale)[2]
         found.update(zip(cells.tolist(),
                          zip((phis / scale).tolist(), curv.tolist())))

@@ -717,8 +717,8 @@ def _lowest_fast(frozen, x: float, k: int):
     frozen(x, widen=...) a partial of _frozen_fast, on a y grid that holds
     the k levels, the unit eigenvectors (columns) on its nodes y. A level
     with edge mass (_edge_mass) widens the grid once (half_width and n
-    doubled), then fails the solve. The one cold solve of FastAtX and of a
-    continuation chain (bo_fast_ground is a chain of one point)."""
+    doubled), then fails the solve. The one cold solve of FastAtX, of
+    bo_fast_ground and of a continuation chain's fallback."""
     for widen in (1, 2):
         y, v, h = frozen(x, widen=widen)
         w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
@@ -730,10 +730,27 @@ def _lowest_fast(frozen, x: float, k: int):
         detail={"half_width": float(y[-1]), "boundary_mass": edge})
 
 
-def _warm_fast_ground(frozen, x: float, prev: tuple):
+def _harmonic_guess(y: np.ndarray, v: np.ndarray, h: float):
+    """(level, y, Gaussian) of the harmonic oscillator fitted to the fast
+    potential v at its lowest node: curvature w^2 from the second
+    difference there (mass 1, c_kin = 1/2), level min v + w/2, ground
+    Gaussian exp(-w (y - y_min)^2 / 2) on the nodes y; None when the lowest
+    node is an end node or the second difference is not > 0."""
+    i = int(np.argmin(v))
+    if not 0 < i < v.size - 1:
+        return None
+    curvature = float(v[i - 1] - 2.0 * v[i] + v[i + 1]) / h**2
+    if not curvature > 0.0:
+        return None
+    omega = math.sqrt(curvature)
+    return float(v[i]) + 0.5 * omega, y, np.exp(-0.5 * omega * (y - y[i])**2)
+
+
+def _warm_fast_ground(frozen, x: float, prev: tuple | None = None):
     """(e0, y, unit ground vector) of the fast mode frozen at x (frozen as
     in _lowest_fast) continued from a neighbour's prev = (e0, y, vector),
-    or None.
+    or, without prev, from the harmonic guess at the lowest node of its
+    grid (_harmonic_guess); None when it does not continue.
 
     On its own grid (never widened) the neighbour's vector,
     interpolated (zero outside its grid), starts inverse iteration on one
@@ -743,9 +760,14 @@ def _warm_fast_ground(frozen, x: float, prev: tuple):
     taken once it moves by no more than 8*eps*s, s the Gershgorin bound on
     max|lambda|, within 8 solves. It must then pass the cold solve's checks:
     the ground certificate (_certify_ground) and no edge mass. None when
-    the shift is a level, the cap is reached or a check fails."""
+    there is no guess, the shift is a level, the cap is reached or a check
+    fails."""
     y, v, h = frozen(x)
     band, scale = _fd4_operator(v, h, 0.5)
+    if prev is None:
+        prev = _harmonic_guess(y, v, h)
+        if prev is None:
+            return None
     tol = 8.0 * np.finfo(float).eps * scale
     sigma = prev[0] - 1e-3
     v = np.interp(y, prev[1], prev[2], left=0.0, right=0.0)
@@ -778,10 +800,10 @@ def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
-    the ground level of FastAtX frozen at x, as a chain of one point
-    (_ground_along), which is one cold solve."""
-    return float(_ground_along(kappa, xi, lambdaJ, p, [x], 0, half_width,
-                               n)[0])
+    the ground level of FastAtX frozen at x, the same cold solve
+    (_lowest_fast, with its widening)."""
+    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
+    return float(_lowest_fast(frozen, x, 1)[0][0])
 
 
 def _ground_along(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
@@ -790,26 +812,30 @@ def _ground_along(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
     """bo_fast_ground at every x of the chain xs, by continuation; the
     chain of every Born-Oppenheimer rung (_bo_delta).
 
-    xs[start] is solved cold (_lowest_fast, with its widening); the chain
-    then walks outward in both directions, each point continued from its
-    neighbour's level and vector (_warm_fast_ground). A point that does not
-    continue, or fails the certificate or the edge check, is solved cold,
-    and only a cold solve raises: every level is certified as
-    bo_fast_ground's is, so the two differ by no more than their residual
-    norms and 8*eps*s (s the Gershgorin bound on max|lambda|)."""
+    xs[start] is continued from the harmonic guess at the lowest node of
+    its grid; the chain then walks outward in both directions, each point
+    continued from its neighbour's level and vector (_warm_fast_ground). A
+    point that does not continue, or fails the certificate or the edge
+    check, is solved cold (_lowest_fast, with its widening), and only a
+    cold solve raises: every level is certified as bo_fast_ground's is, so
+    the two differ by no more than their residual norms and 8*eps*s (s the
+    Gershgorin bound on max|lambda|)."""
     frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
     levels = np.empty(len(xs))
 
-    def cold(x):
-        w, vec, _, _, y = _lowest_fast(frozen, x, 1)
-        return w[0], y, vec[:, 0]
+    def ground(x, prev=None):
+        got = _warm_fast_ground(frozen, x, prev)
+        if got is None:
+            w, vec, _, _, y = _lowest_fast(frozen, x, 1)
+            got = w[0], y, vec[:, 0]
+        return got
 
-    first = cold(xs[start])
+    first = ground(xs[start])
     levels[start] = first[0]
     for step, stop in ((1, len(xs)), (-1, -1)):
         prev = first
         for i in range(start + step, stop, step):
-            prev = _warm_fast_ground(frozen, xs[i], prev) or cold(xs[i])
+            prev = ground(xs[i], prev)
             levels[i] = prev[0]
     return levels
 
@@ -927,10 +953,11 @@ def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig,
     return sweep
 
 
-def _mirrors(gap: float, dim_fast: int, norm: float) -> bool:
+def _mirrors(gap: float, dim: int, norm: float) -> bool:
     """Whether the mirror pairs of frozen blocks agree, ||B_j - P B_i P||
-    <= gap, to within the rounding of one block eigensolve."""
-    return gap <= dim_fast * np.finfo(float).eps * norm
+    <= gap, to within the rounding of one solve, dim*eps*norm: dim the
+    block size for a block eigensolve, 8 for a chain level (_mirrored)."""
+    return gap <= dim * np.finfo(float).eps * norm
 
 
 def _two_mode(spec: HamiltonianSpec, k: int):
@@ -1228,16 +1255,43 @@ class BOTable:
                   "sup_abs": [float(s) for s in self.sup_abs]})
 
 
+def _mirrored(frozen, xs: np.ndarray) -> bool:
+    """Whether every x < 0 of xs may take the level of -x: the fast grid
+    depends on |x| only, so an even u gives v(-x)[::-1] = v(x) on it (the
+    -x block is the reversed +x block, with the same levels), to the
+    rounding of the reversed nodes. The gap max|v(-x)[::-1] - v(x)| is
+    measured at each such x and must lie within 8*eps*s (_mirrors), the
+    move at which a chain level is taken, s the Gershgorin bound on
+    max|lambda| of the +x block."""
+    for x in np.unique(xs[xs < 0.0]):
+        _, v, h = frozen(x)
+        _, w, _ = frozen(-x)
+        if not _mirrors(float(np.max(np.abs(v[::-1] - w))), 8,
+                        _fd4_operator(w, h, 0.5)[1]):
+            return False
+    return True
+
+
 def _bo_delta(kappa: float, xi: float, lambdaJ: float, p: PotentialModel, xs,
               half_width=None, n=None) -> np.ndarray:
     """e0(x) - e0(0) at every x of xs on one kappa rung, the one
     Born-Oppenheimer routine of bo-sweep and compare: one _ground_along
-    chain over the sorted distinct x with 0, from x = 0, so an x = 0 in xs
-    reuses the reference level."""
-    chain = np.unique(np.append(xs, 0.0))
+    chain from x = 0, whose first level comes from a harmonic guess, so an
+    x = 0 in xs reuses the reference level.
+
+    Mirror: when every x < 0 passes _mirrored (an even u, as for Cosine,
+    PolynomialEven and even tables), the chain walks the distinct |x| with
+    0 upward only and each x < 0 takes the level of -x, which differs from
+    its own by no more than the measured gap (Weyl). Otherwise (BiasedCosine,
+    an asymmetric table) it walks the sorted distinct x with 0 in both
+    directions."""
+    xs = np.asarray(xs, dtype=float)
+    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
+    key = np.abs(xs) if _mirrored(frozen, xs) else xs
+    chain = np.unique(np.append(key, 0.0))
     start = int(np.searchsorted(chain, 0.0))
     e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start, half_width, n)
-    return e0[np.searchsorted(chain, xs)] - e0[start]
+    return e0[np.searchsorted(chain, key)] - e0[start]
 
 
 def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
@@ -1246,10 +1300,11 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
     """Fast-ground-energy differences over a decreasing kappa ladder.
 
     Each kappa rung is one continuation chain (_bo_delta, _ground_along),
-    the routine compare's bo_extended column runs too: a cold solve at
-    x = 0, then each x continued from its neighbour, a point that does not
-    continue or fails its certificate or edge check falling back to the
-    cold bo_fast_ground solve.
+    the routine compare's bo_extended column runs too: x = 0 continued
+    from a harmonic guess, then each x from its neighbour, a point that
+    does not continue or fails its certificate or edge check falling back
+    to the cold bo_fast_ground solve. With an even u the chain walks |x|
+    only and each x < 0 takes the level of -x (_bo_delta).
     verdict: "decreasing" when delta vanishes (BOTable.vanishing);
     otherwise "converges-nonzero" when the curvature fits agree within 10%
     from rung to rung and the last exceeds 1e-9; otherwise "decreasing"

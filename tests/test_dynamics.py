@@ -21,7 +21,11 @@ from circadia import (
 )
 from circadia.dynamics import _slow_period, _steps
 from circadia.potentials import CubicSpline, _piecewise_cubic
-from circadia.reduction import _reduced_branch, _reduced_values
+from circadia.reduction import (
+    _reduced_branch,
+    _reduced_values,
+    invertibility_threshold,
+)
 
 RC = ReducedCircuit.from_ratios(0.5, 1.0, 0.5)
 
@@ -347,7 +351,7 @@ def test_shadow_report_integrates_the_trajectory_once(monkeypatch,
                                        "--py0", "1e-4"])
 
 
-@pytest.mark.parametrize("report, runs", [("shadow", 1), ("residual", 2)])
+@pytest.mark.parametrize("report, runs", [("shadow", 1), ("residual", 1)])
 def test_dynamics_reports_follow_t_end(monkeypatch, write_circuit, tmp_path,
                                        report, runs):
     import circadia.cli
@@ -366,9 +370,73 @@ def test_dynamics_reports_follow_t_end(monkeypatch, write_circuit, tmp_path,
     assert circadia.cli.main(["dynamics", "--circuit", circuit, "--report",
                               report, "--dt", "0.01", "--t-end", "40",
                               "--out", str(out)]) == 0
-    # the shadow compares the command's own trajectory; the residual starts
-    # from rest on the manifold, so it integrates its own over the same span
+    # both reports measure the command's own trajectory: the default start
+    # is at rest on the manifold, where the residual probe starts too
     assert ends == [40.0] * runs
+
+
+@pytest.mark.parametrize("report", ["none", "residual", "shadow"])
+def test_a_dynamics_run_finds_the_invertibility_threshold_once(
+        monkeypatch, write_circuit, tmp_path, report):
+    import circadia.cli
+    import circadia.dynamics
+    import circadia.reduction
+
+    calls = []
+
+    def counted(p, *args):
+        calls.append(p)
+        return invertibility_threshold(p, *args)
+
+    monkeypatch.setattr(circadia.dynamics, "invertibility_threshold", counted)
+    monkeypatch.setattr(circadia.reduction, "invertibility_threshold",
+                        counted)
+    circuit = write_circuit("dyn.json", 0.2, 1.0, 0.5)
+    assert circadia.cli.main(["dynamics", "--circuit", circuit, "--report",
+                              report, "--dt", "0.01", "--t-end", "40",
+                              "--out", str(tmp_path / report)]) == 0
+    assert len(calls) == 1
+
+
+def test_the_residual_report_reuses_the_command_trajectory(
+        monkeypatch, write_circuit, tmp_path):
+    import circadia.cli
+    import circadia.dynamics
+
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(circadia.cli, "integrate", counted)
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    circuit = write_circuit("dyn.json", 0.2, 1.0, 0.5)
+
+    def run(name):
+        out = tmp_path / name
+        assert circadia.cli.main(["dynamics", "--circuit", circuit,
+                                  "--report", "residual", "--dt", "0.01",
+                                  "--t-end", "40", "--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    reused = run("reused")
+    assert len(runs) == 1
+    # the probe's own integration of the same start gives the same bytes
+    monkeypatch.setattr(circadia.dynamics, "_same_run", lambda *a: False)
+    runs.clear()
+    assert run("own") == reused
+    assert len(runs) == 2 and runs[0] == runs[1]
+    # a kicked start is not the probe's trajectory: it integrates its own
+    monkeypatch.undo()
+    monkeypatch.setattr(circadia.dynamics, "integrate", counted)
+    monkeypatch.setattr(circadia.cli, "integrate", counted)
+    runs.clear()
+    assert circadia.cli.main(["dynamics", "--circuit", circuit,
+                              "--report", "residual", "--dt", "0.01",
+                              "--t-end", "40", "--px0", "0.1",
+                              "--out", str(tmp_path / "kicked")]) == 0
+    assert len(runs) == 2 and runs[0] != runs[1]
 
 
 def _traced_reduced_flow(monkeypatch, p):
@@ -435,9 +503,9 @@ def test_the_force_table_is_the_reduced_branch(monkeypatch):
 
     calls = []
 
-    def counted(p, rc, basis, coords):
+    def counted(p, rc, basis, coords, *args):
         calls.append((basis, coords.size))
-        return _reduced_branch(p, rc, basis, coords)
+        return _reduced_branch(p, rc, basis, coords, *args)
 
     monkeypatch.setattr(circadia.dynamics, "_reduced_branch", counted)
     rc, _, spline, _, _ = _traced_reduced_flow(monkeypatch, BiasedCosine(0.4))

@@ -351,12 +351,15 @@ def _assert_same_branches(compact, extended, xi):
         assert Vppx == pytest.approx(Vpp / xi, rel=1e-12, abs=1e-12)
 
 
-def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Reference: bisection on one bracket, with _bisect_lanes' stop rule."""
+def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float,
+                   residual: bool = True) -> float:
+    """Reference: bisection on one bracket, with _bisect_lanes' stop rule
+    (the residual stop only when residual)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fun(mid)
-        if abs(fm) < RESIDUAL_TOL or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
+        if (residual and abs(fm) < RESIDUAL_TOL) or fm == 0.0 \
+                or mid in (lo, hi) or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
             return mid
         if (flo < 0.0) == (fm < 0.0):
             lo, flo = mid, fm
@@ -367,7 +370,7 @@ def _bisect_scalar(fun, lo: float, hi: float, flo: float, fhi: float) -> float:
 
 def _minima_per_cell(p, rc, coords, phi_c, Vp, Vpp, scale):
     """Reference: one _bisect_scalar of u' per sign-change cell of V',
-    between the cell's two branch phases."""
+    between the cell's two branch phases, down to the bracket width."""
 
     def slope(c):
         return float(p.du(np.array([c]))[0])
@@ -379,7 +382,8 @@ def _minima_per_cell(p, rc, coords, phi_c, Vp, Vpp, scale):
                 minima.append((float(coords[i]), float(Vpp[i])))
         elif i + 1 < coords.size and Vp[i] < 0.0 < Vp[i + 1]:
             phi = _bisect_scalar(slope, float(phi_c[i]), float(phi_c[i + 1]),
-                                 float(Vp[i]), float(Vp[i + 1]))
+                                 float(Vp[i]), float(Vp[i + 1]),
+                                 residual=False)
             minima.append((phi / scale, float(_reduced_values(
                 p, rc, np.array([phi]), scale)[2][0])))
     return minima
@@ -474,6 +478,20 @@ def test_minima_sit_at_the_stationary_points_of_u(kind, basis, shape, xi,
         assert abs(float(p.du(np.array([scale * c]))[0])) <= 1e-12
         assert float(p.d2u(np.array([scale * c]))[0]) > 0.0
         assert curv > 0.0
+
+
+@pytest.mark.parametrize("basis", ["CompactPhi", "ExtendedX"])
+def test_a_degenerate_minimum_is_located_at_the_root(basis):
+    # u = phi^4: u' = 4 phi^3 falls below 1e-13 within 3e-5 of the
+    # minimum at 0, where u'' = 0, so a residual stop ends far from it
+    # (1.7e-6, curvature 1.8e-11); the bracket stop ends at the root
+    rc = ReducedCircuit.from_ratios(0.3, 1.0, 0.5)
+    grid = np.linspace(-1.0, 1.1, 201)
+    pot = effective_potential(PolynomialEven([0.0, 0.0, 1.0]), rc, basis,
+                              grid)
+    [(loc, curv)] = pot.minima
+    assert abs(loc) <= 1e-15
+    assert 0.0 <= curv <= 1e-28
 
 
 def _fixed_step_branch(du, coef, du_reach, drives):

@@ -1451,16 +1451,17 @@ def test_a_step_too_large_to_continue_falls_back_to_the_cold_solve(
         monkeypatch):
     # from x = 0 to 40 the ground state moves by kappa*x = 24 along y, far
     # off the neighbour's grid: inverse iteration does not settle within
-    # its 8 solves, and the point is solved cold
+    # its 8 solves, and the point is solved cold; the start continues from
+    # its harmonic guess
     calls = _counted_cold_solves(monkeypatch)
     along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 40.0], 0)
-    assert calls == [0.0, 40.0]
+    assert calls == [40.0]
     assert along[1] == bo_fast_ground(0.6, 10.0, 5.0, Cosine(), 40.0)
-    # a short step continues: only the start is cold
+    # a short step continues: no point is cold
     calls.clear()
     along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 0.5, 1.0], 0)
-    assert calls == [0.0]
-    for x, e in zip((0.5, 1.0), along[1:]):
+    assert calls == []
+    for x, e in zip((0.0, 0.5, 1.0), along):
         cold, floor = _cold_and_floor(0.6, 10.0, 5.0, Cosine(), x)
         assert abs(e - cold) <= floor
 
@@ -1479,7 +1480,8 @@ def test_a_refused_certificate_sends_a_continued_point_to_the_cold_solve(
 
     monkeypatch.setattr(circadia.spectra, "_cholesky_below", refuse_continued)
     along = _ground_along(0.6, 10.0, 5.0, Cosine(), [-0.5, 0.0, 0.5], 1)
-    assert calls == [0.0, 0.5, -0.5] and len(refusals) == 2
+    # the guessed start is certified as a continued level too
+    assert calls == [0.0, 0.5, -0.5] and len(refusals) == 3
     assert along.tolist() == [bo_fast_ground(0.6, 10.0, 5.0, Cosine(), x)
                               for x in (-0.5, 0.0, 0.5)]
 
@@ -1507,6 +1509,86 @@ def test_ground_along_widens_or_refuses_per_point_like_bo_fast_ground(
         bo_fast_ground(*args, 30.0, half_width=6.0, n=1200)
     with pytest.raises(ConvergenceError, match="grid boundary"):
         _ground_along(*args, [0.0, 10.0, 30.0], 0, half_width=6.0, n=1200)
+
+
+def _recorded_chains(monkeypatch):
+    chains = []
+    along = circadia.spectra._ground_along
+
+    def recorded(kappa, xi, lambdaJ, p, chain, *args):
+        chains.append(chain)
+        return along(kappa, xi, lambdaJ, p, chain, *args)
+
+    monkeypatch.setattr(circadia.spectra, "_ground_along", recorded)
+    return chains
+
+
+def _two_direction_delta(kappa, xi, lambdaJ, p, xs):
+    """_bo_delta as one chain over the sorted distinct x with 0, walked
+    in both directions from x = 0 (no mirror)."""
+    chain = np.unique(np.append(xs, 0.0))
+    start = int(np.searchsorted(chain, 0.0))
+    e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start)
+    return e0[np.searchsorted(chain, xs)] - e0[start]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kappa=st.floats(0.2, 0.7),
+    xi=st.floats(0.5, 20.0),
+    lambdaJ=st.floats(0.0, 10.0),
+    p=st.sampled_from([Cosine(), PolynomialEven([0.0, 0.5, 0.01])]),
+    xs=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+)
+def test_a_mirrored_rung_agrees_with_the_two_direction_chain(
+        kappa, xi, lambdaJ, p, xs, signs):
+    # every |x| twice, once with a drawn sign: each x < 0 takes the level
+    # of -x, so the rung is exactly even
+    xs = np.array(xs + [s * x for s, x in zip(signs, xs)])
+    with pytest.MonkeyPatch.context() as mp:
+        chains = _recorded_chains(mp)
+        delta = circadia.spectra._bo_delta(kappa, xi, lambdaJ, p, xs)
+    assert np.array_equal(chains[0], np.unique(np.append(np.abs(xs), 0.0)))
+    for x, d in zip(xs, delta):
+        if -x in xs:
+            assert d == delta[xs == -x][0]
+    both = _two_direction_delta(kappa, xi, lambdaJ, p, xs)
+    for x, d, e in zip(xs, delta, both):
+        _, floor = _cold_and_floor(kappa, xi, lambdaJ, p, float(x))
+        assert abs(d - e) <= floor
+
+
+def test_an_odd_potential_walks_the_rung_in_both_directions(monkeypatch):
+    # BiasedCosine(0.7) is not even: the mirror gap is O(1), so the chain
+    # takes every x itself and the rung is the two-direction chain
+    xs = np.linspace(-3.0, 3.0, 7)
+    chains = _recorded_chains(monkeypatch)
+    p = BiasedCosine(0.7)
+    delta = circadia.spectra._bo_delta(0.5, 10.0, 5.0, p, xs)
+    assert np.array_equal(chains[0], xs)
+    assert np.array_equal(delta,
+                          _two_direction_delta(0.5, 10.0, 5.0, p, xs))
+    assert delta[0] != delta[-1]
+
+
+def test_a_guessed_start_that_does_not_continue_is_solved_cold(monkeypatch):
+    calls = _counted_cold_solves(monkeypatch)
+    # a tunnel doublet at x = 0: the wells sit at y = +-6.1, split by
+    # 5.5e-6 against a gap of 2.3 to the next level, so inverse iteration
+    # from a Gaussian in one well does not settle within its 8 solves
+    p = PolynomialEven([0.0, -2.0, 0.02])
+    along = _ground_along(0.5, 1.0, 1.0, p, [0.0], 0)
+    assert calls == [0.0]
+    assert along[0] == bo_fast_ground(0.5, 1.0, 1.0, p, 0.0)
+    # on the 3/600 grid the guessed ground state has edge mass: the cold
+    # solve widens the grid to 6/1200, as bo_fast_ground does
+    calls.clear()
+    along = _ground_along(0.5, 1.0, 0.5, Cosine(), [0.0], 0,
+                          half_width=3.0, n=600)
+    assert calls == [0.0]
+    assert along[0] == bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 0.0,
+                                      half_width=3.0, n=600)
 
 
 def _fast_at_x(k, lambdaJ=0.5, **grid):
