@@ -392,12 +392,11 @@ def cmd_dynamics(args) -> int:
         "x0": args.x0, "px0": args.px0, "y0": args.y0, "py0": args.py0,
         "t_end": t_end, "dt": args.dt, "report": args.report,
         "kappa": rc.kappa, "xi": rc.xi, "lambdaJ": rc.lambdaJ}, p)
-    # the run's one invertibility threshold, found with the manifold start
-    # and passed to the probes; the residual probe's supercritical refusal
-    # comes first, as when it ran before this trajectory
-    beta_crit, y0 = None, args.y0
+    # the residual probe's supercritical refusal comes before any step,
+    # also when --y0 is given
+    y0 = args.y0
     if y0 is None or args.report == "residual":
-        y_manifold, beta_crit = _manifold_y0(rc, p, args.x0, "slow manifold")
+        y_manifold = _manifold_y0(rc, p, args.x0, "slow manifold")
         y0 = y_manifold if y0 is None else y0
     py0 = args.py0 if args.py0 is not None else 0.0
 
@@ -411,15 +410,14 @@ def cmd_dynamics(args) -> int:
                        dt=args.dt)
     if args.report == "residual":
         report["y_residual"], report["py_residual"] = slow_manifold_residual(
-            rc, p, args.x0, t_end=args.t_end, dt=args.dt, full=record,
-            beta_crit=beta_crit)
+            rc, p, args.x0, t_end=args.t_end, dt=args.dt, full=record)
     report.update(energy_drift=record.energy_drift, dt=record.dt,
                   t_end=t_end, samples=int(record.times.size))
     if args.report == "shadow":
         # the shadow reuses this trajectory when it is the one it needs
         cmp_ = shadow_reduced_dynamics(rc, p, args.x0, args.px0,
                                        t_end=args.t_end, dt=args.dt,
-                                       full=record, beta_crit=beta_crit)
+                                       full=record)
         report["max_x_deviation"] = cmp_.max_deviation
         report["slow_period"] = cmp_.slow_period
     _write_run(args.out, manifest, {

@@ -193,21 +193,17 @@ def manifold_eta(rc: ReducedCircuit, p: PotentialModel,
 
 
 def _manifold_y0(rc: ReducedCircuit, p: PotentialModel, x0: float,
-                 what: str, px0: float = 0.0,
-                 beta_crit: float | None = None) -> tuple[float, float]:
-    """(y, beta_crit): y = kappa*eta1(x0) on the slow manifold (y = 0 at
-    kappa = 0), refused where undefined, and the invertibility threshold
-    of p it was refused by, invertibility_threshold(p) unless given; a
-    non-finite slow start (x0, px0) is refused before any solve."""
+                 what: str, px0: float = 0.0) -> float:
+    """y = kappa*eta1(x0) on the slow manifold (y = 0 at kappa = 0),
+    refused where undefined; a non-finite slow start (x0, px0) is refused
+    before any solve."""
     if not (math.isfinite(x0) and math.isfinite(px0)):
         raise ValidationError("initial state must be finite")
-    if beta_crit is None:
-        beta_crit = invertibility_threshold(p)
-    if rc.beta >= beta_crit:
+    threshold = invertibility_threshold(p)
+    if rc.beta >= threshold:
         raise PhysicalRegimeError(f"{what} undefined at supercritical beta",
-                                  beta_crit=beta_crit)
-    return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0]), \
-        beta_crit
+                                  beta_crit=threshold)
+    return rc.kappa * float(manifold_eta(rc, p, np.array([x0]))[0])
 
 
 def _same_run(full, rc: ReducedCircuit, start: tuple, t_end: float,
@@ -239,7 +235,6 @@ def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
                            t_end: float | None = None, dt: float = 2e-4,
                            drift_tol: float = 1e-8,
                            full: TrajectoryRecord | None = None,
-                           beta_crit: float | None = None,
                            ) -> tuple[float, float]:
     """(max |y - kappa*eta1(x)|, max |p_y|) after on-manifold initialization.
 
@@ -251,10 +246,10 @@ def slow_manifold_residual(rc: ReducedCircuit, p: PotentialModel, x0: float,
     the same potential; it stands in for the probe's own integration when
     it is that trajectory (as in shadow_reduced_dynamics: same circuit
     ratios, start (x0, 0, kappa*eta1(x0), 0), t_end and step) and its
-    energy drift is within drift_tol. beta_crit, when given, is
-    invertibility_threshold(p). Every refusal comes before any step.
+    energy drift is within drift_tol. Every refusal comes before any
+    step.
     """
-    y0 = _manifold_y0(rc, p, x0, "slow manifold", beta_crit=beta_crit)[0]
+    y0 = _manifold_y0(rc, p, x0, "slow manifold")
     t_end = _residual_span(rc, t_end)
     start = (x0, 0.0, y0, 0.0)
     if not (_same_run(full, rc, start, t_end, dt)
@@ -285,7 +280,6 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
                             px0: float, t_end: float | None = None,
                             dt: float = 2e-4,
                             full: TrajectoryRecord | None = None,
-                            beta_crit: float | None = None,
                             ) -> ShadowComparison:
     """Integrates the reduced Hamiltonian 1/2 kappa^2 p_x^2
     + (kappa^2/xi) V(x) alongside the full system from the same slow initial
@@ -295,8 +289,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     the same potential; it stands in for the comparison's own integration
     when it is that trajectory: same circuit ratios, start
     (x0, px0, kappa*eta1(x0), 0), t_end and step. Any other record is
-    ignored and the trajectory integrated here. beta_crit, when given, is
-    invertibility_threshold(p); otherwise it is computed once here.
+    ignored and the trajectory integrated here.
 
     The reduced flow is its own one-degree-of-freedom kick-drift-kick, not
     _leapfrog, since the reduced system has no y mode. It takes substeps
@@ -306,8 +299,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     evaluator of the potentials module (equal to the spline's own call bit
     for bit), once per substep: the force that closes a substep opens the
     next one."""
-    y0, beta_crit = _manifold_y0(rc, p, x0, "reduced dynamics", px0,
-                                 beta_crit)
+    y0 = _manifold_y0(rc, p, x0, "reduced dynamics", px0)
     slow_period = _slow_period(rc)
     if t_end is None:
         t_end = 2.0 * slow_period
@@ -320,7 +312,7 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
     sqxi = math.sqrt(rc.xi)
     e_red = 0.5 * rc.kappa**2 * px0**2
     probe = np.linspace(x0 - TWO_PI * sqxi, x0 + TWO_PI * sqxi, 512)
-    v_probe = _reduced_branch(p, rc, "ExtendedX", probe, beta_crit)[2]
+    v_probe = _reduced_branch(p, rc, "ExtendedX", probe)[2]
     vmin = float(np.min(v_probe)) * rc.kappa**2 / rc.xi
     e_red += rc.kappa**2 / rc.xi * float(np.interp(x0, probe, v_probe))
     vmax_speed = rc.kappa * math.sqrt(max(2.0 * (e_red - vmin), 0.0) + 1e-12)
@@ -333,8 +325,8 @@ def shadow_reduced_dynamics(rc: ReducedCircuit, p: PotentialModel, x0: float,
         lo = max(lo, p.support[0] * sqxi + reach)
         hi = min(hi, p.support[1] * sqxi - reach)
     xs = np.linspace(lo, hi, 8192)
-    vp = _piecewise_cubic(CubicSpline(
-        xs, _reduced_branch(p, rc, "ExtendedX", xs, beta_crit)[3]), 0)
+    vp = _piecewise_cubic(
+        CubicSpline(xs, _reduced_branch(p, rc, "ExtendedX", xs)[3]), 0)
 
     times = full.times
     n = times.size

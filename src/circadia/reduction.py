@@ -28,6 +28,7 @@ solve.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,10 +347,25 @@ def invertibility_threshold(p: PotentialModel,
     window: its spline's u'' is piecewise linear, so the knots hold its
     exact maximum. Infinite when u'' is nonnegative everywhere on the
     window. The default window is one period, a tabulated potential's
-    support, or else (-8pi, 8pi).
+    support, or else (-8pi, 8pi); its threshold is scanned once per model
+    instance and kept (a model's u does not change once it is built).
     """
-    if window is None:
-        window = _scan_window(p, 4.0 * TWO_PI)
+    if window is not None:
+        return _scanned_threshold(p, window)
+    beta_crit = _DEFAULT_THRESHOLDS.get(p)
+    if beta_crit is None:
+        beta_crit = _DEFAULT_THRESHOLDS[p] = _scanned_threshold(
+            p, _scan_window(p, 4.0 * TWO_PI))
+    return beta_crit
+
+
+# invertibility_threshold on the default window, by model instance
+_DEFAULT_THRESHOLDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _scanned_threshold(p: PotentialModel,
+                       window: tuple[float, float]) -> float:
+    """invertibility_threshold(p, window), scanned."""
     a, b = float(window[0]), float(window[1])
     knots = np.asarray(getattr(p, "knots", ()), dtype=float)
     grid = np.union1d(np.linspace(a, b, GRID_MIN + 1),
@@ -511,15 +527,13 @@ def effective_potential(p: PotentialModel, rc: ReducedCircuit, basis: str,
 
 
 def _reduced_branch(p: PotentialModel, rc: ReducedCircuit, basis: str,
-                    coords, beta_crit: float | None = None) -> tuple:
+                    coords) -> tuple:
     """(beta_crit, phi_c, V, V', V'') of the single-valued branch at the
     coordinates coords (a strictly increasing 1D array) of a basis, E_C
     units, as effective_potential samples them but without its minima.
-    Refuses at or beyond the invertibility threshold beta_crit,
-    invertibility_threshold(p) unless given."""
+    Refuses at or beyond the invertibility threshold beta_crit."""
     coords, scale = _coordinates(rc, basis, coords)
-    if beta_crit is None:
-        beta_crit = invertibility_threshold(p)
+    beta_crit = invertibility_threshold(p)
     if rc.beta >= beta_crit:
         raise PhysicalRegimeError(
             f"multivalued regime: beta={rc.beta!r} >= beta_crit={beta_crit!r}",

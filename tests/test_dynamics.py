@@ -379,23 +379,48 @@ def test_dynamics_reports_follow_t_end(monkeypatch, write_circuit, tmp_path,
 def test_a_dynamics_run_finds_the_invertibility_threshold_once(
         monkeypatch, write_circuit, tmp_path, report):
     import circadia.cli
-    import circadia.dynamics
     import circadia.reduction
 
-    calls = []
+    scans = []
+    scanned = circadia.reduction._scanned_threshold
 
-    def counted(p, *args):
-        calls.append(p)
-        return invertibility_threshold(p, *args)
+    def counted(p, window):
+        scans.append(p)
+        return scanned(p, window)
 
-    monkeypatch.setattr(circadia.dynamics, "invertibility_threshold", counted)
-    monkeypatch.setattr(circadia.reduction, "invertibility_threshold",
-                        counted)
+    monkeypatch.setattr(circadia.reduction, "_scanned_threshold", counted)
     circuit = write_circuit("dyn.json", 0.2, 1.0, 0.5)
     assert circadia.cli.main(["dynamics", "--circuit", circuit, "--report",
                               report, "--dt", "0.01", "--t-end", "40",
                               "--out", str(tmp_path / report)]) == 0
-    assert len(calls) == 1
+    assert len(scans) == 1
+
+
+def test_the_threshold_is_kept_per_model_and_still_refuses(monkeypatch):
+    import circadia.reduction
+
+    scans = []
+    scanned = circadia.reduction._scanned_threshold
+
+    def counted(p, window):
+        scans.append(p)
+        return scanned(p, window)
+
+    monkeypatch.setattr(circadia.reduction, "_scanned_threshold", counted)
+    p, q = Cosine(), Cosine()
+    assert invertibility_threshold(p) == invertibility_threshold(p)
+    assert invertibility_threshold(q) == invertibility_threshold(p)
+    assert scans == [p, q]
+    # an explicit window is scanned each time and leaves the kept value be
+    invertibility_threshold(p, (-1.0, 1.0))
+    assert len(scans) == 3
+    # every probe refuses past the kept threshold (beta = 2 > 1)
+    rc = ReducedCircuit.from_ratios(0.2, 1.0, 2.0)
+    with pytest.raises(PhysicalRegimeError):
+        shadow_reduced_dynamics(rc, p, 0.1, 0.0, t_end=1.0, dt=0.01)
+    with pytest.raises(PhysicalRegimeError):
+        slow_manifold_residual(rc, p, 0.1, t_end=40.0, dt=0.01)
+    assert len(scans) == 3
 
 
 def test_the_residual_report_reuses_the_command_trajectory(
@@ -503,9 +528,9 @@ def test_the_force_table_is_the_reduced_branch(monkeypatch):
 
     calls = []
 
-    def counted(p, rc, basis, coords, *args):
+    def counted(p, rc, basis, coords):
         calls.append((basis, coords.size))
-        return _reduced_branch(p, rc, basis, coords, *args)
+        return _reduced_branch(p, rc, basis, coords)
 
     monkeypatch.setattr(circadia.dynamics, "_reduced_branch", counted)
     rc, _, spline, _, _ = _traced_reduced_flow(monkeypatch, BiasedCosine(0.4))

@@ -121,8 +121,9 @@ def _entries(path: str) -> dict | None:
 
 def _largest_difference(a: list, b: list):
     """(largest |a - b|, largest |a - b| / max(|a|, |b|)) over paired
-    numbers, equal non-finite values counting 0; None when the lists differ
-    in length or hold a non-numeric pair that differs."""
+    numbers, equal non-finite values counting 0 and a pair with a
+    non-finite difference (a NaN beside a number) infinite; None when the
+    lists differ in length or hold a non-numeric pair that differs."""
     if len(a) != len(b):
         return None
     d_abs = d_rel = 0.0
@@ -135,6 +136,8 @@ def _largest_difference(a: list, b: list):
         if fx == fy or (math.isnan(fx) and math.isnan(fy)):
             continue
         d = abs(fx - fy)
+        if not math.isfinite(d):
+            return math.inf, math.inf
         d_abs = max(d_abs, d)
         d_rel = max(d_rel, d / max(abs(fx), abs(fy)))
     return d_abs, d_rel
@@ -164,6 +167,7 @@ def compare_trees(new: str, old: str) -> None:
         if ea is None or eb is None:
             print(f"{rel}: differs (not a table)")
             continue
+        named = False
         for key in sorted(set(ea) | set(eb)):
             got = None if key not in ea or key not in eb \
                 else _largest_difference(ea[key], eb[key])
@@ -172,6 +176,9 @@ def compare_trees(new: str, old: str) -> None:
             elif got != (0.0, 0.0):
                 print(f"{rel} {key}: max abs {got[0]:.3g}, "
                       f"max rel {got[1]:.3g}")
+            named = named or got != (0.0, 0.0)
+        if not named:
+            print(f"{rel}: differs in its text, not in its values")
     print(f"{same} of {len(ours | theirs)} files byte-identical")
 
 
