@@ -276,7 +276,7 @@ def _bo_extended(rc, p, args):
     at 41 phi on [-pi, pi]."""
     from . import spectra
     phis = np.linspace(-math.pi, math.pi, 41)
-    # bo-sweep's rung: one continuation chain from phi = 0
+    # bo-sweep's rung, on the points x = sqrt(xi)*phi
     u = spectra._bo_delta(rc.kappa, rc.xi, rc.lambdaJ, p,
                           math.sqrt(rc.xi) * phis) / rc.kappa**2
     periodic = _two_pi_periodic(p)
@@ -538,7 +538,7 @@ def build_parser() -> CliParser:
     sp.add_argument("--x-max", type=float, default=3.0)
     sp.add_argument("--x-points", type=int, default=21)
     sp.add_argument("--grid", type=int, default=0,
-                    help="fast-axis points (0 = auto)")
+                    help="FD4 fast-axis points (0 = DVR, auto FD4 fallback)")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes; they work over the kappa "
                          "rungs, and the outputs never change with it")

@@ -23,8 +23,8 @@ its matrix elements in the charge basis are exact:
 Every box axis, 1D or 2D, is built and checked by _box_axis (n uniform
 nodes on [-L, L]; L not finite and > 0, or n below the axis floor, is a
 ValidationError). The internal 1D solves (compare's columns and box
-proxies, the naive ladder, box_level_spacings, the fast mode of every BO
-point) take the sampled potential on those nodes; HamiltonianSpec is the
+proxies, the naive ladder, box_level_spacings, FastAtX and bo_fast_ground)
+take the sampled potential on those nodes; HamiltonianSpec is the
 public entry point only. The one 1D band builder refuses non-finite
 samples and a kinetic coefficient that is not finite and >= 0.
 
@@ -33,13 +33,18 @@ shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
-value certifies that no level lies under it (_certify_ground). Every
-Born-Oppenheimer rung, of bo-sweep and of compare, is one routine
-(_bo_delta): a chain (_ground_along) that solves one fast ground state so
-and continues its neighbours by inverse iteration on one banded LU each,
-under the same certificate. Sylvester inertia counts cut an energy window
-into slices of <= 32 levels, each shift-inverted Lanczos; a window's count
-and end levels need only its two end slices.
+value certifies that no level lies under it (_certify_ground). Sylvester
+inertia counts cut an energy window into slices of <= 32 levels, each
+shift-inverted Lanczos; a window's count and end levels need only its two
+end slices.
+
+Every Born-Oppenheimer rung, of bo-sweep and of compare, is one routine
+(_bo_delta) that solves each of its points, x = 0 for the reference too,
+on its own: the fast ground level from one dense eigensolve on a
+Gauss-Hermite DVR centred on the oscillator's minimum, at two sizes that
+must agree, else the cold FD4 solve of bo_fast_ground. FastAtX and
+bo_fast_ground stay the FD4 oracle and are no longer bit-equal to a DVR
+rung level, which differs from theirs by the FD4 discretization error.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
@@ -75,7 +80,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, \
-    eig_banded, eigh
+    eig_banded, eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -113,7 +118,9 @@ class HamiltonianSpec:
     nodes, so the walls sit one step past them (ROADMAP item 1 replaces
     this closure). An `effective` grid must be uniform, increasing and
     symmetric. FastAtX widens a grid its levels reach once, then refuses;
-    bo_fast_ground is its ground level.
+    bo_fast_ground is its ground level, bit for bit. A Born-Oppenheimer
+    rung takes its levels from a Gauss-Hermite DVR instead, and from
+    bo_fast_ground only where the DVR does not converge (_bo_delta).
     """
 
     variant: str
@@ -717,8 +724,8 @@ def _lowest_fast(frozen, x: float, k: int):
     frozen(x, widen=...) a partial of _frozen_fast, on a y grid that holds
     the k levels, the unit eigenvectors (columns) on its nodes y. A level
     with edge mass (_edge_mass) widens the grid once (half_width and n
-    doubled), then fails the solve. The one cold solve of FastAtX, of
-    bo_fast_ground and of a continuation chain's fallback."""
+    doubled), then fails the solve. The one solve of FastAtX and of
+    bo_fast_ground, the FD4 oracle of the Born-Oppenheimer rung."""
     for widen in (1, 2):
         y, v, h = frozen(x, widen=widen)
         w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
@@ -730,114 +737,66 @@ def _lowest_fast(frozen, x: float, k: int):
         detail={"half_width": float(y[-1]), "boundary_mass": edge})
 
 
-def _harmonic_guess(y: np.ndarray, v: np.ndarray, h: float):
-    """(level, y, Gaussian) of the harmonic oscillator fitted to the fast
-    potential v at its lowest node: curvature w^2 from the second
-    difference there (mass 1, c_kin = 1/2), level min v + w/2, ground
-    Gaussian exp(-w (y - y_min)^2 / 2) on the nodes y; None when the lowest
-    node is an end node or the second difference is not > 0."""
-    i = int(np.argmin(v))
-    if not 0 < i < v.size - 1:
-        return None
-    curvature = float(v[i - 1] - 2.0 * v[i] + v[i + 1]) / h**2
-    if not curvature > 0.0:
-        return None
-    omega = math.sqrt(curvature)
-    return float(v[i]) + 0.5 * omega, y, np.exp(-0.5 * omega * (y - y[i])**2)
-
-
-def _warm_fast_ground(frozen, x: float, prev: tuple | None = None):
-    """(e0, y, unit ground vector) of the fast mode frozen at x (frozen as
-    in _lowest_fast) continued from a neighbour's prev = (e0, y, vector),
-    or, without prev, from the harmonic guess at the lowest node of its
-    grid (_harmonic_guess); None when it does not continue.
-
-    On its own grid (never widened) the neighbour's vector,
-    interpolated (zero outside its grid), starts inverse iteration on one
-    LU of H - sigma*I, sigma = e0_prev - 1e-3. The level is
-    sigma + 1/(v^T (H - sigma)^-1 v) of the current v, as in shift-invert
-    Lanczos; the Rayleigh quotient of H would round at eps*||H||. It is
-    taken once it moves by no more than 8*eps*s, s the Gershgorin bound on
-    max|lambda|, within 8 solves. It must then pass the cold solve's checks:
-    the ground certificate (_certify_ground) and no edge mass. None when
-    there is no guess, the shift is a level, the cap is reached or a check
-    fails."""
-    y, v, h = frozen(x)
-    band, scale = _fd4_operator(v, h, 0.5)
-    if prev is None:
-        prev = _harmonic_guess(y, v, h)
-        if prev is None:
-            return None
-    tol = 8.0 * np.finfo(float).eps * scale
-    sigma = prev[0] - 1e-3
-    v = np.interp(y, prev[1], prev[2], left=0.0, right=0.0)
-    norm = float(np.linalg.norm(v))
-    solve = _lu_solver(band, sigma) if norm > 0.0 else None
-    if solve is None:
-        return None
-    v, level = v / norm, math.inf
-    for _ in range(8):
-        w = solve(v)
-        theta = float(v @ w)
-        if theta == 0.0:
-            return None
-        last, level = level, sigma + 1.0 / theta
-        v = w / np.linalg.norm(w)
-        if abs(level - last) <= tol:
-            break
-    else:
-        return None
-    try:
-        _certify_ground(band, scale, np.array([level]), v[:, None],
-                        "continued level")
-    except ConvergenceError:
-        return None
-    return None if _edge_mass(v) else (level, y, v)
-
-
 def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    p: PotentialModel, x: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
-    the ground level of FastAtX frozen at x, the same cold solve
-    (_lowest_fast, with its widening)."""
+    the ground level of FastAtX frozen at x, the same FD4 solve
+    (_lowest_fast, with its widening). A Born-Oppenheimer rung point falls
+    back to it where the DVR does not converge (_rung_ground)."""
     frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
     return float(_lowest_fast(frozen, x, 1)[0][0])
 
 
-def _ground_along(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
-                  xs, start: int, half_width: float | None = None,
-                  n: int | None = None) -> np.ndarray:
-    """bo_fast_ground at every x of the chain xs, by continuation; the
-    chain of every Born-Oppenheimer rung (_bo_delta).
+# the Born-Oppenheimer rung's Gauss-Hermite DVR: the oscillator frequency
+# of its basis, the sizes tried at each point, and the relative agreement at
+# which the larger one's level is taken. Frequency 2 resolves the fast
+# potential at each size on a shorter y scale than frequency 1, so fewer
+# points fall back (kappa^2 xi >= 0.01 at lambdaJ/xi <= 0.5), and still
+# holds the tails of the unit-frequency ground state at 48 nodes.
+_DVR_OMEGA = 2.0
+_DVR_SIZES = (48, 64)
+_DVR_RTOL = 1e-11
+_DVR = {}       # size -> (nodes, 1/2 p^2 on them), built on first use
 
-    xs[start] is continued from the harmonic guess at the lowest node of
-    its grid; the chain then walks outward in both directions, each point
-    continued from its neighbour's level and vector (_warm_fast_ground). A
-    point that does not continue, or fails the certificate or the edge
-    check, is solved cold (_lowest_fast, with its widening), and only a
-    cold solve raises: every level is certified as bo_fast_ground's is, so
-    the two differ by no more than their residual norms and 8*eps*s (s the
-    Gershgorin bound on max|lambda|)."""
-    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
-    levels = np.empty(len(xs))
 
-    def ground(x, prev=None):
-        got = _warm_fast_ground(frozen, x, prev)
-        if got is None:
-            w, vec, _, _, y = _lowest_fast(frozen, x, 1)
-            got = w[0], y, vec[:, 0]
-        return got
+def _dvr(size: int):
+    """(nodes y_i, 1/2 p^2 on them) of the Gauss-Hermite DVR of the
+    oscillator of frequency _DVR_OMEGA (Light, Hamilton & Lill, J. Chem.
+    Phys. 82, 1400 (1985)), built once per size: the position operator in
+    the size lowest oscillator states has the nodes as eigenvalues and the
+    columns of T as eigenvectors, and 1/2 p^2, exact in those states, is
+    T^T (1/2 p^2) T on the nodes."""
+    if size not in _DVR:
+        j, w = np.arange(size, dtype=float), _DVR_OMEGA
+        y, t = eigh_tridiagonal(np.zeros(size), np.sqrt(j[1:] / (2.0 * w)))
+        off = -0.25 * w * np.sqrt((j[:-2] + 1.0) * (j[:-2] + 2.0))
+        kin = np.diag(w * (0.5 * j + 0.25)) + np.diag(off, 2) \
+            + np.diag(off, -2)
+        _DVR[size] = y, t.T @ kin @ t
+    return _DVR[size]
 
-    first = ground(xs[start])
-    levels[start] = first[0]
-    for step, stop in ((1, len(xs)), (-1, -1)):
-        prev = first
-        for i in range(start + step, stop, step):
-            prev = ground(xs[i], prev)
-            levels[i] = prev[0]
-    return levels
+
+def _rung_ground(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
+                 x: float) -> float:
+    """e0(x) of one Born-Oppenheimer rung point: at each size of _DVR_SIZES
+    the ground level of T^T K T + diag(v(kappa x + y_i)), the DVR (_dvr)
+    centred on the oscillator's minimum y = kappa x and v the fast
+    potential. The larger size's level is taken when the two agree within
+    _DVR_RTOL*max(1, |e0|) and every sample is finite; otherwise the point
+    is the cold FD4 solve bo_fast_ground, with its widening and refusals."""
+    levels = []
+    for size in _DVR_SIZES:
+        y, kin = _dvr(size)
+        v = _fast_potential(kappa, xi, lambdaJ, p, x, kappa * x + y)
+        if np.all(np.isfinite(v)):
+            levels.append(float(eigh(kin + np.diag(v), eigvals_only=True,
+                                     subset_by_index=(0, 0))[0]))
+    if len(levels) == 2 and abs(levels[1] - levels[0]) <= _DVR_RTOL * max(
+            1.0, abs(levels[1])):
+        return levels[1]
+    return bo_fast_ground(kappa, xi, lambdaJ, p, x)
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +914,8 @@ def _frozen_sweep(n_slow: int, dim_fast: int, dtype, block_eig,
 
 def _mirrors(gap: float, dim: int, norm: float) -> bool:
     """Whether the mirror pairs of frozen blocks agree, ||B_j - P B_i P||
-    <= gap, to within the rounding of one solve, dim*eps*norm: dim the
-    block size for a block eigensolve, 8 for a chain level (_mirrored)."""
+    <= gap, to within the rounding of one block eigensolve, dim*eps*norm,
+    dim the block size."""
     return gap <= dim * np.finfo(float).eps * norm
 
 
@@ -1255,43 +1214,25 @@ class BOTable:
                   "sup_abs": [float(s) for s in self.sup_abs]})
 
 
-def _mirrored(frozen, xs: np.ndarray) -> bool:
-    """Whether every x < 0 of xs may take the level of -x: the fast grid
-    depends on |x| only, so an even u gives v(-x)[::-1] = v(x) on it (the
-    -x block is the reversed +x block, with the same levels), to the
-    rounding of the reversed nodes. The gap max|v(-x)[::-1] - v(x)| is
-    measured at each such x and must lie within 8*eps*s (_mirrors), the
-    move at which a chain level is taken, s the Gershgorin bound on
-    max|lambda| of the +x block."""
-    for x in np.unique(xs[xs < 0.0]):
-        _, v, h = frozen(x)
-        _, w, _ = frozen(-x)
-        if not _mirrors(float(np.max(np.abs(v[::-1] - w))), 8,
-                        _fd4_operator(w, h, 0.5)[1]):
-            return False
-    return True
-
-
 def _bo_delta(kappa: float, xi: float, lambdaJ: float, p: PotentialModel, xs,
               half_width=None, n=None) -> np.ndarray:
     """e0(x) - e0(0) at every x of xs on one kappa rung, the one
-    Born-Oppenheimer routine of bo-sweep and compare: one _ground_along
-    chain from x = 0, whose first level comes from a harmonic guess, so an
-    x = 0 in xs reuses the reference level.
-
-    Mirror: when every x < 0 passes _mirrored (an even u, as for Cosine,
-    PolynomialEven and even tables), the chain walks the distinct |x| with
-    0 upward only and each x < 0 takes the level of -x, which differs from
-    its own by no more than the measured gap (Weyl). Otherwise (BiasedCosine,
-    an asymmetric table) it walks the sorted distinct x with 0 in both
-    directions."""
+    Born-Oppenheimer routine of bo-sweep and compare. Each distinct x, and
+    x = 0 for the reference, is solved on its own: on the Gauss-Hermite DVR
+    with the cold FD4 fallback (_rung_ground), or, given an FD4 grid
+    (half_width or n), by bo_fast_ground on that grid. kappa <= 0 is
+    refused."""
+    if kappa <= 0:
+        raise ValidationError("kappa must be > 0")
     xs = np.asarray(xs, dtype=float)
-    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
-    key = np.abs(xs) if _mirrored(frozen, xs) else xs
-    chain = np.unique(np.append(key, 0.0))
-    start = int(np.searchsorted(chain, 0.0))
-    e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start, half_width, n)
-    return e0[np.searchsorted(chain, key)] - e0[start]
+    if half_width is None and n is None:
+        ground = partial(_rung_ground, kappa, xi, lambdaJ, p)
+    else:
+        ground = partial(bo_fast_ground, kappa, xi, lambdaJ, p,
+                         half_width=half_width, n=n)
+    points = np.unique(np.append(xs, 0.0))
+    e0 = np.array([ground(float(x)) for x in points])
+    return e0[np.searchsorted(points, xs)] - e0[np.searchsorted(points, 0.0)]
 
 
 def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
@@ -1299,12 +1240,11 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
                            n: int | None = None, map_fn=None) -> BOTable:
     """Fast-ground-energy differences over a decreasing kappa ladder.
 
-    Each kappa rung is one continuation chain (_bo_delta, _ground_along),
-    the routine compare's bo_extended column runs too: x = 0 continued
-    from a harmonic guess, then each x from its neighbour, a point that
-    does not continue or fails its certificate or edge check falling back
-    to the cold bo_fast_ground solve. With an even u the chain walks |x|
-    only and each x < 0 takes the level of -x (_bo_delta).
+    Each kappa rung is _bo_delta, the routine compare's bo_extended
+    column runs too: every x and x = 0 solved on their own, on the
+    Gauss-Hermite DVR where its two sizes agree and by the cold
+    bo_fast_ground solve elsewhere; a given half_width or n is an FD4 grid,
+    and bo_fast_ground then solves every point on it.
     verdict: "decreasing" when delta vanishes (BOTable.vanishing);
     otherwise "converges-nonzero" when the curvature fits agree within 10%
     from rung to rung and the last exceeds 1e-9; otherwise "decreasing"

@@ -29,7 +29,6 @@ from circadia import (
     spectrum_vs_kappa,
     transmon_limit_check,
 )
-from circadia.spectra import _ground_along
 
 
 def compact_spec(lambdaJ, ng=0.0, **kw):
@@ -785,12 +784,13 @@ def test_mirror_symmetric_double_well_returns_both_doublet_members():
 @pytest.mark.parametrize("kappa", [0.6, 0.45, 0.3])
 def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
     # the bench's bo_ladder points at production grid size (2400-2800 fast
-    # grid points), where the lowest-k solves of bo-sweep run
+    # grid points): bo_fast_ground's level, and the bo-sweep rung's
+    # e0(x) - e0(0), against the whole FD4 band's
     xi, lambdaJ = 10.0, 5.0
     xs = np.linspace(-3.0, 3.0, 7)
-    # bo-sweep's continuation chain over the same points, from x = 0
-    along = _ground_along(kappa, xi, lambdaJ, Cosine(), xs, 3)
-    for x, e_along in zip(xs, along):
+    rung = circadia.spectra._bo_delta(kappa, xi, lambdaJ, Cosine(), xs)
+    band = []
+    for x in xs:
         e0 = bo_fast_ground(kappa, xi, lambdaJ, Cosine(), float(x))
         r = lowest_eigenvalues(HamiltonianSpec(
             variant="FastAtX", potential=Cosine(), kappa=kappa, xi=xi,
@@ -803,9 +803,11 @@ def test_bo_ladder_ground_levels_match_the_full_banded_spectrum(kappa):
         lam0 = eig_banded(_fd4_band_oracle(v, y[1] - y[0], 0.5), lower=True,
                           eigvals_only=True)[0]
         assert abs(e0 - lam0) <= 1e-10 * max(1.0, abs(lam0))
-        assert abs(e_along - lam0) <= 1e-10 * max(1.0, abs(lam0))
         assert r.meta["sigma"] <= lam0
         assert r.meta["shift_gap"] == r.eigenvalues[0] - r.meta["sigma"]
+        band.append(lam0)
+    for d, lam0 in zip(rung, band):     # xs[3] = 0
+        assert abs(d - (lam0 - band[3])) <= 1e-10 * max(1.0, abs(lam0))
 
 
 def _two_mode_spec(basis, kappa, xi, lambdaJ, n=64, n_fast=None,
@@ -1399,196 +1401,83 @@ def test_bo_fast_ground_widens_a_narrow_grid_once_then_refuses():
     assert exc.value.detail["half_width"] == 2.0
 
 
-def _cold_and_floor(kappa, xi, lambdaJ, p, x, **grid):
-    """bo_fast_ground's cold level at x and 8*eps*s on the grid it was
-    solved on, s the Gershgorin bound on max|lambda| there."""
-    r = lowest_eigenvalues(HamiltonianSpec(
-        variant="FastAtX", potential=p, kappa=kappa, xi=xi, lambdaJ=lambdaJ,
-        frozen_x=x, grid=grid), 1)
-    L, n = r.meta["half_width"], r.meta["n"]
-    v = circadia.spectra._fast_potential(kappa, xi, lambdaJ, p, x,
-                                         np.linspace(-L, L, n))
-    _, s = circadia.spectra._fd4_operator(v, r.meta["h"], 0.5)
-    return r.eigenvalues[0], 8.0 * np.finfo(float).eps * s
-
-
-@settings(max_examples=20)
-@given(
-    kappa=st.floats(0.2, 0.7),
-    xi=st.floats(0.5, 20.0),
-    lambdaJ=st.floats(0.0, 10.0),
-    p=st.sampled_from([Cosine(), BiasedCosine(0.7),
-                       PolynomialEven([0.0, 0.5, 0.01])]),
-    xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
-    with_zero=st.booleans(),
-    data=st.data(),
-)
-def test_ground_along_stays_within_rounding_of_the_cold_solve(
-        kappa, xi, lambdaJ, p, xs, with_zero, data):
-    xs = [x for x in xs if x != 0.0] + ([0.0] if with_zero else [])
-    if not xs:
-        xs = [1.0]
-    start = data.draw(st.integers(0, len(xs) - 1))
-    along = _ground_along(kappa, xi, lambdaJ, p, xs, start)
-    for x, e in zip(xs, along):
-        cold, floor = _cold_and_floor(kappa, xi, lambdaJ, p, x)
-        assert abs(e - cold) <= floor
-
-
 def _counted_cold_solves(monkeypatch):
     calls = []
-    cold = circadia.spectra._lowest_fast
+    cold = circadia.spectra.bo_fast_ground
 
-    def counted(frozen, x, k):
+    def counted(kappa, xi, lambdaJ, p, x, **grid):
         calls.append(x)
-        return cold(frozen, x, k)
+        return cold(kappa, xi, lambdaJ, p, x, **grid)
 
-    monkeypatch.setattr(circadia.spectra, "_lowest_fast", counted)
+    monkeypatch.setattr(circadia.spectra, "bo_fast_ground", counted)
     return calls
 
 
-def test_a_step_too_large_to_continue_falls_back_to_the_cold_solve(
-        monkeypatch):
-    # from x = 0 to 40 the ground state moves by kappa*x = 24 along y, far
-    # off the neighbour's grid: inverse iteration does not settle within
-    # its 8 solves, and the point is solved cold; the start continues from
-    # its harmonic guess
+def test_a_point_whose_dvr_sizes_disagree_is_the_cold_solve(monkeypatch):
+    # s = kappa^2 xi = 0.0025: u oscillates on a y scale of 2 pi sqrt(s),
+    # finer than 48 or 64 DVR nodes resolve, so the two sizes disagree and
+    # every point, x = 0 too, is bo_fast_ground's cold FD4 solve
+    args = (0.05, 1.0, 0.5, Cosine())
+    xs = [-1.5, 0.0, 1.0]
     calls = _counted_cold_solves(monkeypatch)
-    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 40.0], 0)
-    assert calls == [40.0]
-    assert along[1] == bo_fast_ground(0.6, 10.0, 5.0, Cosine(), 40.0)
-    # a short step continues: no point is cold
+    delta = circadia.spectra._bo_delta(*args, xs)
+    assert calls == xs
+    cold = [bo_fast_ground(*args, x) for x in xs]
+    assert delta.tolist() == [e - cold[1] for e in cold]
+    # at s = 2.5 both sizes agree: no point is cold
     calls.clear()
-    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [0.0, 0.5, 1.0], 0)
+    circadia.spectra._bo_delta(0.5, 10.0, 5.0, Cosine(), xs)
     assert calls == []
-    for x, e in zip((0.0, 0.5, 1.0), along):
-        cold, floor = _cold_and_floor(0.6, 10.0, 5.0, Cosine(), x)
-        assert abs(e - cold) <= floor
 
 
-def test_a_refused_certificate_sends_a_continued_point_to_the_cold_solve(
+def test_an_explicit_grid_rung_widens_or_refuses_like_bo_fast_ground(
         monkeypatch):
-    calls = _counted_cold_solves(monkeypatch)
-    certify = circadia.spectra._cholesky_below
-    refusals = []
-
-    def refuse_continued(ab, shift, claim):
-        if "continued level" in claim:
-            refusals.append(shift)
-            raise ConvergenceError(claim)
-        return certify(ab, shift, claim)
-
-    monkeypatch.setattr(circadia.spectra, "_cholesky_below", refuse_continued)
-    along = _ground_along(0.6, 10.0, 5.0, Cosine(), [-0.5, 0.0, 0.5], 1)
-    # the guessed start is certified as a continued level too
-    assert calls == [0.0, 0.5, -0.5] and len(refusals) == 3
-    assert along.tolist() == [bo_fast_ground(0.6, 10.0, 5.0, Cosine(), x)
-                              for x in (-0.5, 0.0, 0.5)]
-
-
-def test_ground_along_widens_or_refuses_per_point_like_bo_fast_ground(
-        monkeypatch):
-    # on the fixed 6/1200 grid the ground state, centred near kappa*x,
-    # reaches the end nodes from x = 4 on: those points widen to 12/2400
-    # like bo_fast_ground, x = 0 and 2 stay
+    # a given FD4 grid solves every point with bo_fast_ground on it: on the
+    # 6/1200 grid the ground state, centred near kappa*x, reaches the end
+    # nodes from x = 4 on, and those points widen to 12/2400
     args = (0.5, 1.0, 0.5, Cosine())
-    xs = np.linspace(0.0, 14.0, 8)
+    xs = np.linspace(-2.0, 14.0, 9)
     calls = _counted_cold_solves(monkeypatch)
-    along = _ground_along(*args, xs, 0, half_width=6.0, n=1200)
-    assert 1 < len(calls) < xs.size
-    for x, e in zip(xs, along):
-        cold, floor = _cold_and_floor(*args, float(x), half_width=6.0,
-                                      n=1200)
-        assert abs(e - cold) <= floor
-    # a grid too narrow even when widened is refused at the first point
-    # that needs it, as bo_fast_ground refuses it there
+    delta = circadia.spectra._bo_delta(*args, xs, half_width=6.0, n=1200)
+    assert calls == xs.tolist()
+    cold = [bo_fast_ground(*args, float(x), half_width=6.0, n=1200)
+            for x in xs]
+    assert delta.tolist() == [e - cold[1] for e in cold]
+    assert cold[-1] == bo_fast_ground(*args, 14.0, half_width=12.0, n=2400)
+    # a grid too narrow even when widened is refused as bo_fast_ground
+    # refuses it
     with pytest.raises(ConvergenceError, match="grid boundary") as exc:
-        _ground_along(*args, [0.0, 0.5], 0, half_width=1.0, n=200)
+        circadia.spectra._bo_delta(*args, [0.0, 0.5], half_width=1.0, n=200)
     assert exc.value.detail["half_width"] == 2.0
     with pytest.raises(ConvergenceError, match="grid boundary"):
-        bo_fast_ground(*args, 30.0, half_width=6.0, n=1200)
-    with pytest.raises(ConvergenceError, match="grid boundary"):
-        _ground_along(*args, [0.0, 10.0, 30.0], 0, half_width=6.0, n=1200)
+        circadia.spectra._bo_delta(*args, [0.0, 10.0, 30.0], half_width=6.0,
+                                   n=1200)
 
 
-def _recorded_chains(monkeypatch):
-    chains = []
-    along = circadia.spectra._ground_along
+def test_an_odd_potential_rung_matches_per_point_oracles():
+    # BiasedCosine(0.7) is not even, and xs holds no x = 0: every x and the
+    # reference are solved on their own, each against the whole FD4 band
+    # of bo_fast_ground's grid at that point
+    p, kappa, xi, lambdaJ = BiasedCosine(0.7), 0.5, 10.0, 5.0
+    xs = np.linspace(-3.0, 3.0, 6)
+    delta = circadia.spectra._bo_delta(kappa, xi, lambdaJ, p, xs)
 
-    def recorded(kappa, xi, lambdaJ, p, chain, *args):
-        chains.append(chain)
-        return along(kappa, xi, lambdaJ, p, chain, *args)
+    def band_ground(x):
+        r = lowest_eigenvalues(HamiltonianSpec(
+            variant="FastAtX", potential=p, kappa=kappa, xi=xi,
+            lambdaJ=lambdaJ, frozen_x=x), 1)
+        y = np.linspace(-r.meta["half_width"], r.meta["half_width"],
+                        r.meta["n"])
+        v = circadia.spectra._fast_potential(kappa, xi, lambdaJ, p, x, y)
+        return eig_banded(_fd4_band_oracle(v, r.meta["h"], 0.5), lower=True,
+                          eigvals_only=True, select="i",
+                          select_range=(0, 0))[0]
 
-    monkeypatch.setattr(circadia.spectra, "_ground_along", recorded)
-    return chains
-
-
-def _two_direction_delta(kappa, xi, lambdaJ, p, xs):
-    """_bo_delta as one chain over the sorted distinct x with 0, walked
-    in both directions from x = 0 (no mirror)."""
-    chain = np.unique(np.append(xs, 0.0))
-    start = int(np.searchsorted(chain, 0.0))
-    e0 = _ground_along(kappa, xi, lambdaJ, p, chain, start)
-    return e0[np.searchsorted(chain, xs)] - e0[start]
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    kappa=st.floats(0.2, 0.7),
-    xi=st.floats(0.5, 20.0),
-    lambdaJ=st.floats(0.0, 10.0),
-    p=st.sampled_from([Cosine(), PolynomialEven([0.0, 0.5, 0.01])]),
-    xs=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
-    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
-)
-def test_a_mirrored_rung_agrees_with_the_two_direction_chain(
-        kappa, xi, lambdaJ, p, xs, signs):
-    # every |x| twice, once with a drawn sign: each x < 0 takes the level
-    # of -x, so the rung is exactly even
-    xs = np.array(xs + [s * x for s, x in zip(signs, xs)])
-    with pytest.MonkeyPatch.context() as mp:
-        chains = _recorded_chains(mp)
-        delta = circadia.spectra._bo_delta(kappa, xi, lambdaJ, p, xs)
-    assert np.array_equal(chains[0], np.unique(np.append(np.abs(xs), 0.0)))
+    zero = band_ground(0.0)
     for x, d in zip(xs, delta):
-        if -x in xs:
-            assert d == delta[xs == -x][0]
-    both = _two_direction_delta(kappa, xi, lambdaJ, p, xs)
-    for x, d, e in zip(xs, delta, both):
-        _, floor = _cold_and_floor(kappa, xi, lambdaJ, p, float(x))
-        assert abs(d - e) <= floor
-
-
-def test_an_odd_potential_walks_the_rung_in_both_directions(monkeypatch):
-    # BiasedCosine(0.7) is not even: the mirror gap is O(1), so the chain
-    # takes every x itself and the rung is the two-direction chain
-    xs = np.linspace(-3.0, 3.0, 7)
-    chains = _recorded_chains(monkeypatch)
-    p = BiasedCosine(0.7)
-    delta = circadia.spectra._bo_delta(0.5, 10.0, 5.0, p, xs)
-    assert np.array_equal(chains[0], xs)
-    assert np.array_equal(delta,
-                          _two_direction_delta(0.5, 10.0, 5.0, p, xs))
-    assert delta[0] != delta[-1]
-
-
-def test_a_guessed_start_that_does_not_continue_is_solved_cold(monkeypatch):
-    calls = _counted_cold_solves(monkeypatch)
-    # a tunnel doublet at x = 0: the wells sit at y = +-6.1, split by
-    # 5.5e-6 against a gap of 2.3 to the next level, so inverse iteration
-    # from a Gaussian in one well does not settle within its 8 solves
-    p = PolynomialEven([0.0, -2.0, 0.02])
-    along = _ground_along(0.5, 1.0, 1.0, p, [0.0], 0)
-    assert calls == [0.0]
-    assert along[0] == bo_fast_ground(0.5, 1.0, 1.0, p, 0.0)
-    # on the 3/600 grid the guessed ground state has edge mass: the cold
-    # solve widens the grid to 6/1200, as bo_fast_ground does
-    calls.clear()
-    along = _ground_along(0.5, 1.0, 0.5, Cosine(), [0.0], 0,
-                          half_width=3.0, n=600)
-    assert calls == [0.0]
-    assert along[0] == bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 0.0,
-                                      half_width=3.0, n=600)
+        lam0 = band_ground(float(x))
+        assert abs(d - (lam0 - zero)) <= 1e-10 * max(1.0, abs(lam0))
+    assert abs(delta[0] - delta[-1]) > 1e-3
 
 
 def _fast_at_x(k, lambdaJ=0.5, **grid):
