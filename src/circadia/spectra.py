@@ -18,7 +18,13 @@ Variants, all dimensionless:
 The compact fast axis represents the angle phi_c on the [-pi, pi) window;
 its matrix elements in the charge basis are exact:
 <m|phi_c|m'> = i(-1)^(m-m')/(m-m'), <m|phi_c^2|m> = pi^2/3,
-<m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal.
+<m|phi_c^2|m'> = 2(-1)^(m-m')/(m-m')^2 off the diagonal. At n_g = 0 with
+an even u the 2D compact blocks are real in the basis
+f_m = ((1+i)|m> + (1-i)|-m>)/2 (f_0 = |0>), where phi_c is the real
+matrix Im<m|phi_c|-m'>; they are solved there, in real arithmetic,
+whenever the measured realness gap of the fast operator is within the
+rounding of one block eigensolve (_compact_parts), and in the complex
+charge basis otherwise.
 
 Every box axis, 1D or 2D, is built and checked by _box_axis (n uniform
 nodes on [-L, L]; L not finite and > 0, or n below the axis floor, is a
@@ -58,9 +64,14 @@ i <= n_slow-1-i are diagonalized and each other one takes its mirror's
 levels and reversed eigenvectors. The mirror is taken only when the
 measured bound delta on ||B_(n_slow-1-i) - P B_i P|| is within the
 rounding of one block eigensolve, and delta then widens the Weyl margin and
-the stop guard below; otherwise every block is solved. H is projected onto
-the m lowest eigenvectors chi_i of every B_i (a contracted adiabatic basis,
-sequential diagonalization-truncation), a Hermitian band of width 3m-1
+the stop guard below; otherwise every block is solved. The same symmetry
+makes the compact blocks real in the basis f_m above, in which P is still
+the reversal of the fast axis: there the blocks, the contracted band, its
+banded Cholesky factor, the Lanczos run (symmetric, ARPACK's dsaupd) and
+the lift are real, and the measured realness gap widens the margin and the
+guard as delta does. H is projected onto the m lowest eigenvectors chi_i
+of every B_i (a contracted adiabatic basis, sequential
+diagonalization-truncation), a Hermitian band of width 3m-1
 (m = 1 is Born-Oppenheimer with its diagonal correction, m = dim_fast the
 full grid operator, never factorized). Each Ritz vector is lifted to the
 grid; one product by H gives its Rayleigh quotient, the reported level,
@@ -273,7 +284,7 @@ def _extended1d_arrays(spec: HamiltonianSpec):
 
 
 def _weyl_shift(block_minima: np.ndarray, block_dim: int,
-                block_norm: float, mirror_gap: float = 0.0) -> float:
+                block_norm: float, block_gap: float = 0.0) -> float:
     """Shift-invert sigma certified below the spectrum of H = A + B.
 
     A, the FD4 kinetic term (times the identity on the fast axis in 2D), is
@@ -284,13 +295,15 @@ def _weyl_shift(block_minima: np.ndarray, block_dim: int,
     inequality gives lambda_min(H) >= min_i lambda_min(B_i); by Cauchy
     interlacing the bound holds for every projection of H too. The margin
     covers the rounding of the block eigensolves (block_dim*eps*||B_i||),
-    mirror_gap (a bound on ||B_j - P B_i P|| when block j took the levels
-    of its mirror i, see _frozen_sweep; 0 when every block was solved)
-    plus 1e-6 relative to the bound.
+    block_gap (in 2D the mirror gap, a bound on ||B_j - P B_i P|| when
+    block j took the levels of its mirror i, see _frozen_sweep, plus the
+    realness gap of real compact blocks, see _compact_parts; 0 when every
+    block was solved as the operator gives it) plus 1e-6 relative to the
+    bound.
     """
     bound = float(np.min(block_minima))
     margin = 1e-6 * max(1.0, abs(bound)) \
-        + block_dim * np.finfo(float).eps * block_norm + mirror_gap
+        + block_dim * np.finfo(float).eps * block_norm + block_gap
     return float(bound - margin)
 
 
@@ -344,25 +357,26 @@ def _count_below(band: np.ndarray, s: float) -> tuple[int, float]:
     s*I + E = L*D*L^T, |E| <= 4*eps*|L||D||L^T| (3 products an entry). By
     Weyl a level farther than delta = 4*eps*|| |L||D||L^T| ||_1 from s is
     counted on its own side; two leading unit pivots meet the zero padding."""
-    a0, a1, a2 = (band[0] - s).tolist(), band[1].tolist(), band[2].tolist()
-    # preallocated C doubles, which numpy then reads without a conversion
-    zeros = bytes(8 * len(a0))
-    d, l1, l2 = array("d", zeros), array("d", zeros), array("d", zeros)
-    # the two previous pivots and the previous multiplier l1 as locals
+    # row i reads a1[i-1] and a2[i-2], the band's zero padding first
+    a1, a2 = np.roll(band[1], 1), np.roll(band[2], 2)
+    # appended as C doubles, which numpy then reads without a conversion
+    d, l1 = array("d"), array("d")
+    # the two previous pivots, and the multiplier l1 of the previous row
+    # until m1 becomes this row's, as locals
     d2, d1, m1 = 1.0, 1.0, 0.0
     try:
-        for i in range(len(a0)):
-            x2 = a2[i - 2] / d2
-            x1 = (a1[i - 1] - x2 * m1 * d2) / d1
-            di = a0[i] - x1 * x1 * d1 - x2 * x2 * d2
-            d[i] = di
-            l1[i] = x1
-            l2[i] = x2
-            d2, d1, m1 = d1, di, x1
+        for a0i, a1i, a2i in zip((band[0] - s).tolist(), a1.tolist(),
+                                 a2.tolist()):
+            x2 = a2i / d2
+            m1 = (a1i - x2 * m1 * d2) / d1
+            d2, d1 = d1, a0i - m1 * m1 * d1 - x2 * x2 * d2
+            d.append(d1)
+            l1.append(m1)
     except ZeroDivisionError as exc:
         raise ConvergenceError(f"zero pivot in the count at s={s!r}") from exc
-    d, l1, l2 = np.frombuffer(d), np.abs(np.frombuffer(l1)), \
-        np.abs(np.frombuffer(l2))
+    d, l1 = np.frombuffer(d), np.abs(np.frombuffer(l1))
+    # the loop's x2, the same division of the same doubles
+    l2 = np.abs(a2 / np.append([1.0, 1.0], d[:-2]))
     # |d_k| * (column k sum of |L|), then column sums of |L||D||L^T|
     cd = np.abs(d) * (1.0 + np.append(l1[1:], 0.0) + np.append(l2[2:], [0, 0]))
     growth = cd + np.append(0.0, cd[:-1] * l1[1:]) \
@@ -837,9 +851,25 @@ def _auto_fast_cutoff(kappa: float, xi: float, lam: float, coef: float,
 
 
 def _compact_parts(spec: HamiltonianSpec, k: int):
-    """Slow grid phi, the phi-independent fast operator h_fast in the charge
-    basis, the angle matrix phi1 and c2 = kappa^4 xi^2 of the compact pair;
-    the grid must hold k <= dimension/4 pairs."""
+    """Slow grid phi, the phi-independent fast operator h_fast, the angle
+    matrix phi1, c2 = kappa^4 xi^2, norm (a bound on max_i ||B_i||_inf) and
+    the realness gap of the compact pair, whose blocks are B_i = h_fast +
+    1/2 c2 phi_i^2 - c2 phi_i phi1; the grid must hold k <= dimension/4
+    pairs.
+
+    The parts are built in the charge basis |m>, m = -M..M. There phi1 =
+    iA, A real with P A P = -A, P the reflection m -> -m. In the basis f_m =
+    ((1+i)|m> + (1-i)|-m>)/2 (f_0 = |0>), the columns of U = ((1+i)I +
+    (1-i)P)/2, phi1 is the real A P, a real h_fast with P h_fast P = h_fast
+    (n_g = 0 and an even u) is itself, and P is still the reversal of the
+    axis. With E = h_fast - P h_fast P, U^H h_fast U - Re h_fast = i Im
+    h_fast - E/2 - i E P/2 (and U^H phi1 U = A P exactly), so the measured
+    realness gap ||Im h_fast||_inf + ||E||_inf bounds ||U^H B_i U - B_i'||
+    for the real blocks B_i' built from Re h_fast and A P. When it is
+    within the rounding of one block
+    eigensolve (_mirrors), the parts are returned in that real form, and the
+    gap joins the Weyl margin and the stop guard (see _two_mode). Otherwise
+    (n_g != 0, an asymmetric u) they stay complex in the charge basis."""
     kappa, xi, lam, p = _frozen_fast_params(spec)
     if not _two_pi_periodic(p):
         raise ValidationError("compact fast axis needs a 2pi-periodic potential")
@@ -858,7 +888,17 @@ def _compact_parts(spec: HamiltonianSpec, k: int):
     c2 = kappa**4 * xi**2
     h_fast = coef * np.diag((mc + spec.ng)**2).astype(complex) \
         + 0.5 * c2 * phi2 + kappa**4 * lam * _charge_basis_potential(p, n_fast)
-    return phi, h_fast, phi1, c2
+    L_phi = float(phi[-1])
+    norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
+                 + 0.5 * c2 * L_phi**2
+                 + c2 * L_phi * np.max(np.sum(np.abs(phi1), axis=1)))
+    real_gap = float(
+        np.max(np.sum(np.abs(h_fast.imag), axis=1))
+        + np.max(np.sum(np.abs(h_fast - h_fast[::-1, ::-1]), axis=1)))
+    if _mirrors(real_gap, h_fast.shape[0], norm):
+        h_fast = np.ascontiguousarray(h_fast.real)
+        phi1 = np.ascontiguousarray(phi1.imag[:, ::-1])
+    return phi, h_fast, phi1, c2, norm, real_gap
 
 
 # a 2D solve whose estimated arrays exceed this many bytes is refused
@@ -926,12 +966,17 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     frozen at slow grid point i. Returns apply(psi) = H @ psi on grid
     vectors (dim, ...), taken from the slow band and the blocks; sweep (see
     _frozen_sweep); the slow FD4 stencil (K_ii, K_i,i+1, K_i,i+2); a bound
-    on max_i ||B_i||_inf for the Weyl margin; the mirror gap (below);
-    meta; and units. Extended blocks (FD4 y-band + V[i]) are banded and
-    diagonalized whole by ?sbevd, compact blocks (h_fast + 1/2 c2 phi_i^2
-    - c2 phi_i phi_c) are dense and diagonalized whole by eigh; both only
-    when sweep first needs them, and the compact sweep keeps every
-    eigenvector.
+    on max_i ||B_i||_inf for the Weyl margin; the block gap, the mirror gap
+    (below) plus the realness gap of real compact blocks; meta; and units.
+    Extended blocks (FD4 y-band + V[i]) are banded and diagonalized whole
+    by ?sbevd, compact blocks (h_fast + 1/2 c2 phi_i^2 - c2 phi_i phi_c)
+    are dense and diagonalized whole by eigh; both only when sweep first
+    needs them, and the compact sweep keeps every eigenvector. Compact
+    blocks are real symmetric in the basis f_m when _compact_parts takes
+    its real form (n_g = 0, an even u) and complex Hermitian in the charge
+    basis otherwise; the sweep, the contracted band, its Cholesky factor,
+    the Lanczos run and the lift take their dtype, which meta records
+    (fast_dtype) with the measured realness gap (realness_gap).
 
     Parity: with P reversing the fast axis (y -> -y, or charge m -> -m),
     an even u, n_g = 0 and a symmetric slow grid give B_j = P B_i P for
@@ -944,7 +989,9 @@ def _two_mode(spec: HamiltonianSpec, k: int):
     i <= n_slow - 1 - i only (the middle one too when n_slow is odd) and
     mirrors the rest, and the mirror gap delta joins the Weyl margin and
     the stop guard. Otherwise (an asymmetric u, n_g != 0, an asymmetric
-    grid) every block is solved and the mirror gap is 0.
+    grid) every block is solved and the mirror gap is 0. P is the reversal
+    of the fast axis in the real compact basis too (P f_m = f_-m), so the
+    same delta and the same mirror serve both compact forms.
     """
     if spec.basis_y == "extended":
         x, y, V = _extended_parts(spec, k)
@@ -958,7 +1005,7 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         delta = float(np.max(np.abs(V[::-1, ::-1] - V)))
         # 16 sampled default-grid ladders stopped at m = 8 or 16 on
         # 204-288 points: a few columns serve them
-        dtype, whole = float, False
+        dtype, whole, form_gap = float, False, 0.0
 
         def blocks(P):
             fd4 = _band_apply(fast, P.swapaxes(0, 1)).swapaxes(0, 1)
@@ -972,14 +1019,12 @@ def _two_mode(spec: HamiltonianSpec, k: int):
                 "hy": float(hy)}
         units = "kappa^2*H/(hbar*omega_C) units (extended pair)"
     else:
-        phi, h_fast, phi1, c2 = _compact_parts(spec, k)
+        phi, h_fast, phi1, c2, norm, real_gap = _compact_parts(spec, k)
         n_slow, dim_fast = phi.size, h_fast.shape[0]
         h_slow, c_slow = phi[1] - phi[0], float(spec.kappa)**4
         eye = np.eye(dim_fast)
         L_phi = float(phi[-1])
         phi1_norm = float(np.max(np.sum(np.abs(phi1), axis=1)))
-        norm = float(np.max(np.sum(np.abs(h_fast), axis=1))
-                     + 0.5 * c2 * L_phi**2 + c2 * L_phi * phi1_norm)
         delta = float(
             np.max(np.sum(np.abs(h_fast - h_fast[::-1, ::-1]), axis=1))
             + np.max(0.5 * c2 * np.abs(phi[::-1]**2 - phi**2)
@@ -987,7 +1032,9 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         col = phi[:, None, None]
         # a ladder often reaches the whole charge axis (5 of 16 sampled
         # default-grid sweeps, and kappa = 0.9, xi = 200 on 83 states)
-        dtype, whole = complex, True
+        dtype, whole = h_fast.dtype, True
+        # a real form is off the charge-basis blocks by the realness gap
+        form_gap = real_gap if dtype == float else 0.0
 
         def blocks(P):
             return h_fast @ P + 0.5 * c2 * col**2 * P - c2 * col * (phi1 @ P)
@@ -997,13 +1044,14 @@ def _two_mode(spec: HamiltonianSpec, k: int):
                         - c2 * phi[i] * phi1)
 
         meta = {"n_phi": n_slow, "L_phi": L_phi,
-                "n_max_fast": dim_fast // 2, "h": float(h_slow)}
+                "n_max_fast": dim_fast // 2, "h": float(h_slow),
+                "fast_dtype": dtype.name, "realness_gap": real_gap}
         units = "E'_C units (primed charging energy)"
     slow = _fd4_bands(n_slow, h_slow, c_slow)
     if _mirrors(delta, dim_fast, norm):
-        mirror_gap, solved = delta, (n_slow + 1) // 2
+        gap, solved = delta + form_gap, (n_slow + 1) // 2
     else:
-        mirror_gap, solved = 0.0, n_slow
+        gap, solved = form_gap, n_slow
     sweep = _frozen_sweep(n_slow, dim_fast, dtype, block_eig, whole, solved)
 
     def apply(psi):
@@ -1015,7 +1063,7 @@ def _two_mode(spec: HamiltonianSpec, k: int):
         out += _band_apply(slow, P)
         return out.reshape(psi.shape)
 
-    return apply, sweep, slow[:, 0], norm, mirror_gap, meta, units
+    return apply, sweep, slow[:, 0], norm, gap, meta, units
 
 
 def _contracted_pairs(eps: np.ndarray, chi: np.ndarray, slow: np.ndarray,
@@ -1075,13 +1123,13 @@ _RESIDUAL_RTOL = 1e-8
 
 
 def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
-    apply, sweep, slow, norm, mirror_gap, meta, units = _two_mode(spec, k)
+    apply, sweep, slow, norm, block_gap, meta, units = _two_mode(spec, k)
     m = _FIRST_RUNG
     # every rung sweeps one block level above itself for the guard below
     eps, chi = sweep(m + 1)
     n_slow, dim_fast = chi.shape[:2]
     dim = n_slow * dim_fast
-    sigma = _weyl_shift(eps[:, 0], dim_fast, norm, mirror_gap)
+    sigma = _weyl_shift(eps[:, 0], dim_fast, norm, block_gap)
     while True:
         # ARPACK needs a contracted space well above the k+1 wanted pairs
         if m == dim_fast or n_slow * m >= 4 * (k + 1):
@@ -1111,9 +1159,10 @@ def _lowest_regularized2d(spec: HamiltonianSpec, k: int) -> SpectrumResult:
                 break
             # guard: without non-adiabatic coupling no state built on a
             # discarded fast level lies below the lowest discarded block
-            # level, which a mirrored block knows to within the mirror gap
+            # level, which the sweep knows to within block_gap (the mirror
+            # and realness gaps)
             scale = max(1.0, float(np.max(np.abs(w[:k]))))
-            if w[k] < np.min(eps[:, m]) - mirror_gap and np.all(
+            if w[k] < np.min(eps[:, m]) - block_gap and np.all(
                     bracket <= _LEVEL_RTOL * np.maximum(1.0, np.abs(w[:k]))) \
                     and np.all(lifted[:k] <= _RESIDUAL_RTOL * scale):
                 break

@@ -838,14 +838,24 @@ def _fd4_csr(n, h, c):
 
 def _kron_oracle(spec, k):
     """The 2D grid operator as a sparse matrix, assembled by Kronecker
-    products from the written-out stencil and the parts of either basis."""
+    products from the written-out stencil and the parts of either basis;
+    the compact fast operator is written out in the complex charge basis
+    from the exact angle matrices and the Fourier coefficients of u, only
+    its grids taken from the solve's parts."""
     if spec.basis_y == "extended":
         x, y, V = circadia.spectra._extended_parts(spec, k)
         kx = _fd4_csr(x.size, x[1] - x[0], 0.5 * spec.kappa**2)
         ky = _fd4_csr(y.size, y[1] - y[0], 0.5)
         return sp.kron(kx, sp.identity(y.size)) \
             + sp.kron(sp.identity(x.size), ky) + sp.diags(V.ravel())
-    phi, h_fast, phi1, c2 = circadia.spectra._compact_parts(spec, k)
+    phi, grid_fast = circadia.spectra._compact_parts(spec, k)[:2]
+    n_max = grid_fast.shape[0] // 2
+    phi1, phi2 = circadia.spectra._angle_window_ops(n_max)
+    m = np.arange(-n_max, n_max + 1)
+    c2 = spec.kappa**4 * spec.xi**2
+    h_fast = np.diag(spec.charge_coef * (m + spec.ng)**2) + 0.5 * c2 * phi2 \
+        + spec.kappa**4 * spec.lambdaJ \
+        * circadia.spectra._charge_basis_potential(spec.potential, n_max)
     eye = sp.identity(h_fast.shape[0], dtype=complex)
     return sp.kron(_fd4_csr(phi.size, phi[1] - phi[0], spec.kappa**4), eye) \
         + sp.kron(sp.diags(0.5 * c2 * phi**2), eye) \
@@ -853,10 +863,25 @@ def _kron_oracle(spec, k):
         + sp.kron(sp.diags(-c2 * phi), sp.csr_matrix(phi1))
 
 
+def _solve_basis(spec, meta):
+    """I x U, U taking the charge basis to the fast basis of the 2D solve
+    whose meta is given: the columns f_m = ((1+i)|m> + (1-i)|-m>)/2 for
+    real compact blocks, else the identity (the extended grid and the
+    complex charge basis)."""
+    n_slow = meta["nx"] if spec.basis_y == "extended" else meta["n_phi"]
+    dim_fast = meta["ny"] if spec.basis_y == "extended" \
+        else 2 * meta["n_max_fast"] + 1
+    U = np.eye(dim_fast)
+    if meta.get("fast_dtype") == "float64":
+        U = 0.5 * ((1 + 1j) * U + (1 - 1j) * U[::-1])
+    return sp.kron(sp.identity(n_slow), sp.csr_matrix(U), format="csr")
+
+
 def _assembled(spec, k):
     """Oracle grid operator, and the Weyl shift, meta and units as the 2D
     solve makes them: the shift comes from the first rung's sweep of the
-    fast blocks, its margin widened by the mirror gap."""
+    fast blocks, its margin widened by the block gap (the mirror gap and
+    the realness gap of real compact blocks)."""
     _, sweep, _, norm, gap, meta, units = circadia.spectra._two_mode(spec, k)
     eps, chi = sweep(circadia.spectra._FIRST_RUNG + 1)
     sigma = circadia.spectra._weyl_shift(eps[:, 0], chi.shape[1], norm, gap)
@@ -874,15 +899,75 @@ def _assembled(spec, k):
 def test_two_mode_product_equals_the_kron_oracle(basis, kappa, xi, frac,
                                                  cols):
     spec = _two_mode_spec(basis, kappa, xi, frac * xi**2)
-    apply = circadia.spectra._two_mode(spec, 2)[0]
+    parts = circadia.spectra._two_mode(spec, 2)
+    apply = parts[0]
     H = _kron_oracle(spec, 2)
+    Q = _solve_basis(spec, parts[5])
     rng = np.random.default_rng(cols)
     for shape in ((H.shape[0],), (H.shape[0], cols)):
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = H @ psi
+        want = Q.conj().T @ (H @ (Q @ psi))
         got = apply(psi)
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _banded_dtypes(monkeypatch):
+    """The dtype of every contracted band the shift-invert core solves:
+    float64 is a real Cholesky factor and symmetric Lanczos (dsaupd)."""
+    real, dtypes = circadia.spectra._shift_invert_pairs, []
+
+    def recorded(ab, *args, **kwargs):
+        dtypes.append(ab.dtype)
+        return real(ab, *args, **kwargs)
+
+    monkeypatch.setattr(circadia.spectra, "_shift_invert_pairs", recorded)
+    return dtypes
+
+
+@settings(max_examples=10)
+@given(
+    kappa=st.floats(0.3, 0.9),
+    xi=st.floats(1.0, 60.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_real_compact_blocks_keep_the_levels_of_the_charge_basis_operator(
+        kappa, xi, frac):
+    # at n_g = 0 with an even u the compact solve runs in the real basis
+    # f_m; with no level stop its ladder ends on the whole charge axis,
+    # whose levels are those of the real grid operator
+    spec = _two_mode_spec("compact", kappa, xi, frac * xi**2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circadia.spectra, "_LEVEL_RTOL", 0.0)
+        bands = _banded_dtypes(mp)
+        r = lowest_eigenvalues(spec, 3)
+    assert r.meta["fast_dtype"] == "float64"
+    assert bands and set(bands) == {np.dtype(float)}
+    assert r.meta["m"] == 2 * r.meta["n_max_fast"] + 1
+    H = _kron_oracle(spec, 3)
+    v0 = np.ones(H.shape[0]) / math.sqrt(H.shape[0])
+    _, vec = eigsh(H, k=3, sigma=r.meta["sigma"], which="LM", v0=v0)
+    oracle = np.sort(np.sum(vec.conj() * (H @ vec), axis=0).real
+                     / np.sum(vec.conj() * vec, axis=0).real)
+    assert np.all(np.abs(r.eigenvalues - oracle)
+                  <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+
+@pytest.mark.parametrize("kw", [dict(potential=BiasedCosine(0.7)),
+                                dict(ng=0.25)])
+def test_an_asymmetric_u_or_a_gate_charge_keeps_the_complex_charge_basis(
+        kw):
+    spec = _two_mode_spec("compact", 0.6, 20.0, 100.0, **kw)
+    parts = circadia.spectra._compact_parts(spec, 2)
+    assert parts[1].dtype == parts[2].dtype == complex
+    assert not circadia.spectra._mirrors(parts[5], parts[1].shape[0],
+                                         parts[4])
+    with pytest.MonkeyPatch.context() as mp:
+        bands = _banded_dtypes(mp)
+        r = lowest_eigenvalues(spec, 2)
+    assert r.meta["fast_dtype"] == "complex128"
+    assert bands and set(bands) == {np.dtype(complex)}
+    assert r.meta["realness_gap"] == parts[5]
 
 
 def _loose_shift(spec, H):
@@ -1099,42 +1184,76 @@ def _block_oracle(spec, k):
         return [eig_banded(_fd4_band_oracle(v, y[1] - y[0], 0.5), lower=True,
                            select="i", select_range=(0, y.size - 1))
                 for v in V]
-    phi, h_fast, phi1, c2 = circadia.spectra._compact_parts(spec, k)
+    phi, h_fast, phi1, c2 = circadia.spectra._compact_parts(spec, k)[:4]
     eye = np.eye(h_fast.shape[0])
     return [eigh(h_fast + 0.5 * c2 * p**2 * eye - c2 * p * phi1)
             for p in phi]
 
 
+def _counted(solver, calls):
+    """solver, recording the keyword arguments of each call in calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return solver(*args, **kwargs)
+    return wrapper
+
+
+def _count_block_solves(monkeypatch):
+    """The keyword arguments of every block solve, as they are made."""
+    calls = []
+    for name in ("eig_banded", "eigh"):
+        monkeypatch.setattr(circadia.spectra, name,
+                            _counted(getattr(circadia.spectra, name), calls))
+    return calls
+
+
 def _check_sweep_against_the_block_oracle(spec):
-    """Every ladder sweep against the per-block oracle; returns the number
-    of stores the sweeps made."""
-    sweep = circadia.spectra._two_mode(spec, 2)[1]
+    """Every ladder sweep against the sweep's documented behaviour: a solved
+    block's levels within 1e-12 of the per-block oracle's and its kept
+    columns spanning the oracle's, a mirrored block's levels and columns
+    equal, bit for bit, to its source block's with the fast axis reversed
+    (mirrored levels against a direct solve are checked within the gap by
+    test_a_mirrored_weyl_shift_lies_below_every_block_solved_directly).
+    Returns the number of stores the sweeps made."""
     oracle = _block_oracle(spec, 2)
     n_slow, dim_fast = len(oracle), oracle[0][0].size
     store, stores = None, 0
-    for m in _ladder_sweeps(dim_fast):
-        eps, chi = sweep(m)
-        assert eps.shape == (n_slow, m)
-        assert chi.shape == (n_slow, dim_fast, m)
-        # a store is made only for a rung that needs more columns than the
-        # last one kept; it keeps the next two rungs' need, or the whole
-        # compact axis
-        if store is None or store.shape[2] < m:
-            assert chi.base is not store
-            assert chi.base.shape[2] == (dim_fast if spec.basis_y == "compact"
-                                         else min(dim_fast, 4 * m - 3))
-            stores += 1
-        else:
-            assert chi.base is store
-        store = chi.base
-        for i, (w, v) in enumerate(oracle):
-            assert np.all(np.abs(eps[i] - w[:m])
-                          <= 1e-12 * np.maximum(1.0, np.abs(w[:m])))
-            if m < dim_fast and w[m] - w[m - 1] <= 1e-6:
-                continue
-            # the kept columns span the oracle's lowest-m subspace
-            s = np.linalg.svd(chi[i].conj().T @ v[:, :m], compute_uv=False)
-            assert np.all(np.abs(s - 1.0) <= 1e-10)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_block_solves(mp)
+        sweep = circadia.spectra._two_mode(spec, 2)[1]
+        for m in _ladder_sweeps(dim_fast):
+            calls.clear()
+            eps, chi = sweep(m)
+            assert eps.shape == (n_slow, m)
+            assert chi.shape == (n_slow, dim_fast, m)
+            # a store is made only for a rung that needs more columns than
+            # the last one kept; it keeps the next two rungs' need, or the
+            # whole compact axis
+            if store is None or store.shape[2] < m:
+                assert chi.base is not store
+                assert chi.base.shape[2] == (
+                    dim_fast if spec.basis_y == "compact"
+                    else min(dim_fast, 4 * m - 3))
+                stores += 1
+                # blocks below `solved` are diagonalized, the rest mirrored
+                solved = len(calls)
+                assert solved in (n_slow, (n_slow + 1) // 2)
+            else:
+                assert chi.base is store and not calls
+            store = chi.base
+            for i, (w, v) in enumerate(oracle):
+                if i >= solved:
+                    assert np.array_equal(eps[i], eps[n_slow - 1 - i])
+                    assert np.array_equal(chi[i], chi[n_slow - 1 - i, ::-1])
+                    continue
+                assert np.all(np.abs(eps[i] - w[:m])
+                              <= 1e-12 * np.maximum(1.0, np.abs(w[:m])))
+                if m < dim_fast and w[m] - w[m - 1] <= 1e-6:
+                    continue
+                # the kept columns span the oracle's lowest-m subspace
+                s = np.linalg.svd(chi[i].conj().T @ v[:, :m],
+                                  compute_uv=False)
+                assert np.all(np.abs(s - 1.0) <= 1e-10)
     return stores
 
 
@@ -1145,6 +1264,7 @@ def _check_sweep_against_the_block_oracle(spec):
     xi=st.floats(1.0, 60.0),
     frac=st.floats(0.0, 1.0),
 )
+@example(basis="compact", kappa=0.875, xi=43.0, frac=1.0)
 def test_the_frozen_block_sweep_matches_the_per_block_solver_at_every_rung(
         basis, kappa, xi, frac):
     _check_sweep_against_the_block_oracle(
@@ -1188,17 +1308,7 @@ def _bench_spec(basis):
 
 
 def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
-    calls = []
-
-    def counted(solver):
-        def wrapper(*args, **kwargs):
-            calls.append(kwargs)
-            return solver(*args, **kwargs)
-        return wrapper
-
-    for name in ("eig_banded", "eigh"):
-        monkeypatch.setattr(circadia.spectra, name,
-                            counted(getattr(circadia.spectra, name)))
+    calls = _count_block_solves(monkeypatch)
     # bench grid: the ladder runs m = 4, 8, 16 on the first store, which
     # solves 48 of the 96 blocks and mirrors the rest
     assert lowest_eigenvalues(_bench_spec("extended"), 4).meta["m"] == 16
@@ -1216,18 +1326,8 @@ def test_a_solve_diagonalizes_each_frozen_block_once_per_store(monkeypatch):
 
 def _solved_blocks(monkeypatch, spec):
     """The number of frozen blocks the first sweep of spec diagonalizes,
-    and the mirror gap of its assembly."""
-    calls = []
-
-    def counted(solver):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return solver(*args, **kwargs)
-        return wrapper
-
-    for name in ("eig_banded", "eigh"):
-        monkeypatch.setattr(circadia.spectra, name,
-                            counted(getattr(circadia.spectra, name)))
+    and the block gap of its assembly."""
+    calls = _count_block_solves(monkeypatch)
     parts = circadia.spectra._two_mode(spec, 2)
     parts[1](circadia.spectra._FIRST_RUNG + 1)
     return len(calls), parts[4]
