@@ -250,16 +250,14 @@ def _box_proxy(v, vmax: float) -> dict:
 # extended route (v, vmax) for its box proxy, else None.
 
 
-def _extended_pair(v, n: int, vmax_nodes: int):
+def _extended_pair(v, n: int):
     """The route of H/E_C = (1/2) n_phi^2 + v(phi): its three lowest levels
     on n box nodes over [-pi, pi], and for the box proxy v with vmax, the
-    largest v on `vmax_nodes` box nodes there."""
+    largest v on those same nodes."""
     from . import spectra
     q, h = spectra._box_axis(math.pi, n)
     sampled = v(q)
     levels = spectra._solve_banded(sampled, h, 0.5, 3)[0]
-    if vmax_nodes != n:
-        sampled = v(spectra._box_axis(math.pi, vmax_nodes)[0])
     return _ladder_stats(levels), (v, float(np.max(sampled)))
 
 
@@ -267,7 +265,7 @@ def _classical_reduced(rc, p, args):
     """The classically reduced single branch, V(phi) sampled without
     effective_potential's minima, which compare never writes."""
     return _extended_pair(lambda q: _reduced_branch(p, rc, "CompactPhi", q)[2],
-                          args.grid, args.grid)
+                          args.grid)
 
 
 def _bo_extended(rc, p, args):
@@ -284,7 +282,7 @@ def _bo_extended(rc, p, args):
         u[-1] = u[0]
     spline = CubicSpline(phis, u, "periodic" if periodic else "not-a-knot")
     # a periodic spline maps q into [-pi, pi] itself
-    return _extended_pair(lambda q: rc.xi * spline(q), args.grid, 721)
+    return _extended_pair(lambda q: rc.xi * spline(q), args.grid)
 
 
 def _compact_naive_adiabatic(rc, p, args):

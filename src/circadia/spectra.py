@@ -39,7 +39,7 @@ shift-inverted Lanczos on a banded Cholesky factor, from the certified Weyl
 shift sigma = min_i lambda_min(B_i) less a rounding margin: B_i are the
 blocks left when the positive semidefinite FD4 kinetic term is dropped, the
 potential values in 1D. In 1D a second Cholesky just below the ground Ritz
-value certifies that no level lies under it (_certify_ground). Sylvester
+value certifies that no level lies under it (_solve_banded). Sylvester
 inertia counts cut an energy window into slices of <= 32 levels, each
 shift-inverted Lanczos; a window's count and end levels need only its two
 end slices.
@@ -48,9 +48,9 @@ Every Born-Oppenheimer rung, of bo-sweep and of compare, is one routine
 (_bo_delta) that solves each of its points, x = 0 for the reference too,
 on its own: the fast ground level from one dense eigensolve on a
 Gauss-Hermite DVR centred on the oscillator's minimum, at two sizes that
-must agree, else the cold FD4 solve of bo_fast_ground. FastAtX and
-bo_fast_ground stay the FD4 oracle and are no longer bit-equal to a DVR
-rung level, which differs from theirs by the FD4 discretization error.
+must agree, else the FD4 solve of bo_fast_ground. FastAtX and
+bo_fast_ground are the FD4 oracle of the rung: a DVR rung level differs
+from theirs by the FD4 discretization error.
 
 Both Regularized2D bases are H = (slow FD4 kinetic) x I + B with B block
 diagonal: B_i is the fast operator frozen at slow grid point i. One
@@ -402,34 +402,25 @@ def _fd4_operator(v: np.ndarray, h: float, c_kin: float):
 
 
 def _solve_banded(v: np.ndarray, h: float, c_kin: float, k: int):
-    """Lowest k FD4 eigenpairs of c_kin*p^2 + diag(v): eigenvalues, unit
-    vectors, residual norms and the shift-invert sigma.
+    """Lowest k FD4 eigenpairs of H = c_kin*p^2 + diag(v): eigenvalues w_j,
+    unit vectors psi_j (columns), residual norms
+    r_j = ||H psi_j - w_j psi_j|| and the shift-invert sigma.
 
     s is the Gershgorin bound on max|lambda|. Shift-invert Lanczos from the
     Weyl shift sigma = min v less its margin; a banded Cholesky of
-    H - (E_0 - ||r_0|| - 8*eps*s)*I then certifies that no level lies below
-    the ground Ritz value E_0. Above E_0 the levels rest on Lanczos from a
-    proven lower bound, as in 2D."""
+    H - (w_0 - r_0 - 8*eps*s)*I then certifies that no level lies below the
+    ground Ritz value w_0, and its refusal is a ConvergenceError "a level
+    lies below the ground Ritz value w_0". Above w_0 the levels rest on
+    Lanczos from a proven lower bound, as in 2D."""
     _check_k(k, v.size)
     band, scale = _fd4_operator(v, h, c_kin)
     sigma = _weyl_shift(v, 1, scale)
     w, vec = _shift_invert_pairs(band, sigma, k)
-    return w, vec, _certify_ground(band, scale, w, vec, "ground Ritz value"), \
-        sigma
-
-
-def _certify_ground(band: np.ndarray, scale: float, w: np.ndarray,
-                    vec: np.ndarray, what: str) -> np.ndarray:
-    """Residual norms ||H v_j - w_j v_j|| of the unit pairs (w_j, column v_j
-    of vec) of the band H (lower storage), s = scale its Gershgorin bound on
-    max|lambda|, once a banded Cholesky of H - (w_0 - ||r_0|| - 8*eps*s)*I
-    proves that no level lies below w_0; a refused factorization is a
-    ConvergenceError "a level lies below the <what> w_0"."""
     res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
     _cholesky_below(band, float(w[0] - res[0] - 8.0 * np.finfo(float).eps
                                 * scale),
-                    f"a level lies below the {what} {float(w[0])!r}")
-    return res
+                    f"a level lies below the ground Ritz value {float(w[0])!r}")
+    return w, vec, res, sigma
 
 
 def _check_k(k: int, dim: int) -> None:
@@ -504,15 +495,15 @@ def _cut(count, a: tuple, b: tuple) -> list:
 
 def _lu_solver(band: np.ndarray, shift: float):
     """v -> (A - shift*I)^-1 v for the real pentadiagonal band A (lower
-    storage) by a ?gbtrf LU with partial pivoting, or None when A - shift*I
-    is singular."""
+    storage) by a ?gbtrf LU with partial pivoting; a singular A - shift*I
+    is a ConvergenceError "slice centre <shift> is a level"."""
     # the general band with two rows of fill space above
     gb = np.zeros((7, band.shape[1]))
     gb[4:], gb[3, 1:], gb[2, 2:] = band, band[1, :-1], band[2, :-2]
     gb[4] -= shift
     lu, piv, info = dgbtrf(gb, 2, 2)
     if info > 0:
-        return None
+        raise ConvergenceError(f"slice centre {shift!r} is a level")
     return lambda v: dgbtrs(lu, 2, 2, v, piv)[0]
 
 
@@ -523,10 +514,7 @@ def _slice_levels(band: np.ndarray, a: tuple, b: tuple, tol: float):
     delta, its residual and tol) is a ConvergenceError."""
     # the k levels nearest the slice centre are exactly its k levels
     centre, k = 0.5 * (a[0] + b[0]), b[1] - a[1]
-    solve = _lu_solver(band, centre)
-    if solve is None:
-        raise ConvergenceError(f"slice centre {centre!r} is a level")
-    w, vec = _shift_invert_pairs(band, centre, k, solve)
+    w, vec = _shift_invert_pairs(band, centre, k, _lu_solver(band, centre))
     res = np.linalg.norm(_band_apply(band, vec) - vec * w, axis=0)
     inside = np.count_nonzero((w >= a[0] - a[2] - res - tol)
                               & (w <= b[0] + b[2] + res + tol))
@@ -708,44 +696,29 @@ def _frozen_fast_params(spec: HamiltonianSpec):
     return float(spec.kappa), float(spec.xi), float(spec.lambdaJ), p
 
 
-def _frozen_fast(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
-                 half_width, n, x: float, widen: int = 1):
-    """(y, v, h) of the fast mode frozen at x: the nodes of its y box axis,
-    the fast potential on them and their step. By default (half_width, n
-    None) the half width is kappa*|x| + 12 and the step 0.01, with >= 128
-    nodes; both are multiplied by widen. kappa <= 0 is refused."""
+def _lowest_fast(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
+                 half_width, n, x: float, k: int):
+    """(w, res, sigma, y): _solve_banded of the fast mode frozen at x on a y
+    box axis that holds its k levels, y the axis's nodes. By default
+    (half_width, n None) the half width is kappa*|x| + 12 and the step 0.01,
+    with >= 128 nodes. A level holding 1e-12 or more of its mass on the two
+    end nodes at either end doubles the half width and n once, then fails
+    the solve. kappa <= 0 is refused. The one solve of FastAtX and of
+    bo_fast_ground, the FD4 oracle of the Born-Oppenheimer rung."""
     if kappa <= 0:
         raise ValidationError("kappa must be > 0")
     L = _half_width(kappa * abs(x) + 12.0 if half_width is None
                     else half_width)
     npts = max(math.ceil(2.0 * L / 0.01), 128) if n is None else int(n)
-    y, h = _box_axis(widen * L, widen * npts)
-    return y, _fast_potential(kappa, xi, lambdaJ, p, x, y), h
-
-
-def _edge_mass(vec: np.ndarray) -> float:
-    """Largest share of a column's mass on the two end nodes at either end,
-    or 0 when no share exceeds 1e-12: a grid holds the levels whose columns
-    have edge mass 0."""
-    psi2 = np.abs(vec)**2
-    mass = float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
-                        / np.sum(psi2, axis=0)))
-    return mass if mass >= 1e-12 else 0.0
-
-
-def _lowest_fast(frozen, x: float, k: int):
-    """(w, vec, res, sigma, y): _solve_banded of the fast mode frozen at x,
-    frozen(x, widen=...) a partial of _frozen_fast, on a y grid that holds
-    the k levels, the unit eigenvectors (columns) on its nodes y. A level
-    with edge mass (_edge_mass) widens the grid once (half_width and n
-    doubled), then fails the solve. The one solve of FastAtX and of
-    bo_fast_ground, the FD4 oracle of the Born-Oppenheimer rung."""
     for widen in (1, 2):
-        y, v, h = frozen(x, widen=widen)
-        w, vec, res, sigma = _solve_banded(v, h, 0.5, k)
-        edge = _edge_mass(vec)
-        if not edge:
-            return w, vec, res, sigma, y
+        y, h = _box_axis(widen * L, widen * npts)
+        w, vec, res, sigma = _solve_banded(
+            _fast_potential(kappa, xi, lambdaJ, p, x, y), h, 0.5, k)
+        psi2 = np.abs(vec)**2
+        edge = float(np.max((psi2[0] + psi2[1] + psi2[-1] + psi2[-2])
+                            / np.sum(psi2, axis=0)))
+        if edge < 1e-12:
+            return w, res, sigma, y
     raise ConvergenceError(
         "a fast level reaches the grid boundary after widening",
         detail={"half_width": float(y[-1]), "boundary_mass": edge})
@@ -756,11 +729,11 @@ def bo_fast_ground(kappa: float, xi: float, lambdaJ: float,
                    half_width: float | None = None,
                    n: int | None = None) -> float:
     """Ground energy e0(x) of the fast oscillator in hbar*omega_C units:
-    the ground level of FastAtX frozen at x, the same FD4 solve
-    (_lowest_fast, with its widening). A Born-Oppenheimer rung point falls
-    back to it where the DVR does not converge (_rung_ground)."""
-    frozen = partial(_frozen_fast, kappa, xi, lambdaJ, p, half_width, n)
-    return float(_lowest_fast(frozen, x, 1)[0][0])
+    the ground level of FastAtX frozen at x, from the same FD4 solve and
+    grid rule (_lowest_fast). A Born-Oppenheimer rung point falls back to
+    it where the DVR does not converge (_rung_ground)."""
+    return float(_lowest_fast(kappa, xi, lambdaJ, p, half_width, n, x,
+                              1)[0][0])
 
 
 # the Born-Oppenheimer rung's Gauss-Hermite DVR: the oscillator frequency
@@ -799,7 +772,7 @@ def _rung_ground(kappa: float, xi: float, lambdaJ: float, p: PotentialModel,
     centred on the oscillator's minimum y = kappa x and v the fast
     potential. The larger size's level is taken when the two agree within
     _DVR_RTOL*max(1, |e0|) and every sample is finite; otherwise the point
-    is the cold FD4 solve bo_fast_ground, with its widening and refusals."""
+    is the FD4 solve bo_fast_ground, with its widening and refusals."""
     levels = []
     for size in _DVR_SIZES:
         y, kin = _dvr(size)
@@ -1211,9 +1184,9 @@ def lowest_eigenvalues(spec: HamiltonianSpec, k: int) -> SpectrumResult:
     if spec.variant == "Compact1D":
         return _lowest_compact1d(spec, k)
     if spec.variant == "FastAtX":
-        frozen = partial(_frozen_fast, *_frozen_fast_params(spec),
-                         spec.grid.get("half_width"), spec.grid.get("n"))
-        w, _, res, sigma, y = _lowest_fast(frozen, spec.frozen_x, k)
+        w, res, sigma, y = _lowest_fast(
+            *_frozen_fast_params(spec), spec.grid.get("half_width"),
+            spec.grid.get("n"), spec.frozen_x, k)
         return _banded_result(spec, w, res, sigma, "hbar*omega_C units",
                               h=float(y[1] - y[0]), n=int(y.size),
                               half_width=float(y[-1]))
@@ -1268,7 +1241,7 @@ def _bo_delta(kappa: float, xi: float, lambdaJ: float, p: PotentialModel, xs,
     """e0(x) - e0(0) at every x of xs on one kappa rung, the one
     Born-Oppenheimer routine of bo-sweep and compare. Each distinct x, and
     x = 0 for the reference, is solved on its own: on the Gauss-Hermite DVR
-    with the cold FD4 fallback (_rung_ground), or, given an FD4 grid
+    with the FD4 fallback (_rung_ground), or, given an FD4 grid
     (half_width or n), by bo_fast_ground on that grid. kappa <= 0 is
     refused."""
     if kappa <= 0:
@@ -1291,7 +1264,7 @@ def bo_effective_potential(kappas, xs, p: PotentialModel, xi: float,
 
     Each kappa rung is _bo_delta, the routine compare's bo_extended
     column runs too: every x and x = 0 solved on their own, on the
-    Gauss-Hermite DVR where its two sizes agree and by the cold
+    Gauss-Hermite DVR where its two sizes agree and by the
     bo_fast_ground solve elsewhere; a given half_width or n is an FD4 grid,
     and bo_fast_ground then solves every point on it.
     verdict: "decreasing" when delta vanishes (BOTable.vanishing);

@@ -273,6 +273,17 @@ def test_a_count_the_slices_contradict_is_refused(monkeypatch, where, offset):
         eigenvalues_in_window(spec, lo, hi)
 
 
+def test_a_slice_centre_on_a_level_is_refused():
+    # at c_kin = 0 the band is diag(0, 1, ..., 199): the slice between the
+    # count points 0.5 and 1.5 is centred exactly on the level 1.0, where
+    # the LU of the shifted band has a zero pivot
+    band, _ = circadia.spectra._fd4_operator(np.arange(200.0), 1.0, 0.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"^slice centre 1\.0 is a level$"):
+        circadia.spectra._slice_levels(band, (0.5, 1, 0.0), (1.5, 2, 0.0),
+                                       1e-12)
+
+
 def test_later_edge_counts_start_clear_of_the_last_delta(monkeypatch):
     # a box-proxy-size window (6284 points, 64 levels): the first count at
     # lo - 8*eps*s is blind too near the edge and moves out, the upper edge
@@ -755,9 +766,13 @@ def test_a_missed_ground_level_fails_the_certificate(monkeypatch):
         return w[1:], c[:, 1:]
 
     monkeypatch.setattr(circadia.spectra, "_shift_invert_pairs", skip_ground)
-    with pytest.raises(ConvergenceError, match="ground Ritz value") as info:
+    refusal = "^a level lies below the ground Ritz value "
+    with pytest.raises(ConvergenceError, match=refusal) as info:
         lowest_eigenvalues(_harmonic_1d(), 2)
     assert isinstance(info.value.__cause__, LinAlgError)
+    # the fast oscillator's FD4 solve runs the same certificate
+    with pytest.raises(ConvergenceError, match=refusal):
+        bo_fast_ground(0.5, 1.0, 0.5, Cosine(), 1.0, n=256)
 
 
 def test_mirror_symmetric_double_well_returns_both_doublet_members():

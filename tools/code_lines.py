@@ -8,7 +8,8 @@ blank lines, comments and docstrings do not count, and a statement split
 over several lines counts each of them. Prints each file's count and the
 total. With --rev, each line shows the file's count at the git revision
 REV (read with ``git show REV:path``; 0 where the file did not exist
-there), the working tree's count and the difference.
+there), the working tree's count and the difference; a path outside the
+git work tree is refused with exit 1.
 """
 
 from __future__ import annotations
@@ -52,10 +53,17 @@ def _git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], capture_output=True, text=True)
 
 
-def _count_at(rev: str, path: str) -> int:
-    """Code lines of path at a git revision, 0 where it does not exist."""
-    shown = _git("show", f"{rev}:./{os.path.relpath(path)}")
-    return code_lines(shown.stdout) if shown.returncode == 0 else 0
+def _count_at(rev: str, path: str) -> int | None:
+    """Code lines of path at a git revision, 0 where it does not exist
+    there; None, with git's message on stderr, where git cannot look the
+    path up (one outside the work tree)."""
+    rel = f"./{os.path.relpath(path)}"
+    listed = _git("ls-tree", "--name-only", rev, "--", rel)
+    if listed.returncode != 0:
+        print(listed.stderr.strip(), file=sys.stderr)
+        return None
+    return code_lines(_git("show", f"{rev}:{rel}").stdout) \
+        if listed.stdout else 0
 
 
 def main(argv) -> int:
@@ -81,6 +89,8 @@ def main(argv) -> int:
             print(f"{n:6d}  {path}")
             continue
         old = _count_at(args.rev, path)
+        if old is None:
+            return 1
         totals[0] += old
         totals[1] += n
         print(f"{old:6d}  {n:6d}  {n - old:+6d}  {path}")
